@@ -380,16 +380,23 @@ def replay_script(script: str, p: int, resolver: GroupResolver,
     trace: list[str] = []
     assumed: list[Fact] = []
 
+    def add_result(fact_subject: str, result: MultiplierResult) -> Fact:
+        """An exact-order fact from a multiplier computation; one that rests
+        on cited values is an assumed fact, not a computed one."""
+        cited = "; ".join(result.assumptions)
+        fact = ledger.add(fact_subject, KIND_EXACT, p, exponent=result.order_exponent,
+                          provenance=Provenance.assumed(cited) if cited
+                          else Provenance.computed(result.method))
+        if cited:
+            assumed.append(fact)
+        trace.append(fact.describe())
+        return fact
+
     def premise_for(quot_subject: str, quot_pres: PcPresentation) -> Fact:
         existing = ledger.exact(quot_subject)
         if existing is not None:
             return existing
-        result = resolver.multiplier(quot_pres)
-        fact = ledger.add(quot_subject, KIND_EXACT, p,
-                          exponent=result.order_exponent,
-                          provenance=Provenance.computed(result.method))
-        trace.append(fact.describe())
-        return fact
+        return add_result(quot_subject, resolver.multiplier(quot_pres))
 
     for step_no, raw in enumerate(script.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -448,11 +455,7 @@ def replay_script(script: str, p: int, resolver: GroupResolver,
                     raise LedgerError(f"unknown rule {rule!r}")
                 trace.append(fact.describe())
             elif verb == "compute":
-                result = resolver.entry_multiplier(subject, p)
-                fact = ledger.add(subject, KIND_EXACT, p,
-                                  exponent=result.order_exponent,
-                                  provenance=Provenance.computed(result.method))
-                trace.append(fact.describe())
+                add_result(subject, resolver.entry_multiplier(subject, p))
             elif verb == "expect":
                 kind_tok, value = parts[1], _parse_power(parts[2], p)
                 if kind_tok == "upper":

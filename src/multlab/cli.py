@@ -48,7 +48,6 @@ def main(argv=None) -> int:
     sv.add_argument("--part", required=True, choices=("odd", "two"))
     sv.add_argument("--entries", default=None,
                     help="comma-separated subset of entry ids")
-    sv.add_argument("--jobs", type=int, default=1)
     _add_common(sv)
 
     st = subs.add_parser("table24", help="verify the order-p^4 multiplier table")
@@ -83,8 +82,8 @@ def main(argv=None) -> int:
     if args.verb == "verify-theorem":
         subset = tuple(args.entries.split(",")) if args.entries else None
         try:
-            reports = verify_theorem(args.p, args.part, jobs=args.jobs,
-                                     catalog=catalog, entry_ids=subset)
+            reports = verify_theorem(args.p, args.part, catalog=catalog,
+                                     entry_ids=subset)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -106,7 +105,11 @@ def main(argv=None) -> int:
 
     if args.verb == "replay":
         path = Path(args.script)
-        text = path.read_text() if path.exists() else load_script(args.script)
+        try:
+            text = path.read_text() if path.exists() else load_script(args.script)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         resolver = CatalogResolver(catalog, computer)
         try:
             result = replay_script(text, args.p, resolver)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import exterior_square, kunneth
+from .abelian import direct_sum, exterior_square, kunneth
 from .blackburn_evens import BePreconditionError, multiplier_via_be
 from .entries import Catalog, CatalogEntry
 from .oracle import multiplier_via_oracle, oracle_cap
@@ -26,8 +26,6 @@ from .results import (
 )
 
 ORACLE_CROSS_CAP = 81  # largest order at which the oracle runs as a cross-check
-
-ASSUMED_MARK = "assumed:"
 
 
 class NoApplicableMethod(RuntimeError):
@@ -60,37 +58,37 @@ class Computer:
         if not recipe.is_product:
             raise ValueError(f"{entry.entry_id} is not a product recipe")
         trace: list[str] = []
+        assumptions: list[str] = []
         total = None
         total_ab = None
         for fid in recipe.factors:
-            fpres = self.catalog.instantiate(fid, p)
-            fres = self.factor_multiplier(fid, fpres, p)
+            try:
+                fres = self.compute(fid, p)
+            except NoApplicableMethod:
+                if self.catalog.resolve_recipe(fid).fallback_multiplier is None:
+                    raise
+                fres = self.assumed_multiplier(fid, p)
             trace.extend(fres.trace)
-            fab = abelianization(fpres)
+            assumptions.extend(fres.assumptions)
+            fab = abelianization(self.catalog.instantiate(fid, p))
             if total is None:
                 total, total_ab = fres.invariants, fab
             else:
                 total = kunneth(total, fres.invariants, total_ab, fab)
-                from .abelian import direct_sum
                 total_ab = direct_sum(total_ab, fab)
         trace.append(f"kunneth: factors {list(recipe.factors)} -> {total.render()}")
-        return MultiplierResult(p, total, METHOD_KUNNETH, trace=tuple(trace))
+        return MultiplierResult(p, total, METHOD_KUNNETH, trace=tuple(trace),
+                                assumptions=tuple(assumptions))
 
-    def factor_multiplier(self, fid: str, fpres: PcPresentation, p: int) -> MultiplierResult:
-        """Multiplier of a product factor; falls back to the entry's declared
-        literature value (marked as assumed) when no method applies."""
-        try:
-            return self.compute(fid, p)
-        except NoApplicableMethod:
-            fentry = self.catalog[fid]
-            if fentry.fallback_multiplier is None:
-                raise
-            tokens, citation = fentry.fallback_multiplier
-            from .entries import Expect
-            invs = Expect("multiplier", tokens, citation).multiplier_at(p)
-            return MultiplierResult(
-                p, invs, METHOD_LEDGER,
-                trace=(f'{ASSUMED_MARK} M({fid}) = {invs.render()} "{citation}"',))
+    def assumed_multiplier(self, fid: str, p: int) -> MultiplierResult:
+        """The cited literature value of M(fid), for groups no method reaches;
+        the citation travels in the result's assumptions."""
+        entry = self.catalog.resolve_recipe(fid)
+        cited = entry.fallback_multiplier
+        invs = cited.multiplier_at(p)
+        assumption = f'M({entry.entry_id}) = {invs.render()} "{cited.source}"'
+        return MultiplierResult(p, invs, METHOD_LEDGER, trace=(f"assumed: {assumption}",),
+                                assumptions=(assumption,))
 
     # -- applicability ---------------------------------------------------------
 
@@ -151,13 +149,12 @@ class Computer:
                     f"{pres.name or 'group'}: {first.method} gives "
                     f"{first.invariants.render()} but {other.method} gives "
                     f"{other.invariants.render()}")
-        trace = list(first.trace)
-        for other in results[1:]:
-            trace.extend(other.trace)
+        trace = [line for r in results for line in r.trace]
         if len(results) > 1:
             trace.append(f"auto: methods {[r.method for r in results]} agree")
         return MultiplierResult(pres.p, first.invariants, first.method,
-                                trace=tuple(trace))
+                                trace=tuple(trace),
+                                assumptions=tuple(a for r in results for a in r.assumptions))
 
     def _run(self, method: str, pres: PcPresentation,
              entry: CatalogEntry | None) -> MultiplierResult:

@@ -21,7 +21,7 @@ from importlib import resources
 
 from .abelian import AbelianGroup
 from .dsl import DslError, _parse_scalar, load_presentation
-from .pcgroup import PcPresentation, direct_product
+from .pcgroup import PcPresentation, direct_product, is_prime
 
 CONSTRAINTS = ("odd", "two", "any")
 
@@ -70,7 +70,7 @@ class CatalogEntry:
     factors: tuple[str, ...] = ()
     alias_of: str | None = None
     expects: tuple[Expect, ...] = ()
-    fallback_multiplier: tuple[str, str] | None = None   # (tokens, citation)
+    fallback_multiplier: Expect | None = None   # cited value when no method applies
     squeeze_script: str | None = None
     disabled_reason: str | None = None
 
@@ -126,7 +126,7 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
             expects.append(Expect(parts[1], parts[2], citation))
         elif kw == "fallback-multiplier":
             head, citation = _take_citation(line)
-            fallback = (head.split(None, 1)[1], citation)
+            fallback = Expect("multiplier", head.split(None, 1)[1], citation)
         elif kw == "squeeze":
             squeeze = line.split()[1]
         elif kw == "product":
@@ -197,7 +197,7 @@ class Catalog:
         entry = self[entry_id]
         if entry.is_disabled:
             raise CatalogError(f"{entry_id} is disabled: {entry.disabled_reason}")
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ConstraintError(f"{p} is not prime")
         if not entry.allows(p):
             raise ConstraintError(

@@ -43,6 +43,10 @@ class SizeCapError(ValueError):
     pass
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
 def _is_p_power(n: int, p: int) -> bool:
     if n < p:
         return False
@@ -70,7 +74,7 @@ class PcPresentation:
 
     def __post_init__(self):
         p = self.p
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         n = len(self.orders)
         if len(self.names) != n or len(self.powers) != n:
@@ -654,22 +658,7 @@ def direct_product(a: PcPresentation, b: PcPresentation) -> PcPresentation:
 
 def abelianization(pres: PcPresentation) -> AbelianGroup:
     """Invariant factors of G/G' from the SNF of the relation matrix."""
-    n = pres.ngens
-    if n == 0:
-        return AbelianGroup.trivial()
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = pres.orders[i]
-        for k, e in pres.powers[i]:
-            row[k] -= e
-        rows.append(row)
-    for j, i, tail in pres.comms:
-        row = [0] * n
-        for k, e in tail:
-            row[k] += e
-        rows.append(row)
-    return snf_group(rows)
+    return abelian_quotient_invariants(pres, ())
 
 
 def abelian_quotient_invariants(pres: PcPresentation, extra) -> AbelianGroup:

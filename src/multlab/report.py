@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .abelian import AbelianGroup, render_factor
 from .bounds import ReplayAssertionError, replay_script
-from .compute import ASSUMED_MARK, Computer, NoApplicableMethod, compute_t
+from .compute import Computer, CrossMethodDisagreement, NoApplicableMethod, compute_t
 from .entries import Catalog, CatalogEntry
-from .pcgroup import PcPresentation
+from .oracle import MemoryBudgetError, OracleInconsistency
+from .pcgroup import CollectionError, InconsistentPresentation, PcPresentation, is_prime
 from .results import METHOD_LEDGER, MultiplierResult
 
 REPORT_KEYS = ("group", "p", "n", "method", "multiplier", "t", "status",
@@ -78,87 +79,87 @@ def load_script(name: str) -> str:
     return path.read_text()
 
 
-def _expect_failures(entry: CatalogEntry, p: int, res: MultiplierResult,
-                     t: int) -> list[str]:
+def _expect_failures(entry: CatalogEntry, p: int, t: int, order_exponent: int,
+                     invariants: AbelianGroup | None) -> list[str]:
+    """The entry's expectations that the result misses.  `invariants` is None
+    when only the order is known (a bound squeeze); multiplier expectations
+    are then not checked."""
     problems = []
     for exp in entry.expects:
-        if exp.kind == "multiplier":
+        if exp.kind == "multiplier" and invariants is not None:
             want = exp.multiplier_at(p)
-            if res.invariants != want:
+            if invariants != want:
                 problems.append(
-                    f"multiplier {res.invariants.render()} != expected {want.render()}")
+                    f"multiplier {invariants.render()} != expected {want.render()}")
         elif exp.kind == "order":
             want = exp.order_exponent_at(p)
-            if res.order_exponent != want:
+            if order_exponent != want:
                 problems.append(
-                    f"order p^{res.order_exponent} != expected p^{want}")
+                    f"order p^{order_exponent} != expected p^{want}")
         elif exp.kind == "t":
             if t != exp.t_value():
                 problems.append(f"t = {t} != expected {exp.t_value()}")
     return problems
 
 
+# Errors that mean a method or an internal identity broke on one entry: they
+# become that entry's FAIL record, and the rest of a suite still runs.
+RECORDED_FAILURES = (CrossMethodDisagreement, OracleInconsistency, MemoryBudgetError,
+                     CollectionError, InconsistentPresentation)
+
+
 def verify_entry(catalog: Catalog, computer: Computer, entry_id: str, p: int,
                  method: str = "auto") -> Report:
     start = time.monotonic()
     entry = catalog[entry_id]
-
-    def done(report: Report) -> Report:
-        report.millis = int((time.monotonic() - start) * 1000)
-        return report
-
     if entry.is_disabled:
-        return done(Report(entry_id, p, 0, "-", [], None, "DISABLED",
-                           trace=[entry.disabled_reason]))
-    pres = catalog.instantiate(entry_id, p)
-    n = pres.order_exponent
+        report = Report(entry_id, p, 0, "-", [], None, "DISABLED",
+                        trace=[entry.disabled_reason])
+    else:
+        pres = catalog.instantiate(entry_id, p)
+        try:
+            report = _verify(catalog, computer, entry, pres, method)
+        except RECORDED_FAILURES as exc:
+            report = Report(entry_id, p, pres.order_exponent, "-", [], None, "FAIL",
+                            trace=[f"{type(exc).__name__}: {exc}"])
+    report.millis = int((time.monotonic() - start) * 1000)
+    return report
+
+
+def _verify(catalog: Catalog, computer: Computer, entry: CatalogEntry,
+            pres: PcPresentation, method: str) -> Report:
+    p, n = pres.p, pres.order_exponent
     try:
-        res = computer.compute(entry_id, p, method=method)
+        res = computer.compute(entry.entry_id, p, method=method)
     except NoApplicableMethod as exc:
-        target = catalog.resolve_recipe(entry_id)
+        target = catalog.resolve_recipe(entry.entry_id)
         script_name = entry.squeeze_script or target.squeeze_script
         if script_name is not None:
-            return done(_verify_by_squeeze(catalog, computer, entry, pres,
-                                           script_name, p, exc))
-        if target.fallback_multiplier is not None:
-            computer_res = computer.factor_multiplier(target.entry_id, pres, p)
-            t = compute_t(pres, computer_res)
-            problems = _expect_failures(entry, p, computer_res, t)
-            status = "FAIL" if problems else "PASS-WITH-ASSUMPTION"
-            return done(Report(entry_id, p, n, METHOD_LEDGER,
-                               _render_invs(computer_res), t, status,
-                               assumed=_collect_assumed(computer_res),
-                               trace=list(computer_res.trace) + problems))
-        return done(Report(entry_id, p, n, "-", [], None, "FAIL",
-                           trace=[f"{m}: {r}" for m, r in exc.reasons.items()]))
+            return _verify_by_squeeze(catalog, computer, entry, pres, script_name)
+        if target.fallback_multiplier is None:
+            return Report(entry.entry_id, p, n, "-", [], None, "FAIL",
+                          trace=[f"{m}: {r}" for m, r in exc.reasons.items()])
+        res = computer.assumed_multiplier(target.entry_id, p)
     t = compute_t(pres, res)
-    problems = _expect_failures(entry, p, res, t)
-    assumed = _collect_assumed(res)
+    problems = _expect_failures(entry, p, t, res.order_exponent, res.invariants)
     if problems:
         status = "FAIL"
-    elif assumed:
+    elif res.assumptions:
         status = "PASS-WITH-ASSUMPTION"
     else:
         status = "PASS"
-    return done(Report(entry_id, p, n, res.method, _render_invs(res), t, status,
-                       assumed=assumed, trace=list(res.trace) + problems))
+    return Report(entry.entry_id, p, n, res.method, _render_invs(res), t, status,
+                  assumed=list(res.assumptions), trace=list(res.trace) + problems)
 
 
 def _render_invs(res: MultiplierResult) -> list[str]:
-    from .abelian import render_factor
     return [render_factor(f) for f in res.invariants.factors]
 
 
-def _collect_assumed(res: MultiplierResult) -> list[str]:
-    return [line.split(ASSUMED_MARK, 1)[1].strip()
-            for line in res.trace if ASSUMED_MARK in line]
-
-
 def _verify_by_squeeze(catalog: Catalog, computer: Computer, entry: CatalogEntry,
-                       pres: PcPresentation, script_name: str, p: int,
-                       failure: NoApplicableMethod) -> Report:
+                       pres: PcPresentation, script_name: str) -> Report:
     resolver = CatalogResolver(catalog, computer)
-    n = pres.order_exponent
+    p, n = pres.p, pres.order_exponent
     try:
         result = replay_script(load_script(script_name), p, resolver)
     except ReplayAssertionError as exc:
@@ -172,22 +173,17 @@ def _verify_by_squeeze(catalog: Catalog, computer: Computer, entry: CatalogEntry
     assumed = [f.provenance.citation for f in result.assumed_bounds()]
     assumed += [f"[capability] {f.provenance.citation}"
                 for f in result.assumed_capabilities()]
-    problems = []
-    for exp in entry.expects:
-        if exp.kind == "t" and t != exp.t_value():
-            problems.append(f"t = {t} != expected {exp.t_value()}")
-        if exp.kind == "order" and exact.exponent != exp.order_exponent_at(p):
-            problems.append(f"order p^{exact.exponent} != p^{exp.order_exponent_at(p)}")
+    problems = _expect_failures(entry, p, t, exact.exponent, None)
     status = "FAIL" if problems else "PASS-WITH-ASSUMPTION"
     return Report(entry.entry_id, p, n, METHOD_LEDGER, [f"order p^{exact.exponent}"],
                   t, status, assumed=assumed, trace=result.trace + problems)
 
 
-def verify_theorem(p: int, part: str, *, jobs: int = 1,
-                   catalog: Catalog | None = None,
+def verify_theorem(p: int, part: str, *, catalog: Catalog | None = None,
                    entry_ids: tuple[str, ...] | None = None) -> list[Report]:
-    """Verify t(G) = 6 for every classification entry of the selected part."""
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    """Verify t(G) = 6 for every classification entry of the selected part,
+    or for the subset `entry_ids` of it."""
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if part == "odd":
         if p == 2:
@@ -200,20 +196,18 @@ def verify_theorem(p: int, part: str, *, jobs: int = 1,
     else:
         raise ValueError("part must be odd or two")
     if entry_ids:
+        unknown = [e for e in entry_ids if e not in ids]
+        if unknown:
+            raise ValueError(f"not entries of part {part}: {', '.join(unknown)}")
         ids = tuple(i for i in ids if i in entry_ids)
     catalog = catalog or Catalog.bundled()
     computer = Computer(catalog)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(verify_entry, catalog, computer, eid, p)
-                       for eid in ids]
-            return [f.result() for f in futures]
     return [verify_entry(catalog, computer, eid, p) for eid in ids]
 
 
 def run_table24(p: int, *, catalog: Catalog | None = None) -> list[Report]:
     """The order-p^4 multiplier table, every entry through the oracle."""
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 2:
         raise ValueError("the order-p^4 table suite runs at odd primes")

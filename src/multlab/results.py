@@ -17,12 +17,14 @@ _METHODS = (METHOD_ORACLE, METHOD_BE, METHOD_KUNNETH, METHOD_ABELIAN, METHOD_LED
 
 @dataclass(frozen=True)
 class MultiplierResult:
-    """Invariant factors of M(G), the method that produced them, and a trace."""
+    """Invariant factors of M(G), the method that produced them, a trace, and
+    the cited literature values the result rests on (empty when computed)."""
 
     p: int
     invariants: AbelianGroup
     method: str
     trace: tuple[str, ...] = field(default=(), compare=False)
+    assumptions: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.method not in _METHODS:

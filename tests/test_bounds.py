@@ -200,6 +200,14 @@ class TestReplay:
         assert res.final_exact().exponent == 4
         assert not res.assumed
 
+    def test_jones_script_at_p5_records_the_cited_factor(self, resolver):
+        # at p = 5 the Kunneth value of T6_viii rests on the cited M(Phi2_211c)
+        res = replay_script(load_script("phi2_2111c_jones.script"), 5, resolver)
+        assert res.final_exact().exponent == 4
+        [fact] = res.assumed_bounds()
+        assert fact.kind == KIND_EXACT and fact.provenance.tag == "assumed"
+        assert fact.provenance.citation.startswith("M(Phi2_211c) = [5,5]")
+
     def test_deliberate_failure_names_step(self, resolver):
         with pytest.raises(ReplayAssertionError) as exc:
             replay_script(load_script("d8_wrong_upper.script"), 2, resolver)

@@ -16,8 +16,9 @@ from multlab.report import (
     emit_report,
     parse_report_jsonl,
     verify_entry,
+    verify_theorem,
 )
-from multlab.results import METHOD_BE, METHOD_KUNNETH, METHOD_ORACLE
+from multlab.results import METHOD_BE, METHOD_KUNNETH, METHOD_ORACLE, MultiplierResult
 
 
 def _primes_for(entry):
@@ -201,6 +202,50 @@ class TestReports:
         assert len(out.splitlines()) == 3  # header, rule, one row
         assert rep.t == 2
 
+    # At p = 5 these entries rest on cited order-p^4 values; the citations
+    # and the trace lines that announce them are part of the JSONL format.
+    @pytest.mark.parametrize("entry_id, fields", [
+        ("T6_viii",
+         r""""assumed": ["M(Phi2_211c) = [5,5] \"order-p^4 multiplier table, |G'|=p\""], """
+         r""""trace": ["assumed: M(Phi2_211c) = [5,5] \"order-p^4 multiplier table, |G'|=p\"", """
+         r""""abelian: exterior square -> []", """
+         r""""oracle: N=5, m=5, H2=[5], Gab=[5], eqs=4, pivots=0", """
+         r""""auto: methods ['abelian', 'oracle'] agree", """
+         r""""kunneth: factors ['Phi2_211c', 'Zp'] -> [5,5,5,5]"]"""),
+        ("T6_xii",
+         r""""assumed": ["M(Phi2_31) = [] \"order-p^4 multiplier table, |G'|=p\""], """
+         r""""trace": ["assumed: M(Phi2_31) = [] \"order-p^4 multiplier table, |G'|=p\""]"""),
+    ])
+    def test_assumed_values_pinned_in_jsonl(self, catalog, computer, entry_id, fields):
+        rep = verify_entry(catalog, computer, entry_id, 5)
+        assert rep.status == "PASS-WITH-ASSUMPTION"
+        line = emit_report([rep], "jsonl")
+        assert line[line.index('"assumed"'):line.index(', "millis"')] == fields
+
+    def test_unknown_entry_ids_rejected(self):
+        with pytest.raises(ValueError, match="T6_foo"):
+            verify_theorem(3, "odd", entry_ids=("T6_ii", "T6_foo"))
+        with pytest.raises(ValueError, match="T6_xiii"):
+            verify_theorem(3, "odd", entry_ids=("T6_xiii",))
+
+    def test_disagreement_is_a_fail_record(self, monkeypatch):
+        import multlab.compute as compute_mod
+        real_be = compute_mod.multiplier_via_be
+
+        def skewed_be(pres):
+            res = real_be(pres)
+            if pres.name != "T6_iv":
+                return res
+            return MultiplierResult(res.p, AbelianGroup.trivial(), res.method)
+
+        monkeypatch.setattr(compute_mod, "multiplier_via_be", skewed_be)
+        reports = verify_theorem(3, "odd", entry_ids=("T6_iii", "T6_iv", "T6_vii"))
+        assert [(r.group, r.status) for r in reports] == [
+            ("T6_iii", "PASS"), ("T6_iv", "FAIL"), ("T6_vii", "PASS")]
+        assert reports[1].trace == [
+            "CrossMethodDisagreement: T6_iv: kunneth gives [3,3,3,3,3,3,3,3,3] "
+            "but blackburn_evens gives []"]
+
 
 class TestCli:
     def test_compute_verb(self, capsys):
@@ -223,6 +268,18 @@ class TestCli:
         from multlab.cli import main
         assert main(["replay", "--script", "es_p3_class_bound.script", "--p", "3"]) == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_verify_theorem_unknown_entries(self, capsys):
+        from multlab.cli import main
+        assert main(["verify-theorem", "--p", "3", "--part", "odd",
+                     "--entries", "T6_foo,T6_xiii"]) == 1
+        err = capsys.readouterr().err
+        assert "T6_foo" in err and "T6_xiii" in err
+
+    def test_replay_missing_script(self, capsys):
+        from multlab.cli import main
+        assert main(["replay", "--script", "nope"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_forced_inapplicable_method(self, capsys):
         from multlab.cli import main
