@@ -5,6 +5,8 @@ as a prime factorization (never a bare integer), so that orders like p^22
 stay exact at any prime.  The operations here are the abelian half of the
 multiplier calculus: Smith normal form, tensor products, exterior squares,
 and the direct-product identity M(A x B) = M(A) + M(B) + A^ab (x) B^ab.
+GF(p) row reduction and nullspaces, shared by the tensor construction and
+the centre computation, live here too.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
+
+import numpy as np
 
 
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -238,6 +242,53 @@ def snf_group(matrix: list[list[int]]) -> AbelianGroup:
     if any(d == 0 for d in inv):
         raise ValueError("cokernel is infinite")
     return AbelianGroup.from_orders([d for d in inv if d > 1])
+
+
+# -- GF(p) echelon algebra --------------------------------------------------
+
+
+def rref_mod_p(rows: np.ndarray, p: int) -> np.ndarray:
+    """Reduced row echelon form over GF(p); zero rows dropped."""
+    a = np.array(rows, dtype=np.int64) % p
+    m, n = a.shape if a.ndim == 2 else (0, 0)
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = None
+        for i in range(r, m):
+            if a[i, c] % p:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[[r, piv]] = a[[piv, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
+        for i in range(m):
+            if i != r and a[i, c]:
+                a[i] = (a[i] - a[i, c] * a[r]) % p
+        r += 1
+    return a[:r] if m else a.reshape(0, n)
+
+
+def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """Columns form a basis of the right nullspace over GF(p)."""
+    a = np.array(a, dtype=np.int64) % p
+    m, n = a.shape
+    r = rref_mod_p(a, p)
+    pivots = []
+    j = 0
+    for i in range(r.shape[0]):
+        while j < n and r[i, j] % p == 0:
+            j += 1
+        pivots.append(j)
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((n, len(free)), dtype=np.int64)
+    for idx, c in enumerate(free):
+        basis[c, idx] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, idx] = (-r[i, c]) % p
+    return basis
 
 
 # -- tensor / exterior / direct-product calculus ----------------------------

@@ -26,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from .abelian import AbelianGroup
+from .abelian import AbelianGroup, nullspace_mod_p, rref_mod_p
 from .pcgroup import (
     NormalWord,
     PcPresentation,
@@ -48,55 +48,11 @@ class BePreconditionError(ValueError):
 # -- GF(p) echelon helpers ----------------------------------------------------
 
 
-def _rref(rows: np.ndarray, p: int) -> np.ndarray:
-    """Reduced row echelon form over GF(p); zero rows dropped."""
-    a = np.array(rows, dtype=np.int64) % p
-    m, n = a.shape if a.ndim == 2 else (0, 0)
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = None
-        for i in range(r, m):
-            if a[i, c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
-        for i in range(m):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        r += 1
-    return a[:r] if m else a.reshape(0, n)
-
-
 def _in_span(basis: np.ndarray, v: np.ndarray, p: int) -> bool:
     if basis.shape[0] == 0:
         return not np.any(v % p)
-    stacked = _rref(np.vstack([basis, v % p]), p)
+    stacked = rref_mod_p(np.vstack([basis, v % p]), p)
     return stacked.shape[0] == basis.shape[0]
-
-
-def _nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Columns form a basis of the right nullspace over GF(p)."""
-    a = np.array(a, dtype=np.int64) % p
-    m, n = a.shape
-    r = _rref(a, p)
-    pivots = []
-    j = 0
-    for i in range(r.shape[0]):
-        while j < n and r[i, j] % p == 0:
-            j += 1
-        pivots.append(j)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((n, len(free)), dtype=np.int64)
-    for idx, c in enumerate(free):
-        basis[c, idx] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, idx] = (-r[i, c]) % p
-    return basis
 
 
 # -- construction data ---------------------------------------------------------
@@ -145,18 +101,12 @@ class BeExtensionData:
     dim_ker_sigma_bar: int
 
 
-def _w_coordinates(pres: PcPresentation, derived: Subgroup, x: NormalWord, p: int) -> np.ndarray:
+def _w_coordinates(derived: Subgroup, x: NormalWord) -> np.ndarray:
     """Coordinates of x in the elementary abelian G' w.r.t. its echelon basis."""
-    coords = []
-    y = tuple(x)
-    for l, u in derived.igs.items():
-        e = y[l] % p
-        coords.append(e)
-        if e:
-            y = pres.mul(pres.pow_el(u, -e), y)
-    if y != pres.identity:
+    exps = derived.sift(x)
+    if exps is None:
         raise ValueError("element not in the derived subgroup")
-    return np.array(coords, dtype=np.int64)
+    return np.array([exps.get(l, 0) for l in derived.igs], dtype=np.int64)
 
 
 def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) -> BeData:
@@ -194,7 +144,7 @@ def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) ->
     else:
         reps = [tuple(r) for r in reps]
         mat = np.array([v_coords(r) for r in reps], dtype=np.int64)
-        if len(reps) != dim_v or _rref(mat, p).shape[0] != dim_v:
+        if len(reps) != dim_v or rref_mod_p(mat, p).shape[0] != dim_v:
             raise ValueError("representatives do not project to a V-basis")
 
     pairing = np.zeros((dim_v, dim_v, dim_w), dtype=np.int64)
@@ -203,10 +153,10 @@ def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) ->
             if i == j:
                 continue
             c = pres.comm_el(reps[i], reps[j])
-            pairing[i, j] = _w_coordinates(pres, derived, c, p)
+            pairing[i, j] = _w_coordinates(derived, c)
     power_map = np.zeros((dim_w, dim_v), dtype=np.int64)
     for i in range(dim_v):
-        power_map[:, i] = _w_coordinates(pres, derived, pres.pow_el(reps[i], p), p)
+        power_map[:, i] = _w_coordinates(derived, pres.pow_el(reps[i], p))
 
     if not np.array_equal(pairing, (-pairing.transpose(1, 0, 2)) % p):
         raise BePreconditionError("pairing not alternating")
@@ -222,7 +172,7 @@ def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) ->
     for a, b in combinations(range(dim_v), 2):
         rows.append(data.power_element((eye[a] + eye[b]) % p))
     if rows:
-        data.x_basis = _rref(np.array(rows), p)
+        data.x_basis = rref_mod_p(np.array(rows), p)
     return data
 
 
@@ -237,10 +187,10 @@ def extension_data(data: BeData) -> BeExtensionData:
     rho = np.zeros((data.dim_w, len(pairs)), dtype=np.int64)
     for c, (i, j) in enumerate(pairs):
         rho[:, c] = data.pairing[i, j]
-    rank_rho = _rref(rho, p).shape[0]
+    rank_rho = rref_mod_p(rho, p).shape[0]
     if rank_rho != data.dim_w:
         raise BePreconditionError("commutators do not span the derived subgroup")
-    ker = _nullspace(rho, p)
+    ker = nullspace_mod_p(rho, p)
 
     # sigma(e_i ^ e_j) = e_i (x) f(e_j) + binom(p,2) e_j (x) (e_i, e_j) + X
     half = comb(p, 2) % p  # vanishes for odd p; kept for the formula's shape
@@ -265,7 +215,7 @@ def extension_data(data: BeData) -> BeExtensionData:
         sigma_bar = np.array(reduced).T if reduced else sigma_on_ker
     else:
         sigma_bar = sigma_on_ker
-    rank_sigma = _rref(sigma_bar.T, p).shape[0] if sigma_bar.size else 0
+    rank_sigma = rref_mod_p(sigma_bar.T, p).shape[0] if sigma_bar.size else 0
     dim_ker_rho = ker.shape[1]
     dim_n = data.tensor_dim() - data.x_dim()
     return BeExtensionData(

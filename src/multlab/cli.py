@@ -116,6 +116,9 @@ def main(argv=None) -> int:
         except ReplayAssertionError as exc:
             print(f"REPLAY FAILED: {exc}", file=sys.stderr)
             return 1
+        except ValueError as exc:  # e.g. the script's group is not defined at this prime
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         for line in result.trace:
             print(line)
         print(f"replay of {result.subject} at p={args.p}: OK "

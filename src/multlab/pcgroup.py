@@ -22,7 +22,7 @@ from math import prod
 
 import numpy as np
 
-from .abelian import AbelianGroup, snf, snf_group
+from .abelian import AbelianGroup, nullspace_mod_p, snf_group
 from .cayley import CayleyTable
 
 Word = tuple[tuple[int, int], ...]       # ((gen index, exponent), ...)
@@ -415,19 +415,27 @@ class Subgroup:
     def order(self) -> int:
         return self.pres.p ** self.order_exponent
 
-    def contains(self, x: NormalWord) -> bool:
-        p = self.pres.p
+    def sift(self, x: NormalWord) -> dict[int, int] | None:
+        """Exponents {lead: e} with x = prod of u_lead^e in lead order, or None
+        if x is outside the subgroup.  A lead entry p^v is one step, so e < rel."""
+        pres = self.pres
+        p = pres.p
         x = tuple(x)
-        while x != self.pres.identity:
+        exps: dict[int, int] = {}
+        while x != pres.identity:
             l = _lead(x)
             u = self.igs.get(l)
             if u is None:
-                return False
-            vu = _valuation(u[l], p)
-            if x[l] % (p ** vu):
-                return False
-            x = self.pres.mul(self.pres.pow_el(u, -(x[l] // (p ** vu))), x)
-        return True
+                return None
+            step = p ** _valuation(u[l], p)
+            if x[l] % step:
+                return None
+            exps[l] = x[l] // step
+            x = pres.mul(pres.pow_el(u, -exps[l]), x)
+        return exps
+
+    def contains(self, x: NormalWord) -> bool:
+        return self.sift(x) is not None
 
     def elements(self):
         pres = self.pres
@@ -460,15 +468,22 @@ class Subgroup:
                    for i, a in enumerate(us) for b in us[i + 1:])
 
     def abelian_invariants(self) -> AbelianGroup:
-        """Invariant factors of an abelian subgroup, by counting element orders."""
+        """Invariant factors of an abelian subgroup: the SNF of the relations
+        u_k^{rel_k} = prod_j u_j^{c_kj} that sifting the igs powers gives."""
         if not self.is_abelian():
             raise ValueError("subgroup is not abelian")
-        p = self.pres.p
-        counts: dict[int, int] = {}
-        for x in self.elements():
-            o = _valuation(self.pres.element_order(x), p)
-            counts[o] = counts.get(o, 0) + 1
-        return _invariants_from_order_counts(counts, p)
+        pres, p = self.pres, self.pres.p
+        leads = list(self.igs)
+        rows = []
+        for k, (l, u) in enumerate(self.igs.items()):
+            rel = pres.orders[l] // p ** _valuation(u[l], p)
+            exps = self.sift(pres.pow_el(u, rel))
+            if exps is None:
+                raise InconsistentPresentation(f"{u}^{rel} lies outside its own subgroup")
+            row = [-exps.get(m, 0) for m in leads]
+            row[k] += rel
+            rows.append(row)
+        return snf_group(rows)
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
         a, b = (self, other) if self.order_exponent <= other.order_exponent else (other, self)
@@ -518,15 +533,75 @@ def derived_subgroup(pres: PcPresentation) -> Subgroup:
     return Subgroup.generate(pres, gens, normal=True)
 
 
-def center(pres: PcPresentation) -> Subgroup:
+def _last_exponent_p_term(pres: PcPresentation) -> Subgroup:
+    """Last nontrivial term N of the lower exponent-p central series
+    P_1 = G, P_{k+1} = [P_k, G] P_k^p; N is central and elementary abelian."""
     gens = [pres.gen(i) for i in range(pres.ngens)]
-    candidates = None
-    for g in gens:
-        stream = candidates if candidates is not None else pres.elements()
-        candidates = [x for x in stream if pres.commutes(tuple(x), g)]
-    if candidates is None:
-        candidates = []
-    return Subgroup.generate(pres, [x for x in candidates if x != pres.identity])
+    current = Subgroup.whole(pres)
+    while True:
+        us = list(current.igs.values())
+        nxt = [pres.comm_el(u, g) for u in us for g in gens] + [pres.pow_el(u, pres.p) for u in us]
+        nxt = Subgroup.generate(pres, [x for x in nxt if x != pres.identity], normal=True)
+        if nxt.order_exponent == 0:
+            return current
+        if nxt.order_exponent == current.order_exponent:
+            raise InconsistentPresentation("exponent-p central series stalled")
+        current = nxt
+
+
+def _lift(u: NormalWord, survivors: list[int], n: int) -> NormalWord:
+    """Normal word of G whose image in a quotient with surviving generators
+    `survivors` is u."""
+    w = [0] * n
+    for t, e in enumerate(u):
+        w[survivors[t]] = e
+    return tuple(w)
+
+
+def center(pres: PcPresentation) -> Subgroup:
+    """Z(G) by linear algebra down the lower exponent-p central series
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 8).
+
+    With N that series' last nontrivial term, Y/N = Z(G/N) comes from the
+    quotient by recursion.  N is central, so x -> ([x, g_i])_i is a
+    homomorphism from Y into the GF(p)-space N^d whose kernel is Z(G).  That
+    kernel is generated by the igs products a nullspace vector names, the
+    p-th powers of Y's igs, and N (which holds [Y, Y], so the products need
+    no commutator correction).  Cost grows with the number of generators;
+    G is never enumerated.
+    """
+    p = pres.p
+    gens = [pres.gen(i) for i in range(pres.ngens)]
+    if all(pres.commutes(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]):
+        return Subgroup.whole(pres)
+    n_sub = _last_exponent_p_term(pres)
+    quotient, survivors = _central_quotient_map(pres, n_sub)
+    lifts = [_lift(u, survivors, pres.ngens) for u in center(quotient).igs.values()]
+    y = Subgroup.generate(pres, lifts + list(n_sub.igs.values()))
+    ys = list(y.igs.values())
+    rows = []
+    for u in ys:
+        row = []
+        for g in gens:
+            exps = n_sub.sift(pres.comm_el(u, g))
+            if exps is None:
+                raise InconsistentPresentation("[Z(G/N), G] is not inside N")
+            row.extend(exps.get(l, 0) for l in n_sub.igs)
+        rows.append(row)
+    null = nullspace_mod_p(np.array(rows, dtype=np.int64).T, p)  # columns b: b . rows = 0
+    kernel = [pres.pow_el(u, p) for u in ys] + list(n_sub.igs.values())
+    for b in null.T:
+        x = pres.identity
+        for u, e in zip(ys, b):
+            if e:
+                x = pres.mul(x, pres.pow_el(u, int(e)))
+        kernel.append(x)
+    z = Subgroup.generate(pres, [x for x in kernel if x != pres.identity])
+    rank = len(ys) - null.shape[1]
+    if z.order_exponent != y.order_exponent - rank:
+        raise InconsistentPresentation(
+            f"centre has order p^{z.order_exponent}, expected p^{y.order_exponent - rank}")
+    return z
 
 
 def lower_central_series(pres: PcPresentation) -> list[Subgroup]:
@@ -552,12 +627,7 @@ def upper_central_series(pres: PcPresentation) -> list[Subgroup]:
         zq = center(quotient)
         if series[-1].order_exponent + zq.order_exponent > pres.order_exponent:
             raise InconsistentPresentation("upper central series overflow")
-        lifts = []
-        for u in zq.igs.values():
-            w = [0] * pres.ngens
-            for t, e in enumerate(u):
-                w[indices[t]] = e
-            lifts.append(tuple(w))
+        lifts = [_lift(u, indices, pres.ngens) for u in zq.igs.values()]
         z_next = Subgroup.generate(pres, lifts + list(series[-1].igs.values()))
         if z_next.order_exponent == series[-1].order_exponent:
             if z_next.order_exponent != pres.order_exponent:

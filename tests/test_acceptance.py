@@ -129,6 +129,19 @@ class TestAcceptance:
         _announce(4, f"p=5 spot checks (ii), (ix) computed, (xii) assumed "
                      f"({elapsed:.1f}s < 60s)")
 
+    def test_criterion_4_t6_i_at_p5(self):
+        # the order-p^8 entry, once out of reach of the whole-group centre
+        [r] = verify_theorem(5, "odd", entry_ids=("T6_i",))
+        assert (r.n, r.t, r.status) == (8, 6, "PASS"), r
+        _announce(4, "T6_i at p=5 computed")
+
+    def test_criterion_4_odd_part_p7(self):
+        reports = verify_theorem(7, "odd")
+        assert len(reports) == 12
+        for r in reports:
+            assert r.t == 6 and r.status in ("PASS", "PASS-WITH-ASSUMPTION"), r
+        _announce(4, "odd part at p=7: 12 entries with t = 6")
+
     def test_criterion_5_two_part(self):
         start = time.monotonic()
         reports = verify_theorem(2, "two")

@@ -281,6 +281,14 @@ class TestCli:
         assert main(["replay", "--script", "nope"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("script,p", [("phi7_15_squeeze.script", 2),
+                                          ("d8_wrong_upper.script", 3)])
+    def test_replay_at_disallowed_prime(self, capsys, script, p):
+        from multlab.cli import main
+        assert main(["replay", "--script", script, "--p", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "requires" in err
+
     def test_forced_inapplicable_method(self, capsys):
         from multlab.cli import main
         assert main(["compute", "--group", "Phi7_15", "--p", "3",

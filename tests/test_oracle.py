@@ -135,47 +135,33 @@ def h2_dense_full_triples(table, m, p):
     while mm % p == 0:
         mm //= p
         k += 1
-    # integer-lattice route: solutions of  E u = 0 mod m  modulo coboundaries
-    # and m Z^cells, via Smith form over the integers
-    from multlab.abelian import snf
-    e_mat = [list(r) for r in rows]
     cols = len(cells)
-    # kernel lattice L: columns u with E u in m Z^rows; compute via SNF of
-    # [E; m I] transpose trick is heavy, so solve over Z_m by brute force
-    # on the reduced row echelon over the field-free local ring instead:
-    def val(x):
-        v = 0
-        while x % p == 0 and x:
-            x //= p
-            v += 1
-        return v if x or v else k
-
-    a = np.array(e_mat, dtype=np.int64) % m if e_mat else np.zeros((0, cols), np.int64)
-    pivots = {}
-    for row in a:
-        row = row.copy() % m
-        while row.any():
-            c = int(np.nonzero(row)[0][0])
-            e = int(row[c])
-            v = val(e) if e else k
-            unit = e // (p ** v)
-            row = (row * pow(unit, -1, m)) % m
-            if c not in pivots:
-                pivots[c] = (row, v)
-                break
-            prow, pv = pivots[c]
-            if v >= pv:
-                row = (row - (p ** (v - pv)) * prow) % m
-            else:
-                pivots[c] = (row, v)
-                row = prow
-    # solution count of the homogeneous system
+    # count the solutions of E u = 0 over Z_m = Z/p^k by dense elimination,
+    # one column at a time over every row at once.  The entry of least
+    # valuation v is the pivot; it clears its column in all other rows, and
+    # is itself replaced by p^(k-v) times its unit-normalized row, which is
+    # zero in that column, so the rows left always span every equation with
+    # zeros in the columns done.  The pivot column then admits p^v values.
+    # int16 holds every product of two entries below m <= 128; equal rows
+    # (compared as raw bytes) are one equation
+    a = np.array(rows, dtype=np.int16).reshape(-1, cols)
+    a = np.unique(a.view(np.dtype((np.void, a.itemsize * cols))).ravel())
+    a = a.view(np.int16).reshape(-1, cols)
     log_solutions = 0
     for c in range(cols):
-        if c in pivots:
-            log_solutions += k - (k - pivots[c][1])  # p^{k - (k - v)} = p^v
-        else:
+        nz = np.flatnonzero(a[:, c])
+        if not len(nz):
             log_solutions += k
+            continue
+        vals = sum((a[nz, c] % p ** j == 0 for j in range(1, k)), np.zeros(len(nz), np.int64))
+        i = nz[np.argmin(vals)]
+        v = int(vals.min())
+        unit = int(a[i, c]) // p ** v
+        pivot = (a[i] * pow(unit, -1, m)) % m
+        others = nz[nz != i]
+        a[others] = (a[others] - (a[others, c] // p ** v)[:, None] * pivot) % m
+        a[i] = (p ** (k - v) * pivot) % m
+        log_solutions += v
     # coboundary count: m^{n-1} / |Hom(G, Z_m)|
     hom_count = 0
     gab = abelianization_from_table(table, p)

@@ -1,12 +1,19 @@
 """Collection, consistency, subgroup and structure machinery."""
 
+from collections import Counter
+
 import pytest
 
+from multlab import pcgroup
 from multlab.abelian import AbelianGroup
 from multlab.dsl import DslError, load_presentation
+from multlab.entries import Catalog, CatalogError
 from multlab.pcgroup import (
+    PcPresentation,
     SizeCapError,
     Subgroup,
+    _invariants_from_order_counts,
+    _valuation,
     abelianization,
     cayley_table,
     center,
@@ -16,6 +23,7 @@ from multlab.pcgroup import (
     direct_product,
     iso_witness_check,
     structure_report,
+    upper_central_series,
 )
 
 ES_P3 = "gen a p\ngen a1 p\ngen a2 p\ncomm a1 a = a2"
@@ -274,3 +282,66 @@ class TestIsoWitness:
         z2 = load_presentation("gen a 2", 2)
         with pytest.raises(ValueError, match="size mismatch"):
             iso_witness_check(d8, z2, [(0,), (1,)])
+
+
+# -- brute-force references: enumerate the group ------------------------------
+
+
+def brute_center(pres):
+    """Z(G) by filtering every element of G against each generator."""
+    candidates = list(pres.elements())
+    for i in range(pres.ngens):
+        candidates = [x for x in candidates if pres.commutes(x, pres.gen(i))]
+    return Subgroup.generate(pres, [x for x in candidates if x != pres.identity])
+
+
+def brute_invariants(sub):
+    """Invariants of an abelian subgroup from the orders of all its elements."""
+    p = sub.pres.p
+    counts = Counter(_valuation(sub.pres.element_order(x), p) for x in sub.elements())
+    return _invariants_from_order_counts(counts, p)
+
+
+def _small_instances(limit=5 ** 5):
+    cat = Catalog.bundled()
+    out = []
+    for p in (2, 3, 5):
+        for eid in cat.ids():
+            try:
+                pres = cat.instantiate(eid, p)
+            except CatalogError:
+                continue
+            if pres.group_order() <= limit:
+                out.append(pytest.param(pres, id=f"{eid}-{p}"))
+    return out
+
+
+def _same(a, b):
+    return (all(b.contains(u) for u in a.igs.values())
+            and all(a.contains(u) for u in b.igs.values()))
+
+
+class TestCenterAgainstEnumeration:
+    @pytest.mark.parametrize("pres", _small_instances())
+    def test_catalog_entry(self, pres, monkeypatch):
+        def no_enumeration(*_):
+            raise AssertionError("enumerated the group")
+
+        monkeypatch.setattr(PcPresentation, "elements", no_enumeration)
+        monkeypatch.setattr(Subgroup, "elements", no_enumeration)
+        z = center(pres)
+        upper = upper_central_series(pres)
+        derived = derived_subgroup(pres)
+        z_inv = z.abelian_invariants()
+        d_inv = derived.abelian_invariants() if derived.is_abelian() else None
+        monkeypatch.undo()
+
+        assert _same(z, brute_center(pres))
+        assert z_inv == brute_invariants(z)
+        if d_inv is not None:
+            assert d_inv == brute_invariants(derived)
+        # the same series with the centre of each quotient by enumeration
+        monkeypatch.setattr(pcgroup, "center", brute_center)
+        reference = upper_central_series(pres)
+        assert len(upper) == len(reference)
+        assert all(_same(a, b) for a, b in zip(upper, reference))
