@@ -32,6 +32,7 @@ from .pcgroup import (
     PcPresentation,
     Subgroup,
     _central_quotient_map,
+    abelianization,
     structure_report,
 )
 from .results import METHOD_BE, MultiplierResult
@@ -121,11 +122,11 @@ def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) ->
     st = structure_report(pres)
     if st.nilpotency_class != 2:
         raise BePreconditionError("wrong class", f"class is {st.nilpotency_class}, need 2")
-    if not st.quotient_is_elementary():
+    if not abelianization(pres).is_elementary(p):
         raise BePreconditionError("quotient not elementary abelian")
-    if not st.derived_is_elementary():
-        raise BePreconditionError("derived subgroup not elementary abelian")
     derived = st.derived
+    if not derived.abelian_invariants().is_elementary(p):
+        raise BePreconditionError("derived subgroup not elementary abelian")
     quotient, survivors = _central_quotient_map(pres, derived)
     dim_v = quotient.order_exponent
     dim_w = derived.order_exponent

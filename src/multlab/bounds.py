@@ -16,9 +16,9 @@ outcomes, failing loudly on the first divergent step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
 
 from .abelian import AbelianGroup, exterior_square, tensor
+from .compute import Computer, NoApplicableMethod
 from .pcgroup import (
     PcPresentation,
     Subgroup,
@@ -211,6 +211,13 @@ def _order_premise(premise: Fact | None, wanted: str, allowed=(KIND_EXACT, KIND_
     return premise.exponent
 
 
+def _derived_meet_exponent(pres: PcPresentation, K: Subgroup) -> int:
+    """log_p |G' cap K| = log_p |G'| + log_p |K| - log_p |G'K| for normal K."""
+    derived = derived_subgroup(pres)
+    product = Subgroup.generate(pres, list(derived.igs.values()) + list(K.igs.values()))
+    return derived.order_exponent + K.order_exponent - product.order_exponent
+
+
 def rule_jones(ledger: Ledger, subject: str, pres: PcPresentation, K: Subgroup,
                premise: Fact | None) -> Fact:
     """|M(G)| <= |M(G/K)| |M(K)| |(G/K)^ab (x) K| / |G' cap K| for central K."""
@@ -222,7 +229,7 @@ def rule_jones(ledger: Ledger, subject: str, pres: PcPresentation, K: Subgroup,
     e_mk = exterior_square(k_inv).order_exponent(p)
     a_ab = abelian_quotient_invariants(pres, list(K.igs.values()))
     e_t = tensor(a_ab, k_inv).order_exponent(p)
-    e_cap = derived_subgroup(pres).intersection(K).order_exponent
+    e_cap = _derived_meet_exponent(pres, K)
     exp = e_mq + e_mk + e_t - e_cap
     if exp < 0:
         raise LedgerError("divisibility bound went negative; premises inconsistent")
@@ -258,7 +265,11 @@ def rule_class_bound(ledger: Ledger, subject: str, pres: PcPresentation,
 
 def rule_extraspecial(ledger: Ledger, subject: str, pres: PcPresentation) -> Fact:
     """Exact |M| for verified extraspecial groups: p^{2n^2-n-1} for order
-    p^{2n+1}, n >= 2, and the four classical n = 1 structures."""
+    p^{2n+1}, n >= 2, and the four classical n = 1 structures, told apart
+    from the presentation: at odd p, (xy)^p = x^p y^p (class 2, |G'| = p),
+    so G has exponent p iff every pc generator does; at p = 2, G is D8 iff
+    x, y or xy is an involution, for x, y the generators that survive in
+    G/Z(G)."""
     st = structure_report(pres)
     p = pres.p
     if not (st.derived.order_exponent == 1 and st.center.order_exponent == 1
@@ -273,12 +284,15 @@ def rule_extraspecial(ledger: Ledger, subject: str, pres: PcPresentation) -> Fac
         return ledger.add(subject, KIND_EXACT, p, exponent=exp,
                           provenance=Provenance.computed(f"extraspecial-formula[n={n}]"))
     if p == 2:
-        involutions = sum(1 for x in pres.elements()
-                          if pres.element_order(tuple(x)) == 2)
-        structure = AbelianGroup.cyclic(2) if involutions > 1 else AbelianGroup.trivial()
+        z = st.center.igs
+        x, y = (pres.gen(i) for i in range(pres.ngens) if i not in z or z[i][i] > 1)
+        dihedral = pres.identity in (pres.pow_el(x, 2), pres.pow_el(y, 2),
+                                     pres.pow_el(pres.mul(x, y), 2))
+        structure = AbelianGroup.cyclic(2) if dihedral else AbelianGroup.trivial()
     else:
-        structure = (AbelianGroup.elementary(p, 2) if st.exponent == p
-                     else AbelianGroup.trivial())
+        exponent_p = all(pres.pow_el(pres.gen(i), p) == pres.identity
+                         for i in range(pres.ngens))
+        structure = AbelianGroup.elementary(p, 2) if exponent_p else AbelianGroup.trivial()
     ledger.add(subject, KIND_STRUCTURE, p, structure=structure,
                provenance=Provenance.computed("extraspecial-formula[n=1]"))
     return ledger.add(subject, KIND_EXACT, p, exponent=structure.order_exponent(p),
@@ -298,7 +312,7 @@ def rule_transgression_lower(ledger: Ledger, subject: str, pres: PcPresentation,
         raise LedgerError("Z is not central")
     p = pres.p
     e_mq = _order_premise(premise, "|M(G/Z)|", allowed=(KIND_EXACT, KIND_LOWER))
-    e_cap = derived_subgroup(pres).intersection(Z).order_exponent
+    e_cap = _derived_meet_exponent(pres, Z)
     exp = e_mq - e_cap + 1
     return ledger.add(subject, KIND_LOWER, p, exponent=exp,
                       provenance=Provenance.rule(
@@ -316,16 +330,6 @@ def squeeze_exact(ledger: Ledger, subject: str, p: int) -> Fact | None:
 
 
 # -- script replay ---------------------------------------------------------------
-
-
-class GroupResolver(Protocol):
-    """What the replay runner needs from the catalog layer."""
-
-    def load_group(self, group_id: str, p: int) -> PcPresentation: ...
-
-    def multiplier(self, pres: PcPresentation) -> MultiplierResult: ...
-
-    def entry_multiplier(self, group_id: str, p: int) -> MultiplierResult: ...
 
 
 @dataclass
@@ -371,7 +375,7 @@ def _resolve_subgroup(pres: PcPresentation, spec: str) -> Subgroup:
     raise LedgerError(f"unknown subgroup spec {spec!r}")
 
 
-def replay_script(script: str, p: int, resolver: GroupResolver,
+def replay_script(script: str, p: int, computer: Computer,
                   ledger: Ledger | None = None) -> ReplayResult:
     """Execute a bound-derivation script and assert its declared expectations."""
     ledger = ledger if ledger is not None else Ledger()
@@ -396,7 +400,7 @@ def replay_script(script: str, p: int, resolver: GroupResolver,
         existing = ledger.exact(quot_subject)
         if existing is not None:
             return existing
-        return add_result(quot_subject, resolver.multiplier(quot_pres))
+        return add_result(quot_subject, computer.compute(quot_pres))
 
     for step_no, raw in enumerate(script.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -407,7 +411,7 @@ def replay_script(script: str, p: int, resolver: GroupResolver,
         try:
             if verb == "use":
                 subject = parts[1]
-                pres = resolver.load_group(subject, p)
+                pres = computer.catalog.instantiate(subject, p)
                 trace.append(f"use {subject} at p={p} (order p^{pres.order_exponent})")
                 continue
             if subject is None or pres is None:
@@ -455,7 +459,7 @@ def replay_script(script: str, p: int, resolver: GroupResolver,
                     raise LedgerError(f"unknown rule {rule!r}")
                 trace.append(fact.describe())
             elif verb == "compute":
-                add_result(subject, resolver.entry_multiplier(subject, p))
+                add_result(subject, computer.compute(pres))
             elif verb == "expect":
                 kind_tok, value = parts[1], _parse_power(parts[2], p)
                 if kind_tok == "upper":
@@ -481,7 +485,7 @@ def replay_script(script: str, p: int, resolver: GroupResolver,
                 raise LedgerError(f"unknown verb {verb!r}")
         except ReplayAssertionError:
             raise
-        except (LedgerError, KeyError, IndexError) as exc:
+        except (LedgerError, KeyError, IndexError, NoApplicableMethod) as exc:
             raise ReplayAssertionError(step_no, line, str(exc)) from exc
     if subject is None:
         raise LedgerError("empty script")

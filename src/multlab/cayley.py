@@ -48,19 +48,6 @@ class CayleyTable:
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
 
-    def inverse(self, i: int) -> int:
-        return int(np.nonzero(self.table[i] == 0)[0][0])
-
-    def element_orders(self) -> list[int]:
-        out = []
-        for i in range(self.n):
-            o, x = 1, i
-            while x != 0:
-                x = self.mul(x, i)
-                o += 1
-            out.append(o)
-        return out
-
     def relabel(self, perm: list[int]) -> "CayleyTable":
         """Conjugate by a permutation fixing the identity."""
         perm = list(perm)

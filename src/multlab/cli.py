@@ -17,7 +17,6 @@ from .compute import Computer, NoApplicableMethod
 from .entries import Catalog
 from .pcgroup import check_consistency
 from .report import (
-    CatalogResolver,
     emit_report,
     load_script,
     run_table24,
@@ -110,9 +109,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        resolver = CatalogResolver(catalog, computer)
         try:
-            result = replay_script(text, args.p, resolver)
+            result = replay_script(text, args.p, computer)
         except ReplayAssertionError as exc:
             print(f"REPLAY FAILED: {exc}", file=sys.stderr)
             return 1

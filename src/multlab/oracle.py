@@ -366,30 +366,19 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
             kernel = _kernel_mod(basis.compact(), width, p, k)
             kf = kernel.gens.astype(np.float64)
 
-    # closing pass: everything must annihilate the final kernel
-    while True:
-        if kernel is None:
-            kernel = _kernel_mod(basis.compact(), width, p, k)
-            kf = kernel.gens.astype(np.float64)
-        clean = True
-        for y, si in all_blocks:
-            block = make_block(y, si)
-            if kf.shape[1]:
-                resid = np.rint(block.astype(np.float64) @ kf).astype(np.int64) % m
-                dirty = np.nonzero(resid.any(axis=1))[0]
-            else:
-                dirty = np.nonzero(block.any(axis=1))[0]
-            stats.verified += block.shape[0]
-            if dirty.size:
-                clean = False
-                block = basis.reduce_block(block[dirty])
-                for row in block:
-                    if row.any():
-                        basis.insert_row(row)
-                kernel = kf = None
-                break
-        if clean:
-            break
+    # closing pass: every block must annihilate the final kernel.  A block the
+    # fast path skipped annihilates an earlier, larger kernel, so it lies in
+    # the row module (Z_{p^k} has the double-annihilator property); every
+    # other block was inserted.  A dirty block is therefore a broken identity.
+    if kernel is None:
+        kernel = _kernel_mod(basis.compact(), width, p, k)
+        kf = kernel.gens.astype(np.float64)
+    for y, si in all_blocks:
+        block = make_block(y, si)
+        stats.verified += block.shape[0]
+        if (np.rint(block.astype(np.float64) @ kf).astype(np.int64) % m).any():
+            raise OracleInconsistency(
+                f"cocycle block ({y}, {si}) escapes the final kernel")
     stats.pivots = basis.rank
     tcount = kernel.gens.shape[1]
 
@@ -433,13 +422,11 @@ def abelianization_from_table(table: CayleyTable, p: int) -> AbelianGroup:
     """G^ab invariants straight from the table (independent of presentations)."""
     n = table.n
     t = table.table
+    inv = np.nonzero(t == 0)[1]  # inv[x] is the y with xy = 1
     # derived subgroup: multiplicative closure of all commutators (a normal set)
     comms = set()
     for x in range(n):
-        xi = table.inverse(x)
-        for y in range(n):
-            yi = table.inverse(y)
-            comms.add(int(t[t[xi, yi], t[x, y]]))
+        comms.update(t[t[inv[x], inv], t[x]].tolist())  # [x, y] for every y
     dsub = {0}
     frontier = [c for c in comms if c != 0]
     dsub.update(frontier)
@@ -460,8 +447,29 @@ def abelianization_from_table(table: CayleyTable, p: int) -> AbelianGroup:
             j += 1
         counts[j] = counts.get(j, 0) + 1
     coset_counts = {j: c // len(dsub) for j, c in counts.items()}
-    from .pcgroup import _invariants_from_order_counts
     return _invariants_from_order_counts(coset_counts, p)
+
+
+def _invariants_from_order_counts(counts: dict[int, int], p: int) -> AbelianGroup:
+    """Recover abelian p-group invariants from #elements of each order p^j.
+
+    With invariants p^{e_1}, ..., p^{e_k}, the count of elements of order
+    dividing p^j is p^{sum_i min(j, e_i)}; the increments of that profile
+    give the number of e_i >= j, i.e. the transposed partition.
+    """
+    jmax = max(counts) if counts else 0
+    exps = []  # exps[j-1] = number of invariants >= p^j
+    prev_log = 0
+    for j in range(1, jmax + 1):
+        running_count = sum(c for o, c in counts.items() if o <= j)
+        log = _val(running_count, p, 0)
+        exps.append(log - prev_log)
+        prev_log = log
+    out = []
+    for j in range(len(exps), 0, -1):
+        need = exps[j - 1] - (exps[j] if j < len(exps) else 0)
+        out.extend([j] * need)
+    return AbelianGroup.from_primary({p: out}) if out else AbelianGroup.trivial()
 
 
 def _tbl_pow(t: np.ndarray, x: int, e: int) -> int:

@@ -245,12 +245,6 @@ class PcPresentation:
         """All normal words in the fixed lexicographic enumeration."""
         return itertools.product(*[range(r) for r in self.orders])
 
-    def element_rank(self, v: NormalWord) -> int:
-        rank = 0
-        for e, r in zip(v, self.orders):
-            rank = rank * r + e
-        return rank
-
     def commutes(self, u: NormalWord, v: NormalWord) -> bool:
         return self.mul(u, v) == self.mul(v, u)
 
@@ -485,11 +479,6 @@ class Subgroup:
             rows.append(row)
         return snf_group(rows)
 
-    def intersection(self, other: "Subgroup") -> "Subgroup":
-        a, b = (self, other) if self.order_exponent <= other.order_exponent else (other, self)
-        els = [x for x in a.elements() if b.contains(x)]
-        return Subgroup.generate(self.pres, els)
-
     def __eq__(self, other):
         if not isinstance(other, Subgroup):
             return NotImplemented
@@ -499,28 +488,6 @@ class Subgroup:
     def __repr__(self):
         gens = ",".join(str(u) for u in self.igs.values())
         return f"Subgroup(order={self.pres.p}^{self.order_exponent}, igs=[{gens}])"
-
-
-def _invariants_from_order_counts(counts: dict[int, int], p: int) -> AbelianGroup:
-    """Recover abelian p-group invariants from #elements of each order p^j.
-
-    With invariants p^{e_1}, ..., p^{e_k}, the count of elements of order
-    dividing p^j is p^{sum_i min(j, e_i)}; the increments of that profile
-    give the number of e_i >= j, i.e. the transposed partition.
-    """
-    jmax = max(counts) if counts else 0
-    exps = []  # exps[j-1] = number of invariants >= p^j
-    prev_log = 0
-    for j in range(1, jmax + 1):
-        running_count = sum(c for o, c in counts.items() if o <= j)
-        log = _valuation(running_count, p)
-        exps.append(log - prev_log)
-        prev_log = log
-    out = []
-    for j in range(len(exps), 0, -1):
-        need = exps[j - 1] - (exps[j] if j < len(exps) else 0)
-        out.extend([j] * need)
-    return AbelianGroup.from_primary({p: out}) if out else AbelianGroup.trivial()
 
 
 # -- derived / central series, quotients, products ----------------------------
@@ -533,20 +500,24 @@ def derived_subgroup(pres: PcPresentation) -> Subgroup:
     return Subgroup.generate(pres, gens, normal=True)
 
 
-def _last_exponent_p_term(pres: PcPresentation) -> Subgroup:
-    """Last nontrivial term N of the lower exponent-p central series
-    P_1 = G, P_{k+1} = [P_k, G] P_k^p; N is central and elementary abelian."""
+def _descending_series(pres: PcPresentation, p_power: bool) -> list[Subgroup]:
+    """S_1 = G, S_{k+1} = [S_k, G] (times S_k^p when `p_power`), down to and
+    including the trivial term: the lower central series, or the lower
+    exponent-p central series whose last nontrivial term is central and
+    elementary abelian."""
     gens = [pres.gen(i) for i in range(pres.ngens)]
-    current = Subgroup.whole(pres)
-    while True:
-        us = list(current.igs.values())
-        nxt = [pres.comm_el(u, g) for u in us for g in gens] + [pres.pow_el(u, pres.p) for u in us]
+    series = [Subgroup.whole(pres)]
+    pairs = [(gens[j], gens[i]) for j in range(len(gens)) for i in range(j)]  # [G, G]
+    while series[-1].order_exponent:
+        nxt = [pres.comm_el(u, g) for u, g in pairs]
+        if p_power:
+            nxt += [pres.pow_el(u, pres.p) for u in series[-1].igs.values()]
         nxt = Subgroup.generate(pres, [x for x in nxt if x != pres.identity], normal=True)
-        if nxt.order_exponent == 0:
-            return current
-        if nxt.order_exponent == current.order_exponent:
-            raise InconsistentPresentation("exponent-p central series stalled")
-        current = nxt
+        if nxt.order_exponent == series[-1].order_exponent:
+            raise InconsistentPresentation("descending central series stalled")
+        series.append(nxt)
+        pairs = [(u, g) for u in nxt.igs.values() for g in gens]
+    return series
 
 
 def _lift(u: NormalWord, survivors: list[int], n: int) -> NormalWord:
@@ -574,7 +545,7 @@ def center(pres: PcPresentation) -> Subgroup:
     gens = [pres.gen(i) for i in range(pres.ngens)]
     if all(pres.commutes(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]):
         return Subgroup.whole(pres)
-    n_sub = _last_exponent_p_term(pres)
+    n_sub = _descending_series(pres, p_power=True)[-2]
     quotient, survivors = _central_quotient_map(pres, n_sub)
     lifts = [_lift(u, survivors, pres.ngens) for u in center(quotient).igs.values()]
     y = Subgroup.generate(pres, lifts + list(n_sub.igs.values()))
@@ -606,16 +577,7 @@ def center(pres: PcPresentation) -> Subgroup:
 
 def lower_central_series(pres: PcPresentation) -> list[Subgroup]:
     """gamma_1 = G >= gamma_2 >= ... down to (and including) the trivial term."""
-    series = [Subgroup.whole(pres)]
-    gens = [pres.gen(i) for i in range(pres.ngens)]
-    current = derived_subgroup(pres)
-    series.append(current)
-    while current.order_exponent > 0:
-        nxt = [pres.comm_el(u, g) for u in current.igs.values() for g in gens]
-        nxt = [x for x in nxt if x != pres.identity]
-        current = Subgroup.generate(pres, nxt, normal=True)
-        series.append(current)
-    return series
+    return _descending_series(pres, p_power=False)
 
 
 def upper_central_series(pres: PcPresentation) -> list[Subgroup]:
@@ -760,23 +722,6 @@ class StructureReport:
     center: Subgroup
     lower_central: list[Subgroup]
     upper_central: list[Subgroup]
-    center_exponent: int
-    _exponent: int | None = None
-
-    @property
-    def exponent(self) -> int:
-        if self._exponent is None:
-            pres = self.pres
-            self._exponent = max((pres.element_order(tuple(x)) for x in pres.elements()),
-                                 default=1)
-        return self._exponent
-
-    def quotient_is_elementary(self) -> bool:
-        return abelianization(self.pres).is_elementary(self.pres.p)
-
-    def derived_is_elementary(self) -> bool:
-        return (self.derived.order_exponent == 0
-                or self.derived.abelian_invariants().is_elementary(self.pres.p))
 
 
 @lru_cache(maxsize=None)
@@ -787,22 +732,19 @@ def structure_report(pres: PcPresentation) -> StructureReport:
     lower = lower_central_series(pres)
     upper = upper_central_series(pres)
     # lower = [gamma_1, ..., gamma_{c+1} = 1], so the class is len - 1
-    c = len(lower) - 1 if pres.order_exponent else 0
-    cls_upper = len(upper) - 1
-    if pres.order_exponent and c != cls_upper:
+    c = len(lower) - 1
+    if c != len(upper) - 1:
         raise InconsistentPresentation(
-            f"series disagree on nilpotency class: {c} vs {cls_upper}")
-    z = upper[1] if len(upper) > 1 else Subgroup.trivial(pres)
-    zexp = z.abelian_invariants().exponent() if z.order_exponent else 1
+            f"series disagree on nilpotency class: {c} vs {len(upper) - 1}")
+    trivial = Subgroup.trivial(pres)
     return StructureReport(
         pres=pres,
         order_exponent=pres.order_exponent,
         nilpotency_class=c,
-        derived=lower[1],
-        center=z,
+        derived=lower[1] if c else trivial,
+        center=upper[1] if c else trivial,
         lower_central=lower,
         upper_central=upper,
-        center_exponent=zexp,
     )
 
 

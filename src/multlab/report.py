@@ -57,23 +57,6 @@ class Report:
         return self.status in ("PASS", "PASS-WITH-ASSUMPTION", "DISABLED")
 
 
-class CatalogResolver:
-    """Adapter giving the bounds replayer catalog-aware group loading."""
-
-    def __init__(self, catalog: Catalog, computer: Computer):
-        self.catalog = catalog
-        self.computer = computer
-
-    def load_group(self, group_id: str, p: int) -> PcPresentation:
-        return self.catalog.instantiate(group_id, p)
-
-    def multiplier(self, pres: PcPresentation) -> MultiplierResult:
-        return self.computer.compute(pres)
-
-    def entry_multiplier(self, group_id: str, p: int) -> MultiplierResult:
-        return self.computer.compute(group_id, p)
-
-
 def load_script(name: str) -> str:
     path = resources.files("multlab") / "scripts" / name
     return path.read_text()
@@ -135,7 +118,7 @@ def _verify(catalog: Catalog, computer: Computer, entry: CatalogEntry,
         target = catalog.resolve_recipe(entry.entry_id)
         script_name = entry.squeeze_script or target.squeeze_script
         if script_name is not None:
-            return _verify_by_squeeze(catalog, computer, entry, pres, script_name)
+            return _verify_by_squeeze(computer, entry, pres, script_name)
         if target.fallback_multiplier is None:
             return Report(entry.entry_id, p, n, "-", [], None, "FAIL",
                           trace=[f"{m}: {r}" for m, r in exc.reasons.items()])
@@ -156,12 +139,11 @@ def _render_invs(res: MultiplierResult) -> list[str]:
     return [render_factor(f) for f in res.invariants.factors]
 
 
-def _verify_by_squeeze(catalog: Catalog, computer: Computer, entry: CatalogEntry,
+def _verify_by_squeeze(computer: Computer, entry: CatalogEntry,
                        pres: PcPresentation, script_name: str) -> Report:
-    resolver = CatalogResolver(catalog, computer)
     p, n = pres.p, pres.order_exponent
     try:
-        result = replay_script(load_script(script_name), p, resolver)
+        result = replay_script(load_script(script_name), p, computer)
     except ReplayAssertionError as exc:
         return Report(entry.entry_id, p, n, METHOD_LEDGER, [], None, "FAIL",
                       trace=[f"squeeze replay failed: {exc}"])

@@ -16,7 +16,6 @@ from multlab.entries import Catalog
 from multlab.oracle import abelianization_from_table, h2_trivial_coeffs, multiplier_via_oracle
 from multlab.pcgroup import cayley_table
 from multlab.report import (
-    CatalogResolver,
     load_script,
     run_table24,
     verify_theorem,
@@ -240,17 +239,16 @@ class TestAcceptance:
         _announce(7, f"|H^2| = |M| * |G^ab| exact on {checked} groups of "
                      f"order <= 64 ({elapsed:.1f}s)")
 
-    def test_criterion_8_bound_replays(self, catalog, computer):
-        resolver = CatalogResolver(catalog, computer)
-        es = replay_script(load_script("es_p3_class_bound.script"), 3, resolver)
+    def test_criterion_8_bound_replays(self, computer):
+        es = replay_script(load_script("es_p3_class_bound.script"), 3, computer)
         assert es.ledger.best_upper("ESp_p3").exponent == 2
         assert es.final_exact().exponent == 2
         assert not es.assumed
-        jn = replay_script(load_script("phi2_2111c_jones.script"), 3, resolver)
+        jn = replay_script(load_script("phi2_2111c_jones.script"), 3, computer)
         assert jn.ledger.best_upper("T6_viii").exponent == 5          # valid
         assert jn.ledger.best_upper("T6_viii").exponent >= 4          # >= exact
         assert jn.final_exact().exponent == 4
-        sq = replay_script(load_script("phi7_15_squeeze.script"), 3, resolver)
+        sq = replay_script(load_script("phi7_15_squeeze.script"), 3, computer)
         exact = sq.final_exact()
         assert exact.exponent == 4
         chain = sq.ledger.trace(exact)
@@ -258,7 +256,7 @@ class TestAcceptance:
                           and f.kind != KIND_CAPABLE]
         assert len(assumed_orders) == 1
         with pytest.raises(ReplayAssertionError) as err:
-            replay_script(load_script("d8_wrong_upper.script"), 2, resolver)
+            replay_script(load_script("d8_wrong_upper.script"), 2, computer)
         assert "expect upper p^1" in str(err.value)
         _announce(8, "class-bound tight, divisibility upper valid, squeeze "
                      "exact with one assumed bound, deliberate failure caught")

@@ -24,16 +24,11 @@ from multlab.bounds import (
 from multlab.compute import Computer
 from multlab.dsl import load_presentation
 from multlab.pcgroup import structure_report
-from multlab.report import CatalogResolver, load_script
+from multlab.report import load_script
 
 ES_P3 = "gen a p\ngen a1 p\ngen a2 p\ncomm a1 a = a2"
 PHI3_14 = ("gen a p\ngen a1 p\ngen a2 p\ngen a3 p\npow a1 = a3^-cp3\n"
            "comm a1 a = a2\ncomm a2 a = a3")
-
-
-@pytest.fixture
-def resolver(catalog, computer):
-    return CatalogResolver(catalog, computer)
 
 
 class TestLedger:
@@ -176,8 +171,8 @@ class TestRules:
 
 
 class TestReplay:
-    def test_phi7_squeeze(self, resolver):
-        res = replay_script(load_script("phi7_15_squeeze.script"), 3, resolver)
+    def test_phi7_squeeze(self, computer):
+        res = replay_script(load_script("phi7_15_squeeze.script"), 3, computer)
         exact = res.final_exact()
         assert exact is not None and exact.exponent == 4
         assert len(res.assumed_bounds()) == 1
@@ -189,39 +184,44 @@ class TestReplay:
                           and f.kind != KIND_CAPABLE]
         assert len(assumed_orders) == 1
 
-    def test_es_class_bound_script(self, resolver):
-        res = replay_script(load_script("es_p3_class_bound.script"), 3, resolver)
+    def test_es_class_bound_script(self, computer):
+        res = replay_script(load_script("es_p3_class_bound.script"), 3, computer)
         assert res.final_exact().exponent == 2
         assert not res.assumed
 
-    def test_jones_script(self, resolver):
-        res = replay_script(load_script("phi2_2111c_jones.script"), 3, resolver)
+    def test_jones_script(self, computer):
+        res = replay_script(load_script("phi2_2111c_jones.script"), 3, computer)
         assert res.ledger.best_upper("T6_viii").exponent == 5
         assert res.final_exact().exponent == 4
         assert not res.assumed
 
-    def test_jones_script_at_p5_records_the_cited_factor(self, resolver):
+    def test_jones_script_at_p5_records_the_cited_factor(self, computer):
         # at p = 5 the Kunneth value of T6_viii rests on the cited M(Phi2_211c)
-        res = replay_script(load_script("phi2_2111c_jones.script"), 5, resolver)
+        res = replay_script(load_script("phi2_2111c_jones.script"), 5, computer)
         assert res.final_exact().exponent == 4
         [fact] = res.assumed_bounds()
         assert fact.kind == KIND_EXACT and fact.provenance.tag == "assumed"
         assert fact.provenance.citation.startswith("M(Phi2_211c) = [5,5]")
 
-    def test_deliberate_failure_names_step(self, resolver):
+    def test_deliberate_failure_names_step(self, computer):
         with pytest.raises(ReplayAssertionError) as exc:
-            replay_script(load_script("d8_wrong_upper.script"), 2, resolver)
+            replay_script(load_script("d8_wrong_upper.script"), 2, computer)
         assert "expect upper p^1" in str(exc.value)
         assert "p^3" in str(exc.value)
 
-    def test_wrong_order_value_fails(self, resolver):
+    def test_unreachable_group_fails_its_step(self, computer):
+        # Phi2_22 at p = 5: order 625 is above the oracle cap, no other method applies
+        with pytest.raises(ReplayAssertionError, match="step 2 .*no applicable method"):
+            replay_script("use Phi2_22\ncompute\nexpect exact p^1", 5, computer)
+
+    def test_wrong_order_value_fails(self, computer):
         script = "use ESp_p3\napply class_bound\nexpect upper p^9"
         with pytest.raises(ReplayAssertionError, match="p\\^2"):
-            replay_script(script, 3, resolver)
+            replay_script(script, 3, computer)
 
-    def test_replay_is_deterministic(self, resolver):
-        first = replay_script(load_script("phi7_15_squeeze.script"), 3, resolver)
-        second = replay_script(load_script("phi7_15_squeeze.script"), 3, resolver)
+    def test_replay_is_deterministic(self, computer):
+        first = replay_script(load_script("phi7_15_squeeze.script"), 3, computer)
+        second = replay_script(load_script("phi7_15_squeeze.script"), 3, computer)
         assert first.trace == second.trace
         assert [f.describe() for f in first.ledger.facts] == \
             [f.describe() for f in second.ledger.facts]

@@ -289,6 +289,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "requires" in err
 
+    def test_replay_unreachable_group(self, capsys, tmp_path):
+        from multlab.cli import main
+        script = tmp_path / "unreachable.script"
+        script.write_text("use Phi2_22\ncompute\nexpect exact p^1\n")
+        assert main(["replay", "--script", str(script), "--p", "5"]) == 1
+        assert capsys.readouterr().err.startswith("REPLAY FAILED: step 2")
+
     def test_forced_inapplicable_method(self, capsys):
         from multlab.cli import main
         assert main(["compute", "--group", "Phi7_15", "--p", "3",

@@ -4,15 +4,27 @@ from collections import Counter
 
 import pytest
 
-from multlab import pcgroup
+from multlab import bounds, pcgroup
 from multlab.abelian import AbelianGroup
+from multlab.blackburn_evens import BePreconditionError, build_be_data
+from multlab.bounds import (
+    KIND_CAPABLE,
+    KIND_EXACT,
+    KIND_STRUCTURE,
+    Ledger,
+    Provenance,
+    _derived_meet_exponent,
+    rule_extraspecial,
+    rule_jones,
+    rule_transgression_lower,
+)
 from multlab.dsl import DslError, load_presentation
 from multlab.entries import Catalog, CatalogError
+from multlab.oracle import _invariants_from_order_counts
 from multlab.pcgroup import (
     PcPresentation,
     SizeCapError,
     Subgroup,
-    _invariants_from_order_counts,
     _valuation,
     abelianization,
     cayley_table,
@@ -95,7 +107,6 @@ class TestStructure:
         assert st.nilpotency_class == 2
         assert st.derived.order_exponent == 1
         assert st.center == st.derived
-        assert st.exponent == 3
 
     def test_phi3_14(self):
         st = structure_report(load_presentation(PHI3_14, 3))
@@ -114,7 +125,7 @@ class TestStructure:
         pres = load_presentation("", 3, require_consistent=False)
         st = structure_report(pres)
         assert st.nilpotency_class == 0
-        assert st.exponent == 1
+        assert st.derived.order_exponent == st.center.order_exponent == 0
         assert abelianization(pres).is_trivial
         assert cayley_table(pres).n == 1
 
@@ -179,8 +190,7 @@ class TestSubgroups:
     def test_intersection(self):
         pres = load_presentation(PHI7_15, 3)
         st = structure_report(pres)
-        meet = st.derived.intersection(st.center)
-        assert meet.order_exponent == 1
+        assert _derived_meet_exponent(pres, st.center) == 1
 
 
 class TestCentralQuotient:
@@ -321,14 +331,18 @@ def _same(a, b):
             and all(a.contains(u) for u in b.igs.values()))
 
 
+def _forbid_enumeration(monkeypatch):
+    def no_enumeration(*_):
+        raise AssertionError("enumerated the group")
+
+    monkeypatch.setattr(PcPresentation, "elements", no_enumeration)
+    monkeypatch.setattr(Subgroup, "elements", no_enumeration)
+
+
 class TestCenterAgainstEnumeration:
     @pytest.mark.parametrize("pres", _small_instances())
     def test_catalog_entry(self, pres, monkeypatch):
-        def no_enumeration(*_):
-            raise AssertionError("enumerated the group")
-
-        monkeypatch.setattr(PcPresentation, "elements", no_enumeration)
-        monkeypatch.setattr(Subgroup, "elements", no_enumeration)
+        _forbid_enumeration(monkeypatch)
         z = center(pres)
         upper = upper_central_series(pres)
         derived = derived_subgroup(pres)
@@ -345,3 +359,98 @@ class TestCenterAgainstEnumeration:
         reference = upper_central_series(pres)
         assert len(upper) == len(reference)
         assert all(_same(a, b) for a, b in zip(upper, reference))
+
+
+def brute_lower_central(pres):
+    """gamma_{k+1} from the commutators of every element of gamma_k with the
+    generators."""
+    gens = [pres.gen(i) for i in range(pres.ngens)]
+    series = [Subgroup.whole(pres)]
+    while series[-1].order_exponent:
+        comms = {pres.comm_el(x, g) for x in series[-1].elements() for g in gens}
+        comms.discard(pres.identity)
+        series.append(Subgroup.generate(pres, sorted(comms), normal=True))
+    return series
+
+
+def brute_be_outcome(pres, lower):
+    """The first Blackburn-Evens precondition that fails, read off the
+    elements of G and of G', or None when all hold."""
+    p = pres.p
+    if p == 2:
+        return "even prime"
+    if len(lower) - 1 != 2:
+        return "wrong class"
+    derived = lower[1]
+    if not all(derived.contains(pres.pow_el(x, p)) for x in pres.elements()):
+        return "quotient not elementary abelian"
+    if any(pres.pow_el(x, p) != pres.identity for x in derived.elements()):
+        return "derived subgroup not elementary abelian"
+    return None
+
+
+def brute_meet_exponent(pres, K):
+    """log_p |G' cap K| by testing every element of G' for membership in K."""
+    count = sum(1 for x in derived_subgroup(pres).elements() if K.contains(x))
+    return _valuation(count, pres.p)
+
+
+def _central_rule_bounds(pres, K):
+    """Exponents of the divisibility upper bound and the transgression lower
+    bound for central K, from an assumed premise and capability."""
+    p = pres.p
+    upper = Ledger()
+    prem = upper.add("G/K", KIND_EXACT, p, exponent=50, provenance=Provenance.assumed("premise"))
+    lower = Ledger()
+    lprem = lower.add("G/K", KIND_EXACT, p, exponent=50, provenance=Provenance.assumed("premise"))
+    cap = lower.add("G", KIND_CAPABLE, p, provenance=Provenance.assumed("capable"))
+    return (rule_jones(upper, "G", pres, K, prem).exponent,
+            rule_transgression_lower(lower, "G", pres, K, cap, lprem).exponent)
+
+
+class TestStructureLayerWithoutEnumeration:
+    """Structure reports, the Blackburn-Evens preconditions and the bound
+    rules never enumerate G; their results match enumerated references."""
+
+    @pytest.mark.parametrize("pres", _small_instances())
+    def test_catalog_entry(self, pres, monkeypatch):
+        structure_report.cache_clear()
+        _forbid_enumeration(monkeypatch)
+        st = structure_report(pres)
+        try:
+            build_be_data(pres)
+            be = None
+        except BePreconditionError as exc:
+            be = exc.reason
+        kernels = [st.center] + ([st.derived] if st.derived.is_central() else [])
+        rules = [_central_rule_bounds(pres, K) for K in kernels]
+        monkeypatch.undo()
+
+        lower = st.lower_central
+        if pres.group_order() <= 3 ** 5:  # |G| commutators per term
+            reference = brute_lower_central(pres)
+            assert len(lower) == len(reference)
+            assert all(_same(a, b) for a, b in zip(lower, reference))
+        assert _same(st.center, brute_center(pres))
+        assert be == brute_be_outcome(pres, lower)
+        monkeypatch.setattr(bounds, "_derived_meet_exponent", brute_meet_exponent)
+        assert rules == [_central_rule_bounds(pres, K) for K in kernels]
+
+    @pytest.mark.parametrize("eid,p", [("ESp_p3", 3), ("ESp_p3", 5), ("ESp_p3", 7),
+                                       ("ESp2_p3", 3), ("ESp2_p3", 5), ("ESp2_p3", 7),
+                                       ("D8", 2), ("Q8", 2)])
+    def test_extraspecial_order_p3(self, catalog, eid, p, monkeypatch):
+        pres = catalog.instantiate(eid, p)
+        structure_report.cache_clear()
+        _forbid_enumeration(monkeypatch)
+        led = Ledger()
+        rule_extraspecial(led, eid, pres)
+        monkeypatch.undo()
+
+        [got] = [f.structure for f in led.facts if f.kind == KIND_STRUCTURE]
+        orders = Counter(pres.element_order(x) for x in pres.elements())
+        if p == 2:
+            want = AbelianGroup.cyclic(2) if orders[2] > 1 else AbelianGroup.trivial()
+        else:
+            want = AbelianGroup.elementary(p, 2) if max(orders) == p else AbelianGroup.trivial()
+        assert got == want
