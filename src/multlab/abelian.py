@@ -36,6 +36,26 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def valuation(n: int, p: int) -> int:
+    """The exponent of the prime p in the positive integer n.  Divides by p
+    directly rather than factoring n: sifting calls this at every step."""
+    if n < 1:
+        raise ValueError(f"valuation of non-positive {n}")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def prime_power(m: int) -> tuple[int, int]:
+    """(p, k) with m = p^k and k >= 1; ValueError for any other m."""
+    f = _factorize(m) if m >= 2 else ()
+    if len(f) != 1:
+        raise ValueError(f"{m} is not a prime power")
+    return f[0]
+
+
 def _fact_value(f: tuple[tuple[int, int], ...]) -> int:
     v = 1
     for p, e in f:

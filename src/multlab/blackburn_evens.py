@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -96,7 +95,6 @@ class BeData:
 @dataclass
 class BeExtensionData:
     ker_rho: np.ndarray               # (C(dV,2), dK) basis of ker rho in wedge coords
-    sigma_bar: np.ndarray             # (dN-codim... ) image coords of sigma on ker rho
     dim_n: int
     dim_ker_rho: int
     dim_ker_sigma_bar: int
@@ -182,7 +180,8 @@ def _wedge_pairs(dim_v: int) -> list[tuple[int, int]]:
 
 
 def extension_data(data: BeData) -> BeExtensionData:
-    """ker(rho), and sigma-bar on that kernel, in exterior-square coordinates."""
+    """ker(rho) in exterior-square coordinates, and the dimensions of N,
+    ker(rho) and ker(sigma-bar) that fix M(G)."""
     p = data.p
     pairs = _wedge_pairs(data.dim_v)
     rho = np.zeros((data.dim_w, len(pairs)), dtype=np.int64)
@@ -193,35 +192,21 @@ def extension_data(data: BeData) -> BeExtensionData:
         raise BePreconditionError("commutators do not span the derived subgroup")
     ker = nullspace_mod_p(rho, p)
 
-    # sigma(e_i ^ e_j) = e_i (x) f(e_j) + binom(p,2) e_j (x) (e_i, e_j) + X
-    half = comb(p, 2) % p  # vanishes for odd p; kept for the formula's shape
+    # sigma(e_i ^ e_j) = e_i (x) f(e_j) + X; the binom(p,2) e_j (x) (e_i, e_j)
+    # term of the general formula vanishes at odd p
     sigma_cols = np.zeros((data.tensor_dim(), len(pairs)), dtype=np.int64)
     eye = np.eye(data.dim_v, dtype=np.int64)
     for c, (i, j) in enumerate(pairs):
-        fj = (data.power_map @ eye[j]) % p
-        vec = np.outer(eye[i], fj) + half * np.outer(eye[j], data.pairing[i, j])
-        sigma_cols[:, c] = vec.reshape(-1) % p
+        sigma_cols[:, c] = np.outer(eye[i], data.power_map[:, j]).reshape(-1)
     sigma_on_ker = (sigma_cols @ ker) % p
 
-    # reduce the image modulo X; the rank of what survives counts Z_{p^2}'s
-    if data.x_dim():
-        reduced = []
-        for col in sigma_on_ker.T:
-            v = col.copy() % p
-            for row in data.x_basis:
-                lead = np.nonzero(row)[0][0]
-                if v[lead]:
-                    v = (v - v[lead] * row) % p
-            reduced.append(v)
-        sigma_bar = np.array(reduced).T if reduced else sigma_on_ker
-    else:
-        sigma_bar = sigma_on_ker
-    rank_sigma = rref_mod_p(sigma_bar.T, p).shape[0] if sigma_bar.size else 0
+    # the rank of the image modulo X counts the Z_{p^2} factors
+    stacked = np.vstack([data.x_basis, sigma_on_ker.T])
+    rank_sigma = rref_mod_p(stacked, p).shape[0] - data.x_dim()
     dim_ker_rho = ker.shape[1]
     dim_n = data.tensor_dim() - data.x_dim()
     return BeExtensionData(
         ker_rho=ker,
-        sigma_bar=sigma_bar,
         dim_n=dim_n,
         dim_ker_rho=dim_ker_rho,
         dim_ker_sigma_bar=dim_ker_rho - rank_sigma,

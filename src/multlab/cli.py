@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .bounds import ReplayAssertionError, replay_script
-from .compute import Computer, NoApplicableMethod
+from .compute import Computer
 from .entries import Catalog
 from .pcgroup import check_consistency
 from .report import (
@@ -63,29 +63,29 @@ def main(argv=None) -> int:
     sk.add_argument("--p", type=int, required=True)
 
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ReplayAssertionError as exc:
+        print(f"REPLAY FAILED: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
+def _dispatch(args) -> int:
     catalog = Catalog.bundled()
     computer = Computer(catalog)
     method_map = {"be": "blackburn_evens"}
 
     if args.verb == "compute":
         method = method_map.get(args.method, args.method)
-        try:
-            report = verify_entry(catalog, computer, args.group, args.p,
-                                  method=method)
-        except (NoApplicableMethod, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        report = verify_entry(catalog, computer, args.group, args.p, method=method)
         print(emit_report([report], args.format))
         return 0 if report.ok else 1
 
     if args.verb == "verify-theorem":
         subset = tuple(args.entries.split(",")) if args.entries else None
-        try:
-            reports = verify_theorem(args.p, args.part, catalog=catalog,
-                                     entry_ids=subset)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        reports = verify_theorem(args.p, args.part, catalog=catalog, entry_ids=subset)
         print(emit_report(reports, args.format))
         bad = [r for r in reports if not r.ok]
         print(f"\n{len(reports) - len(bad)}/{len(reports)} entries verified"
@@ -93,30 +93,15 @@ def main(argv=None) -> int:
         return 1 if bad else 0
 
     if args.verb == "table24":
-        try:
-            reports = run_table24(args.p, catalog=catalog)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        reports = run_table24(args.p, catalog=catalog)
         print(emit_report(reports, args.format))
         bad = [r for r in reports if not r.ok]
         return 1 if bad else 0
 
     if args.verb == "replay":
         path = Path(args.script)
-        try:
-            text = path.read_text() if path.exists() else load_script(args.script)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        try:
-            result = replay_script(text, args.p, computer)
-        except ReplayAssertionError as exc:
-            print(f"REPLAY FAILED: {exc}", file=sys.stderr)
-            return 1
-        except ValueError as exc:  # e.g. the script's group is not defined at this prime
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        text = path.read_text() if path.exists() else load_script(args.script)
+        result = replay_script(text, args.p, computer)
         for line in result.trace:
             print(line)
         print(f"replay of {result.subject} at p={args.p}: OK "
@@ -125,11 +110,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.verb == "check":
-        try:
-            pres = catalog.instantiate(args.group, args.p)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        pres = catalog.instantiate(args.group, args.p)
         rep = check_consistency(pres)
         if rep.ok:
             print(f"{args.group} at p={args.p}: consistent, "

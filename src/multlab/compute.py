@@ -5,6 +5,8 @@ then the class-2 tensor construction, then the abelian exterior square,
 then the cohomology oracle.  When more than one method applies, all of them
 run and their invariant lists must agree exactly; the oracle joins such
 cross-checks only up to order 81 so that large product entries stay cheap.
+When no method applies, an entry with a cited value (`fallback-multiplier`)
+takes it as its one method, `ledger`.
 """
 
 from __future__ import annotations
@@ -62,12 +64,7 @@ class Computer:
         total = None
         total_ab = None
         for fid in recipe.factors:
-            try:
-                fres = self.compute(fid, p)
-            except NoApplicableMethod:
-                if self.catalog.resolve_recipe(fid).fallback_multiplier is None:
-                    raise
-                fres = self.assumed_multiplier(fid, p)
+            fres = self.compute(fid, p)
             trace.extend(fres.trace)
             assumptions.extend(fres.assumptions)
             fab = abelianization(self.catalog.instantiate(fid, p))
@@ -85,6 +82,8 @@ class Computer:
         the citation travels in the result's assumptions."""
         entry = self.catalog.resolve_recipe(fid)
         cited = entry.fallback_multiplier
+        if cited is None:
+            raise ValueError(f"{fid} cites no multiplier")
         invs = cited.multiplier_at(p)
         assumption = f'M({entry.entry_id}) = {invs.render()} "{cited.source}"'
         return MultiplierResult(p, invs, METHOD_LEDGER, trace=(f"assumed: {assumption}",),
@@ -96,7 +95,8 @@ class Computer:
         p = pres.p
         methods: list[str] = []
         reasons: dict[str, str] = {}
-        if entry is not None and self.catalog.resolve_recipe(entry.entry_id).is_product:
+        recipe = None if entry is None else self.catalog.resolve_recipe(entry.entry_id)
+        if recipe is not None and recipe.is_product:
             methods.append(METHOD_KUNNETH)
         else:
             reasons[METHOD_KUNNETH] = "not a catalog product recipe"
@@ -119,6 +119,8 @@ class Computer:
             reasons[METHOD_ORACLE] = (
                 f"order {n} exceeds the oracle cap {cap}" if n > cap
                 else f"order {n} exceeds the cross-check cap {ORACLE_CROSS_CAP}")
+        if not methods and recipe is not None and recipe.fallback_multiplier is not None:
+            methods.append(METHOD_LEDGER)
         return methods, reasons
 
     # -- public entry points -----------------------------------------------------
@@ -158,9 +160,9 @@ class Computer:
 
     def _run(self, method: str, pres: PcPresentation,
              entry: CatalogEntry | None) -> MultiplierResult:
+        if method in (METHOD_KUNNETH, METHOD_LEDGER) and entry is None:
+            raise ValueError(f"{method} needs a catalog entry")
         if method == METHOD_KUNNETH:
-            if entry is None:
-                raise ValueError("kunneth needs a catalog product recipe")
             return self.via_kunneth(entry, pres.p)
         if method == METHOD_BE:
             return multiplier_via_be(pres)
@@ -170,4 +172,6 @@ class Computer:
                                     trace=(f"abelian: exterior square -> {invs.render()}",))
         if method == METHOD_ORACLE:
             return multiplier_via_oracle(pres)
+        if method == METHOD_LEDGER:
+            return self.assumed_multiplier(entry.entry_id, pres.p)
         raise ValueError(f"unknown method {method!r}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abelian import AbelianGroup
+from .abelian import AbelianGroup, prime_power, valuation
 from .cayley import CayleyTable
 from .results import METHOD_ORACLE, MultiplierResult
 
@@ -51,36 +51,6 @@ class OracleInconsistency(RuntimeError):
 
 def oracle_cap() -> int:
     return int(os.environ.get(ORACLE_CAP_ENV, DEFAULT_ORACLE_CAP))
-
-
-def _val(x: int, p: int, k: int) -> int:
-    if x == 0:
-        return k
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def _prime_power(m: int) -> tuple[int, int]:
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            break
-        p += 1
-    else:
-        p = m
-    k = 0
-    n = m
-    while n % p == 0:
-        n //= p
-        k += 1
-    if n != 1:
-        raise ValueError(f"modulus {m} is not a prime power (out of scope)")
-    return p, k
 
 
 @dataclass
@@ -110,7 +80,6 @@ class _LocalBasis:
     def __init__(self, width: int, p: int, k: int):
         self.width = width
         self.p = p
-        self.k = k
         self.m = p ** k
         self.rows = np.zeros((width, width), dtype=np.int64)
         self.piv_val = np.full(width, -1, dtype=np.int64)
@@ -138,7 +107,7 @@ class _LocalBasis:
 
     def insert_row(self, row: np.ndarray) -> bool:
         """Full sequential insertion; returns True if the basis changed."""
-        m, p, k = self.m, self.p, self.k
+        m, p = self.m, self.p
         changed = False
         row = row % m
         while True:
@@ -147,7 +116,7 @@ class _LocalBasis:
                 return changed
             c = int(nz[0])
             e = int(row[c])
-            v = _val(e, p, k)
+            v = valuation(e, p)
             unit = e // (p ** v)
             if unit != 1:
                 row = (row * pow(unit, -1, m)) % m
@@ -273,7 +242,7 @@ def _kernel_mod(basis_rows: np.ndarray, width: int, p: int, k: int) -> _Kernel:
 def h2_trivial_coeffs(table: CayleyTable, m: int, *,
                       memory_budget: int = DEFAULT_MEMORY_BUDGET) -> H2Result:
     """Invariant factors of H^2(G, Z_m) for the group of a Cayley table."""
-    p, k = _prime_power(m)
+    p, k = prime_power(m)
     n = table.n
     stats = EliminationStats()
     if n == 1:
@@ -462,7 +431,7 @@ def _invariants_from_order_counts(counts: dict[int, int], p: int) -> AbelianGrou
     prev_log = 0
     for j in range(1, jmax + 1):
         running_count = sum(c for o, c in counts.items() if o <= j)
-        log = _val(running_count, p, 0)
+        log = valuation(running_count, p)
         exps.append(log - prev_log)
         prev_log = log
     out = []

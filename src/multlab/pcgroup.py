@@ -22,7 +22,7 @@ from math import prod
 
 import numpy as np
 
-from .abelian import AbelianGroup, nullspace_mod_p, snf_group
+from .abelian import AbelianGroup, nullspace_mod_p, snf_group, valuation
 from .cayley import CayleyTable
 
 Word = tuple[tuple[int, int], ...]       # ((gen index, exponent), ...)
@@ -47,22 +47,6 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    if n < p:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 @dataclass(frozen=True)
 class PcPresentation:
     p: int
@@ -82,7 +66,7 @@ class PcPresentation:
         if len(set(self.names)) != n:
             raise ValueError("duplicate generator names")
         for i, r in enumerate(self.orders):
-            if not _is_p_power(r, p):
+            if r < p or r != p ** valuation(r, p):
                 raise ValueError(f"relative order of {self.names[i]} is {r}, not a power of {p}")
             self._check_tail(self.powers[i], i, f"power relation of {self.names[i]}")
         seen = set()
@@ -117,7 +101,7 @@ class PcPresentation:
     @property
     def order_exponent(self) -> int:
         """n with |G| = p^n."""
-        return sum(_valuation(r, self.p) for r in self.orders)
+        return sum(valuation(r, self.p) for r in self.orders)
 
     def group_order(self) -> int:
         return prod(self.orders) if self.orders else 1
@@ -212,7 +196,16 @@ class PcPresentation:
         return self._collect_onto(list(u), [(i, e)])
 
     def inv(self, u: NormalWord) -> NormalWord:
-        return self.collect([(i, -e) for i, e in reversed(self.word_of(u))])
+        """u^-1: the letters g_l^(r_l - a_l) that, multiplied onto u at its
+        leading index l, clear u one generator at a time, collected.  Each
+        step leaves the entries up to l zero, so one pass over l suffices."""
+        a = list(u)
+        letters = []
+        for l, r in enumerate(self.orders):
+            if a[l]:
+                letters.append((l, r - a[l]))
+                self._collect_onto(a, letters[-1:])  # multiplies onto a in place
+        return self.collect(letters)
 
     def pow_el(self, u: NormalWord, k: int) -> NormalWord:
         if k < 0:
@@ -321,6 +314,28 @@ def _lead(v: NormalWord) -> int:
     return -1
 
 
+def _sift(pres: PcPresentation, igs: dict[int, NormalWord],
+          x: NormalWord) -> tuple[dict[int, int], NormalWord]:
+    """Sift x through an induced generating sequence: at each lead l whose
+    u_l (lead entry p^v) absorbs x[l], take u_l^(x[l] // p^v) off the front.
+    Returns the exponents {lead: e} taken and the rest, which is the identity
+    exactly when x lies in the subgroup and otherwise leads with the first
+    entry the igs cannot absorb."""
+    p = pres.p
+    exps: dict[int, int] = {}
+    while x != pres.identity:
+        l = _lead(x)
+        u = igs.get(l)
+        if u is None:
+            break
+        step = p ** valuation(u[l], p)
+        if x[l] % step:
+            break
+        exps[l] = x[l] // step
+        x = pres.mul(pres.pow_el(u, -exps[l]), x)
+    return exps, x
+
+
 class Subgroup:
     """Subgroup of a pc group, held as an induced echelon generating sequence.
 
@@ -347,55 +362,28 @@ class Subgroup:
     def generate(cls, pres: PcPresentation, gens, normal: bool = False) -> "Subgroup":
         p = pres.p
         igs: dict[int, NormalWord] = {}
-
-        def normalize(x: NormalWord) -> NormalWord:
-            l = _lead(x)
-            r = pres.orders[l]
-            c = x[l]
-            v = _valuation(c, p)
-            unit = c // (p ** v)
-            if unit != 1:
-                t = pow(unit, -1, r)
-                x = pres.pow_el(x, t)
-            return x
-
         queue = [tuple(x) for x in gens]
-        added = []
         while queue:
-            x = queue.pop()
-            # sift x through the current echelon
-            while x != pres.identity:
-                l = _lead(x)
-                u = igs.get(l)
-                if u is None:
-                    x = normalize(x)
-                    igs[l] = x
-                    added = [x]
-                    break
-                cu, cx = u[l], x[l]
-                vu, vx = _valuation(cu, p), _valuation(cx, p)
-                if vx >= vu:
-                    t = (cx // (p ** vu))  # u leading entry is p^vu after normalization
-                    x = pres.mul(pres.pow_el(u, -t), x)
-                else:
-                    x = normalize(x)
-                    igs[l] = x
-                    queue.append(u)
-                    added = [x]
-                    break
-            else:
+            _, x = _sift(pres, igs, queue.pop())
+            if x == pres.identity:
                 continue
-            for u in added:
-                l = _lead(u)
-                vu = _valuation(u[l], p)
-                killer = pres.orders[l] // (p ** vu)
-                queue.append(pres.pow_el(u, killer))
-                for v in list(igs.values()):
-                    if v is not u:
-                        queue.append(pres.comm_el(u, v))
-                if normal:
-                    for i in range(pres.ngens):
-                        queue.append(pres.conj(u, pres.gen(i)))
+            # x joins the igs at its lead, normalized to lead entry p^v; an
+            # entry it displaces there (larger valuation) is sifted again
+            l = _lead(x)
+            v = valuation(x[l], p)
+            unit = x[l] // p ** v
+            if unit != 1:
+                x = pres.pow_el(x, pow(unit, -1, pres.orders[l]))
+            if l in igs:
+                queue.append(igs[l])
+            igs[l] = x
+            queue.append(pres.pow_el(x, pres.orders[l] // p ** v))
+            for u in igs.values():
+                if u is not x:
+                    queue.append(pres.comm_el(x, u))
+            if normal:
+                for i in range(pres.ngens):
+                    queue.append(pres.conj(x, pres.gen(i)))
         return cls(pres, igs)
 
     # structure
@@ -403,7 +391,7 @@ class Subgroup:
     @property
     def order_exponent(self) -> int:
         p = self.pres.p
-        return sum(_valuation(self.pres.orders[l], p) - _valuation(u[l], p)
+        return sum(valuation(self.pres.orders[l], p) - valuation(u[l], p)
                    for l, u in self.igs.items())
 
     def order(self) -> int:
@@ -412,21 +400,8 @@ class Subgroup:
     def sift(self, x: NormalWord) -> dict[int, int] | None:
         """Exponents {lead: e} with x = prod of u_lead^e in lead order, or None
         if x is outside the subgroup.  A lead entry p^v is one step, so e < rel."""
-        pres = self.pres
-        p = pres.p
-        x = tuple(x)
-        exps: dict[int, int] = {}
-        while x != pres.identity:
-            l = _lead(x)
-            u = self.igs.get(l)
-            if u is None:
-                return None
-            step = p ** _valuation(u[l], p)
-            if x[l] % step:
-                return None
-            exps[l] = x[l] // step
-            x = pres.mul(pres.pow_el(u, -exps[l]), x)
-        return exps
+        exps, rest = _sift(self.pres, self.igs, tuple(x))
+        return exps if rest == self.pres.identity else None
 
     def contains(self, x: NormalWord) -> bool:
         return self.sift(x) is not None
@@ -435,7 +410,7 @@ class Subgroup:
         pres = self.pres
         p = pres.p
         gens = list(self.igs.items())
-        rel = [pres.orders[l] // (p ** _valuation(u[l], p)) for l, u in gens]
+        rel = [pres.orders[l] // (p ** valuation(u[l], p)) for l, u in gens]
 
         # triangular products u_1^{e_1} ... u_m^{e_m} enumerate each element once
         def rec(k, acc):
@@ -470,7 +445,7 @@ class Subgroup:
         leads = list(self.igs)
         rows = []
         for k, (l, u) in enumerate(self.igs.items()):
-            rel = pres.orders[l] // p ** _valuation(u[l], p)
+            rel = pres.orders[l] // p ** valuation(u[l], p)
             exps = self.sift(pres.pow_el(u, rel))
             if exps is None:
                 raise InconsistentPresentation(f"{u}^{rel} lies outside its own subgroup")
@@ -610,7 +585,7 @@ def _central_quotient_map(pres: PcPresentation, K: Subgroup) -> tuple[PcPresenta
     if not K.is_central():
         raise ValueError("subgroup is not central")
     p = pres.p
-    lead_pow = {l: p ** _valuation(u[l], p) for l, u in K.igs.items()}
+    lead_pow = {l: p ** valuation(u[l], p) for l, u in K.igs.items()}
 
     def reduce_mod_k(x: NormalWord) -> NormalWord:
         for l in sorted(K.igs):

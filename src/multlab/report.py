@@ -119,10 +119,8 @@ def _verify(catalog: Catalog, computer: Computer, entry: CatalogEntry,
         script_name = entry.squeeze_script or target.squeeze_script
         if script_name is not None:
             return _verify_by_squeeze(computer, entry, pres, script_name)
-        if target.fallback_multiplier is None:
-            return Report(entry.entry_id, p, n, "-", [], None, "FAIL",
-                          trace=[f"{m}: {r}" for m, r in exc.reasons.items()])
-        res = computer.assumed_multiplier(target.entry_id, p)
+        return Report(entry.entry_id, p, n, "-", [], None, "FAIL",
+                      trace=[f"{m}: {r}" for m, r in exc.reasons.items()])
     t = compute_t(pres, res)
     problems = _expect_failures(entry, p, t, res.order_exponent, res.invariants)
     if problems:

@@ -13,9 +13,13 @@ from multlab.abelian import (
     direct_sum,
     exterior_square,
     kunneth,
+    prime_power,
     snf,
     tensor,
+    valuation,
 )
+
+PRIMES = [2, 3, 5, 7, 11, 13, 101]
 
 
 def minor_gcd_invariants(matrix):
@@ -178,3 +182,37 @@ class TestAbelianGroup:
     def test_order_exponent_rejects_wrong_prime(self):
         with pytest.raises(ValueError):
             AbelianGroup.cyclic(6).order_exponent(2)
+
+
+class TestPAdicHelpers:
+    @given(st.sampled_from(PRIMES), st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_prime_power_splits_prime_powers(self, p, k):
+        assert prime_power(p ** k) == (p, k)
+
+    @given(st.lists(st.sampled_from(PRIMES), min_size=2, max_size=4, unique=True),
+           st.integers(1, 4), st.integers(1, 1000))
+    @settings(max_examples=100, deadline=None)
+    def test_prime_power_rejects_composites(self, primes, e, u):
+        # at least two distinct primes divide m
+        with pytest.raises(ValueError, match="prime power"):
+            prime_power(prod(primes) ** e * u)
+
+    @given(st.integers(-1000, 1))
+    @settings(max_examples=50, deadline=None)
+    def test_prime_power_rejects_below_two(self, m):
+        with pytest.raises(ValueError):
+            prime_power(m)
+
+    @given(st.sampled_from(PRIMES), st.integers(-1000, 0))
+    @settings(max_examples=30, deadline=None)
+    def test_valuation_rejects_non_positive(self, p, n):
+        with pytest.raises(ValueError):
+            valuation(n, p)
+
+    @given(st.sampled_from(PRIMES), st.integers(0, 30), st.integers(0, 1000),
+           st.integers(0, 100))
+    @settings(max_examples=150, deadline=None)
+    def test_valuation_of_unit_times_power(self, p, v, q, r):
+        u = p * q + r % (p - 1) + 1   # u mod p lies in 1..p-1
+        assert valuation(p ** v * u, p) == v

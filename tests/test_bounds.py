@@ -24,7 +24,7 @@ from multlab.bounds import (
 from multlab.compute import Computer
 from multlab.dsl import load_presentation
 from multlab.pcgroup import structure_report
-from multlab.report import load_script
+from multlab.report import load_script, verify_entry
 
 ES_P3 = "gen a p\ngen a1 p\ngen a2 p\ncomm a1 a = a2"
 PHI3_14 = ("gen a p\ngen a1 p\ngen a2 p\ngen a3 p\npow a1 = a3^-cp3\n"
@@ -213,6 +213,17 @@ class TestReplay:
         # Phi2_22 at p = 5: order 625 is above the oracle cap, no other method applies
         with pytest.raises(ReplayAssertionError, match="step 2 .*no applicable method"):
             replay_script("use Phi2_22\ncompute\nexpect exact p^1", 5, computer)
+
+    def test_cited_value_reaches_compute_step(self, catalog, computer):
+        # Phi2_31 at p = 5: no method applies; the replay takes the cited
+        # value, as `verify_entry` (and so `multlab compute`) does
+        res = replay_script("use Phi2_31\ncompute\nexpect exact 1", 5, computer)
+        [fact] = res.assumed_bounds()
+        assert fact.exponent == 0 and fact.provenance.tag == "assumed"
+        report = verify_entry(catalog, computer, "Phi2_31", 5)
+        assert report.status == "PASS-WITH-ASSUMPTION"
+        assert [fact.provenance.citation] == report.assumed
+        assert report.multiplier == []
 
     def test_wrong_order_value_fails(self, computer):
         script = "use ESp_p3\napply class_bound\nexpect upper p^9"

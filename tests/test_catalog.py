@@ -18,7 +18,13 @@ from multlab.report import (
     verify_entry,
     verify_theorem,
 )
-from multlab.results import METHOD_BE, METHOD_KUNNETH, METHOD_ORACLE, MultiplierResult
+from multlab.results import (
+    METHOD_BE,
+    METHOD_KUNNETH,
+    METHOD_LEDGER,
+    METHOD_ORACLE,
+    MultiplierResult,
+)
 
 
 def _primes_for(entry):
@@ -124,10 +130,17 @@ class TestAutoSelection:
 
     def test_no_method_reports_reasons(self, computer):
         with pytest.raises(NoApplicableMethod) as exc:
-            computer.compute("Phi2_211c", 5)
+            computer.compute("Phi2_22", 5)
         reasons = exc.value.reasons
         assert "oracle" in reasons and "blackburn_evens" in reasons
         assert "625" in reasons["oracle"]
+
+    def test_forced_ledger_needs_a_cited_value(self, computer):
+        assert computer.compute("Phi2_31", 3, method=METHOD_LEDGER).assumptions
+        with pytest.raises(ValueError, match="cites no multiplier"):
+            computer.compute("D8", 2, method=METHOD_LEDGER)
+        with pytest.raises(ValueError, match="needs a catalog entry"):
+            computer.compute(load_group_dsl("gen a p", 3), method=METHOD_LEDGER)
 
     def test_forced_method_error(self, computer, catalog):
         from multlab.blackburn_evens import BePreconditionError

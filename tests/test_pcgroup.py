@@ -1,11 +1,12 @@
 """Collection, consistency, subgroup and structure machinery."""
 
+import random
 from collections import Counter
 
 import pytest
 
 from multlab import bounds, pcgroup
-from multlab.abelian import AbelianGroup
+from multlab.abelian import AbelianGroup, valuation
 from multlab.blackburn_evens import BePreconditionError, build_be_data
 from multlab.bounds import (
     KIND_CAPABLE,
@@ -25,7 +26,6 @@ from multlab.pcgroup import (
     PcPresentation,
     SizeCapError,
     Subgroup,
-    _valuation,
     abelianization,
     cayley_table,
     center,
@@ -72,6 +72,25 @@ class TestCollect:
         pres = load_presentation(PHI2_31, 3)
         for v in [(4, 2, 1), (1, 0, 2), (8, 2, 2)]:
             assert pres.mul(v, pres.inv(v)) == pres.identity
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_inverse_of_random_elements(self, catalog, p):
+        # inv(u) on both sides of u, and against collecting the reversed word
+        # with negative exponents, for random u in every catalog group at p
+        rng = random.Random(p)
+        checked = 0
+        for eid in catalog.ids():
+            try:
+                pres = catalog.instantiate(eid, p)
+            except CatalogError:
+                continue
+            for _ in range(5):
+                u = tuple(rng.randrange(r) for r in pres.orders)
+                v = pres.inv(u)
+                assert pres.mul(v, u) == pres.identity == pres.mul(u, v)
+                assert v == pres.collect([(i, -e) for i, e in reversed(pres.word_of(u))])
+                checked += 1
+        assert checked >= 100
 
     def test_collect_idempotent_on_normal_words(self):
         pres = load_presentation(PHI3_14, 3)
@@ -186,6 +205,14 @@ class TestSubgroups:
         for u in els[:10]:
             for v in els[:10]:
                 assert sub.contains(pres.mul(u, v))
+
+    def test_displaced_igs_entry_is_sifted_again(self):
+        # in Z_9 x Z_3, a^3 b takes lead 0 first; a displaces it (smaller
+        # valuation there), and a^3 b must be sifted again to leave b
+        pres = load_presentation("gen a p^2\ngen b p", 3)
+        sub = Subgroup.generate(pres, [pres.gen(0), (3, 1)])
+        assert sub.order_exponent == 3
+        assert sub.igs == {0: (1, 0), 1: (0, 1)}
 
     def test_intersection(self):
         pres = load_presentation(PHI7_15, 3)
@@ -308,7 +335,7 @@ def brute_center(pres):
 def brute_invariants(sub):
     """Invariants of an abelian subgroup from the orders of all its elements."""
     p = sub.pres.p
-    counts = Counter(_valuation(sub.pres.element_order(x), p) for x in sub.elements())
+    counts = Counter(valuation(sub.pres.element_order(x), p) for x in sub.elements())
     return _invariants_from_order_counts(counts, p)
 
 
@@ -392,7 +419,7 @@ def brute_be_outcome(pres, lower):
 def brute_meet_exponent(pres, K):
     """log_p |G' cap K| by testing every element of G' for membership in K."""
     count = sum(1 for x in derived_subgroup(pres).elements() if K.contains(x))
-    return _valuation(count, pres.p)
+    return valuation(count, pres.p)
 
 
 def _central_rule_bounds(pres, K):
