@@ -32,6 +32,7 @@ from .pcgroup import (
     Subgroup,
     _central_quotient_map,
     abelianization,
+    reduce_mod_central,
     structure_report,
 )
 from .results import METHOD_BE, MultiplierResult
@@ -129,20 +130,13 @@ def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) ->
     dim_v = quotient.order_exponent
     dim_w = derived.order_exponent
 
-    def v_coords(x: NormalWord) -> np.ndarray:
-        # image of x in G/G' as a GF(p) vector over the surviving generators;
-        # igs leading entries are 1 here (elementary abelian, normalized)
-        y = tuple(x)
-        for l in sorted(derived.igs):
-            if y[l]:
-                y = pres.mul(pres.pow_el(derived.igs[l], -y[l]), y)
-        return np.array([y[i] % p for i in survivors], dtype=np.int64)
-
     if reps is None:
         reps = [pres.gen(i) for i in survivors]
     else:
         reps = [tuple(r) for r in reps]
-        mat = np.array([v_coords(r) for r in reps], dtype=np.int64)
+        # each row is the image in G/G' over the surviving generators
+        mat = np.array([[reduce_mod_central(derived, r)[i] for i in survivors]
+                        for r in reps], dtype=np.int64)
         if len(reps) != dim_v or rref_mod_p(mat, p).shape[0] != dim_v:
             raise ValueError("representatives do not project to a V-basis")
 

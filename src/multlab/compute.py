@@ -28,6 +28,7 @@ from .results import (
 )
 
 ORACLE_CROSS_CAP = 81  # largest order at which the oracle runs as a cross-check
+NONABELIAN = "group is nonabelian"  # why the abelian exterior square does not apply
 
 
 class NoApplicableMethod(RuntimeError):
@@ -109,7 +110,7 @@ class Computer:
         if not pres.comms:
             methods.append(METHOD_ABELIAN)
         else:
-            reasons[METHOD_ABELIAN] = "group is nonabelian"
+            reasons[METHOD_ABELIAN] = NONABELIAN
         cap = oracle_cap()
         n = pres.group_order()
         limit = cap if not methods else min(cap, ORACLE_CROSS_CAP)
@@ -167,6 +168,8 @@ class Computer:
         if method == METHOD_BE:
             return multiplier_via_be(pres)
         if method == METHOD_ABELIAN:
+            if pres.comms:
+                raise ValueError(f"{METHOD_ABELIAN}: {NONABELIAN}")
             invs = exterior_square(abelianization(pres))
             return MultiplierResult(pres.p, invs, METHOD_ABELIAN,
                                     trace=(f"abelian: exterior square -> {invs.render()}",))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pcgroup import PcPresentation, check_consistency
+from .pcgroup import PcPresentation
 
 
 class DslError(ValueError):
@@ -185,12 +185,6 @@ def build_presentation(parsed: ParsedPresentation, p: int,
         raise DslError(str(exc)) from exc
 
 
-def load_presentation(text: str, p: int, name: str | None = None,
-                      require_consistent: bool = True) -> PcPresentation:
-    """Parse, instantiate at p, and (by default) consistency-check."""
-    pres = build_presentation(parse_statements(text), p, name=name)
-    if require_consistent:
-        rep = check_consistency(pres)
-        if not rep.ok:
-            raise DslError(f"inconsistent presentation: {rep.failure}")
-    return pres
+def load_presentation(text: str, p: int, name: str | None = None) -> PcPresentation:
+    """Parse and instantiate at p; building the presentation checks consistency."""
+    return build_presentation(parse_statements(text), p, name=name)

@@ -10,7 +10,8 @@ friends where a commutator tail reuses g_j itself.
 Collection from the left with a work-stack rewrites arbitrary words to the
 unique normal form g_1^{a_1} ... g_n^{a_n}, 0 <= a_i < r_i; the standard
 triple- and power-overlap tests certify that a presentation is consistent,
-i.e. the presented group has order exactly prod r_i.
+i.e. the presented group has order exactly prod r_i.  Every presentation
+runs them when it is built, so no function here ever sees one that fails.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ class PcPresentation:
             seen.add((j, i))
             self._check_tail(tail, i, f"commutator [{self.names[j]},{self.names[i]}]")
         object.__setattr__(self, "_comm_map", {(j, i): tail for j, i, tail in self.comms})
+        check_consistency(self)
 
     def _check_tail(self, tail: Word, lhs_min: int, what: str):
         prev = lhs_min
@@ -197,15 +199,17 @@ class PcPresentation:
 
     def inv(self, u: NormalWord) -> NormalWord:
         """u^-1: the letters g_l^(r_l - a_l) that, multiplied onto u at its
-        leading index l, clear u one generator at a time, collected.  Each
-        step leaves the entries up to l zero, so one pass over l suffices."""
+        leading index l, clear u one generator at a time.  Each step leaves
+        the entries up to l zero, so one pass over l suffices, and the
+        letters, with increasing l and 0 < r_l - a_l < r_l, are already the
+        normal word of u^-1."""
         a = list(u)
-        letters = []
+        v = [0] * self.ngens
         for l, r in enumerate(self.orders):
             if a[l]:
-                letters.append((l, r - a[l]))
-                self._collect_onto(a, letters[-1:])  # multiplies onto a in place
-        return self.collect(letters)
+                v[l] = r - a[l]
+                self._collect_onto(a, [(l, v[l])])  # multiplies onto a in place
+        return tuple(v)
 
     def pow_el(self, u: NormalWord, k: int) -> NormalWord:
         if k < 0:
@@ -245,37 +249,16 @@ class PcPresentation:
 # -- consistency -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OverlapFailure:
-    kind: str
-    gens: tuple[str, ...]
-    lhs: NormalWord
-    rhs: NormalWord
-
-    def __str__(self):
-        return (f"{self.kind} overlap on ({', '.join(self.gens)}): "
-                f"{self.lhs} != {self.rhs}")
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    ok: bool
-    failure: OverlapFailure | None
-    p: int
-    order_exponent: int
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_consistency(pres: PcPresentation) -> ConsistencyReport:
-    """Run the full triple/power overlap family; pass certifies |G| = prod r_i."""
+def check_consistency(pres: PcPresentation) -> None:
+    """Run the full triple/power overlap family, which certifies |G| = prod r_i;
+    raise InconsistentPresentation naming the first overlap that fails."""
     n = pres.ngens
     names = pres.names
 
     def fail(kind, idxs, lhs, rhs):
-        return ConsistencyReport(False, OverlapFailure(kind, tuple(names[t] for t in idxs), lhs, rhs),
-                                 pres.p, pres.order_exponent)
+        gens = ", ".join(names[t] for t in idxs)
+        raise InconsistentPresentation(
+            f"inconsistent presentation: {kind} overlap on ({gens}): {lhs} != {rhs}")
 
     g = [pres.gen(i) for i in range(n)]
     wv = [pres.collect(pres.powers[i]) for i in range(n)]  # power tails as vectors
@@ -285,23 +268,22 @@ def check_consistency(pres: PcPresentation) -> ConsistencyReport:
                 lhs = pres.mul(pres.mul(g[k], g[j]), g[i])
                 rhs = pres.mul(g[k], pres.mul(g[j], g[i]))
                 if lhs != rhs:
-                    return fail("triple", (k, j, i), lhs, rhs)
+                    fail("triple", (k, j, i), lhs, rhs)
     for j in range(n):
         for i in range(j):
             lhs = pres.mul(wv[j], g[i])
             rhs = pres.mul(pres.pow_el(g[j], pres.orders[j] - 1), pres.mul(g[j], g[i]))
             if lhs != rhs:
-                return fail("power-left", (j, i), lhs, rhs)
+                fail("power-left", (j, i), lhs, rhs)
             lhs = pres.mul(g[j], wv[i])
             rhs = pres.mul(pres.mul(g[j], g[i]), pres.pow_el(g[i], pres.orders[i] - 1))
             if lhs != rhs:
-                return fail("power-right", (j, i), lhs, rhs)
+                fail("power-right", (j, i), lhs, rhs)
     for i in range(n):
         lhs = pres.mul(g[i], wv[i])
         rhs = pres.mul(wv[i], g[i])
         if lhs != rhs:
-            return fail("power-cycle", (i,), lhs, rhs)
-    return ConsistencyReport(True, None, pres.p, pres.order_exponent)
+            fail("power-cycle", (i,), lhs, rhs)
 
 
 # -- subgroups ----------------------------------------------------------------
@@ -578,6 +560,18 @@ def upper_central_series(pres: PcPresentation) -> list[Subgroup]:
     return series
 
 
+def reduce_mod_central(K: Subgroup, x: NormalWord) -> NormalWord:
+    """The representative of xK whose entry at each lead l of K's igs is
+    below that lead's entry p^v; over the generators that survive in G/K it
+    is the normal word of xK there."""
+    pres, p = K.pres, K.pres.p
+    for l, u in K.igs.items():
+        q = x[l] // p ** valuation(u[l], p)
+        if q:
+            x = pres.mul(pres.pow_el(u, -q), x)
+    return x
+
+
 def _central_quotient_map(pres: PcPresentation, K: Subgroup) -> tuple[PcPresentation, list[int]]:
     """Quotient presentation of G/K for central K, plus surviving-index map."""
     if K.pres != pres:
@@ -586,14 +580,6 @@ def _central_quotient_map(pres: PcPresentation, K: Subgroup) -> tuple[PcPresenta
         raise ValueError("subgroup is not central")
     p = pres.p
     lead_pow = {l: p ** valuation(u[l], p) for l, u in K.igs.items()}
-
-    def reduce_mod_k(x: NormalWord) -> NormalWord:
-        for l in sorted(K.igs):
-            q = x[l] // lead_pow[l]
-            if q:
-                x = pres.mul(pres.pow_el(K.igs[l], -q), x)
-        return x
-
     new_orders = []
     survivors = []
     for i, r in enumerate(pres.orders):
@@ -604,7 +590,7 @@ def _central_quotient_map(pres: PcPresentation, K: Subgroup) -> tuple[PcPresenta
     pos = {i: t for t, i in enumerate(survivors)}
 
     def project(x: NormalWord) -> Word:
-        x = reduce_mod_k(x)
+        x = reduce_mod_central(K, x)
         return tuple((pos[i], x[i]) for i in survivors if x[i])
 
     new_powers = []
@@ -629,9 +615,6 @@ def _central_quotient_map(pres: PcPresentation, K: Subgroup) -> tuple[PcPresenta
     )
     if q.order_exponent != pres.order_exponent - K.order_exponent:
         raise InconsistentPresentation("central quotient has wrong order")
-    rep = check_consistency(q)
-    if not rep.ok:
-        raise InconsistentPresentation(f"central quotient inconsistent: {rep.failure}")
     return q, survivors
 
 
@@ -701,9 +684,6 @@ class StructureReport:
 
 @lru_cache(maxsize=None)
 def structure_report(pres: PcPresentation) -> StructureReport:
-    rep = check_consistency(pres)
-    if not rep.ok:
-        raise InconsistentPresentation(str(rep.failure))
     lower = lower_central_series(pres)
     upper = upper_central_series(pres)
     # lower = [gamma_1, ..., gamma_{c+1} = 1], so the class is len - 1
@@ -730,9 +710,6 @@ def cayley_table(pres: PcPresentation, cap: int = 128) -> CayleyTable:
     n = pres.group_order()
     if n > cap:
         raise SizeCapError(f"group order {n} exceeds the Cayley table cap {cap}")
-    rep = check_consistency(pres)
-    if not rep.ok:
-        raise InconsistentPresentation(str(rep.failure))
     words = list(pres.elements())
     index = {w: k for k, w in enumerate(words)}
     table = np.zeros((n, n), dtype=np.int32)

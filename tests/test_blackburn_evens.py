@@ -118,6 +118,41 @@ class TestBasisIndependence:
                 assert res.invariants == base_res.invariants
 
 
+class TestDerivedLeadEntryP:
+    """G' = <a^p> for a of relative order p^2: the igs of G' has lead entry p,
+    so V-coordinates must reduce modulo G' lead entry by lead entry."""
+
+    META = "gen b p\ngen a p^2\ncomm a b = a^p"
+    META_C = "gen b p\ngen c p\ngen a p^2\ncomm a b = a^p\ncomm c b = a^p"
+
+    @staticmethod
+    def word(pres, *letters):
+        return pres.collect([(pres.gen_index(g), e) for g, e in letters])
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_metacyclic_of_order_p_cubed(self, p):
+        pres = load_presentation(self.META, p)
+        assert build_be_data(pres).derived.igs == {1: (0, p)}
+        # images b a and a^(1+p) in G/G' = <b, a> form a basis
+        reps = [self.word(pres, ("b", 1), ("a", 1)), self.word(pres, ("a", 1 + p))]
+        for r in (None, reps):
+            assert multiplier_via_be(pres, reps=r).invariants.is_trivial
+        with pytest.raises(ValueError, match="V-basis"):
+            build_be_data(pres, reps=[pres.gen(0), self.word(pres, ("b", 1), ("a", p))])
+        if p == 3:
+            assert multiplier_via_oracle(pres).invariants.is_trivial
+
+    def test_two_commutators_onto_a_p(self):
+        pres = load_presentation(self.META_C, 3)
+        want = AbelianGroup.from_orders([3, 3])
+        reps = [self.word(pres, ("b", 1), ("c", 1)),
+                self.word(pres, ("c", 1), ("a", 3)),
+                self.word(pres, ("a", 1), ("b", 1))]
+        for r in (None, reps):
+            assert multiplier_via_be(pres, reps=r).invariants == want
+        assert multiplier_via_oracle(pres).invariants == want
+
+
 class TestSpanningSoundness:
     def test_x1_jacobi_closed_under_random_triples(self):
         rng = np.random.default_rng(17)

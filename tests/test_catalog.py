@@ -19,6 +19,7 @@ from multlab.report import (
     verify_theorem,
 )
 from multlab.results import (
+    METHOD_ABELIAN,
     METHOD_BE,
     METHOD_KUNNETH,
     METHOD_LEDGER,
@@ -42,8 +43,7 @@ class TestCatalogIntegrity:
             if entry.is_disabled:
                 continue
             for p in _primes_for(entry)[:2]:
-                pres = catalog.instantiate(eid, p)
-                assert check_consistency(pres).ok, (eid, p)
+                check_consistency(catalog.instantiate(eid, p))  # raises on a failing overlap
 
     def test_constraint_violations(self, catalog):
         with pytest.raises(ConstraintError):
@@ -146,6 +146,9 @@ class TestAutoSelection:
         from multlab.blackburn_evens import BePreconditionError
         with pytest.raises(BePreconditionError, match="class"):
             computer.compute("Phi7_15", 3, method=METHOD_BE)
+        # the exterior square of Q8^ab is Z_2, but M(Q8) is trivial
+        with pytest.raises(ValueError, match="group is nonabelian"):
+            computer.compute("Q8", 2, method=METHOD_ABELIAN)
 
 
 class TestComputeT:
@@ -314,3 +317,9 @@ class TestCli:
         assert main(["compute", "--group", "Phi7_15", "--p", "3",
                      "--method", "be"]) == 1
         assert "class" in capsys.readouterr().err
+
+    def test_forced_abelian_on_d8(self, capsys):
+        from multlab.cli import main
+        assert main(["compute", "--group", "D8", "--p", "2", "--method", "abelian"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: abelian: group is nonabelian\n"

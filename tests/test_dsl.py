@@ -40,14 +40,13 @@ class TestInstantiation:
         assert least_nonresidue(3) == 2
         assert least_nonresidue(5) == 2
         assert least_nonresidue(7) == 3
-        pres = load_presentation("gen a p\ngen b p\npow a = b^nu", 7,
-                                 require_consistent=False)
+        pres = load_presentation("gen a p\ngen b p\npow a = b^nu", 7)
         assert pres.powers[0] == ((1, 3),)
 
     def test_cp3_token_vanishes_for_big_p(self):
         text = "gen a p\ngen b p\npow a = b^cp3"
-        assert load_presentation(text, 3, require_consistent=False).powers[0] == ((1, 1),)
-        assert load_presentation(text, 5, require_consistent=False).powers[0] == ()
+        assert load_presentation(text, 3).powers[0] == ((1, 1),)
+        assert load_presentation(text, 5).powers[0] == ()
 
     def test_negative_exponents_normalize(self):
         pres = load_presentation("gen a 2\ngen b 4\ncomm b a = b^-2", 2)
@@ -58,6 +57,5 @@ class TestInstantiation:
             load_presentation("gen a 2\ngen b 2\ncomm b a = b", 2)
 
     def test_word_folding(self):
-        pres = load_presentation("gen a 3\ngen b 9\npow a = b * b^2", 3,
-                                 require_consistent=False)
+        pres = load_presentation("gen a 3\ngen b 9\npow a = b * b^2", 3)
         assert pres.powers[0] == ((1, 3),)

@@ -207,7 +207,7 @@ class TestMultiplier:
             multiplier_via_oracle(pres, cap=128)
 
     def test_trivial_group(self):
-        pres = load_presentation("", 3, require_consistent=False)
+        pres = load_presentation("", 3)
         assert multiplier_via_oracle(pres).invariants.is_trivial
 
     def test_order_identity_small(self):

@@ -23,6 +23,7 @@ from multlab.dsl import DslError, load_presentation
 from multlab.entries import Catalog, CatalogError
 from multlab.oracle import _invariants_from_order_counts
 from multlab.pcgroup import (
+    InconsistentPresentation,
     PcPresentation,
     SizeCapError,
     Subgroup,
@@ -100,23 +101,24 @@ class TestCollect:
 
 class TestConsistency:
     def test_phi2_211b_passes(self):
-        rep = check_consistency(load_presentation(PHI2_211B, 3))
-        assert rep.ok and rep.order_exponent == 4
+        pres = load_presentation(PHI2_211B, 3)
+        check_consistency(pres)  # raises on a failing overlap
+        assert pres.order_exponent == 4
 
     def test_collapsing_relation_fails(self):
-        pres = load_presentation("gen a 2\ngen b 2\ncomm b a = b", 2,
-                                 require_consistent=False)
-        rep = check_consistency(pres)
-        assert not rep.ok
-        assert rep.failure.lhs != rep.failure.rhs
+        # [b, a] = b with |a| = |b| = 2 collapses b: the group has order 2, not 4
+        with pytest.raises(InconsistentPresentation,
+                           match=r"power-right overlap on \(b, a\): \(0, 1\) != \(0, 0\)"):
+            PcPresentation(2, ("a", "b"), (2, 2), ((), ()), ((1, 0, ((1, 1),)),))
 
     def test_es_p3(self):
-        rep = check_consistency(load_presentation(ES_P3, 3))
-        assert rep.ok and rep.order_exponent == 3
+        pres = load_presentation(ES_P3, 3)
+        check_consistency(pres)
+        assert pres.order_exponent == 3
 
     def test_trivial_group(self):
-        pres = load_presentation("", 3, require_consistent=False)
-        assert check_consistency(pres).ok
+        pres = load_presentation("", 3)
+        check_consistency(pres)
         assert pres.group_order() == 1
 
 
@@ -141,7 +143,7 @@ class TestStructure:
         assert st.center.order_exponent == st.order_exponent
 
     def test_trivial_group_all_ops(self):
-        pres = load_presentation("", 3, require_consistent=False)
+        pres = load_presentation("", 3)
         st = structure_report(pres)
         assert st.nilpotency_class == 0
         assert st.derived.order_exponent == st.center.order_exponent == 0
@@ -231,7 +233,6 @@ class TestCentralQuotient:
         pres = load_presentation(PHI7_15, 3)
         q = central_quotient(pres, structure_report(pres).center)
         assert q.order_exponent == 4
-        assert check_consistency(q).ok
 
     def test_quotient_by_whole_group(self):
         pres = load_presentation("gen a p\ngen b p", 3)
@@ -256,7 +257,6 @@ class TestDirectProduct:
         z5 = load_presentation("gen z1 p\ngen z2 p\ngen z3 p\ngen z4 p\ngen z5 p", 3)
         prod = direct_product(es, z5)
         assert prod.order_exponent == 8
-        assert check_consistency(prod).ok
 
     def test_mismatched_primes(self):
         with pytest.raises(ValueError, match="primes"):
@@ -265,7 +265,7 @@ class TestDirectProduct:
 
     def test_product_with_trivial(self):
         es = load_presentation(ES_P3, 3)
-        prod = direct_product(es, load_presentation("", 3, require_consistent=False))
+        prod = direct_product(es, load_presentation("", 3))
         assert prod.orders == es.orders
         assert [prod.collect(prod.word_of(v)) for v in es.elements()] \
             == list(es.elements())
