@@ -2,9 +2,9 @@
 
 Each case runs `multlab` in process and compares its exit code, stdout and
 stderr with a file under tests/golden/; the `millis` of JSONL reports are
-masked.  The p = 2 part is left out (about 8 s; criterion 5 of
-test_acceptance.py runs it).  After a deliberate change of output, rewrite
-the files with
+masked.  `two_p2` pins the p = 2 part, including the `eqs=` and
+`pivots=` of every oracle run on orders 16-64.  After a deliberate change
+of output, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -24,6 +24,7 @@ ODD5 = ",".join(f"T6_{r}" for r in
                 ("ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi", "xii"))
 
 CASES = {
+    "two_p2": ["verify-theorem", "--p", "2", "--part", "two", "--format", "jsonl"],
     "odd_p3": ["verify-theorem", "--p", "3", "--part", "odd", "--format", "jsonl"],
     "odd_p5": ["verify-theorem", "--p", "5", "--part", "odd", "--entries", ODD5,
                "--format", "jsonl"],
