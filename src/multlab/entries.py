@@ -142,6 +142,8 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
     modes = sum(1 for x in (factors, alias_of, dsl_lines) if x)
     if modes != 1 and disabled is None:
         raise CatalogError(f"{name}: entry must be exactly one of direct/product/alias")
+    if len(factors) == 1:
+        raise CatalogError(f"{name}: a product needs two factors or more")
     return CatalogEntry(
         entry_id=name,
         constraint=constraint,
@@ -208,10 +210,9 @@ class Catalog:
         if target.is_product:
             parts = [self.instantiate(fid, p) for fid in target.factors]
             pres = parts[0]
-            for q in parts[1:]:
+            for q in parts[1:-1]:
                 pres = direct_product(pres, q)
-            pres = PcPresentation(pres.p, pres.names, pres.orders, pres.powers,
-                                  pres.comms, name=entry_id)
+            pres = direct_product(pres, parts[-1], name=entry_id)
         else:
             try:
                 pres = load_presentation(target.dsl_text, p, name=entry_id)

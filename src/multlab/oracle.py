@@ -11,10 +11,22 @@ with z outside S be eliminated along a fixed factorization z = y*s, so the
 cocycle space is parametrized by the (N-1)*|S| values f(x, s).  The
 remaining instances of the identity become linear constraints over Z_m on
 those values; the identity for arbitrary z then follows by induction on
-word length, because associativity of the twisted product composes.  The
-constraints are generated block by block and reduced against a pivot basis
-immediately (non-unit pivots deferred by p-adic valuation), so memory stays
-at the DP table plus (pivot basis)^2.
+word length, because associativity of the twisted product composes.
+
+The constraints are generated block by block.  A block is reduced against
+a row-echelon pivot basis by substitution (a triangular pass over the pivot
+columns, then one product with the pivot rows) and inserted row by row,
+non-unit pivots ordered by p-adic valuation.  Once the basis has gone
+_SATURATION_BLOCKS blocks without growing, its solution module K is
+computed; a block whose rows all annihilate K is implied and skipped, and
+the first that does not is eliminated and stops the skipping until the
+basis saturates again.  K is never rebuilt from the basis: at the next
+saturation its generators G become G C, where C spans the kernel of
+(rows added since) @ G, which is exactly the kernel of the grown basis.  A
+full SNF of the basis runs at the first saturation and at the end, where
+its change of basis gives the coboundaries' coordinates, and a closing
+pass checks every block against that final kernel.  Memory stays at the DP
+table plus a few width^2 matrices (the pivot basis and the SNF transforms).
 
 H^2(G, Z_m) with m = |G| splits as Ext(G^ab, Z_m) + Hom(M(G), Z_m), and
 both summands collapse to G^ab and M(G) because exp(G^ab) and exp(M(G))
@@ -75,13 +87,17 @@ class H2Result:
 
 
 class _LocalBasis:
-    """Row-echelon pivot basis over Z_{p^k}, rows stored at their pivot column."""
+    """Row-echelon pivot basis over Z_{p^k}, rows stored at their pivot column.
+
+    Rows are float64 holding integers below m, so products with them run in
+    BLAS and stay exact: every sum is below m^2 * width < 2^53.
+    """
 
     def __init__(self, width: int, p: int, k: int):
         self.width = width
         self.p = p
         self.m = p ** k
-        self.rows = np.zeros((width, width), dtype=np.int64)
+        self.rows = np.zeros((width, width))
         self.piv_val = np.full(width, -1, dtype=np.int64)
         self.rank = 0
 
@@ -89,21 +105,24 @@ class _LocalBasis:
         return np.nonzero(self.piv_val >= 0)[0]
 
     def reduce_block(self, block: np.ndarray) -> np.ndarray:
-        """Vectorized pre-reduction of a block against current pivots."""
+        """Reduce a block against the pivots, as a sweep over the pivot columns would.
+
+        Each pivot row is zero before its pivot, so the multiple q_c of row c
+        that the sweep subtracts depends only on the multiples of earlier
+        rows: it is (block[:, c] - q[:, :c] @ rows[:c, c]) / p^v where that
+        is divisible by p^v, and 0 otherwise.  The sweep's row updates then
+        collapse into one product.
+        """
         m, p = self.m, self.p
-        block = block % m
+        block = (block % m).astype(np.float64)
+        q = np.zeros_like(block)
         for c in self.pivot_columns():
-            col = block[:, c]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            pv = int(self.piv_val[c])
-            q, r = np.divmod(col[nz], p ** pv)
-            ok = nz[r == 0]
-            if ok.size:
-                qq = (col[ok] // (p ** pv)) % m
-                block[ok] = (block[ok] - qq[:, None] * self.rows[c]) % m
-        return block
+            cur = (block[:, c] - q[:, :c] @ self.rows[:c, c]) % m
+            d = p ** int(self.piv_val[c])
+            if d > 1:
+                cur = np.where(cur % d == 0, cur // d, 0)
+            q[:, c] = cur
+        return (block - q @ self.rows) % m
 
     def insert_row(self, row: np.ndarray) -> bool:
         """Full sequential insertion; returns True if the basis changed."""
@@ -137,7 +156,7 @@ class _LocalBasis:
                 changed = True
 
     def compact(self) -> np.ndarray:
-        return self.rows[self.pivot_columns()].copy()
+        return self.rows[self.pivot_columns()].astype(np.int64)
 
 
 def _snf_local(a: np.ndarray, p: int, k: int, want_transform: bool):
@@ -145,9 +164,10 @@ def _snf_local(a: np.ndarray, p: int, k: int, want_transform: bool):
 
     Returns (diagonal valuations, V, Vinv) where the tracked column change
     of basis satisfies A_new = U A V for some invertible U that is never
-    materialized.  With the global-minimum pivot, a single column sweep
-    followed by a single row sweep clears the cross exactly (all quotients
-    divide out), so no Euclid iteration is needed.
+    materialized.  With the global-minimum pivot, one sweep of row
+    operations clears the pivot's column and one sweep of column operations
+    its row, exactly (all quotients divide out), so no Euclid iteration is
+    needed.
     """
     m = p ** k
     a = a % m
@@ -184,20 +204,18 @@ def _snf_local(a: np.ndarray, p: int, k: int, want_transform: bool):
         unit = e // (p ** pv)
         if unit != 1:
             a[t] = (a[t] * pow(unit, -1, m)) % m
-        col = a[t + 1:, t]
-        nzr = np.nonzero(col)[0]
+        nzr = t + 1 + np.nonzero(a[t + 1:, t])[0]
         if nzr.size:
-            q = (col[nzr] // (p ** pv)) % m
-            a[t + 1:][nzr] = (a[t + 1:][nzr] - q[:, None] * a[t]) % m
-        rowvals = a[t, t + 1:]
-        nzc = np.nonzero(rowvals)[0]
-        if nzc.size:
-            q = (rowvals[nzc] // (p ** pv)) % m
-            cols_idx = nzc + t + 1
-            a[:, cols_idx] = (a[:, cols_idx] - a[:, [t]] * q[None, :]) % m
-            if want_transform:
-                v_mat[:, cols_idx] = (v_mat[:, cols_idx] - v_mat[:, [t]] * q[None, :]) % m
-                v_inv[t] = (v_inv[t] + q @ v_inv[cols_idx]) % m
+            q = (a[nzr, t] // (p ** pv)) % m
+            a[nzr, t:] = (a[nzr, t:] - q[:, None] * a[t, t:]) % m
+        # column t is now zero outside row t, so the column operations that
+        # clear row t change nothing else; only V records them
+        cols_idx = t + 1 + np.nonzero(a[t, t + 1:])[0]
+        if want_transform and cols_idx.size:
+            q = (a[t, cols_idx] // (p ** pv)) % m
+            v_mat[:, cols_idx] = (v_mat[:, cols_idx] - v_mat[:, [t]] * q[None, :]) % m
+            v_inv[t] = (v_inv[t] + q @ v_inv[cols_idx]) % m
+        a[t, t + 1:] = 0
         diag_vals.append(pv)
         t += 1
     return diag_vals, v_mat, v_inv
@@ -237,6 +255,17 @@ def _kernel_mod(basis_rows: np.ndarray, width: int, p: int, k: int) -> _Kernel:
     for idx, (j, b) in enumerate(zip(positions, scales)):
         gens[:, idx] = (v_mat[:, j] * (p ** b)) % m
     return _Kernel(gens, orders, v_inv, positions, scales)
+
+
+def _refine_kernel(gens: np.ndarray, rows: np.ndarray, p: int, k: int) -> np.ndarray:
+    """Generators of {u in span(gens) : rows @ u = 0}, from those of span(gens).
+
+    A member gens @ x is annihilated exactly when x lies in the kernel of
+    rows @ gens, so gens times that kernel's generators spans the meet.
+    """
+    m = p ** k
+    c = _kernel_mod((rows @ gens % m).astype(np.int64), gens.shape[1], p, k).gens
+    return gens @ c % m
 
 
 def h2_trivial_coeffs(table: CayleyTable, m: int, *,
@@ -310,13 +339,15 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
                   if parent.get(int(t[y, gens[si]])) != (y, si)]
 
     basis = _LocalBasis(width, p, k)
-    kernel = None
-    kf = None
+    full = None      # _kernel_mod of the basis, until a row changes it
+    kf = None        # generators of the last saturated kernel
+    fresh = False    # kf spans the kernel of the current basis
+    added = []       # blocks of rows that changed the basis since kf was saturated
     quiet_blocks = 0
     for y, si in all_blocks:
         block = make_block(y, si)
         stats.equations += block.shape[0]
-        if kernel is not None:
+        if fresh:
             # fast path: a block orthogonal to the current kernel is implied
             resid = np.rint(block.astype(np.float64) @ kf).astype(np.int64) % m
             dirty = np.nonzero(resid.any(axis=1))[0]
@@ -324,24 +355,31 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
             if dirty.size == 0:
                 continue
             block = block[dirty]
-            kernel = kf = None
+            fresh = False
         block = basis.reduce_block(block)
-        changed = False
-        for row in block:
-            if row.any():
-                changed |= basis.insert_row(row)
-        quiet_blocks = 0 if changed else quiet_blocks + 1
-        if kernel is None and quiet_blocks >= _SATURATION_BLOCKS:
-            kernel = _kernel_mod(basis.compact(), width, p, k)
-            kf = kernel.gens.astype(np.float64)
+        grew = [i for i, row in enumerate(block) if row.any() and basis.insert_row(row)]
+        if grew:
+            full = None
+            quiet_blocks = 0
+            if kf is not None:
+                added.append(block[grew])
+        else:
+            quiet_blocks += 1
+        if not fresh and quiet_blocks >= _SATURATION_BLOCKS:
+            if kf is None:
+                full = _kernel_mod(basis.compact(), width, p, k)
+                kf = full.gens.astype(np.float64)
+            elif added:
+                kf = _refine_kernel(kf, np.vstack(added), p, k)
+            added = []
+            fresh = True
 
     # closing pass: every block must annihilate the final kernel.  A block the
     # fast path skipped annihilates an earlier, larger kernel, so it lies in
     # the row module (Z_{p^k} has the double-annihilator property); every
     # other block was inserted.  A dirty block is therefore a broken identity.
-    if kernel is None:
-        kernel = _kernel_mod(basis.compact(), width, p, k)
-        kf = kernel.gens.astype(np.float64)
+    kernel = full if full is not None else _kernel_mod(basis.compact(), width, p, k)
+    kf = kernel.gens.astype(np.float64)
     for y, si in all_blocks:
         block = make_block(y, si)
         stats.verified += block.shape[0]

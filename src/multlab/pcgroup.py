@@ -622,7 +622,9 @@ def central_quotient(pres: PcPresentation, K: Subgroup) -> PcPresentation:
     return _central_quotient_map(pres, K)[0]
 
 
-def direct_product(a: PcPresentation, b: PcPresentation) -> PcPresentation:
+def direct_product(a: PcPresentation, b: PcPresentation,
+                   name: str | None = None) -> PcPresentation:
+    """A x B, named `name` or "A x B"; certified once, when it is built."""
     if a.p != b.p:
         raise ValueError(f"mismatched primes {a.p} and {b.p}")
     na = a.ngens
@@ -639,7 +641,7 @@ def direct_product(a: PcPresentation, b: PcPresentation) -> PcPresentation:
         orders=a.orders + b.orders,
         powers=a.powers + tuple(shift(w) for w in b.powers),
         comms=tuple(comms),
-        name=f"{a.name} x {b.name}" if a.name and b.name else None,
+        name=name or (f"{a.name} x {b.name}" if a.name and b.name else None),
     )
 
 

@@ -4,10 +4,17 @@ import json
 
 import pytest
 
+from multlab import pcgroup
 from multlab.abelian import AbelianGroup, exterior_square
 from multlab.compute import Computer, NoApplicableMethod, compute_t
 from multlab.dsl import DslError
-from multlab.entries import Catalog, CatalogError, ConstraintError, load_group_dsl
+from multlab.entries import (
+    Catalog,
+    CatalogError,
+    ConstraintError,
+    load_group_dsl,
+    parse_entry,
+)
 from multlab.pcgroup import abelianization, check_consistency
 from multlab.report import (
     ODD_PART,
@@ -44,6 +51,20 @@ class TestCatalogIntegrity:
                 continue
             for p in _primes_for(entry)[:2]:
                 check_consistency(catalog.instantiate(eid, p))  # raises on a failing overlap
+
+    def test_product_entry_certified_once(self, monkeypatch):
+        # the factors and then the product itself, built under its entry id
+        real = pcgroup.check_consistency
+        checked = []
+        monkeypatch.setattr(pcgroup, "check_consistency",
+                            lambda pres: checked.append(pres.name) or real(pres))
+        pres = Catalog.bundled().instantiate("Phi2_14", 3)
+        assert pres.name == "Phi2_14"
+        assert checked == ["ESp_p3", "Zp", "Phi2_14"]
+
+    def test_one_factor_product_rejected(self):
+        with pytest.raises(CatalogError, match="two factors"):
+            parse_entry("name P\nproduct Zp")
 
     def test_constraint_violations(self, catalog):
         with pytest.raises(ConstraintError):

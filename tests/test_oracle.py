@@ -1,6 +1,7 @@
 """Cohomology oracle: frozen values, an enumeration oracle for tiny groups,
-a dense full-triple eliminator as an independent implementation, and the
-universal-coefficient order identity."""
+a dense full-triple eliminator as an independent implementation, the
+universal-coefficient order identity, and the elimination's block
+reduction and kernel refinement against plain references."""
 
 import itertools
 
@@ -11,6 +12,10 @@ from multlab.abelian import AbelianGroup, exterior_square
 from multlab.dsl import load_presentation
 from multlab.oracle import (
     MemoryBudgetError,
+    _kernel_mod,
+    _LocalBasis,
+    _refine_kernel,
+    _snf_local,
     abelianization_from_table,
     h2_trivial_coeffs,
     multiplier_via_oracle,
@@ -258,3 +263,71 @@ class TestRelabelingInvariance:
                 perm = [0] + list(rng.permutation(np.arange(1, table.n)))
                 shuffled = table.relabel(perm)
                 assert h2_trivial_coeffs(shuffled, table.n).invariants == base
+
+
+def reduce_block_sweep(basis, block):
+    """Reference block reduction: one sequential sweep over the pivot columns."""
+    m, p = basis.m, basis.p
+    rows = basis.rows.astype(np.int64)
+    block = block % m
+    for c in basis.pivot_columns():
+        col = block[:, c]
+        nz = np.nonzero(col)[0]
+        pv = int(basis.piv_val[c])
+        ok = nz[col[nz] % p ** pv == 0]
+        if ok.size:
+            qq = (col[ok] // p ** pv) % m
+            block[ok] = (block[ok] - qq[:, None] * rows[c]) % m
+    return block
+
+
+def random_rows(rng, p, k, count, width):
+    """Rows whose entries have random p-adic valuations, zero included."""
+    return rng.integers(0, p ** k, (count, width)) * p ** rng.integers(0, k + 1, (count, width))
+
+
+def span_log(gens, p, k):
+    """log_p of the size of the column span of gens over Z_{p^k}."""
+    diag, _, _ = _snf_local(gens.T.astype(np.int64), p, k, want_transform=False)
+    return sum(k - v for v in diag)
+
+
+MODULI = [(2, 6), (3, 4), (5, 2)]
+WIDTH = 12
+
+
+class TestIncrementalElimination:
+    @pytest.mark.parametrize("p,k", MODULI)
+    def test_substitution_matches_sweep(self, p, k):
+        rng = np.random.default_rng(p)
+        non_unit = 0
+        for _ in range(30):
+            basis = _LocalBasis(WIDTH, p, k)
+            for row in random_rows(rng, p, k, int(rng.integers(1, WIDTH)), WIDTH):
+                basis.insert_row(row)
+            non_unit += int((basis.piv_val > 0).sum())
+            block = random_rows(rng, p, k, 8, WIDTH)
+            got = basis.reduce_block(block)
+            assert np.array_equal(got, reduce_block_sweep(basis, block))
+        assert non_unit > 0
+
+    @pytest.mark.parametrize("p,k", MODULI)
+    def test_refined_kernel_equals_rebuilt(self, p, k):
+        rng = np.random.default_rng(10 + p)
+        m = p ** k
+        for _ in range(10):
+            basis = _LocalBasis(WIDTH, p, k)
+            for row in random_rows(rng, p, k, 3, WIDTH):
+                basis.insert_row(row)
+            gens = _kernel_mod(basis.compact(), WIDTH, p, k).gens.astype(np.float64)
+            for _ in range(3):
+                added = [row for row in random_rows(rng, p, k, 2, WIDTH)
+                         if basis.insert_row(row)]
+                if added:
+                    gens = _refine_kernel(gens, np.array(added), p, k)
+                rebuilt = _kernel_mod(basis.compact(), WIDTH, p, k)
+                rows = basis.compact()
+                for g in (gens.astype(np.int64), rebuilt.gens):
+                    assert not (rows @ g % m).any()
+                assert span_log(gens, p, k) == span_log(rebuilt.gens, p, k) \
+                    == sum(rebuilt.orders)

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from multlab import bounds, pcgroup
@@ -19,6 +20,7 @@ from multlab.bounds import (
     rule_jones,
     rule_transgression_lower,
 )
+from multlab.cayley import CayleyTable
 from multlab.dsl import DslError, load_presentation
 from multlab.entries import Catalog, CatalogError
 from multlab.oracle import _invariants_from_order_counts
@@ -300,6 +302,21 @@ class TestCayleyTable:
         pres = load_presentation("gen a 3\ngen b 3\ngen c 3\ngen d 3\ngen e 3\ngen f 3", 3)
         with pytest.raises(SizeCapError, match="243"):
             cayley_table(pres, cap=243)
+
+    def test_swapped_intercalate_rejected_at_first_bad_triple(self):
+        # rows x, xg and columns y, gy of an involution g form a 2 x 2 Latin
+        # subsquare; swapping it keeps every row and column a permutation
+        t = cayley_table(Catalog.bundled().instantiate("T6_xiv", 2)).table.copy()
+        n = len(t)
+        g = next(g for g in range(1, n) if t[g, g] == 0)
+        x = y = next(x for x in range(1, n) if x != g)
+        xg, gy = t[x, g], t[g, y]
+        t[[x, xg], y], t[[x, xg], gy] = t[[x, xg], gy], t[[x, xg], y]
+        bad = np.argwhere(t[t] != t[:, t])
+        assert len(bad)
+        first = ",".join(str(v) for v in bad[0])
+        with pytest.raises(ValueError, match=rf"associativity fails at \({first}\)"):
+            CayleyTable(t)
 
 
 class TestIsoWitness:
