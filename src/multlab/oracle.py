@@ -13,20 +13,20 @@ remaining instances of the identity become linear constraints over Z_m on
 those values; the identity for arbitrary z then follows by induction on
 word length, because associativity of the twisted product composes.
 
-The constraints are generated block by block.  A block is reduced against
-a row-echelon pivot basis by substitution (a triangular pass over the pivot
-columns, then one product with the pivot rows) and inserted row by row,
-non-unit pivots ordered by p-adic valuation.  Once the basis has gone
-_SATURATION_BLOCKS blocks without growing, its solution module K is
-computed; a block whose rows all annihilate K is implied and skipped, and
-the first that does not is eliminated and stops the skipping until the
-basis saturates again.  K is never rebuilt from the basis: at the next
-saturation its generators G become G C, where C spans the kernel of
-(rows added since) @ G, which is exactly the kernel of the grown basis.  A
-full SNF of the basis runs at the first saturation and at the end, where
-its change of basis gives the coboundaries' coordinates, and a closing
-pass checks every block against that final kernel.  Memory stays at the DP
-table plus a few width^2 matrices (the pivot basis and the SNF transforms).
+The constraints are generated block by block.  The oracle holds
+generators G of the solution module of every block so far, starting from
+the identity.  A block B costs one product, resid = B G mod m; if some
+rows are nonzero, G becomes G C with zero columns dropped, where C
+generates the kernel of those rows (an SNF of a rows x t matrix, t the
+column count of G).  A solution of B inside span(G) is G x with
+resid x = 0, so span(G) is always exactly the solution module, and a block
+implied by the earlier ones shrinks nothing.  At the end one SNF,
+U G^T V = diag(p^{a_i}), gives span(G) = V^{-T}(sum p^{a_i} e_i): the
+cocycle module is the sum of the Z/p^{k-a_i}, a coboundary d has
+coordinates (V^T d)_i / p^{a_i}, and the equations' row module needs
+width - #{a_i = 0} generators (the reported pivots).  A closing pass
+checks every block against the final G.  Memory stays at the DP table plus
+a few width^2 matrices (G and the SNF transform).
 
 H^2(G, Z_m) with m = |G| splits as Ext(G^ab, Z_m) + Hom(M(G), Z_m), and
 both summands collapse to G^ab and M(G) because exp(G^ab) and exp(M(G))
@@ -48,7 +48,6 @@ from .results import METHOD_ORACLE, MultiplierResult
 
 DEFAULT_ORACLE_CAP = 128
 DEFAULT_MEMORY_BUDGET = 1 << 30
-_SATURATION_BLOCKS = 4
 
 ORACLE_CAP_ENV = "MLAB_ORACLE_CAP"
 
@@ -86,94 +85,30 @@ class H2Result:
         return self.invariants.order_exponent(p)
 
 
-class _LocalBasis:
-    """Row-echelon pivot basis over Z_{p^k}, rows stored at their pivot column.
+def _mod(x: np.ndarray, m: int) -> np.ndarray:
+    """x mod m for float64 integers with |x| + m < 2^53.
 
-    Rows are float64 holding integers below m, so products with them run in
-    BLAS and stay exact: every sum is below m^2 * width < 2^53.
+    x / m is then within half an ulp of no integer it does not equal, so
+    its floor is exact; ten times faster than float64 %.
     """
-
-    def __init__(self, width: int, p: int, k: int):
-        self.width = width
-        self.p = p
-        self.m = p ** k
-        self.rows = np.zeros((width, width))
-        self.piv_val = np.full(width, -1, dtype=np.int64)
-        self.rank = 0
-
-    def pivot_columns(self):
-        return np.nonzero(self.piv_val >= 0)[0]
-
-    def reduce_block(self, block: np.ndarray) -> np.ndarray:
-        """Reduce a block against the pivots, as a sweep over the pivot columns would.
-
-        Each pivot row is zero before its pivot, so the multiple q_c of row c
-        that the sweep subtracts depends only on the multiples of earlier
-        rows: it is (block[:, c] - q[:, :c] @ rows[:c, c]) / p^v where that
-        is divisible by p^v, and 0 otherwise.  The sweep's row updates then
-        collapse into one product.
-        """
-        m, p = self.m, self.p
-        block = (block % m).astype(np.float64)
-        q = np.zeros_like(block)
-        for c in self.pivot_columns():
-            cur = (block[:, c] - q[:, :c] @ self.rows[:c, c]) % m
-            d = p ** int(self.piv_val[c])
-            if d > 1:
-                cur = np.where(cur % d == 0, cur // d, 0)
-            q[:, c] = cur
-        return (block - q @ self.rows) % m
-
-    def insert_row(self, row: np.ndarray) -> bool:
-        """Full sequential insertion; returns True if the basis changed."""
-        m, p = self.m, self.p
-        changed = False
-        row = row % m
-        while True:
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                return changed
-            c = int(nz[0])
-            e = int(row[c])
-            v = valuation(e, p)
-            unit = e // (p ** v)
-            if unit != 1:
-                row = (row * pow(unit, -1, m)) % m
-            pv = int(self.piv_val[c])
-            if pv < 0:
-                self.rows[c] = row
-                self.piv_val[c] = v
-                self.rank += 1
-                return True
-            if v >= pv:
-                q = p ** (v - pv)
-                row = (row - q * self.rows[c]) % m
-            else:
-                old = self.rows[c].copy()
-                self.rows[c] = row
-                self.piv_val[c] = v
-                row = old
-                changed = True
-
-    def compact(self) -> np.ndarray:
-        return self.rows[self.pivot_columns()].astype(np.int64)
+    return x - m * np.floor(x / m)
 
 
-def _snf_local(a: np.ndarray, p: int, k: int, want_transform: bool):
+def _snf_local(a: np.ndarray, p: int, k: int, track: np.ndarray | None = None):
     """Diagonalize over Z_{p^k} by min-valuation pivoting.
 
-    Returns (diagonal valuations, V, Vinv) where the tracked column change
-    of basis satisfies A_new = U A V for some invertible U that is never
-    materialized.  With the global-minimum pivot, one sweep of row
-    operations clears the pivot's column and one sweep of column operations
-    its row, exactly (all quotients divide out), so no Euclid iteration is
-    needed.
+    Returns (diagonal valuations, V^T @ track) where the column change of
+    basis satisfies A_new = U A V for some invertible U; neither U nor V is
+    materialized.  A column operation on A is a row operation on V^T, so
+    only V^T @ track is carried along (None: nothing is).  With the
+    global-minimum pivot, one sweep of row operations clears the pivot's
+    column and one sweep of column operations its row, exactly (all
+    quotients divide out), so no Euclid iteration is needed.
     """
     m = p ** k
     a = a % m
     rows, cols = a.shape
-    v_mat = np.eye(cols, dtype=np.int64) if want_transform else None
-    v_inv = np.eye(cols, dtype=np.int64) if want_transform else None
+    x = None if track is None else track % m
     diag_vals: list[int] = []
     t = 0
     limit = min(rows, cols)
@@ -197,9 +132,8 @@ def _snf_local(a: np.ndarray, p: int, k: int, want_transform: bool):
             a[[t, pi]] = a[[pi, t]]
         if pj != t:
             a[:, [t, pj]] = a[:, [pj, t]]
-            if want_transform:
-                v_mat[:, [t, pj]] = v_mat[:, [pj, t]]
-                v_inv[[t, pj]] = v_inv[[pj, t]]
+            if x is not None:
+                x[[t, pj]] = x[[pj, t]]
         e = int(a[t, t])
         unit = e // (p ** pv)
         if unit != 1:
@@ -209,63 +143,52 @@ def _snf_local(a: np.ndarray, p: int, k: int, want_transform: bool):
             q = (a[nzr, t] // (p ** pv)) % m
             a[nzr, t:] = (a[nzr, t:] - q[:, None] * a[t, t:]) % m
         # column t is now zero outside row t, so the column operations that
-        # clear row t change nothing else; only V records them
+        # clear row t change nothing else; only V^T @ track records them
         cols_idx = t + 1 + np.nonzero(a[t, t + 1:])[0]
-        if want_transform and cols_idx.size:
+        if x is not None and cols_idx.size:
             q = (a[t, cols_idx] // (p ** pv)) % m
-            v_mat[:, cols_idx] = (v_mat[:, cols_idx] - v_mat[:, [t]] * q[None, :]) % m
-            v_inv[t] = (v_inv[t] + q @ v_inv[cols_idx]) % m
+            x[cols_idx] = (x[cols_idx] - q[:, None] * x[t]) % m
         a[t, t + 1:] = 0
         diag_vals.append(pv)
         t += 1
-    return diag_vals, v_mat, v_inv
+    return diag_vals, x
 
 
-@dataclass
-class _Kernel:
-    """Solution module of B u = 0 over Z_{p^k} in generator form.
+def _kernel_mod(rows: np.ndarray, width: int, p: int, k: int) -> np.ndarray:
+    """Generators (columns) of the solutions of rows @ u = 0 over Z_{p^k}.
 
-    Column i of ``gens`` has additive order p^{orders[i]}; it sits at
-    transformed-coordinate position ``positions[i]`` scaled by p^{scales[i]},
-    so a kernel member d has coordinates (v_inv @ d)[positions[i]] / p^{scales[i]}.
+    With U rows V = diag(p^{a_j}), u = V w solves it exactly when each
+    p^{a_j} w_j vanishes, i.e. w_j is a multiple of p^{k-a_j}; coordinates
+    past the last pivot are free (a_j = k), and a unit pivot admits only 0.
     """
-
-    gens: np.ndarray
-    orders: list[int]
-    v_inv: np.ndarray
-    positions: list[int]
-    scales: list[int]
+    diag_vals, v_t = _snf_local(rows, p, k, np.eye(width, dtype=np.int64))
+    a = np.array(diag_vals + [k] * (width - len(diag_vals)), dtype=np.int64)
+    keep = a > 0
+    return (v_t[keep] * p ** (k - a[keep, None]) % p ** k).T
 
 
-def _kernel_mod(basis_rows: np.ndarray, width: int, p: int, k: int) -> _Kernel:
-    m = p ** k
-    if basis_rows.size == 0:
-        eye = np.eye(width, dtype=np.int64)
-        return _Kernel(eye.copy(), [k] * width, eye, list(range(width)), [0] * width)
-    diag_vals, v_mat, v_inv = _snf_local(basis_rows.copy(), p, k, want_transform=True)
-    positions, scales, orders = [], [], []
-    for j in range(width):
-        a_j = diag_vals[j] if j < len(diag_vals) else k
-        b_j = k - a_j
-        if b_j < k:  # a_j > 0: the column contributes a nontrivial generator
-            positions.append(j)
-            scales.append(b_j)
-            orders.append(a_j)
-    gens = np.zeros((width, len(positions)), dtype=np.int64)
-    for idx, (j, b) in enumerate(zip(positions, scales)):
-        gens[:, idx] = (v_mat[:, j] * (p ** b)) % m
-    return _Kernel(gens, orders, v_inv, positions, scales)
+def _residue(block: np.ndarray, gens: np.ndarray, m: int) -> np.ndarray:
+    # block entries are at most 2N in size and gens entries below m, so every
+    # sum is below 2N * m * width < 2^53: exact in BLAS
+    return _mod(block @ gens, m)
 
 
-def _refine_kernel(gens: np.ndarray, rows: np.ndarray, p: int, k: int) -> np.ndarray:
-    """Generators of {u in span(gens) : rows @ u = 0}, from those of span(gens).
+def _restrict(gens: np.ndarray, block: np.ndarray, p: int, k: int) -> np.ndarray:
+    """Generators of {u in span(gens) : block @ u = 0}, from those of span(gens).
 
-    A member gens @ x is annihilated exactly when x lies in the kernel of
-    rows @ gens, so gens times that kernel's generators spans the meet.
+    A member gens @ x is annihilated exactly when x solves the residue
+    block @ gens, so gens times that kernel's generators spans the meet.
+    Only the nonzero rows of the residue constrain x; with none, the block
+    is implied and gens stands.
     """
     m = p ** k
-    c = _kernel_mod((rows @ gens % m).astype(np.int64), gens.shape[1], p, k).gens
-    return gens @ c % m
+    resid = _residue(block, gens, m)
+    dirty = resid.any(axis=1)
+    if not dirty.any():
+        return gens
+    c = _kernel_mod(resid[dirty].astype(np.int64), gens.shape[1], p, k)
+    gens = _mod(gens @ c, m)
+    return gens[:, gens.any(axis=0)]
 
 
 def h2_trivial_coeffs(table: CayleyTable, m: int, *,
@@ -324,70 +247,38 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
         phi[:, z, col(y, si)] -= 1
 
     def make_block(y: int, si: int) -> np.ndarray:
+        # integer coefficients, unreduced: each phi entry counts at most one
+        # step per letter of a factorization, so it is below N in size
         s = gens[si]
         z = int(t[y, s])
-        block = phi[1:, y, :].astype(np.int64)
+        block = phi[1:, y, :].astype(np.float64)
         if z != 0:
             block -= phi[1:, z, :]
         xy = t[1:, y]
         rows = np.nonzero(xy != 0)[0]
         block[rows, col(xy[rows], si)] += 1
         block[:, col(y, si)] -= 1
-        return block % m
+        return block
 
     all_blocks = [(y, si) for si in range(ns) for y in range(1, n)
                   if parent.get(int(t[y, gens[si]])) != (y, si)]
 
-    basis = _LocalBasis(width, p, k)
-    full = None      # _kernel_mod of the basis, until a row changes it
-    kf = None        # generators of the last saturated kernel
-    fresh = False    # kf spans the kernel of the current basis
-    added = []       # blocks of rows that changed the basis since kf was saturated
-    quiet_blocks = 0
+    kern = np.eye(width)  # generators of the solutions of every block so far
     for y, si in all_blocks:
         block = make_block(y, si)
         stats.equations += block.shape[0]
-        if fresh:
-            # fast path: a block orthogonal to the current kernel is implied
-            resid = np.rint(block.astype(np.float64) @ kf).astype(np.int64) % m
-            dirty = np.nonzero(resid.any(axis=1))[0]
-            stats.verified += block.shape[0]
-            if dirty.size == 0:
-                continue
-            block = block[dirty]
-            fresh = False
-        block = basis.reduce_block(block)
-        grew = [i for i, row in enumerate(block) if row.any() and basis.insert_row(row)]
-        if grew:
-            full = None
-            quiet_blocks = 0
-            if kf is not None:
-                added.append(block[grew])
-        else:
-            quiet_blocks += 1
-        if not fresh and quiet_blocks >= _SATURATION_BLOCKS:
-            if kf is None:
-                full = _kernel_mod(basis.compact(), width, p, k)
-                kf = full.gens.astype(np.float64)
-            elif added:
-                kf = _refine_kernel(kf, np.vstack(added), p, k)
-            added = []
-            fresh = True
+        stats.verified += block.shape[0]
+        kern = _restrict(kern, block, p, k)
 
-    # closing pass: every block must annihilate the final kernel.  A block the
-    # fast path skipped annihilates an earlier, larger kernel, so it lies in
-    # the row module (Z_{p^k} has the double-annihilator property); every
-    # other block was inserted.  A dirty block is therefore a broken identity.
-    kernel = full if full is not None else _kernel_mod(basis.compact(), width, p, k)
-    kf = kernel.gens.astype(np.float64)
+    # closing pass: every block must annihilate the final kernel.  Each block
+    # was met with the kernel of the blocks before it, and the kernel only
+    # shrinks, so a dirty block is a broken identity.
     for y, si in all_blocks:
         block = make_block(y, si)
         stats.verified += block.shape[0]
-        if (np.rint(block.astype(np.float64) @ kf).astype(np.int64) % m).any():
+        if _residue(block, kern, m).any():
             raise OracleInconsistency(
                 f"cocycle block ({y}, {si}) escapes the final kernel")
-    stats.pivots = basis.rank
-    tcount = kernel.gens.shape[1]
 
     # coboundary images in the reduced coordinates: dg(x,s) = g(x)+g(s)-g(xs)
     d_cols = np.zeros((width, n - 1), dtype=np.int64)
@@ -402,21 +293,22 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
                 d_cols[col(xs_inv, si), w - 1] -= 1
     d_cols %= m
 
-    coords = np.zeros((tcount, n - 1), dtype=np.int64)
-    if tcount:
-        wv = (kernel.v_inv @ d_cols) % m
-        for idx, (j, b) in enumerate(zip(kernel.positions, kernel.scales)):
-            vals = wv[j]
-            if np.any(vals % (p ** b)):
-                raise OracleInconsistency("coboundary escaped the cocycle kernel")
-            coords[idx] = (vals // (p ** b)) % m
+    # U kern^T V = diag(p^{a_i}): span(kern) is V^{-T} (sum of p^{a_i} e_i),
+    # so a coboundary d has coordinates (V^T d)_i / p^{a_i}
+    diag, wv = _snf_local(kern.T.astype(np.int64), p, k, d_cols)
+    stats.pivots = width - diag.count(0)
+    tcount = len(diag)
+    a = np.array(diag, dtype=np.int64)
+    scale = p ** a[:, None]
+    if wv[tcount:].any() or (wv[:tcount] % scale).any():
+        raise OracleInconsistency("coboundary escaped the cocycle kernel")
+    coords = wv[:tcount] // scale
 
-    # H^2 = kernel / coboundaries: relations p^{o_i} g_i = 0 and D-columns
+    # H^2 = kernel / coboundaries: relations p^{k-a_i} g_i = 0 and D-columns
     rel = np.zeros((tcount, tcount + (n - 1)), dtype=np.int64)
-    for i, o in enumerate(kernel.orders):
-        rel[i, i] = p ** o
+    rel[range(tcount), range(tcount)] = p ** (k - a)
     rel[:, tcount:] = coords
-    diag_vals, _, _ = _snf_local(rel, p, k, want_transform=False)
+    diag_vals, _ = _snf_local(rel, p, k)
     # positions without a pivot are Z_{p^k} summands (their order relation
     # p^k g = 0 vanishes mod m)
     exps = [min(v, k) for v in diag_vals] + [k] * (tcount - len(diag_vals))

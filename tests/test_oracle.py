@@ -1,20 +1,18 @@
 """Cohomology oracle: frozen values, an enumeration oracle for tiny groups,
 a dense full-triple eliminator as an independent implementation, the
-universal-coefficient order identity, and the elimination's block
-reduction and kernel refinement against plain references."""
+universal-coefficient order identity, and the block-by-block kernel update
+against the dense eliminator."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from multlab.abelian import AbelianGroup, exterior_square
+from multlab.abelian import AbelianGroup, exterior_square, valuation
 from multlab.dsl import load_presentation
 from multlab.oracle import (
     MemoryBudgetError,
-    _kernel_mod,
-    _LocalBasis,
-    _refine_kernel,
+    _restrict,
     _snf_local,
     abelianization_from_table,
     h2_trivial_coeffs,
@@ -113,10 +111,43 @@ class TestH2SmallFrozen:
             h2_trivial_coeffs(cayley_table(pres), 81, memory_budget=1 << 10)
 
 
-def h2_dense_full_triples(table, m, p):
-    """Independent H^2: materialize every triple equation, eliminate over
-    Z_m by plain dense row reduction, then quotient by coboundaries the
-    same lattice way.  Shares no code with the streaming pipeline."""
+def log_solutions(rows, p, k):
+    """log_p of the number of solutions of rows @ u = 0 over Z_m = Z/p^k.
+
+    Dense elimination, one column at a time over every row at once.  The
+    entry of least valuation v is the pivot; it clears its column in all
+    other rows, and is itself replaced by p^(k-v) times its unit-normalized
+    row, which is zero in that column, so the rows left always span every
+    equation with zeros in the columns done.  The pivot column then admits
+    p^v values.  int16 holds every product of two entries below m <= 128;
+    equal rows (compared as raw bytes) are one equation.
+    """
+    m = p ** k
+    cols = rows.shape[1]
+    a = np.ascontiguousarray(rows % m, dtype=np.int16)
+    a = np.unique(a.view(np.dtype((np.void, a.itemsize * cols))).ravel())
+    a = a.view(np.int16).reshape(-1, cols)
+    log_sol = 0
+    for c in range(cols):
+        nz = np.flatnonzero(a[:, c])
+        if not len(nz):
+            log_sol += k
+            continue
+        vals = sum((a[nz, c] % p ** j == 0 for j in range(1, k)), np.zeros(len(nz), np.int64))
+        i = nz[np.argmin(vals)]
+        v = int(vals.min())
+        unit = int(a[i, c]) // p ** v
+        pivot = (a[i] * pow(unit, -1, m)) % m
+        others = nz[nz != i]
+        a[others] = (a[others] - (a[others, c] // p ** v)[:, None] * pivot) % m
+        a[i] = (p ** (k - v) * pivot) % m
+        log_sol += v
+    return log_sol
+
+
+def triple_rows(table):
+    """Every cocycle identity f(x,y) + f(xy,z) = f(y,z) + f(x,yz) with
+    x, y, z != 1, as an integer row over the normalized cells (x, y)."""
     n = table.n
     cells = [(x, y) for x in range(1, n) for y in range(1, n)]
     idx = {c: i for i, c in enumerate(cells)}
@@ -134,55 +165,36 @@ def h2_dense_full_triples(table, m, p):
                 if yz != 0:
                     row[idx[(x, yz)]] -= 1
                 if row.any():
-                    rows.append(row % m)
+                    rows.append(row)
+    return np.array(rows).reshape(-1, len(cells))
+
+
+def h2_dense_full_triples(table, m, p):
+    """Independent H^2: materialize every triple equation, eliminate over
+    Z_m by plain dense row reduction, then quotient by coboundaries the
+    same lattice way.  Shares no code with the streaming pipeline."""
+    n = table.n
     k = 0
     mm = m
     while mm % p == 0:
         mm //= p
         k += 1
-    cols = len(cells)
-    # count the solutions of E u = 0 over Z_m = Z/p^k by dense elimination,
-    # one column at a time over every row at once.  The entry of least
-    # valuation v is the pivot; it clears its column in all other rows, and
-    # is itself replaced by p^(k-v) times its unit-normalized row, which is
-    # zero in that column, so the rows left always span every equation with
-    # zeros in the columns done.  The pivot column then admits p^v values.
-    # int16 holds every product of two entries below m <= 128; equal rows
-    # (compared as raw bytes) are one equation
-    a = np.array(rows, dtype=np.int16).reshape(-1, cols)
-    a = np.unique(a.view(np.dtype((np.void, a.itemsize * cols))).ravel())
-    a = a.view(np.int16).reshape(-1, cols)
-    log_solutions = 0
-    for c in range(cols):
-        nz = np.flatnonzero(a[:, c])
-        if not len(nz):
-            log_solutions += k
-            continue
-        vals = sum((a[nz, c] % p ** j == 0 for j in range(1, k)), np.zeros(len(nz), np.int64))
-        i = nz[np.argmin(vals)]
-        v = int(vals.min())
-        unit = int(a[i, c]) // p ** v
-        pivot = (a[i] * pow(unit, -1, m)) % m
-        others = nz[nz != i]
-        a[others] = (a[others] - (a[others, c] // p ** v)[:, None] * pivot) % m
-        a[i] = (p ** (k - v) * pivot) % m
-        log_solutions += v
+    log_sol = log_solutions(triple_rows(table), p, k)
     # coboundary count: m^{n-1} / |Hom(G, Z_m)|
     hom_count = 0
     gab = abelianization_from_table(table, p)
     for exp in gab.primary_exponents(p):
         hom_count += min(exp, k)
     log_cob = (n - 1) * k - hom_count
-    return log_solutions - log_cob
+    return log_sol - log_cob
+
+
+DENSE_GROUPS = [(Z22, 2), (D8, 2), (Q8, 2), ("gen a 4\ngen b 2", 2), ("gen a 3\ngen b 3", 3),
+                (ES_P3, 3)]
 
 
 class TestDenseCrossCheck:
-    @pytest.mark.parametrize("text,p", [
-        (Z22, 2), (D8, 2), (Q8, 2),
-        ("gen a 4\ngen b 2", 2),
-        ("gen a 3\ngen b 3", 3),
-        (ES_P3, 3),
-    ])
+    @pytest.mark.parametrize("text,p", DENSE_GROUPS)
     def test_streamed_equals_dense(self, text, p):
         pres = load_presentation(text, p)
         table = cayley_table(pres)
@@ -190,6 +202,21 @@ class TestDenseCrossCheck:
         fast = h2_trivial_coeffs(table, m)
         dense_log = h2_dense_full_triples(table, m, p)
         assert fast.invariants.order_exponent(p) == dense_log
+
+    @pytest.mark.parametrize("text,p", DENSE_GROUPS)
+    def test_pivots_count_row_module_generators(self, text, p):
+        """pivots is the width less the Z_m summands of the cocycle module.
+
+        The cocycles mod p^j are Hom(C, Z/p^j) for C the cokernel of the
+        identities, so log_p of their number grows by the count of the
+        summands of C of order at least p^k from j = k-1 to j = k.
+        """
+        table = cayley_table(load_presentation(text, p))
+        k = valuation(table.n, p)
+        rows = triple_rows(table)
+        top = log_solutions(rows, p, k) - log_solutions(rows, p, k - 1)
+        width = (table.n - 1) * len(table.generating_set())
+        assert h2_trivial_coeffs(table, table.n).stats.pivots == width - top
 
 
 class TestMultiplier:
@@ -253,32 +280,25 @@ class TestExteriorSquareAgreement:
 
 
 class TestRelabelingInvariance:
-    def test_five_random_relabelings(self):
+    def test_five_random_relabelings(self, catalog):
+        """H^2 never moves; the equation and pivot counts depend only on
+        the size of the generating set the table yields."""
         rng = np.random.default_rng(11)
-        for text, p in [(D8, 2), (Q8, 2), (ES_P3, 3), ("gen a 4\ngen b 4", 2)]:
-            pres = load_presentation(text, p)
+        groups = [load_presentation(text, p) for text, p in
+                  [(D8, 2), (Q8, 2), (ES_P3, 3), ("gen a 4\ngen b 4", 2)]]
+        groups += [catalog.instantiate(eid, p) for eid, p in
+                   [("Phi2_211b", 2), ("T6_xxiv", 2), ("Phi3_14", 3)]]
+        for pres in groups:
             table = cayley_table(pres)
-            base = h2_trivial_coeffs(table, table.n).invariants
+            base = h2_trivial_coeffs(table, table.n)
+            counts = {len(table.generating_set()): (base.stats.equations, base.stats.pivots)}
             for _ in range(5):
                 perm = [0] + list(rng.permutation(np.arange(1, table.n)))
                 shuffled = table.relabel(perm)
-                assert h2_trivial_coeffs(shuffled, table.n).invariants == base
-
-
-def reduce_block_sweep(basis, block):
-    """Reference block reduction: one sequential sweep over the pivot columns."""
-    m, p = basis.m, basis.p
-    rows = basis.rows.astype(np.int64)
-    block = block % m
-    for c in basis.pivot_columns():
-        col = block[:, c]
-        nz = np.nonzero(col)[0]
-        pv = int(basis.piv_val[c])
-        ok = nz[col[nz] % p ** pv == 0]
-        if ok.size:
-            qq = (col[ok] // p ** pv) % m
-            block[ok] = (block[ok] - qq[:, None] * rows[c]) % m
-    return block
+                got = h2_trivial_coeffs(shuffled, table.n)
+                assert got.invariants == base.invariants
+                stats = (got.stats.equations, got.stats.pivots)
+                assert counts.setdefault(len(shuffled.generating_set()), stats) == stats
 
 
 def random_rows(rng, p, k, count, width):
@@ -288,7 +308,7 @@ def random_rows(rng, p, k, count, width):
 
 def span_log(gens, p, k):
     """log_p of the size of the column span of gens over Z_{p^k}."""
-    diag, _, _ = _snf_local(gens.T.astype(np.int64), p, k, want_transform=False)
+    diag, _ = _snf_local(gens.T.astype(np.int64), p, k)
     return sum(k - v for v in diag)
 
 
@@ -296,38 +316,30 @@ MODULI = [(2, 6), (3, 4), (5, 2)]
 WIDTH = 12
 
 
-class TestIncrementalElimination:
+class TestKernelUpdate:
     @pytest.mark.parametrize("p,k", MODULI)
-    def test_substitution_matches_sweep(self, p, k):
+    def test_blockwise_kernel_equals_dense_solutions(self, p, k):
+        """Blocks fed one by one leave generators of exactly the solutions of
+        every row so far: each row annihilates them, and their span has the
+        size the dense eliminator counts."""
         rng = np.random.default_rng(p)
-        non_unit = 0
-        for _ in range(30):
-            basis = _LocalBasis(WIDTH, p, k)
-            for row in random_rows(rng, p, k, int(rng.integers(1, WIDTH)), WIDTH):
-                basis.insert_row(row)
-            non_unit += int((basis.piv_val > 0).sum())
-            block = random_rows(rng, p, k, 8, WIDTH)
-            got = basis.reduce_block(block)
-            assert np.array_equal(got, reduce_block_sweep(basis, block))
-        assert non_unit > 0
-
-    @pytest.mark.parametrize("p,k", MODULI)
-    def test_refined_kernel_equals_rebuilt(self, p, k):
-        rng = np.random.default_rng(10 + p)
         m = p ** k
-        for _ in range(10):
-            basis = _LocalBasis(WIDTH, p, k)
-            for row in random_rows(rng, p, k, 3, WIDTH):
-                basis.insert_row(row)
-            gens = _kernel_mod(basis.compact(), WIDTH, p, k).gens.astype(np.float64)
-            for _ in range(3):
-                added = [row for row in random_rows(rng, p, k, 2, WIDTH)
-                         if basis.insert_row(row)]
-                if added:
-                    gens = _refine_kernel(gens, np.array(added), p, k)
-                rebuilt = _kernel_mod(basis.compact(), WIDTH, p, k)
-                rows = basis.compact()
-                for g in (gens.astype(np.int64), rebuilt.gens):
-                    assert not (rows @ g % m).any()
-                assert span_log(gens, p, k) == span_log(rebuilt.gens, p, k) \
-                    == sum(rebuilt.orders)
+        shrunk = implied = 0
+        for _ in range(20):
+            gens = np.eye(WIDTH)
+            seen = np.zeros((0, WIDTH), dtype=np.int64)
+            for _ in range(5):
+                if len(seen) and rng.random() < 0.3:
+                    # combinations of earlier rows: an implied block
+                    block = rng.integers(0, m, (3, len(seen))) @ seen % m
+                else:
+                    block = random_rows(rng, p, k, int(rng.integers(1, 4)), WIDTH)
+                before = span_log(gens, p, k)
+                gens = _restrict(gens, block.astype(np.float64), p, k)
+                seen = np.vstack([seen, block])
+                after = span_log(gens, p, k)
+                assert not (seen @ gens.astype(np.int64) % m).any()
+                assert after == log_solutions(seen, p, k)
+                shrunk += after < before
+                implied += after == before > 0
+        assert shrunk and implied
