@@ -714,11 +714,19 @@ def cayley_table(pres: PcPresentation, cap: int = 128) -> CayleyTable:
         raise SizeCapError(f"group order {n} exceeds the Cayley table cap {cap}")
     words = list(pres.elements())
     index = {w: k for k, w in enumerate(words)}
-    table = np.zeros((n, n), dtype=np.int32)
-    for i, u in enumerate(words):
-        for j, v in enumerate(words):
-            table[i, j] = index[pres.mul(u, v)]
-    return CayleyTable(table)
+    # right[l, i] = index of words[i] * g_l
+    right = np.array([[index[pres.mul_gen(w, l)] for w in words]
+                      for l in range(pres.ngens)], dtype=np.int32).reshape(-1, n)
+    strides = [prod(pres.orders[l + 1:]) for l in range(pres.ngens)]
+    # In the lexicographic enumeration, word j is its predecessor (the last
+    # nonzero exponent, at l, lowered by one) times g_l, already normal, so
+    # column j is column j - strides[l] multiplied on the right by g_l.
+    cols = np.zeros((n, n), dtype=np.int32)
+    cols[0] = np.arange(n)
+    for j in range(1, n):
+        l = max(i for i, e in enumerate(words[j]) if e)
+        cols[j] = right[l, cols[j - strides[l]]]
+    return CayleyTable(cols.T)
 
 
 def iso_witness_check(src: PcPresentation, dst: PcPresentation,

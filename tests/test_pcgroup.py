@@ -298,6 +298,24 @@ class TestCayleyTable:
         a, b = 4, 1  # ranks of the generators in the lex enumeration
         assert tab.mul(a, b) != tab.mul(b, a)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_columns_match_pairwise_products(self, catalog, p):
+        """The column-by-column build against every product w_i w_j."""
+        checked = 0
+        for eid in catalog.ids():
+            entry = catalog[eid]
+            if entry.is_disabled or not entry.allows(p):
+                continue
+            pres = catalog.instantiate(eid, p)
+            if pres.group_order() > 81:
+                continue
+            words = list(pres.elements())
+            index = {w: k for k, w in enumerate(words)}
+            want = [[index[pres.mul(u, v)] for v in words] for u in words]
+            assert cayley_table(pres).table.tolist() == want, eid
+            checked += 1
+        assert checked >= 10
+
     def test_cap_error_names_cap(self):
         pres = load_presentation("gen a 3\ngen b 3\ngen c 3\ngen d 3\ngen e 3\ngen f 3", 3)
         with pytest.raises(SizeCapError, match="243"):
