@@ -716,7 +716,7 @@ def cayley_table(pres: PcPresentation, cap: int = 128) -> CayleyTable:
     index = {w: k for k, w in enumerate(words)}
     # right[l, i] = index of words[i] * g_l
     right = np.array([[index[pres.mul_gen(w, l)] for w in words]
-                      for l in range(pres.ngens)], dtype=np.int32).reshape(-1, n)
+                      for l in range(pres.ngens)], dtype=np.int32)
     strides = [prod(pres.orders[l + 1:]) for l in range(pres.ngens)]
     # In the lexicographic enumeration, word j is its predecessor (the last
     # nonzero exponent, at l, lowered by one) times g_l, already normal, so

@@ -316,12 +316,12 @@ MODULI = [(2, 6), (3, 4), (5, 2)]
 WIDTH = 12
 
 
-class TestKernelUpdate:
+class TestIncrementalElimination:
     @pytest.mark.parametrize("p,k", MODULI)
-    def test_blockwise_kernel_equals_dense_solutions(self, p, k):
+    def test_refined_kernel_equals_rebuilt(self, p, k):
         """Blocks fed one by one leave generators of exactly the solutions of
         every row so far: each row annihilates them, and their span has the
-        size the dense eliminator counts."""
+        size the dense eliminator counts from all the rows at once."""
         rng = np.random.default_rng(p)
         m = p ** k
         shrunk = implied = 0
