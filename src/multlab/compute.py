@@ -1,12 +1,12 @@
 """Method selection and orchestration for multiplier computations.
 
-`auto` prefers the direct-product identity (for catalog product recipes),
-then the class-2 tensor construction, then the abelian exterior square,
-then the cohomology oracle.  When more than one method applies, all of them
-run and their invariant lists must agree exactly; the oracle joins such
-cross-checks only up to order 81 so that large product entries stay cheap.
-When no method applies, an entry with a cited value (`fallback-multiplier`)
-takes it as its one method, `ledger`.
+`auto` runs every method that applies, in this order: the direct-product
+identity (for catalog product recipes), the class-2 tensor construction,
+the abelian exterior square, the cohomology oracle, and central tails.
+Tails applies to every group, so each result has at least one method; the
+oracle runs only when none of the first three applies and the order is
+within its cap.  All results must agree exactly, and the first one names
+the method.
 """
 
 from __future__ import annotations
@@ -14,28 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import direct_sum, exterior_square, kunneth
-from .blackburn_evens import BePreconditionError, multiplier_via_be
+from .blackburn_evens import BePreconditionError, be_preconditions, multiplier_via_be
 from .entries import Catalog, CatalogEntry
-from .oracle import multiplier_via_oracle, oracle_cap
-from .pcgroup import PcPresentation, abelianization
+from .oracle import DEFAULT_ORACLE_CAP, multiplier_via_oracle
+from .pcgroup import PcPresentation, abelianization, multiplier_via_tails
 from .results import (
     METHOD_ABELIAN,
     METHOD_BE,
     METHOD_KUNNETH,
-    METHOD_LEDGER,
     METHOD_ORACLE,
+    METHOD_TAILS,
     MultiplierResult,
 )
 
-ORACLE_CROSS_CAP = 81  # largest order at which the oracle runs as a cross-check
 NONABELIAN = "group is nonabelian"  # why the abelian exterior square does not apply
-
-
-class NoApplicableMethod(RuntimeError):
-    def __init__(self, reasons: dict[str, str]):
-        self.reasons = dict(reasons)
-        lines = "; ".join(f"{m}: {r}" for m, r in reasons.items())
-        super().__init__(f"no applicable method ({lines})")
 
 
 class CrossMethodDisagreement(RuntimeError):
@@ -61,13 +53,11 @@ class Computer:
         if not recipe.is_product:
             raise ValueError(f"{entry.entry_id} is not a product recipe")
         trace: list[str] = []
-        assumptions: list[str] = []
         total = None
         total_ab = None
         for fid in recipe.factors:
             fres = self.compute(fid, p)
             trace.extend(fres.trace)
-            assumptions.extend(fres.assumptions)
             fab = abelianization(self.catalog.instantiate(fid, p))
             if total is None:
                 total, total_ab = fres.invariants, fab
@@ -75,25 +65,12 @@ class Computer:
                 total = kunneth(total, fres.invariants, total_ab, fab)
                 total_ab = direct_sum(total_ab, fab)
         trace.append(f"kunneth: factors {list(recipe.factors)} -> {total.render()}")
-        return MultiplierResult(p, total, METHOD_KUNNETH, trace=tuple(trace),
-                                assumptions=tuple(assumptions))
-
-    def assumed_multiplier(self, fid: str, p: int) -> MultiplierResult:
-        """The cited literature value of M(fid), for groups no method reaches;
-        the citation travels in the result's assumptions."""
-        entry = self.catalog.resolve_recipe(fid)
-        cited = entry.fallback_multiplier
-        if cited is None:
-            raise ValueError(f"{fid} cites no multiplier")
-        invs = cited.multiplier_at(p)
-        assumption = f'M({entry.entry_id}) = {invs.render()} "{cited.source}"'
-        return MultiplierResult(p, invs, METHOD_LEDGER, trace=(f"assumed: {assumption}",),
-                                assumptions=(assumption,))
+        return MultiplierResult(p, total, METHOD_KUNNETH, trace=tuple(trace))
 
     # -- applicability ---------------------------------------------------------
 
     def applicable(self, pres: PcPresentation, entry: CatalogEntry | None):
-        p = pres.p
+        """The methods `auto` runs, in order, and why each other one does not."""
         methods: list[str] = []
         reasons: dict[str, str] = {}
         recipe = None if entry is None else self.catalog.resolve_recipe(entry.entry_id)
@@ -102,8 +79,7 @@ class Computer:
         else:
             reasons[METHOD_KUNNETH] = "not a catalog product recipe"
         try:
-            from .blackburn_evens import build_be_data
-            build_be_data(pres)
+            be_preconditions(pres)
             methods.append(METHOD_BE)
         except BePreconditionError as exc:
             reasons[METHOD_BE] = exc.reason
@@ -111,17 +87,14 @@ class Computer:
             methods.append(METHOD_ABELIAN)
         else:
             reasons[METHOD_ABELIAN] = NONABELIAN
-        cap = oracle_cap()
         n = pres.group_order()
-        limit = cap if not methods else min(cap, ORACLE_CROSS_CAP)
-        if n <= limit:
-            methods.append(METHOD_ORACLE)
+        if methods:
+            reasons[METHOD_ORACLE] = f"{methods[0]} applies"
+        elif n > DEFAULT_ORACLE_CAP:
+            reasons[METHOD_ORACLE] = f"order {n} exceeds the oracle cap {DEFAULT_ORACLE_CAP}"
         else:
-            reasons[METHOD_ORACLE] = (
-                f"order {n} exceeds the oracle cap {cap}" if n > cap
-                else f"order {n} exceeds the cross-check cap {ORACLE_CROSS_CAP}")
-        if not methods and recipe is not None and recipe.fallback_multiplier is not None:
-            methods.append(METHOD_LEDGER)
+            methods.append(METHOD_ORACLE)
+        methods.append(METHOD_TAILS)
         return methods, reasons
 
     # -- public entry points -----------------------------------------------------
@@ -141,9 +114,7 @@ class Computer:
                 entry = self.catalog[name]
         if method != "auto":
             return self._run(method, pres, entry)
-        methods, reasons = self.applicable(pres, entry)
-        if not methods:
-            raise NoApplicableMethod(reasons)
+        methods, _ = self.applicable(pres, entry)
         results = [self._run(m, pres, entry) for m in methods]
         first = results[0]
         for other in results[1:]:
@@ -155,13 +126,11 @@ class Computer:
         trace = [line for r in results for line in r.trace]
         if len(results) > 1:
             trace.append(f"auto: methods {[r.method for r in results]} agree")
-        return MultiplierResult(pres.p, first.invariants, first.method,
-                                trace=tuple(trace),
-                                assumptions=tuple(a for r in results for a in r.assumptions))
+        return MultiplierResult(pres.p, first.invariants, first.method, trace=tuple(trace))
 
     def _run(self, method: str, pres: PcPresentation,
              entry: CatalogEntry | None) -> MultiplierResult:
-        if method in (METHOD_KUNNETH, METHOD_LEDGER) and entry is None:
+        if method == METHOD_KUNNETH and entry is None:
             raise ValueError(f"{method} needs a catalog entry")
         if method == METHOD_KUNNETH:
             return self.via_kunneth(entry, pres.p)
@@ -175,6 +144,6 @@ class Computer:
                                     trace=(f"abelian: exterior square -> {invs.render()}",))
         if method == METHOD_ORACLE:
             return multiplier_via_oracle(pres)
-        if method == METHOD_LEDGER:
-            return self.assumed_multiplier(entry.entry_id, pres.p)
+        if method == METHOD_TAILS:
+            return multiplier_via_tails(pres)
         raise ValueError(f"unknown method {method!r}")

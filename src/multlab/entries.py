@@ -9,8 +9,7 @@ A file is either a direct presentation (DSL statements), a product recipe
     expect multiplier [p,p] "source"
     expect order p^9 "source"
     expect t 6 "source"
-    fallback-multiplier [p,p] "citation"   # assumed value when no method applies
-    squeeze phi7_15_squeeze.script         # bound-replay fallback
+    squeeze phi7_15_squeeze.script         # bound replay, an order cross-check
     disabled <reason>
 """
 
@@ -70,7 +69,6 @@ class CatalogEntry:
     factors: tuple[str, ...] = ()
     alias_of: str | None = None
     expects: tuple[Expect, ...] = ()
-    fallback_multiplier: Expect | None = None   # cited value when no method applies
     squeeze_script: str | None = None
     disabled_reason: str | None = None
 
@@ -103,7 +101,6 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
     expects: list[Expect] = []
     factors: list[str] = []
     alias_of = None
-    fallback = None
     squeeze = None
     disabled = None
     dsl_lines: list[str] = []
@@ -124,9 +121,6 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
             if len(parts) < 3:
                 raise CatalogError(f"malformed expect line: {line!r}")
             expects.append(Expect(parts[1], parts[2], citation))
-        elif kw == "fallback-multiplier":
-            head, citation = _take_citation(line)
-            fallback = Expect("multiplier", head.split(None, 1)[1], citation)
         elif kw == "squeeze":
             squeeze = line.split()[1]
         elif kw == "product":
@@ -151,7 +145,6 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
         factors=tuple(factors),
         alias_of=alias_of,
         expects=tuple(expects),
-        fallback_multiplier=fallback,
         squeeze_script=squeeze,
         disabled_reason=disabled,
     )

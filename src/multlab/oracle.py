@@ -37,7 +37,6 @@ computations in the test suite before anything trusts this module.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +48,6 @@ from .results import METHOD_ORACLE, MultiplierResult
 DEFAULT_ORACLE_CAP = 128
 DEFAULT_MEMORY_BUDGET = 1 << 30
 
-ORACLE_CAP_ENV = "MLAB_ORACLE_CAP"
-
 
 class MemoryBudgetError(MemoryError):
     pass
@@ -58,10 +55,6 @@ class MemoryBudgetError(MemoryError):
 
 class OracleInconsistency(RuntimeError):
     """The H^2 / G^ab multiset difference failed; a cornerstone identity broke."""
-
-
-def oracle_cap() -> int:
-    return int(os.environ.get(ORACLE_CAP_ENV, DEFAULT_ORACLE_CAP))
 
 
 @dataclass
@@ -382,13 +375,11 @@ def _tbl_pow(t: np.ndarray, x: int, e: int) -> int:
     return acc
 
 
-def multiplier_via_oracle(pres, cap: int | None = None, *,
+def multiplier_via_oracle(pres, cap: int = DEFAULT_ORACLE_CAP, *,
                           memory_budget: int = DEFAULT_MEMORY_BUDGET) -> MultiplierResult:
     """M(G) = (invariants of H^2(G, Z_|G|)) minus (invariants of G^ab)."""
     from .pcgroup import cayley_table
 
-    if cap is None:
-        cap = oracle_cap()
     table = cayley_table(pres, cap=cap)
     p = pres.p
     m = table.n

@@ -23,8 +23,9 @@ from math import prod
 
 import numpy as np
 
-from .abelian import AbelianGroup, nullspace_mod_p, snf_group, valuation
+from .abelian import AbelianGroup, nullspace_mod_p, snf, snf_group, valuation
 from .cayley import CayleyTable
+from .results import METHOD_TAILS, MultiplierResult
 
 Word = tuple[tuple[int, int], ...]       # ((gen index, exponent), ...)
 NormalWord = tuple[int, ...]             # exponent vector, 0 <= a_i < r_i
@@ -132,7 +133,11 @@ class PcPresentation:
         """Normal form of a word (sequence of (gen index, exponent) letters)."""
         return self._collect_onto([0] * self.ngens, letters)
 
-    def _collect_onto(self, a: list[int], letters) -> NormalWord:
+    def _collect_onto(self, a: list[int], letters, tails: list[int] | None = None) -> NormalWord:
+        """Collect `letters` onto the normal word `a` (in place).  With
+        `tails`, each relation applied adds its signed count to that
+        relation's entry, read as a free central tail t: g_i^{r_i} = w_i t_i
+        at position i and [g_j, g_i] = w_ji t_ji at n + j(j-1)/2 + i."""
         orders = self.orders
         powers = self.powers
         comm = self._comm_map
@@ -155,13 +160,15 @@ class PcPresentation:
             if e == 0:
                 continue
             if e < 0:
-                # g^-1 = g^{r-1} * w^-1 with w the power tail of g
+                # g^-1 = g^{r-1} * w^-1 * t^-1 with w t the power relation of g
                 if e < -1:
                     stack.append((i, e + 1))
                 w = powers[i]
                 for k, x in w:
                     stack.append((k, -x))
                 stack.append((i, orders[i] - 1))
+                if tails is not None:
+                    tails[i] -= 1
                 continue
             if top <= i:
                 a[i] += e
@@ -170,6 +177,8 @@ class PcPresentation:
                     a[i] -= r
                     for k, x in reversed(powers[i]):
                         stack.append((k, x))
+                    if tails is not None:
+                        tails[i] += 1
                 if a[i] and i > top:
                     top = i
                 while top >= 0 and a[top] == 0:
@@ -186,6 +195,8 @@ class PcPresentation:
                 stack.append((k, x))
             stack.append((j, 1))
             stack.append((i, 1))
+            if tails is not None:
+                tails[n + j * (j - 1) // 2 + i] += 1
         return tuple(a)
 
     def word_of(self, v: NormalWord) -> Word:
@@ -249,41 +260,77 @@ class PcPresentation:
 # -- consistency -------------------------------------------------------------
 
 
-def check_consistency(pres: PcPresentation) -> None:
-    """Run the full triple/power overlap family, which certifies |G| = prod r_i;
-    raise InconsistentPresentation naming the first overlap that fails."""
+def overlaps(pres: PcPresentation, tailed: bool = False):
+    """The triple/power overlap family, which certifies |G| = prod r_i.
+    Yields (kind, generator indices, lhs, rhs) for each overlap evaluated
+    both ways; a side is (normal word, tails), the tails being the tail
+    vector the collection applied (see `_collect_onto`) when `tailed` and
+    None otherwise.  A power g_i^{r_i} enters as its collected tail w_i
+    carrying t_i, never as a letter for the collector."""
     n = pres.ngens
-    names = pres.names
+    width = n + n * (n - 1) // 2
 
-    def fail(kind, idxs, lhs, rhs):
-        gens = ", ".join(names[t] for t in idxs)
-        raise InconsistentPresentation(
-            f"inconsistent presentation: {kind} overlap on ({gens}): {lhs} != {rhs}")
+    def mul(x, y):
+        (u, s), (v, t) = x, y
+        acc = [a + b for a, b in zip(s, t)] if tailed else None
+        return pres._collect_onto(list(u), pres.word_of(v), acc), acc
 
-    g = [pres.gen(i) for i in range(n)]
-    wv = [pres.collect(pres.powers[i]) for i in range(n)]  # power tails as vectors
+    def unit(i, e=1):
+        v = [0] * n
+        v[i] = e
+        return tuple(v), [0] * width if tailed else None
+
+    def power(i):  # g_i^{r_i} = w_i t_i
+        tails = [0] * width if tailed else None
+        if tailed:
+            tails[i] = 1
+        return pres._collect_onto([0] * n, pres.powers[i], tails), tails
+
+    g = [unit(i) for i in range(n)]
+    wv = [power(i) for i in range(n)]
     for k in range(n):
         for j in range(k):
             for i in range(j):
-                lhs = pres.mul(pres.mul(g[k], g[j]), g[i])
-                rhs = pres.mul(g[k], pres.mul(g[j], g[i]))
-                if lhs != rhs:
-                    fail("triple", (k, j, i), lhs, rhs)
+                yield ("triple", (k, j, i), mul(mul(g[k], g[j]), g[i]),
+                       mul(g[k], mul(g[j], g[i])))
     for j in range(n):
         for i in range(j):
-            lhs = pres.mul(wv[j], g[i])
-            rhs = pres.mul(pres.pow_el(g[j], pres.orders[j] - 1), pres.mul(g[j], g[i]))
-            if lhs != rhs:
-                fail("power-left", (j, i), lhs, rhs)
-            lhs = pres.mul(g[j], wv[i])
-            rhs = pres.mul(pres.mul(g[j], g[i]), pres.pow_el(g[i], pres.orders[i] - 1))
-            if lhs != rhs:
-                fail("power-right", (j, i), lhs, rhs)
+            yield ("power-left", (j, i), mul(wv[j], g[i]),
+                   mul(unit(j, pres.orders[j] - 1), mul(g[j], g[i])))
+            yield ("power-right", (j, i), mul(g[j], wv[i]),
+                   mul(mul(g[j], g[i]), unit(i, pres.orders[i] - 1)))
     for i in range(n):
-        lhs = pres.mul(g[i], wv[i])
-        rhs = pres.mul(wv[i], g[i])
+        yield "power-cycle", (i,), mul(g[i], wv[i]), mul(wv[i], g[i])
+
+
+def check_consistency(pres: PcPresentation) -> None:
+    """Run the full overlap family; raise InconsistentPresentation naming the
+    first overlap that fails."""
+    for kind, idxs, (lhs, _), (rhs, _) in overlaps(pres):
         if lhs != rhs:
-            fail("power-cycle", (i,), lhs, rhs)
+            gens = ", ".join(pres.names[t] for t in idxs)
+            raise InconsistentPresentation(
+                f"inconsistent presentation: {kind} overlap on ({gens}): {lhs} != {rhs}")
+
+
+def multiplier_via_tails(pres: PcPresentation) -> MultiplierResult:
+    """M(G) by central tails (Nickel, DIMACS 25, 1996; Eick and Nickel,
+    J. Algebra 320, 2008).  Each overlap, evaluated both ways in the
+    presentation with a free central tail on every relation, gives a
+    Z-linear relation lhs - rhs among the tails, and Z^tails / relations is
+    R/[F,R] = Z^n + M(G).  Its torsion is M(G); its free rank must be the
+    number of generators n, since R/(R cap F') has finite index in Z^n."""
+    rows = [[a - b for a, b in zip(ls, rs)]
+            for _, _, (_, ls), (_, rs) in overlaps(pres, tailed=True)]
+    diag = snf(rows)
+    free = diag.count(0)
+    if free != pres.ngens:
+        raise InconsistentPresentation(
+            f"tails: free rank {free} != {pres.ngens} generators")
+    invs = AbelianGroup.from_orders(d for d in diag if d > 1)
+    trace = (f"tails: tails={len(diag)}, relations={len(rows)}, free={free} "
+             f"-> {invs.render()}",)
+    return MultiplierResult(pres.p, invs, METHOD_TAILS, trace=trace)
 
 
 # -- subgroups ----------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Verification suites and report emission.
 
 A Report captures one group's verification: the method used, the computed
-multiplier, the corank t = n(n-1)/2 - log_p|M|, and a status of PASS,
-PASS-WITH-ASSUMPTION (the value rests on a cited literature fact),
-FAIL, or DISABLED.  Reports serialize as an aligned text table or as
-line-delimited JSON records with a fixed key set.
+multiplier, the corank t = n(n-1)/2 - log_p|M|, and a status of PASS, FAIL,
+or DISABLED.  An entry with a `squeeze` script also replays it as an order
+cross-check; the replay's lines, cited bounds included, go to the trace.
+Reports serialize as an aligned text table or as line-delimited JSON
+records with a fixed key set, whose `assumed` list is always empty.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .abelian import AbelianGroup, render_factor
+from .abelian import render_factor
 from .bounds import ReplayAssertionError, replay_script
-from .compute import Computer, CrossMethodDisagreement, NoApplicableMethod, compute_t
+from .compute import Computer, CrossMethodDisagreement, compute_t
 from .entries import Catalog, CatalogEntry
 from .oracle import MemoryBudgetError, OracleInconsistency
 from .pcgroup import CollectionError, InconsistentPresentation, PcPresentation, is_prime
-from .results import METHOD_LEDGER, MultiplierResult
+from .results import MultiplierResult
 
 REPORT_KEYS = ("group", "p", "n", "method", "multiplier", "t", "status",
                "assumed", "trace", "millis")
@@ -54,7 +55,7 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return self.status in ("PASS", "PASS-WITH-ASSUMPTION", "DISABLED")
+        return self.status in ("PASS", "DISABLED")
 
 
 def load_script(name: str) -> str:
@@ -62,23 +63,21 @@ def load_script(name: str) -> str:
     return path.read_text()
 
 
-def _expect_failures(entry: CatalogEntry, p: int, t: int, order_exponent: int,
-                     invariants: AbelianGroup | None) -> list[str]:
-    """The entry's expectations that the result misses.  `invariants` is None
-    when only the order is known (a bound squeeze); multiplier expectations
-    are then not checked."""
+def _expect_failures(entry: CatalogEntry, p: int, t: int,
+                     res: MultiplierResult) -> list[str]:
+    """The entry's expectations that the result misses."""
     problems = []
     for exp in entry.expects:
-        if exp.kind == "multiplier" and invariants is not None:
+        if exp.kind == "multiplier":
             want = exp.multiplier_at(p)
-            if invariants != want:
+            if res.invariants != want:
                 problems.append(
-                    f"multiplier {invariants.render()} != expected {want.render()}")
+                    f"multiplier {res.render()} != expected {want.render()}")
         elif exp.kind == "order":
             want = exp.order_exponent_at(p)
-            if order_exponent != want:
+            if res.order_exponent != want:
                 problems.append(
-                    f"order p^{order_exponent} != expected p^{want}")
+                    f"order p^{res.order_exponent} != expected p^{want}")
         elif exp.kind == "t":
             if t != exp.t_value():
                 problems.append(f"t = {t} != expected {exp.t_value()}")
@@ -112,51 +111,37 @@ def verify_entry(catalog: Catalog, computer: Computer, entry_id: str, p: int,
 def _verify(catalog: Catalog, computer: Computer, entry: CatalogEntry,
             pres: PcPresentation, method: str) -> Report:
     p, n = pres.p, pres.order_exponent
-    try:
-        res = computer.compute(entry.entry_id, p, method=method)
-    except NoApplicableMethod as exc:
-        target = catalog.resolve_recipe(entry.entry_id)
-        script_name = entry.squeeze_script or target.squeeze_script
-        if script_name is not None:
-            return _verify_by_squeeze(computer, entry, pres, script_name)
-        return Report(entry.entry_id, p, n, "-", [], None, "FAIL",
-                      trace=[f"{m}: {r}" for m, r in exc.reasons.items()])
+    res = computer.compute(entry.entry_id, p, method=method)
     t = compute_t(pres, res)
-    problems = _expect_failures(entry, p, t, res.order_exponent, res.invariants)
-    if problems:
-        status = "FAIL"
-    elif res.assumptions:
-        status = "PASS-WITH-ASSUMPTION"
-    else:
-        status = "PASS"
-    return Report(entry.entry_id, p, n, res.method, _render_invs(res), t, status,
-                  assumed=list(res.assumptions), trace=list(res.trace) + problems)
+    trace = list(res.trace)
+    problems = _expect_failures(entry, p, t, res)
+    script_name = entry.squeeze_script or catalog.resolve_recipe(entry.entry_id).squeeze_script
+    if script_name is not None:
+        problems += _squeeze_cross_check(computer, script_name, p, res, trace)
+    return Report(entry.entry_id, p, n, res.method, _render_invs(res), t,
+                  "FAIL" if problems else "PASS", trace=trace + problems)
 
 
 def _render_invs(res: MultiplierResult) -> list[str]:
     return [render_factor(f) for f in res.invariants.factors]
 
 
-def _verify_by_squeeze(computer: Computer, entry: CatalogEntry,
-                       pres: PcPresentation, script_name: str) -> Report:
-    p, n = pres.p, pres.order_exponent
+def _squeeze_cross_check(computer: Computer, script_name: str, p: int,
+                         res: MultiplierResult, trace: list[str]) -> list[str]:
+    """Replay a bound script and compare the exact order it pins with the
+    computed one; the replay's lines join `trace`, and the problems are
+    returned."""
     try:
         result = replay_script(load_script(script_name), p, computer)
     except ReplayAssertionError as exc:
-        return Report(entry.entry_id, p, n, METHOD_LEDGER, [], None, "FAIL",
-                      trace=[f"squeeze replay failed: {exc}"])
+        return [f"squeeze replay failed: {exc}"]
+    trace.extend(result.trace)
     exact = result.final_exact()
     if exact is None:
-        return Report(entry.entry_id, p, n, METHOD_LEDGER, [], None, "FAIL",
-                      trace=result.trace + ["squeeze did not pin an exact order"])
-    t = n * (n - 1) // 2 - exact.exponent
-    assumed = [f.provenance.citation for f in result.assumed_bounds()]
-    assumed += [f"[capability] {f.provenance.citation}"
-                for f in result.assumed_capabilities()]
-    problems = _expect_failures(entry, p, t, exact.exponent, None)
-    status = "FAIL" if problems else "PASS-WITH-ASSUMPTION"
-    return Report(entry.entry_id, p, n, METHOD_LEDGER, [f"order p^{exact.exponent}"],
-                  t, status, assumed=assumed, trace=result.trace + problems)
+        return ["squeeze did not pin an exact order"]
+    if exact.exponent != res.order_exponent:
+        return [f"squeeze order p^{exact.exponent} != computed p^{res.order_exponent}"]
+    return []
 
 
 def verify_theorem(p: int, part: str, *, catalog: Catalog | None = None,

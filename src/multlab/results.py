@@ -10,21 +10,19 @@ METHOD_ORACLE = "oracle"
 METHOD_BE = "blackburn_evens"
 METHOD_KUNNETH = "kunneth"
 METHOD_ABELIAN = "abelian"
-METHOD_LEDGER = "ledger"
+METHOD_TAILS = "tails"
 
-_METHODS = (METHOD_ORACLE, METHOD_BE, METHOD_KUNNETH, METHOD_ABELIAN, METHOD_LEDGER)
+_METHODS = (METHOD_ORACLE, METHOD_BE, METHOD_KUNNETH, METHOD_ABELIAN, METHOD_TAILS)
 
 
 @dataclass(frozen=True)
 class MultiplierResult:
-    """Invariant factors of M(G), the method that produced them, a trace, and
-    the cited literature values the result rests on (empty when computed)."""
+    """Invariant factors of M(G), the method that produced them, and a trace."""
 
     p: int
     invariants: AbelianGroup
     method: str
     trace: tuple[str, ...] = field(default=(), compare=False)
-    assumptions: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.method not in _METHODS:

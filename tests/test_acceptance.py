@@ -11,10 +11,10 @@ import pytest
 from multlab.abelian import AbelianGroup
 from multlab.blackburn_evens import BePreconditionError, build_be_data, multiplier_via_be
 from multlab.bounds import KIND_CAPABLE, ReplayAssertionError, replay_script
-from multlab.compute import Computer, NoApplicableMethod
+from multlab.compute import Computer
 from multlab.entries import Catalog
 from multlab.oracle import abelianization_from_table, h2_trivial_coeffs, multiplier_via_oracle
-from multlab.pcgroup import cayley_table
+from multlab.pcgroup import cayley_table, multiplier_via_tails
 from multlab.report import (
     load_script,
     run_table24,
@@ -101,16 +101,16 @@ class TestAcceptance:
         r = by_group["T6_i"]
         assert (r.n, r.t, r.status) == (8, 6, "PASS")
         assert sum(1 for _ in r.multiplier) == 22
-        # the order-p^5 maximal-class entry goes through the bound squeeze
+        # the order-p^5 maximal-class entry is computed by tails; its bound
+        # squeeze still replays, as a cross-check of the order, in the trace
         r = by_group["T6_xi"]
-        assert r.status == "PASS-WITH-ASSUMPTION"
-        assert r.t == 6
+        assert (r.n, r.t, r.status, r.method) == (5, 6, "PASS", "tails")
+        assert r.multiplier == ["3", "3", "3", "3"]
         assert any("transgression" in line and "p^4" in line for line in r.trace)
-        bound_assumed = [a for a in r.assumed if not a.startswith("[capability]")]
-        assert len(bound_assumed) == 1
+        assert all(r.status == "PASS" and r.assumed == [] for r in reports)
         assert elapsed < 300, f"odd part took {elapsed:.1f}s"
-        _announce(3, f"odd part at p=3: 11 computed PASS + squeeze "
-                     f"PASS-WITH-ASSUMPTION ({elapsed:.1f}s < 5min)")
+        _announce(3, f"odd part at p=3: 12 computed PASS, none assumed "
+                     f"({elapsed:.1f}s < 5min)")
 
     def test_criterion_4_odd_spot_p5(self):
         start = time.monotonic()
@@ -120,12 +120,12 @@ class TestAcceptance:
         assert by_group["T6_ii"].status == "PASS" and by_group["T6_ii"].t == 6
         assert by_group["T6_ix"].status == "PASS" and by_group["T6_ix"].t == 6
         # the order-p^4 entry is not a product and the tensor construction
-        # does not apply (its quotient is non-elementary), so at p = 5 it
-        # rests on the cited table value
+        # does not apply (its quotient is non-elementary), so at p = 5 only
+        # tails reaches it
         r = by_group["T6_xii"]
-        assert r.t == 6 and r.status == "PASS-WITH-ASSUMPTION"
+        assert (r.t, r.status, r.method, r.assumed) == (6, "PASS", "tails", [])
         assert elapsed < 60, f"p=5 spot check took {elapsed:.1f}s"
-        _announce(4, f"p=5 spot checks (ii), (ix) computed, (xii) assumed "
+        _announce(4, f"p=5 spot checks (ii), (ix), (xii) computed "
                      f"({elapsed:.1f}s < 60s)")
 
     def test_criterion_4_t6_i_at_p5(self):
@@ -138,8 +138,8 @@ class TestAcceptance:
         reports = verify_theorem(7, "odd")
         assert len(reports) == 12
         for r in reports:
-            assert r.t == 6 and r.status in ("PASS", "PASS-WITH-ASSUMPTION"), r
-        _announce(4, "odd part at p=7: 12 entries with t = 6")
+            assert r.t == 6 and r.status == "PASS" and r.assumed == [], r
+        _announce(4, "odd part at p=7: 12 computed entries with t = 6")
 
     def test_criterion_5_two_part(self):
         start = time.monotonic()
@@ -163,6 +163,7 @@ class TestAcceptance:
         assert r13.method == METHOD_KUNNETH
         assert len(r13.multiplier) == 15
         assert by_group["T6_xix"].status == "DISABLED"
+        assert all(r.assumed == [] for r in reports)
         assert elapsed < 600, f"p=2 part took {elapsed:.1f}s"
         _announce(5, f"p=2 part: 11 PASS + (xix) disabled ({elapsed:.1f}s < 10min)")
 
@@ -202,9 +203,26 @@ class TestAcceptance:
                 assert kun.invariants == orc.invariants, (eid, p)
                 kunneth_oracle += 1
         assert kunneth_oracle >= 4
+        # the oracle checks tails on every small catalog group, including
+        # those that `auto` no longer sends to it
+        tails_oracle = 0
+        for eid in catalog.ids():
+            entry = catalog[eid]
+            for p, cap in ((2, 64), (3, 81)):
+                if entry.is_disabled or not entry.allows(p):
+                    continue
+                pres = catalog.instantiate(eid, p)
+                if pres.group_order() > cap:
+                    continue
+                tails = multiplier_via_tails(pres)
+                orc = multiplier_via_oracle(pres)
+                assert tails.invariants == orc.invariants, (eid, p)
+                tails_oracle += 1
+        assert tails_oracle >= 35
         elapsed = time.monotonic() - start
-        _announce(6, f"{be_oracle} tensor/oracle and {kunneth_oracle} "
-                     f"product/oracle agreements, zero tolerance ({elapsed:.1f}s)")
+        _announce(6, f"{be_oracle} tensor/oracle, {kunneth_oracle} product/oracle "
+                     f"and {tails_oracle} tails/oracle agreements, zero tolerance "
+                     f"({elapsed:.1f}s)")
 
     def test_criterion_7_oracle_self_identity(self, catalog, computer):
         start = time.monotonic()

@@ -4,9 +4,12 @@ bench/tracer.py wraps multlab functions by name from outside the package, so
 renaming or deleting one of them breaks the benchmark's per-layer metrics
 without failing any other test.  This runs one traced computation in a fresh
 interpreter (the tracer patches modules in place) and checks that every
-per-layer metric BENCHMARK.json declares is emitted.
+per-layer metric BENCHMARK.json declares is emitted, and that the tracer's
+count of methods run (it reads the first element of what `applicable`
+returns) matches the methods the computation reports.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -20,18 +23,29 @@ sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import multlab, tracer
 spans = tracer.Tracer()
 originals = tracer.install(spans)
-multlab.Computer(multlab.Catalog.bundled()).compute("ESp_p3", 3)
-print(json.dumps(sorted(tracer.layer_metrics(spans, originals))))
+res = multlab.Computer(multlab.Catalog.bundled()).compute("ESp_p3", 3)
+print(json.dumps([tracer.layer_metrics(spans, originals), res.trace]))
 """
 
 
-def test_tracer_emits_every_declared_layer():
+def _traced_run():
     out = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, str(ROOT / "src"), str(ROOT / "bench")],
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    emitted = set(json.loads(out.stdout))
+    return json.loads(out.stdout)
+
+
+def test_tracer_emits_every_declared_layer():
+    emitted = set(_traced_run()[0])
     declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     # bench/run.py derives these from report timings, not from the tracer
     derived = {n for n in declared if n.startswith("report.entry.") or n == "trace.overhead_s"}
     assert derived and declared - derived <= emitted, sorted(declared - derived - emitted)
+
+
+def test_tracer_counts_the_methods_auto_runs():
+    metrics, trace = _traced_run()
+    [agree] = [line for line in trace if line.startswith("auto: methods ")]
+    methods = ast.literal_eval(agree[len("auto: methods "):-len(" agree")])
+    assert metrics["compute.methods_run"] == len(methods) == 2

@@ -196,12 +196,12 @@ class TestReplay:
         assert not res.assumed
 
     def test_jones_script_at_p5_records_the_cited_factor(self, computer):
-        # at p = 5 the Kunneth value of T6_viii rests on the cited M(Phi2_211c)
+        # at p = 5 the Kunneth value of T6_viii uses M(Phi2_211c), once a
+        # cited value and now computed by tails: the replay assumes nothing
         res = replay_script(load_script("phi2_2111c_jones.script"), 5, computer)
         assert res.final_exact().exponent == 4
-        [fact] = res.assumed_bounds()
-        assert fact.kind == KIND_EXACT and fact.provenance.tag == "assumed"
-        assert fact.provenance.citation.startswith("M(Phi2_211c) = [5,5]")
+        assert res.assumed_bounds() == [] and not res.assumed
+        assert all(f.provenance.tag != "assumed" for f in res.ledger.facts)
 
     def test_deliberate_failure_names_step(self, computer):
         with pytest.raises(ReplayAssertionError) as exc:
@@ -210,20 +210,24 @@ class TestReplay:
         assert "p^3" in str(exc.value)
 
     def test_unreachable_group_fails_its_step(self, computer):
-        # Phi2_22 at p = 5: order 625 is above the oracle cap, no other method applies
-        with pytest.raises(ReplayAssertionError, match="step 2 .*no applicable method"):
-            replay_script("use Phi2_22\ncompute\nexpect exact p^1", 5, computer)
+        # Phi2_22 at p = 5: order 625 is above the oracle cap and no other
+        # method applies, so this step once failed; tails computes it
+        res = replay_script("use Phi2_22\ncompute\nexpect exact p^1", 5, computer)
+        [fact] = res.ledger.facts
+        assert fact.exponent == 1 and fact.provenance == Provenance.computed("tails")
+        assert not res.assumed
 
     def test_cited_value_reaches_compute_step(self, catalog, computer):
-        # Phi2_31 at p = 5: no method applies; the replay takes the cited
-        # value, as `verify_entry` (and so `multlab compute`) does
+        # Phi2_31 at p = 5 once rested on a cited value; the replay's compute
+        # step and `verify_entry` (and so `multlab compute`) now agree on the
+        # value tails computes, with nothing assumed
         res = replay_script("use Phi2_31\ncompute\nexpect exact 1", 5, computer)
-        [fact] = res.assumed_bounds()
-        assert fact.exponent == 0 and fact.provenance.tag == "assumed"
+        [fact] = res.ledger.facts
+        assert fact.exponent == 0 and fact.provenance == Provenance.computed("tails")
+        assert not res.assumed
         report = verify_entry(catalog, computer, "Phi2_31", 5)
-        assert report.status == "PASS-WITH-ASSUMPTION"
-        assert [fact.provenance.citation] == report.assumed
-        assert report.multiplier == []
+        assert (report.status, report.method, report.assumed, report.multiplier) == \
+            ("PASS", "tails", [], [])
 
     def test_wrong_order_value_fails(self, computer):
         script = "use ESp_p3\napply class_bound\nexpect upper p^9"

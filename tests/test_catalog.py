@@ -6,7 +6,7 @@ import pytest
 
 from multlab import pcgroup
 from multlab.abelian import AbelianGroup, exterior_square
-from multlab.compute import Computer, NoApplicableMethod, compute_t
+from multlab.compute import Computer, compute_t
 from multlab.dsl import DslError
 from multlab.entries import (
     Catalog,
@@ -29,8 +29,8 @@ from multlab.results import (
     METHOD_ABELIAN,
     METHOD_BE,
     METHOD_KUNNETH,
-    METHOD_LEDGER,
     METHOD_ORACLE,
+    METHOD_TAILS,
     MultiplierResult,
 )
 
@@ -126,20 +126,34 @@ class TestExpectedMultipliers:
                 if pres.group_order() > 300 and not (
                         catalog.resolve_recipe(eid).is_product):
                     continue  # the big direct ones are covered by suites
-                try:
-                    res = computer.compute(eid, p)
-                except NoApplicableMethod:
-                    continue
+                res = computer.compute(eid, p)
                 for want in wants:
                     assert res.invariants == want.multiplier_at(p), (eid, p)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("eid", ["Phi2_22", "Phi3_211a", "Phi3_211b1", "Phi3_211bnu"])
+    def test_order_p4_groups_above_the_oracle_cap(self, catalog, computer, eid, p):
+        # order p^4 > 128, no product, tensor or abelian route: tails alone
+        res = computer.compute(eid, p)
+        assert res.method == METHOD_TAILS
+        [want] = [e for e in catalog[eid].expects if e.kind == "multiplier"]
+        assert res.invariants == want.multiplier_at(p) == AbelianGroup.cyclic(p)
 
 
 class TestAutoSelection:
     def test_es2_runs_be_and_oracle(self, computer):
+        # the oracle joins only groups no other method reaches; tails
+        # cross-checks the tensor construction here
         res = computer.compute("ESp2_p3", 3)
         assert res.method == METHOD_BE
-        assert any("oracle" in line for line in res.trace)
-        assert any("agree" in line for line in res.trace)
+        assert not any(line.startswith("oracle") for line in res.trace)
+        assert res.trace[-1] == "auto: methods ['blackburn_evens', 'tails'] agree"
+
+    def test_oracle_only_where_no_other_method_applies(self, catalog, computer):
+        pres = catalog.instantiate("T6_xiv", 2)
+        assert computer.applicable(pres, catalog["T6_xiv"])[0] == [METHOD_ORACLE, METHOD_TAILS]
+        pres = catalog.instantiate("T6_xv", 2)  # order 64, a product
+        assert computer.applicable(pres, catalog["T6_xv"])[0] == [METHOD_KUNNETH, METHOD_TAILS]
 
     def test_products_prefer_kunneth(self, computer):
         assert computer.compute("T6_ix", 3).method == METHOD_KUNNETH
@@ -148,20 +162,6 @@ class TestAutoSelection:
         res = computer.compute("Phi5_214b", 3)
         assert res.method == METHOD_BE
         assert res.order_exponent == 9
-
-    def test_no_method_reports_reasons(self, computer):
-        with pytest.raises(NoApplicableMethod) as exc:
-            computer.compute("Phi2_22", 5)
-        reasons = exc.value.reasons
-        assert "oracle" in reasons and "blackburn_evens" in reasons
-        assert "625" in reasons["oracle"]
-
-    def test_forced_ledger_needs_a_cited_value(self, computer):
-        assert computer.compute("Phi2_31", 3, method=METHOD_LEDGER).assumptions
-        with pytest.raises(ValueError, match="cites no multiplier"):
-            computer.compute("D8", 2, method=METHOD_LEDGER)
-        with pytest.raises(ValueError, match="needs a catalog entry"):
-            computer.compute(load_group_dsl("gen a p", 3), method=METHOD_LEDGER)
 
     def test_forced_method_error(self, computer, catalog):
         from multlab.blackburn_evens import BePreconditionError
@@ -239,23 +239,27 @@ class TestReports:
         assert len(out.splitlines()) == 3  # header, rule, one row
         assert rep.t == 2
 
-    # At p = 5 these entries rest on cited order-p^4 values; the citations
-    # and the trace lines that announce them are part of the JSONL format.
+    # At p = 5 these entries once rested on cited order-p^4 values; tails
+    # computes them, so `assumed` stays empty and the trace shows tails.
     @pytest.mark.parametrize("entry_id, fields", [
-        ("T6_viii",
-         r""""assumed": ["M(Phi2_211c) = [5,5] \"order-p^4 multiplier table, |G'|=p\""], """
-         r""""trace": ["assumed: M(Phi2_211c) = [5,5] \"order-p^4 multiplier table, |G'|=p\"", """
-         r""""abelian: exterior square -> []", """
-         r""""oracle: N=5, m=5, H2=[5], Gab=[5], eqs=4, pivots=0", """
-         r""""auto: methods ['abelian', 'oracle'] agree", """
-         r""""kunneth: factors ['Phi2_211c', 'Zp'] -> [5,5,5,5]"]"""),
-        ("T6_xii",
-         r""""assumed": ["M(Phi2_31) = [] \"order-p^4 multiplier table, |G'|=p\""], """
-         r""""trace": ["assumed: M(Phi2_31) = [] \"order-p^4 multiplier table, |G'|=p\""]"""),
+        pytest.param(
+            "T6_viii",
+            r""""assumed": [], "trace": ["tails: tails=6, relations=10, free=3 -> [5,5]", """
+            r""""abelian: exterior square -> []", """
+            r""""tails: tails=1, relations=1, free=1 -> []", """
+            r""""auto: methods ['abelian', 'tails'] agree", """
+            r""""kunneth: factors ['Phi2_211c', 'Zp'] -> [5,5,5,5]", """
+            r""""tails: tails=10, relations=20, free=4 -> [5,5,5,5]", """
+            r""""auto: methods ['kunneth', 'tails'] agree"]""",
+            id="T6_viii"),
+        pytest.param(
+            "T6_xii",
+            r""""assumed": [], "trace": ["tails: tails=6, relations=10, free=3 -> []"]""",
+            id="T6_xii"),
     ])
     def test_assumed_values_pinned_in_jsonl(self, catalog, computer, entry_id, fields):
         rep = verify_entry(catalog, computer, entry_id, 5)
-        assert rep.status == "PASS-WITH-ASSUMPTION"
+        assert rep.status == "PASS"
         line = emit_report([rep], "jsonl")
         assert line[line.index('"assumed"'):line.index(', "millis"')] == fields
 
@@ -282,6 +286,24 @@ class TestReports:
         assert reports[1].trace == [
             "CrossMethodDisagreement: T6_iv: kunneth gives [3,3,3,3,3,3,3,3,3] "
             "but blackburn_evens gives []"]
+
+    def test_tails_free_rank_mismatch_is_a_fail_record(self, catalog, computer, monkeypatch):
+        real_snf = pcgroup.snf
+        monkeypatch.setattr(pcgroup, "snf", lambda rows: real_snf(rows) + [0])
+        rep = verify_entry(catalog, computer, "T6_xii", 5)
+        assert (rep.status, rep.t) == ("FAIL", None)
+        assert rep.trace == [
+            "InconsistentPresentation: tails: free rank 4 != 3 generators"]
+
+    def test_non_alternating_be_pairing_is_a_fail_record(self, catalog, computer,
+                                                         monkeypatch):
+        import multlab.blackburn_evens as be_mod
+        real = be_mod._w_coordinates
+        monkeypatch.setattr(be_mod, "_w_coordinates", lambda d, x: real(d, x) + 1)
+        rep = verify_entry(catalog, computer, "ESp_p3", 3)
+        assert (rep.status, rep.t) == ("FAIL", None)
+        assert rep.trace == [
+            "InconsistentPresentation: Blackburn-Evens: pairing not alternating"]
 
 
 class TestCli:
@@ -327,11 +349,16 @@ class TestCli:
         assert err.startswith("error:") and "requires" in err
 
     def test_replay_unreachable_group(self, capsys, tmp_path):
+        # order 625 is above the oracle cap and no other method applies
+        # (once unreachable); tails computes the step
         from multlab.cli import main
         script = tmp_path / "unreachable.script"
         script.write_text("use Phi2_22\ncompute\nexpect exact p^1\n")
-        assert main(["replay", "--script", str(script), "--p", "5"]) == 1
-        assert capsys.readouterr().err.startswith("REPLAY FAILED: step 2")
+        assert main(["replay", "--script", str(script), "--p", "5"]) == 0
+        out = capsys.readouterr()
+        assert out.err == "" and "F0 Phi2_22: exact-order p^1 [computed(tails)]" in out.out
+        assert out.out.endswith("replay of Phi2_22 at p=5: OK (0 assumed bound(s), "
+                                "0 capability assumption(s))\n")
 
     def test_forced_inapplicable_method(self, capsys):
         from multlab.cli import main

@@ -37,9 +37,11 @@ from multlab.pcgroup import (
     derived_subgroup,
     direct_product,
     iso_witness_check,
+    multiplier_via_tails,
     structure_report,
     upper_central_series,
 )
+from multlab.results import METHOD_TAILS
 
 ES_P3 = "gen a p\ngen a1 p\ngen a2 p\ncomm a1 a = a2"
 ES2_P3 = "gen a p\ngen a1 p\ngen a2 p\npow a = a2\ncomm a1 a = a2"
@@ -122,6 +124,52 @@ class TestConsistency:
         pres = load_presentation("", 3)
         check_consistency(pres)
         assert pres.group_order() == 1
+
+
+class TestTails:
+    """Central tails against every other method and the catalog's
+    expectations, and the overlaps that a wrong evaluation of g_i^{r_i}
+    loses."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_agrees_with_every_applicable_method(self, catalog, computer, p):
+        checked = 0
+        for eid in catalog.ids():
+            entry = catalog[eid]
+            if entry.is_disabled or not entry.allows(p):
+                continue
+            pres = catalog.instantiate(eid, p)
+            tails = multiplier_via_tails(pres)
+            assert tails.method == METHOD_TAILS
+            assert tails.trace[0].endswith(f"free={pres.ngens} -> {tails.render()}")
+            methods, _ = computer.applicable(pres, entry)
+            for m in methods:
+                if m != METHOD_TAILS:
+                    assert computer._run(m, pres, entry).invariants == tails.invariants, \
+                        (eid, m)
+            for exp in entry.expects:
+                if exp.kind == "multiplier":
+                    assert tails.invariants == exp.multiplier_at(p), eid
+            checked += 1
+        assert checked >= 20
+
+    # Taking g_i^{r_i} through the collector as a letter, instead of as its
+    # collected tail w_i carrying t_i, loses one relation: [2], [p,p,p] and
+    # [p^2,p^2] come out instead.
+    @pytest.mark.parametrize("eid,p,want", [
+        ("Phi2_31", 2, []), ("Phi2_31", 5, []),
+        ("Phi2_211a", 3, [3, 3]), ("Phi2_211a", 7, [7, 7]),
+        ("Phi2_211b", 2, [2, 2]), ("Phi2_211b", 5, [5, 5]),
+    ])
+    def test_power_overlaps_keep_their_relation(self, catalog, eid, p, want):
+        res = multiplier_via_tails(catalog.instantiate(eid, p))
+        assert res.invariants == AbelianGroup.from_orders(want)
+
+    def test_trivial_and_cyclic_groups(self):
+        trivial = PcPresentation(p=3, names=(), orders=(), powers=(), comms=())
+        assert multiplier_via_tails(trivial).invariants.is_trivial
+        cyclic = load_presentation("gen a p^3", 5)
+        assert multiplier_via_tails(cyclic).trace == ("tails: tails=1, relations=1, free=1 -> []",)
 
 
 class TestStructure:
