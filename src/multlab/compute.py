@@ -130,9 +130,9 @@ class Computer:
 
     def _run(self, method: str, pres: PcPresentation,
              entry: CatalogEntry | None) -> MultiplierResult:
-        if method == METHOD_KUNNETH and entry is None:
-            raise ValueError(f"{method} needs a catalog entry")
         if method == METHOD_KUNNETH:
+            if entry is None:
+                raise ValueError(f"{method} needs a catalog entry")
             return self.via_kunneth(entry, pres.p)
         if method == METHOD_BE:
             return multiplier_via_be(pres)

@@ -281,9 +281,7 @@ def overlaps(pres: PcPresentation, tailed: bool = False):
         return tuple(v), [0] * width if tailed else None
 
     def power(i):  # g_i^{r_i} = w_i t_i
-        tails = [0] * width if tailed else None
-        if tailed:
-            tails[i] = 1
+        tails = [int(k == i) for k in range(width)] if tailed else None
         return pres._collect_onto([0] * n, pres.powers[i], tails), tails
 
     g = [unit(i) for i in range(n)]

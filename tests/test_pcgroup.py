@@ -165,6 +165,13 @@ class TestTails:
         res = multiplier_via_tails(catalog.instantiate(eid, p))
         assert res.invariants == AbelianGroup.from_orders(want)
 
+    def test_inverse_letter_carries_minus_one_tail(self):
+        # a^-1 = a^(r-1) t^-1, then a^r = t: a^-1 a collects to 1, no tail
+        pres = load_presentation("gen a p^2", 3)
+        tails = [0]
+        assert pres._collect_onto([0], [(0, -1), (0, 1)], tails) == (0,)
+        assert tails == [0]
+
     def test_trivial_and_cyclic_groups(self):
         trivial = PcPresentation(p=3, names=(), orders=(), powers=(), comms=())
         assert multiplier_via_tails(trivial).invariants.is_trivial
