@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .abelian import prime_power
+
 
 @dataclass(frozen=True)
 class CayleyTable:
@@ -60,6 +62,11 @@ class CayleyTable:
         return CayleyTable(new)
 
     def _closure(self, gens: list[int]) -> set[int]:
+        """The subgroup the elements `gens` generate.
+
+        In a finite group the products of generators already form the
+        subgroup, so closing under right multiplication suffices.
+        """
         seen = {0, *gens}
         frontier = list(seen)
         while frontier:
@@ -71,20 +78,42 @@ class CayleyTable:
                     frontier.append(y)
         return seen
 
-    def generating_set(self) -> list[int]:
-        """Deterministic small generating set: each pick maximizes the closure.
+    def derived_subgroup(self) -> set[int]:
+        """G', the subgroup the commutators generate."""
+        t = self.table
+        inv = np.nonzero(t == 0)[1]  # inv[x] is the y with xy = 1
+        comms = np.zeros(self.n, dtype=bool)
+        comms[t[t[np.ix_(inv, inv)], t]] = True  # [x, y] = x^-1 y^-1 x y
+        return self._closure(np.flatnonzero(comms).tolist())
 
-        Fewer generators means fewer unknowns downstream, so greed on closure
-        size pays; ties break to the smallest index for determinism.
+    def generating_set(self) -> list[int]:
+        """A minimal generating set of the p-group: d(G) elements.
+
+        By Burnside's basis theorem an element extends the picks so far
+        towards a generating set of G/Phi(G), Phi(G) = G'G^p, exactly when
+        it lies outside Phi(G)<picks>; picking only such elements stops
+        after d(G) picks.  Among them each pick maximizes the closure, and
+        ties break to the smallest index for determinism.
         """
         n = self.n
+        if n == 1:
+            return []
+        p, _ = prime_power(n)
+        t = self.table
+        powers = np.arange(n)
+        for _ in range(p - 1):
+            powers = t[powers, np.arange(n)]
+        # G^p G' is the union of the cosets x^p G', as G/G' is abelian
+        frattini = np.zeros(n, dtype=bool)
+        frattini[t[np.ix_(powers, sorted(self.derived_subgroup()))]] = True
+        frattini = np.flatnonzero(frattini)
         gens: list[int] = []
         reached = {0}
         while len(reached) < n:
+            covered = np.zeros(n, dtype=bool)  # Phi(G)<picks>, a subgroup
+            covered[t[np.ix_(sorted(reached), frattini)]] = True
             best_g, best_size, best_closure = -1, -1, None
-            for g in range(1, n):
-                if g in reached:
-                    continue
+            for g in np.flatnonzero(~covered).tolist():
                 cl = self._closure(gens + [g])
                 if len(cl) > best_size:
                     best_g, best_size, best_closure = g, len(cl), cl

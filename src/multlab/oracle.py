@@ -7,11 +7,24 @@ f: G x G -> Z_m (f(1,.) = f(.,1) = 0) satisfy the cocycle identity
 
 for all triples; coboundaries are dg(x,y) = g(x) + g(y) - g(xy).  Writing
 the identity with z = s for a generating set S lets every unknown f(x, z)
-with z outside S be eliminated along a fixed factorization z = y*s, so the
-cocycle space is parametrized by the (N-1)*|S| values f(x, s).  The
-remaining instances of the identity become linear constraints over Z_m on
-those values; the identity for arbitrary z then follows by induction on
-word length, because associativity of the twisted product composes.
+with z outside S be eliminated along a fixed factorization z = y*s (a BFS
+tree), so the cocycle space is parametrized by the (N-1)*|S| values
+f(x, s).  The remaining instances of the identity become linear
+constraints over Z_m on those values; the identity for arbitrary z then
+follows by induction on word length, because associativity of the twisted
+product composes.
+
+A gauge removes N-1-|S| of those values.  Adding dg, with g built along
+the tree by g(ys) = g(y) + g(s) + f(y, s), sets f(y, s) = 0 on every tree
+edge with y != 1, so each class has a cocycle that vanishes there, and
+only (N-1)(|S|-1) + |S| unknowns remain.  The coboundaries that keep the
+gauge are the dg with g additive along the tree; they are spanned by the
+|S| residual coboundaries dg_j, g_j(s_i) = [i = j], so H^2 is the gauged
+cocycle module modulo those.  The full cocycle module maps onto the
+dropped coordinates (by coboundaries) with the gauged module as kernel, so
+it is the gauged module plus one free Z_m summand per dropped edge: the
+width and #{a_i = 0} below both fall by N-1-|S|, and the reported pivots,
+width - #{a_i = 0}, do not change.
 
 The constraints are generated block by block.  The oracle holds
 generators G of the solution module of every block so far, starting from
@@ -195,17 +208,7 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
 
     gens = table.generating_set()
     ns = len(gens)
-    width = (n - 1) * ns
     t = np.asarray(table.table, dtype=np.int64)
-
-    need = n * n * width * 8 + width * width * 8 + n * width * 8
-    if need > memory_budget:
-        raise MemoryBudgetError(
-            f"estimated {need >> 20} MiB exceeds the budget of {memory_budget >> 20} MiB")
-
-    def col(x, si):
-        # unknown index of f(x, gens[si]); x = 0 rows are excluded by callers
-        return (x - 1) * ns + si
 
     # BFS factorization z = parent * s over the generating set
     parent = {0: None}
@@ -224,37 +227,52 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
     if len(parent) != n:
         raise RuntimeError("generating set failed to reach the whole group")
 
-    # DP table: phi[x, z] = coefficient vector of f(x, z) on the unknowns
-    phi = np.zeros((n, n, width), dtype=np.int32)
-    for si, s in enumerate(gens):
-        for x in range(1, n):
-            phi[x, s, col(x, si)] += 1
+    # gauge: f(y, s) = 0 on every tree edge y*s with y != 1.  col[x, si] is
+    # the unknown index of f(x, gens[si]), and -1 where f is fixed at zero
+    # (x = 1 or a tree edge); the free (x, si) are also the blocks below.
+    free = np.ones((n, ns), dtype=bool)
+    free[0] = False
     for z in order:
-        if parent[z] is None or z in gens:
-            continue
+        free[parent[z]] = False
+    width = int(free.sum())
+    col = np.full((n, ns), -1, dtype=np.int64)
+    col[free] = np.arange(width)
+
+    entry = np.dtype(np.int32)
+    need = n * n * width * entry.itemsize + (width + n) * width * 8
+    if need > memory_budget:
+        raise MemoryBudgetError(
+            f"estimated {need >> 20} MiB exceeds the budget of {memory_budget >> 20} MiB")
+
+    # DP table: phi[x, z] = coefficient vector of f(x, z) on the unknowns
+    phi = np.zeros((n, n, width), dtype=entry)
+    for si, s in enumerate(gens):
+        rows = np.nonzero(free[:, si])[0]
+        phi[rows, s, col[rows, si]] = 1
+    for z in order:
         y, si = parent[z]
+        if y == 0:
+            continue
+        # f(x, y s) = f(x, y) + f(xy, s) - f(y, s), and f(y, s) = 0 here
         phi[:, z, :] = phi[:, y, :]
-        xy = t[:, y]
-        rows = np.nonzero(xy != 0)[0]
-        phi[rows, z, col(xy[rows], si)] += 1
-        phi[:, z, col(y, si)] -= 1
+        c = col[t[:, y], si]
+        rows = np.nonzero(c >= 0)[0]
+        phi[rows, z, c[rows]] += 1
 
     def make_block(y: int, si: int) -> np.ndarray:
         # integer coefficients, unreduced: each phi entry counts at most one
         # step per letter of a factorization, so it is below N in size
-        s = gens[si]
-        z = int(t[y, s])
+        z = int(t[y, gens[si]])
         block = phi[1:, y, :].astype(np.float64)
         if z != 0:
             block -= phi[1:, z, :]
-        xy = t[1:, y]
-        rows = np.nonzero(xy != 0)[0]
-        block[rows, col(xy[rows], si)] += 1
-        block[:, col(y, si)] -= 1
+        c = col[t[1:, y], si]
+        rows = np.nonzero(c >= 0)[0]
+        block[rows, c[rows]] += 1
+        block[:, col[y, si]] -= 1
         return block
 
-    all_blocks = [(y, si) for si in range(ns) for y in range(1, n)
-                  if parent.get(int(t[y, gens[si]])) != (y, si)]
+    all_blocks = [(y, si) for si in range(ns) for y in range(1, n) if free[y, si]]
 
     kern = np.eye(width)  # generators of the solutions of every block so far
     for y, si in all_blocks:
@@ -273,18 +291,19 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
             raise OracleInconsistency(
                 f"cocycle block ({y}, {si}) escapes the final kernel")
 
-    # coboundary images in the reduced coordinates: dg(x,s) = g(x)+g(s)-g(xs)
-    d_cols = np.zeros((width, n - 1), dtype=np.int64)
-    for w in range(1, n):
-        for si, s in enumerate(gens):
-            d_cols[col(w, si), w - 1] += 1
-            if s == w:
-                for x in range(1, n):
-                    d_cols[col(x, si), w - 1] += 1
-            xs_inv = int(np.nonzero(t[:, s] == w)[0][0])  # the x with x*s = w
-            if xs_inv != 0:
-                d_cols[col(xs_inv, si), w - 1] -= 1
-    d_cols %= m
+    # residual coboundaries dg_j, g_j additive along the tree with
+    # g_j(s_i) = [i = j]: g_j(x) counts the letters s_j of x's tree word.
+    # They span the coboundaries that respect the gauge, so they must vanish
+    # off the unknowns (on the x = 1 row they do by definition).
+    g = np.zeros((n, ns), dtype=np.int64)
+    for z in order:
+        y, si = parent[z]
+        g[z] = g[y]
+        g[z, si] += 1
+    dg = g[:, None, :] + g[gens][None, :, :] - g[t[:, gens]]  # dg[x, si, j]
+    if dg[~free].any():
+        raise OracleInconsistency("a residual coboundary is nonzero on a tree edge")
+    d_cols = dg[free] % m
 
     # U kern^T V = diag(p^{a_i}): span(kern) is V^{-T} (sum of p^{a_i} e_i),
     # so a coboundary d has coordinates (V^T d)_i / p^{a_i}
@@ -298,7 +317,7 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
     coords = wv[:tcount] // scale
 
     # H^2 = kernel / coboundaries: relations p^{k-a_i} g_i = 0 and D-columns
-    rel = np.zeros((tcount, tcount + (n - 1)), dtype=np.int64)
+    rel = np.zeros((tcount, tcount + ns), dtype=np.int64)
     rel[range(tcount), range(tcount)] = p ** (k - a)
     rel[:, tcount:] = coords
     diag_vals, _ = _snf_local(rel, p, k)
@@ -314,21 +333,7 @@ def abelianization_from_table(table: CayleyTable, p: int) -> AbelianGroup:
     """G^ab invariants straight from the table (independent of presentations)."""
     n = table.n
     t = table.table
-    inv = np.nonzero(t == 0)[1]  # inv[x] is the y with xy = 1
-    # derived subgroup: multiplicative closure of all commutators (a normal set)
-    comms = set()
-    for x in range(n):
-        comms.update(t[t[inv[x], inv], t[x]].tolist())  # [x, y] for every y
-    dsub = {0}
-    frontier = [c for c in comms if c != 0]
-    dsub.update(frontier)
-    while frontier:
-        a = frontier.pop()
-        for b in comms:
-            c = int(t[a, b])
-            if c not in dsub:
-                dsub.add(c)
-                frontier.append(c)
+    dsub = table.derived_subgroup()
     # coset order profile: least j with x^{p^j} in G'
     counts: dict[int, int] = {}
     for x in range(n):

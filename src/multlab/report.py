@@ -21,7 +21,7 @@ from .compute import Computer, CrossMethodDisagreement, compute_t
 from .entries import Catalog, CatalogEntry
 from .oracle import MemoryBudgetError, OracleInconsistency
 from .pcgroup import CollectionError, InconsistentPresentation, PcPresentation, is_prime
-from .results import MultiplierResult
+from .results import METHOD_ORACLE, MultiplierResult
 
 REPORT_KEYS = ("group", "p", "n", "method", "multiplier", "t", "status",
                "assumed", "trace", "millis")
@@ -171,14 +171,17 @@ def verify_theorem(p: int, part: str, *, catalog: Catalog | None = None,
 
 
 def run_table24(p: int, *, catalog: Catalog | None = None) -> list[Report]:
-    """The order-p^4 multiplier table, every entry through the oracle."""
+    """The order-p^4 multiplier table: every entry through the oracle at
+    p = 3, and through `auto` at p >= 5, where the order p^4 exceeds the
+    oracle's cap."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 2:
         raise ValueError("the order-p^4 table suite runs at odd primes")
     catalog = catalog or Catalog.bundled()
     computer = Computer(catalog)
-    return [verify_entry(catalog, computer, eid, p, method="oracle")
+    method = METHOD_ORACLE if p == 3 else "auto"
+    return [verify_entry(catalog, computer, eid, p, method=method)
             for eid in TABLE24]
 
 

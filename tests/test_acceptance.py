@@ -64,6 +64,17 @@ class TestAcceptance:
         _announce(1, f"nine order-81 groups match the table via the oracle "
                      f"({elapsed:.1f}s < 60s)")
 
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_table24_above_the_oracle_cap(self, p):
+        # order p^4 exceeds the oracle's cap, so `auto` chooses the methods;
+        # every invariant in the table has order p
+        reports = run_table24(p)
+        assert [r.group for r in reports] == list(TABLE24_EXPECT)
+        for r in reports:
+            assert r.status == "PASS", (r.group, r.status, r.trace)
+            assert r.method != METHOD_ORACLE, r.group
+            assert r.multiplier == [str(p)] * len(TABLE24_EXPECT[r.group]), r.group
+
     def test_criterion_2_extraspecial(self, catalog):
         start = time.monotonic()
         p = 3
