@@ -5,8 +5,10 @@ as a prime factorization (never a bare integer), so that orders like p^22
 stay exact at any prime.  The operations here are the abelian half of the
 multiplier calculus: Smith normal form, tensor products, exterior squares,
 and the direct-product identity M(A x B) = M(A) + M(B) + A^ab (x) B^ab.
-GF(p) row reduction and nullspaces, shared by the tensor construction and
-the centre computation, live here too.
+The one modular eliminator lives here too: `_snf_local` diagonalizes and
+`_kernel_mod` solves over Z_{p^k}.  The cohomology oracle runs them at
+k = log_p |G|; the tensor construction's ranks and kernels and the centre's
+nullspace run them at k = 1, where the diagonal's length is the GF(p) rank.
 """
 
 from __future__ import annotations
@@ -264,51 +266,80 @@ def snf_group(matrix: list[list[int]]) -> AbelianGroup:
     return AbelianGroup.from_orders([d for d in inv if d > 1])
 
 
-# -- GF(p) echelon algebra --------------------------------------------------
+# -- the modular eliminator ----------------------------------------------
 
 
-def rref_mod_p(rows: np.ndarray, p: int) -> np.ndarray:
-    """Reduced row echelon form over GF(p); zero rows dropped."""
-    a = np.array(rows, dtype=np.int64) % p
-    m, n = a.shape if a.ndim == 2 else (0, 0)
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = None
-        for i in range(r, m):
-            if a[i, c] % p:
-                piv = i
+def _snf_local(a: np.ndarray, p: int, k: int, track: np.ndarray | None = None):
+    """Diagonalize over Z_{p^k} by min-valuation pivoting.
+
+    Returns (diagonal valuations, V^T @ track) where the column change of
+    basis satisfies A_new = U A V for some invertible U; neither U nor V is
+    materialized.  A column operation on A is a row operation on V^T, so
+    only V^T @ track is carried along (None: nothing is).  With the
+    global-minimum pivot, one sweep of row operations clears the pivot's
+    column and one sweep of column operations its row, exactly (all
+    quotients divide out), so no Euclid iteration is needed.
+    """
+    m = p ** k
+    a = a % m
+    rows, cols = a.shape
+    x = None if track is None else track % m
+    diag_vals: list[int] = []
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        sub = a[t:, t:]
+        # least p-adic valuation, searching unit entries first
+        pi = pj = -1
+        pv = k
+        for v in range(k):
+            mask = (sub % (p ** (v + 1))) != 0
+            if mask.any():
+                idx = int(np.argmax(mask))
+                pi, pj = divmod(idx, cols - t)
+                pi += t
+                pj += t
+                pv = v
                 break
-        if piv is None:
-            continue
-        a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
-        for i in range(m):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        r += 1
-    return a[:r] if m else a.reshape(0, n)
+        if pi < 0:
+            break
+        if pi != t:
+            a[[t, pi]] = a[[pi, t]]
+        if pj != t:
+            a[:, [t, pj]] = a[:, [pj, t]]
+            if x is not None:
+                x[[t, pj]] = x[[pj, t]]
+        e = int(a[t, t])
+        unit = e // (p ** pv)
+        if unit != 1:
+            a[t] = (a[t] * pow(unit, -1, m)) % m
+        nzr = t + 1 + np.nonzero(a[t + 1:, t])[0]
+        if nzr.size:
+            q = (a[nzr, t] // (p ** pv)) % m
+            a[nzr, t:] = (a[nzr, t:] - q[:, None] * a[t, t:]) % m
+        # column t is now zero outside row t, so the column operations that
+        # clear row t change nothing else; only V^T @ track records them
+        cols_idx = t + 1 + np.nonzero(a[t, t + 1:])[0]
+        if x is not None and cols_idx.size:
+            q = (a[t, cols_idx] // (p ** pv)) % m
+            x[cols_idx] = (x[cols_idx] - q[:, None] * x[t]) % m
+        a[t, t + 1:] = 0
+        diag_vals.append(pv)
+        t += 1
+    return diag_vals, x
 
 
-def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    """Columns form a basis of the right nullspace over GF(p)."""
-    a = np.array(a, dtype=np.int64) % p
-    m, n = a.shape
-    r = rref_mod_p(a, p)
-    pivots = []
-    j = 0
-    for i in range(r.shape[0]):
-        while j < n and r[i, j] % p == 0:
-            j += 1
-        pivots.append(j)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((n, len(free)), dtype=np.int64)
-    for idx, c in enumerate(free):
-        basis[c, idx] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, idx] = (-r[i, c]) % p
-    return basis
+def _kernel_mod(rows: np.ndarray, width: int, p: int, k: int) -> np.ndarray:
+    """Generators (columns) of the solutions of rows @ u = 0 over Z_{p^k}.
+
+    With U rows V = diag(p^{a_j}), u = V w solves it exactly when each
+    p^{a_j} w_j vanishes, i.e. w_j is a multiple of p^{k-a_j}; coordinates
+    past the last pivot are free (a_j = k), and a unit pivot admits only 0.
+    """
+    diag_vals, v_t = _snf_local(rows, p, k, np.eye(width, dtype=np.int64))
+    a = np.array(diag_vals + [k] * (width - len(diag_vals)), dtype=np.int64)
+    keep = a > 0
+    return (v_t[keep] * p ** (k - a[keep, None]) % p ** k).T
 
 
 # -- tensor / exterior / direct-product calculus ----------------------------

@@ -15,7 +15,13 @@ multiplier is an extension of ker(rho) by N whose p-th power map is induced
 by sigma(v1 ^ v2) = v1 (x) f(v2) + binom(p,2) v2 (x) (v1,v2) + X.  So
 |M(G)| = |N| * |V ^ V| / |W|, the p-torsion count |ker(sigma-bar)| * |N|
 fixes the number of Z_{p^2} factors, and everything reduces to GF(p)
-echelon algebra in dimension dim(V) * dim(W).
+ranks and kernels in dimension dim(V) * dim(W), taken with the package's
+modular eliminator (`abelian._snf_local` / `_kernel_mod`) at k = 1.
+
+The construction reads only the lower central series: its length gives
+the class, and its second term is G'.  V's basis is read off the induced
+generating sequence of G', so neither the structure report nor a quotient
+presentation of G/G' is built.
 """
 
 from __future__ import annotations
@@ -25,16 +31,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .abelian import AbelianGroup, nullspace_mod_p, rref_mod_p
+from .abelian import AbelianGroup, _kernel_mod, _snf_local
 from .pcgroup import (
     InconsistentPresentation,
     NormalWord,
     PcPresentation,
     Subgroup,
-    _central_quotient_map,
     abelianization,
+    lower_central_series,
     reduce_mod_central,
-    structure_report,
 )
 from .results import METHOD_BE, MultiplierResult
 
@@ -47,14 +52,9 @@ class BePreconditionError(ValueError):
         super().__init__(f"{reason}" + (f": {detail}" if detail else ""))
 
 
-# -- GF(p) echelon helpers ----------------------------------------------------
-
-
-def _in_span(basis: np.ndarray, v: np.ndarray, p: int) -> bool:
-    if basis.shape[0] == 0:
-        return not np.any(v % p)
-    stacked = rref_mod_p(np.vstack([basis, v % p]), p)
-    return stacked.shape[0] == basis.shape[0]
+def _rank(rows: np.ndarray, p: int) -> int:
+    """GF(p) rank: the length of the eliminator's diagonal at k = 1."""
+    return len(_snf_local(rows, p, 1)[0])
 
 
 # -- construction data ---------------------------------------------------------
@@ -68,14 +68,15 @@ class BeData:
     reps: list[NormalWord]            # coset representatives of the V-basis
     pairing: np.ndarray               # (dV, dV, dW): (v_i, v_j) in W coordinates
     power_map: np.ndarray             # (dW, dV): f on the basis
-    x_basis: np.ndarray               # echelon basis of X inside V (x) W
+    x_rows: np.ndarray                # rows spanning X inside V (x) W
+    x_rank: int                       # dim X
     derived: Subgroup
 
     def tensor_dim(self) -> int:
         return self.dim_v * self.dim_w
 
     def x_dim(self) -> int:
-        return self.x_basis.shape[0]
+        return self.x_rank
 
     def jacobi_element(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """u (x) (v,w) + v (x) (w,u) + w (x) (u,v) for arbitrary V-vectors."""
@@ -91,7 +92,7 @@ class BeData:
         return np.outer(v, fv).reshape(-1) % self.p
 
     def in_x(self, vec: np.ndarray) -> bool:
-        return _in_span(self.x_basis, vec % self.p, self.p)
+        return _rank(np.vstack([self.x_rows, vec]), self.p) == self.x_rank
 
 
 @dataclass
@@ -116,24 +117,30 @@ def be_preconditions(pres: PcPresentation) -> Subgroup:
     p = pres.p
     if p == 2:
         raise BePreconditionError("even prime", "the construction needs p odd")
-    st = structure_report(pres)
-    if st.nilpotency_class != 2:
-        raise BePreconditionError("wrong class", f"class is {st.nilpotency_class}, need 2")
+    lower = lower_central_series(pres)
+    c = len(lower) - 1
+    if c != 2:
+        raise BePreconditionError("wrong class", f"class is {c}, need 2")
     if not abelianization(pres).is_elementary(p):
         raise BePreconditionError("quotient not elementary abelian")
-    if not st.derived.abelian_invariants().is_elementary(p):
+    derived = lower[1]
+    if not derived.abelian_invariants().is_elementary(p):
         raise BePreconditionError("derived subgroup not elementary abelian")
-    return st.derived
+    return derived
 
 
 def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) -> BeData:
     """Assemble pairing, power map, and X for a presentation that meets
     `be_preconditions`.  A pairing that is not alternating cannot come from
-    a consistent class-2 group, so it raises InconsistentPresentation."""
+    a consistent class-2 group, so it raises InconsistentPresentation.
+
+    Generator i survives in V = G/G' unless it leads the igs of G' with lead
+    entry 1; with G/G' elementary, each survivor spans one dimension."""
     p = pres.p
     derived = be_preconditions(pres)
-    quotient, survivors = _central_quotient_map(pres, derived)
-    dim_v = quotient.order_exponent
+    survivors = [i for i in range(pres.ngens)
+                 if i not in derived.igs or derived.igs[i][i] != 1]
+    dim_v = len(survivors)
     dim_w = derived.order_exponent
 
     if reps is None:
@@ -143,7 +150,7 @@ def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) ->
         # each row is the image in G/G' over the surviving generators
         mat = np.array([[reduce_mod_central(derived, r)[i] for i in survivors]
                         for r in reps], dtype=np.int64)
-        if len(reps) != dim_v or rref_mod_p(mat, p).shape[0] != dim_v:
+        if len(reps) != dim_v or _rank(mat, p) != dim_v:
             raise ValueError("representatives do not project to a V-basis")
 
     pairing = np.zeros((dim_v, dim_v, dim_w), dtype=np.int64)
@@ -161,7 +168,7 @@ def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) ->
         raise InconsistentPresentation("Blackburn-Evens: pairing not alternating")
 
     data = BeData(p, dim_v, dim_w, reps, pairing, power_map,
-                  np.zeros((0, dim_v * dim_w), dtype=np.int64), derived)
+                  np.zeros((0, dim_v * dim_w), dtype=np.int64), 0, derived)
     rows = []
     eye = np.eye(dim_v, dtype=np.int64)
     for a, b, c in combinations(range(dim_v), 3):
@@ -170,8 +177,8 @@ def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) ->
         rows.append(data.power_element(eye[a]))
     for a, b in combinations(range(dim_v), 2):
         rows.append(data.power_element((eye[a] + eye[b]) % p))
-    if rows:
-        data.x_basis = rref_mod_p(np.array(rows), p)
+    data.x_rows = np.array(rows, dtype=np.int64)  # class 2 makes dim V >= 2
+    data.x_rank = _rank(data.x_rows, p)
     return data
 
 
@@ -188,11 +195,10 @@ def extension_data(data: BeData) -> BeExtensionData:
     rho = np.zeros((data.dim_w, len(pairs)), dtype=np.int64)
     for c, (i, j) in enumerate(pairs):
         rho[:, c] = data.pairing[i, j]
-    rank_rho = rref_mod_p(rho, p).shape[0]
-    if rank_rho != data.dim_w:
+    ker = _kernel_mod(rho, len(pairs), p, 1)
+    if len(pairs) - ker.shape[1] != data.dim_w:
         raise InconsistentPresentation(
             "Blackburn-Evens: commutators do not span the derived subgroup")
-    ker = nullspace_mod_p(rho, p)
 
     # sigma(e_i ^ e_j) = e_i (x) f(e_j) + X; the binom(p,2) e_j (x) (e_i, e_j)
     # term of the general formula vanishes at odd p
@@ -203,8 +209,7 @@ def extension_data(data: BeData) -> BeExtensionData:
     sigma_on_ker = (sigma_cols @ ker) % p
 
     # the rank of the image modulo X counts the Z_{p^2} factors
-    stacked = np.vstack([data.x_basis, sigma_on_ker.T])
-    rank_sigma = rref_mod_p(stacked, p).shape[0] - data.x_dim()
+    rank_sigma = _rank(np.vstack([data.x_rows, sigma_on_ker.T]), p) - data.x_dim()
     dim_ker_rho = ker.shape[1]
     dim_n = data.tensor_dim() - data.x_dim()
     return BeExtensionData(

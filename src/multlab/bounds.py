@@ -375,10 +375,9 @@ def _resolve_subgroup(pres: PcPresentation, spec: str) -> Subgroup:
     raise LedgerError(f"unknown subgroup spec {spec!r}")
 
 
-def replay_script(script: str, p: int, computer: Computer,
-                  ledger: Ledger | None = None) -> ReplayResult:
+def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
     """Execute a bound-derivation script and assert its declared expectations."""
-    ledger = ledger if ledger is not None else Ledger()
+    ledger = Ledger()
     subject: str | None = None
     pres: PcPresentation | None = None
     trace: list[str] = []

@@ -39,7 +39,8 @@ cocycle module is the sum of the Z/p^{k-a_i}, a coboundary d has
 coordinates (V^T d)_i / p^{a_i}, and the equations' row module needs
 width - #{a_i = 0} generators (the reported pivots).  A closing pass
 checks every block against the final G.  Memory stays at the DP table plus
-a few width^2 matrices (G and the SNF transform).
+a few width^2 matrices (G and the SNF transform).  Every SNF here runs on
+the package's one modular eliminator, `abelian._snf_local` / `_kernel_mod`.
 
 H^2(G, Z_m) with m = |G| splits as Ext(G^ab, Z_m) + Hom(M(G), Z_m), and
 both summands collapse to G^ab and M(G) because exp(G^ab) and exp(M(G))
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abelian import AbelianGroup, prime_power, valuation
+from .abelian import AbelianGroup, _kernel_mod, _snf_local, prime_power, valuation
 from .cayley import CayleyTable
 from .results import METHOD_ORACLE, MultiplierResult
 
@@ -98,79 +99,6 @@ def _mod(x: np.ndarray, m: int) -> np.ndarray:
     its floor is exact; ten times faster than float64 %.
     """
     return x - m * np.floor(x / m)
-
-
-def _snf_local(a: np.ndarray, p: int, k: int, track: np.ndarray | None = None):
-    """Diagonalize over Z_{p^k} by min-valuation pivoting.
-
-    Returns (diagonal valuations, V^T @ track) where the column change of
-    basis satisfies A_new = U A V for some invertible U; neither U nor V is
-    materialized.  A column operation on A is a row operation on V^T, so
-    only V^T @ track is carried along (None: nothing is).  With the
-    global-minimum pivot, one sweep of row operations clears the pivot's
-    column and one sweep of column operations its row, exactly (all
-    quotients divide out), so no Euclid iteration is needed.
-    """
-    m = p ** k
-    a = a % m
-    rows, cols = a.shape
-    x = None if track is None else track % m
-    diag_vals: list[int] = []
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        sub = a[t:, t:]
-        # least p-adic valuation, searching unit entries first
-        pi = pj = -1
-        pv = k
-        for v in range(k):
-            mask = (sub % (p ** (v + 1))) != 0
-            if mask.any():
-                idx = int(np.argmax(mask))
-                pi, pj = divmod(idx, cols - t)
-                pi += t
-                pj += t
-                pv = v
-                break
-        if pi < 0:
-            break
-        if pi != t:
-            a[[t, pi]] = a[[pi, t]]
-        if pj != t:
-            a[:, [t, pj]] = a[:, [pj, t]]
-            if x is not None:
-                x[[t, pj]] = x[[pj, t]]
-        e = int(a[t, t])
-        unit = e // (p ** pv)
-        if unit != 1:
-            a[t] = (a[t] * pow(unit, -1, m)) % m
-        nzr = t + 1 + np.nonzero(a[t + 1:, t])[0]
-        if nzr.size:
-            q = (a[nzr, t] // (p ** pv)) % m
-            a[nzr, t:] = (a[nzr, t:] - q[:, None] * a[t, t:]) % m
-        # column t is now zero outside row t, so the column operations that
-        # clear row t change nothing else; only V^T @ track records them
-        cols_idx = t + 1 + np.nonzero(a[t, t + 1:])[0]
-        if x is not None and cols_idx.size:
-            q = (a[t, cols_idx] // (p ** pv)) % m
-            x[cols_idx] = (x[cols_idx] - q[:, None] * x[t]) % m
-        a[t, t + 1:] = 0
-        diag_vals.append(pv)
-        t += 1
-    return diag_vals, x
-
-
-def _kernel_mod(rows: np.ndarray, width: int, p: int, k: int) -> np.ndarray:
-    """Generators (columns) of the solutions of rows @ u = 0 over Z_{p^k}.
-
-    With U rows V = diag(p^{a_j}), u = V w solves it exactly when each
-    p^{a_j} w_j vanishes, i.e. w_j is a multiple of p^{k-a_j}; coordinates
-    past the last pivot are free (a_j = k), and a unit pivot admits only 0.
-    """
-    diag_vals, v_t = _snf_local(rows, p, k, np.eye(width, dtype=np.int64))
-    a = np.array(diag_vals + [k] * (width - len(diag_vals)), dtype=np.int64)
-    keep = a > 0
-    return (v_t[keep] * p ** (k - a[keep, None]) % p ** k).T
 
 
 def _residue(block: np.ndarray, gens: np.ndarray, m: int) -> np.ndarray:
@@ -380,18 +308,17 @@ def _tbl_pow(t: np.ndarray, x: int, e: int) -> int:
     return acc
 
 
-def multiplier_via_oracle(pres, cap: int = DEFAULT_ORACLE_CAP, *,
-                          memory_budget: int = DEFAULT_MEMORY_BUDGET) -> MultiplierResult:
+def multiplier_via_oracle(pres) -> MultiplierResult:
     """M(G) = (invariants of H^2(G, Z_|G|)) minus (invariants of G^ab)."""
     from .pcgroup import cayley_table
 
-    table = cayley_table(pres, cap=cap)
+    table = cayley_table(pres, cap=DEFAULT_ORACLE_CAP)
     p = pres.p
     m = table.n
     if m == 1:
         return MultiplierResult(p, AbelianGroup.trivial(), METHOD_ORACLE,
                                 trace=("oracle: trivial group",))
-    h2 = h2_trivial_coeffs(table, m, memory_budget=memory_budget)
+    h2 = h2_trivial_coeffs(table, m)
     gab = abelianization_from_table(table, p)
     h2_exps = h2.invariants.primary_exponents(p)
     gab_exps = gab.primary_exponents(p)

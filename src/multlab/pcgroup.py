@@ -23,7 +23,7 @@ from math import prod
 
 import numpy as np
 
-from .abelian import AbelianGroup, nullspace_mod_p, snf, snf_group, valuation
+from .abelian import AbelianGroup, _kernel_mod, snf, snf_group, valuation
 from .cayley import CayleyTable
 from .results import METHOD_TAILS, MultiplierResult
 
@@ -383,7 +383,8 @@ class Subgroup:
 
     @classmethod
     def whole(cls, pres: PcPresentation) -> "Subgroup":
-        return cls.generate(pres, [pres.gen(i) for i in range(pres.ngens)])
+        # the generators' unit vectors are already an igs with unit leads
+        return cls(pres, {i: pres.gen(i) for i in range(pres.ngens)})
 
     @classmethod
     def generate(cls, pres: PcPresentation, gens, normal: bool = False) -> "Subgroup":
@@ -561,7 +562,7 @@ def center(pres: PcPresentation) -> Subgroup:
                 raise InconsistentPresentation("[Z(G/N), G] is not inside N")
             row.extend(exps.get(l, 0) for l in n_sub.igs)
         rows.append(row)
-    null = nullspace_mod_p(np.array(rows, dtype=np.int64).T, p)  # columns b: b . rows = 0
+    null = _kernel_mod(np.array(rows, dtype=np.int64).T, len(ys), p, 1)  # b . rows = 0
     kernel = [pres.pow_el(u, p) for u in ys] + list(n_sub.igs.values())
     for b in null.T:
         x = pres.identity

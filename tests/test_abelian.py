@@ -1,15 +1,19 @@
 """Invariant-factor arithmetic, checked against independent oracles:
-minor-gcd invariants for SNF, and direct solution counting for tensors."""
+minor-gcd invariants for SNF, direct solution counting for tensors, and
+row-space counting for the modular eliminator at k = 1."""
 
 from itertools import combinations
 from math import gcd, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multlab.abelian import (
     AbelianGroup,
+    _kernel_mod,
+    _snf_local,
     direct_sum,
     exterior_square,
     kunneth,
@@ -72,6 +76,39 @@ class TestSnf:
         out = [d for d in snf([[6, 4, 2], [4, 2, 8], [10, 2, 4]]) if d]
         for a, b in zip(out, out[1:]):
             assert b % a == 0
+
+
+def brute_rank_mod_p(a, p):
+    """log_p of the number of distinct GF(p) combinations of the rows of a."""
+    m, n = a.shape
+    coeffs = np.indices((p,) * m).reshape(m, p ** m).T
+    codes = ((coeffs @ a) % p) @ (p ** np.arange(n))
+    return valuation(len(np.unique(codes)), p)
+
+
+@st.composite
+def matrices_mod_p(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m, n = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    entries = draw(st.lists(st.integers(-60, 60), min_size=m * n, max_size=m * n))
+    return p, np.array(entries, dtype=np.int64).reshape(m, n)
+
+
+class TestModularEliminatorOverGFp:
+    """`_snf_local` and `_kernel_mod` at k = 1, as the tensor construction
+    and the centre use them."""
+
+    @given(matrices_mod_p())
+    @settings(max_examples=200, deadline=None)
+    def test_rank_and_kernel(self, case):
+        p, a = case
+        n = a.shape[1]
+        rank = len(_snf_local(a, p, 1)[0])
+        ker = _kernel_mod(a, n, p, 1)
+        assert rank == brute_rank_mod_p(a, p)
+        assert ker.shape == (n, n - rank)
+        assert not ((a @ ker) % p).any()
+        assert brute_rank_mod_p(ker.T, p) == n - rank  # a basis, not just a spanning set
 
 
 def count_bilinear_solutions(da, db):

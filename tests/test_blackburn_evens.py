@@ -1,9 +1,11 @@
 """The class-2 tensor construction: frozen values, oracle agreement, basis
-independence, and the spanning-set soundness of X1 and X2."""
+independence, the spanning-set soundness of X1 and X2, and what the
+construction reads of the group (the lower central series only)."""
 
 import numpy as np
 import pytest
 
+from multlab import pcgroup
 from multlab.abelian import AbelianGroup
 from multlab.blackburn_evens import (
     BePreconditionError,
@@ -12,8 +14,10 @@ from multlab.blackburn_evens import (
     multiplier_via_be,
 )
 from multlab.dsl import load_presentation
+from multlab.entries import Catalog, CatalogError
 from multlab.oracle import multiplier_via_oracle
-from multlab.pcgroup import direct_product
+from multlab.pcgroup import _central_quotient_map, direct_product, structure_report
+from multlab.results import METHOD_BE
 
 ES_P3 = "gen a p\ngen a1 p\ngen a2 p\ncomm a1 a = a2"
 ES2_P3 = "gen a p\ngen a1 p\ngen a2 p\npow a = a2\ncomm a1 a = a2"
@@ -190,3 +194,55 @@ class TestExtension:
             ext = extension_data(data)
             wedge = data.dim_v * (data.dim_v - 1) // 2
             assert ext.dim_ker_rho == wedge - data.dim_w
+
+
+def _odd_instances():
+    cat = Catalog.bundled()
+    out = []
+    for p in (3, 5, 7):
+        for eid in cat.ids():
+            try:
+                cat.instantiate(eid, p)
+            except CatalogError:
+                continue
+            out.append(pytest.param(eid, p, id=f"{eid}-{p}"))
+    return out
+
+
+ODD_INSTANCES = _odd_instances()
+
+
+class TestReadsTheLowerSeries:
+    @pytest.mark.parametrize("eid,p", ODD_INSTANCES)
+    def test_no_upper_series_and_no_new_presentation(self, catalog, computer, eid, p,
+                                                     monkeypatch):
+        """The probe in `applicable` and the build run with the upper central
+        series and presentation certification made to raise, so they build
+        neither (a structure report would build both)."""
+        pres = catalog.instantiate(eid, p)
+        structure_report.cache_clear()
+
+        def forbidden(*_):
+            raise AssertionError("built an upper series or a presentation")
+
+        monkeypatch.setattr(pcgroup, "upper_central_series", forbidden)
+        monkeypatch.setattr(pcgroup, "check_consistency", forbidden)
+        methods, _ = computer.applicable(pres, catalog[eid])
+        if METHOD_BE in methods:
+            build_be_data(pres)
+
+    @pytest.mark.parametrize("eid,p", ODD_INSTANCES)
+    def test_v_matches_the_quotient_by_the_derived_subgroup(self, catalog, computer,
+                                                            eid, p):
+        """dim V and the default representatives read off the igs of G' agree with
+        the certified quotient presentation of G/G'."""
+        pres = catalog.instantiate(eid, p)
+        if METHOD_BE not in computer.applicable(pres, catalog[eid])[0]:
+            with pytest.raises(BePreconditionError):
+                build_be_data(pres)
+            return
+        data = build_be_data(pres)
+        quotient, survivors = _central_quotient_map(pres, data.derived)
+        assert data.dim_v == quotient.order_exponent
+        assert data.reps == [pres.gen(i) for i in survivors]
+

@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from multlab import oracle
-from multlab.abelian import AbelianGroup, exterior_square, valuation
+from multlab.abelian import AbelianGroup, _snf_local, exterior_square, valuation
 from multlab.dsl import load_presentation
 from multlab.oracle import (
     MemoryBudgetError,
     _restrict,
-    _snf_local,
     abelianization_from_table,
     h2_trivial_coeffs,
     multiplier_via_oracle,
@@ -262,7 +261,7 @@ class TestMultiplier:
     def test_cap_exceeded(self):
         pres = load_presentation("gen a 3\ngen b 3\ngen c 3\ngen d 3\ngen e 3\ngen f 3", 3)
         with pytest.raises(SizeCapError):
-            multiplier_via_oracle(pres, cap=128)
+            multiplier_via_oracle(pres)
 
     def test_trivial_group(self):
         pres = load_presentation("", 3)

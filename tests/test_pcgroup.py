@@ -456,6 +456,14 @@ def _forbid_enumeration(monkeypatch):
     monkeypatch.setattr(Subgroup, "elements", no_enumeration)
 
 
+class TestWholeGroup:
+    @pytest.mark.parametrize("pres", _small_instances(limit=float("inf")))
+    def test_unit_vectors_equal_the_generated_igs(self, pres):
+        whole = Subgroup.whole(pres)
+        assert whole == Subgroup.generate(pres, [pres.gen(i) for i in range(pres.ngens)])
+        assert whole.order_exponent == pres.order_exponent
+
+
 class TestCenterAgainstEnumeration:
     @pytest.mark.parametrize("pres", _small_instances())
     def test_catalog_entry(self, pres, monkeypatch):
