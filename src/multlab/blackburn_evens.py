@@ -75,9 +75,6 @@ class BeData:
     def tensor_dim(self) -> int:
         return self.dim_v * self.dim_w
 
-    def x_dim(self) -> int:
-        return self.x_rank
-
     def jacobi_element(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """u (x) (v,w) + v (x) (w,u) + w (x) (u,v) for arbitrary V-vectors."""
         p = self.p
@@ -97,7 +94,6 @@ class BeData:
 
 @dataclass
 class BeExtensionData:
-    ker_rho: np.ndarray               # (C(dV,2), dK) basis of ker rho in wedge coords
     dim_n: int
     dim_ker_rho: int
     dim_ker_sigma_bar: int
@@ -182,16 +178,12 @@ def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) ->
     return data
 
 
-def _wedge_pairs(dim_v: int) -> list[tuple[int, int]]:
-    return list(combinations(range(dim_v), 2))
-
-
 def extension_data(data: BeData) -> BeExtensionData:
-    """ker(rho) in exterior-square coordinates, and the dimensions of N,
-    ker(rho) and ker(sigma-bar) that fix M(G).  The commutators of a
+    """The dimensions of N, ker(rho) and ker(sigma-bar) that fix M(G), with
+    ker(rho) taken in exterior-square coordinates.  The commutators of a
     class-2 group span G', so rho is onto; if not, InconsistentPresentation."""
     p = data.p
-    pairs = _wedge_pairs(data.dim_v)
+    pairs = list(combinations(range(data.dim_v), 2))
     rho = np.zeros((data.dim_w, len(pairs)), dtype=np.int64)
     for c, (i, j) in enumerate(pairs):
         rho[:, c] = data.pairing[i, j]
@@ -209,11 +201,10 @@ def extension_data(data: BeData) -> BeExtensionData:
     sigma_on_ker = (sigma_cols @ ker) % p
 
     # the rank of the image modulo X counts the Z_{p^2} factors
-    rank_sigma = _rank(np.vstack([data.x_rows, sigma_on_ker.T]), p) - data.x_dim()
+    rank_sigma = _rank(np.vstack([data.x_rows, sigma_on_ker.T]), p) - data.x_rank
     dim_ker_rho = ker.shape[1]
-    dim_n = data.tensor_dim() - data.x_dim()
+    dim_n = data.tensor_dim() - data.x_rank
     return BeExtensionData(
-        ker_rho=ker,
         dim_n=dim_n,
         dim_ker_rho=dim_ker_rho,
         dim_ker_sigma_bar=dim_ker_rho - rank_sigma,
@@ -235,7 +226,7 @@ def multiplier_via_be(pres: PcPresentation,
     invs = AbelianGroup.from_primary({pres.p: [2] * a + [1] * b})
     trace = (
         f"blackburn_evens: dimV={data.dim_v}, dimW={data.dim_w}, "
-        f"dimX={data.x_dim()}, dimN={ext.dim_n}, ker_rho={ext.dim_ker_rho}, "
+        f"dimX={data.x_rank}, dimN={ext.dim_n}, ker_rho={ext.dim_ker_rho}, "
         f"ker_sigma={ext.dim_ker_sigma_bar}",
     )
     return MultiplierResult(pres.p, invs, METHOD_BE, trace=trace)

@@ -86,39 +86,38 @@ class CayleyTable:
         comms[t[t[np.ix_(inv, inv)], t]] = True  # [x, y] = x^-1 y^-1 x y
         return self._closure(np.flatnonzero(comms).tolist())
 
+    def power_map(self, e: int) -> np.ndarray:
+        """x^e for every element x, as an index array (e >= 1)."""
+        t = self.table
+        powers = np.arange(self.n)
+        for _ in range(e - 1):
+            powers = t[powers, np.arange(self.n)]
+        return powers
+
     def generating_set(self) -> list[int]:
         """A minimal generating set of the p-group: d(G) elements.
 
         By Burnside's basis theorem an element extends the picks so far
         towards a generating set of G/Phi(G), Phi(G) = G'G^p, exactly when
-        it lies outside Phi(G)<picks>; picking only such elements stops
-        after d(G) picks.  Among them each pick maximizes the closure, and
-        ties break to the smallest index for determinism.
+        it lies outside H = Phi(G)<picks>; each pick is the least such
+        index, so the picks stop after d(G).  H holds G', so it is normal,
+        and g^p lies in Phi(G), so H<g> is the union of the cosets H g^k,
+        0 <= k < p.
         """
         n = self.n
         if n == 1:
             return []
         p, _ = prime_power(n)
         t = self.table
-        powers = np.arange(n)
-        for _ in range(p - 1):
-            powers = t[powers, np.arange(n)]
         # G^p G' is the union of the cosets x^p G', as G/G' is abelian
-        frattini = np.zeros(n, dtype=bool)
-        frattini[t[np.ix_(powers, sorted(self.derived_subgroup()))]] = True
-        frattini = np.flatnonzero(frattini)
+        covered = np.zeros(n, dtype=bool)  # H, starting at Phi(G)
+        covered[t[np.ix_(self.power_map(p), sorted(self.derived_subgroup()))]] = True
         gens: list[int] = []
-        reached = {0}
-        while len(reached) < n:
-            covered = np.zeros(n, dtype=bool)  # Phi(G)<picks>, a subgroup
-            covered[t[np.ix_(sorted(reached), frattini)]] = True
-            best_g, best_size, best_closure = -1, -1, None
-            for g in np.flatnonzero(~covered).tolist():
-                cl = self._closure(gens + [g])
-                if len(cl) > best_size:
-                    best_g, best_size, best_closure = g, len(cl), cl
-                if best_size == n:
-                    break
-            gens.append(best_g)
-            reached = best_closure
+        while not covered.all():
+            g = int(np.argmin(covered))
+            gens.append(g)
+            coset = np.flatnonzero(covered)
+            for _ in range(p - 1):
+                coset = t[coset, g]
+                covered[coset] = True
         return gens

@@ -38,7 +38,7 @@ def main(argv=None) -> int:
     sc.add_argument("--group", required=True)
     sc.add_argument("--p", type=int, required=True)
     sc.add_argument("--method", default="auto",
-                    choices=("auto", "oracle", "be", "kunneth", "abelian"))
+                    choices=("auto", "tails", "oracle", "be", "kunneth", "abelian"))
     _add_common(sc)
 
     sv = subs.add_parser("verify-theorem", help="verify t(G) = 6 for one part")

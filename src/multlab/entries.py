@@ -201,11 +201,8 @@ class Catalog:
         if target.is_disabled:
             raise CatalogError(f"{entry_id} aliases disabled {target.entry_id}")
         if target.is_product:
-            parts = [self.instantiate(fid, p) for fid in target.factors]
-            pres = parts[0]
-            for q in parts[1:-1]:
-                pres = direct_product(pres, q)
-            pres = direct_product(pres, parts[-1], name=entry_id)
+            pres = direct_product(*[self.instantiate(fid, p) for fid in target.factors],
+                                  name=entry_id)
         else:
             try:
                 pres = load_presentation(target.dsl_text, p, name=entry_id)
@@ -215,6 +212,4 @@ class Catalog:
         return pres
 
 
-def load_group_dsl(text: str, p: int, name: str | None = None) -> PcPresentation:
-    """Parse and instantiate a bare presentation text (consistency-checked)."""
-    return load_presentation(text, p, name=name)
+load_group_dsl = load_presentation  # the public name of dsl.load_presentation

@@ -259,16 +259,15 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
 
 def abelianization_from_table(table: CayleyTable, p: int) -> AbelianGroup:
     """G^ab invariants straight from the table (independent of presentations)."""
-    n = table.n
-    t = table.table
     dsub = table.derived_subgroup()
+    powers = table.power_map(p)
     # coset order profile: least j with x^{p^j} in G'
     counts: dict[int, int] = {}
-    for x in range(n):
+    for x in range(table.n):
         j = 0
         y = x
         while y not in dsub:
-            y = _tbl_pow(t, y, p)
+            y = int(powers[y])
             j += 1
         counts[j] = counts.get(j, 0) + 1
     coset_counts = {j: c // len(dsub) for j, c in counts.items()}
@@ -295,17 +294,6 @@ def _invariants_from_order_counts(counts: dict[int, int], p: int) -> AbelianGrou
         need = exps[j - 1] - (exps[j] if j < len(exps) else 0)
         out.extend([j] * need)
     return AbelianGroup.from_primary({p: out}) if out else AbelianGroup.trivial()
-
-
-def _tbl_pow(t: np.ndarray, x: int, e: int) -> int:
-    acc = 0
-    base = x
-    while e:
-        if e & 1:
-            acc = int(t[acc, base])
-        base = int(t[base, base])
-        e >>= 1
-    return acc
 
 
 def multiplier_via_oracle(pres) -> MultiplierResult:

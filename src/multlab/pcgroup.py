@@ -11,7 +11,9 @@ Collection from the left with a work-stack rewrites arbitrary words to the
 unique normal form g_1^{a_1} ... g_n^{a_n}, 0 <= a_i < r_i; the standard
 triple- and power-overlap tests certify that a presentation is consistent,
 i.e. the presented group has order exactly prod r_i.  Every presentation
-runs them when it is built, so no function here ever sees one that fails.
+runs them once, when it is built, so no function here ever sees one that
+fails.  That one pass carries a free central tail on every relation, and
+the tail relations it leaves are what central tails reads M(G) from.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class PcPresentation:
             seen.add((j, i))
             self._check_tail(tail, i, f"commutator [{self.names[j]},{self.names[i]}]")
         object.__setattr__(self, "_comm_map", {(j, i): tail for j, i, tail in self.comms})
-        check_consistency(self)
+        object.__setattr__(self, "_tail_rows", check_consistency(self))
 
     def _check_tail(self, tail: Word, lhs_min: int, what: str):
         prev = lhs_min
@@ -260,28 +262,28 @@ class PcPresentation:
 # -- consistency -------------------------------------------------------------
 
 
-def overlaps(pres: PcPresentation, tailed: bool = False):
+def overlaps(pres: PcPresentation):
     """The triple/power overlap family, which certifies |G| = prod r_i.
     Yields (kind, generator indices, lhs, rhs) for each overlap evaluated
     both ways; a side is (normal word, tails), the tails being the tail
-    vector the collection applied (see `_collect_onto`) when `tailed` and
-    None otherwise.  A power g_i^{r_i} enters as its collected tail w_i
-    carrying t_i, never as a letter for the collector."""
+    vector the collection applied (see `_collect_onto`).  A power g_i^{r_i}
+    enters as its collected tail w_i carrying t_i, never as a letter for
+    the collector."""
     n = pres.ngens
     width = n + n * (n - 1) // 2
 
     def mul(x, y):
         (u, s), (v, t) = x, y
-        acc = [a + b for a, b in zip(s, t)] if tailed else None
+        acc = [a + b for a, b in zip(s, t)]
         return pres._collect_onto(list(u), pres.word_of(v), acc), acc
 
     def unit(i, e=1):
         v = [0] * n
         v[i] = e
-        return tuple(v), [0] * width if tailed else None
+        return tuple(v), [0] * width
 
     def power(i):  # g_i^{r_i} = w_i t_i
-        tails = [int(k == i) for k in range(width)] if tailed else None
+        tails = [int(k == i) for k in range(width)]
         return pres._collect_onto([0] * n, pres.powers[i], tails), tails
 
     g = [unit(i) for i in range(n)]
@@ -301,14 +303,18 @@ def overlaps(pres: PcPresentation, tailed: bool = False):
         yield "power-cycle", (i,), mul(g[i], wv[i]), mul(wv[i], g[i])
 
 
-def check_consistency(pres: PcPresentation) -> None:
+def check_consistency(pres: PcPresentation) -> tuple[tuple[int, ...], ...]:
     """Run the full overlap family; raise InconsistentPresentation naming the
-    first overlap that fails."""
-    for kind, idxs, (lhs, _), (rhs, _) in overlaps(pres):
+    first overlap that fails.  Returns the tail relations lhs - rhs, one row
+    per overlap, that central tails reads M(G) from."""
+    rows = []
+    for kind, idxs, (lhs, ls), (rhs, rs) in overlaps(pres):
         if lhs != rhs:
             gens = ", ".join(pres.names[t] for t in idxs)
             raise InconsistentPresentation(
                 f"inconsistent presentation: {kind} overlap on ({gens}): {lhs} != {rhs}")
+        rows.append(tuple(a - b for a, b in zip(ls, rs)))
+    return tuple(rows)
 
 
 def multiplier_via_tails(pres: PcPresentation) -> MultiplierResult:
@@ -317,9 +323,10 @@ def multiplier_via_tails(pres: PcPresentation) -> MultiplierResult:
     presentation with a free central tail on every relation, gives a
     Z-linear relation lhs - rhs among the tails, and Z^tails / relations is
     R/[F,R] = Z^n + M(G).  Its torsion is M(G); its free rank must be the
-    number of generators n, since R/(R cap F') has finite index in Z^n."""
-    rows = [[a - b for a, b in zip(ls, rs)]
-            for _, _, (_, ls), (_, rs) in overlaps(pres, tailed=True)]
+    number of generators n, since R/(R cap F') has finite index in Z^n.
+    The relations are those the presentation's certification left, so no
+    word is collected here."""
+    rows = pres._tail_rows
     diag = snf(rows)
     free = diag.count(0)
     if free != pres.ngens:
@@ -668,27 +675,28 @@ def central_quotient(pres: PcPresentation, K: Subgroup) -> PcPresentation:
     return _central_quotient_map(pres, K)[0]
 
 
-def direct_product(a: PcPresentation, b: PcPresentation,
-                   name: str | None = None) -> PcPresentation:
-    """A x B, named `name` or "A x B"; certified once, when it is built."""
-    if a.p != b.p:
-        raise ValueError(f"mismatched primes {a.p} and {b.p}")
-    na = a.ngens
-    names = list(a.names)
-    for nm in b.names:
-        while nm in names:
-            nm = nm + "'"
-        names.append(nm)
-    shift = lambda w: tuple((k + na, e) for k, e in w)
-    comms = list(a.comms) + [(j + na, i + na, shift(t)) for j, i, t in b.comms]
-    return PcPresentation(
-        p=a.p,
-        names=tuple(names),
-        orders=a.orders + b.orders,
-        powers=a.powers + tuple(shift(w) for w in b.powers),
-        comms=tuple(comms),
-        name=name or (f"{a.name} x {b.name}" if a.name and b.name else None),
-    )
+def direct_product(*factors: PcPresentation, name: str | None = None) -> PcPresentation:
+    """The product of `factors`, in order, named `name` or "A x B x ...";
+    certified once, when it is built.  A repeated generator name is primed."""
+    p = factors[0].p
+    shift = lambda w, na: tuple((k + na, e) for k, e in w)
+    names: list[str] = []
+    orders, powers, comms = [], [], []
+    for f in factors:
+        if f.p != p:
+            raise ValueError(f"mismatched primes {p} and {f.p}")
+        na = len(names)
+        for nm in f.names:
+            while nm in names:
+                nm = nm + "'"
+            names.append(nm)
+        orders += f.orders
+        powers += [shift(w, na) for w in f.powers]
+        comms += [(j + na, i + na, shift(t, na)) for j, i, t in f.comms]
+    if name is None and all(f.name for f in factors):
+        name = " x ".join(f.name for f in factors)
+    return PcPresentation(p=p, names=tuple(names), orders=tuple(orders),
+                          powers=tuple(powers), comms=tuple(comms), name=name)
 
 
 # -- abelianization ------------------------------------------------------------
@@ -778,7 +786,8 @@ def cayley_table(pres: PcPresentation, cap: int = 128) -> CayleyTable:
 def iso_witness_check(src: PcPresentation, dst: PcPresentation,
                       images: list[NormalWord]) -> bool:
     """True iff the generator images satisfy src's relations in dst and
-    generate all of dst.  Size mismatch is an error, not a False."""
+    generate all of dst.  Size mismatch, or an image that is not a normal
+    word of dst, is an error, not a False."""
     if len(images) != src.ngens:
         raise ValueError(f"need {src.ngens} images, got {len(images)}")
     if src.p != dst.p or src.order_exponent != dst.order_exponent:
@@ -786,6 +795,9 @@ def iso_witness_check(src: PcPresentation, dst: PcPresentation,
             f"size mismatch: |src| = {src.p}^{src.order_exponent}, "
             f"|dst| = {dst.p}^{dst.order_exponent}")
     images = [tuple(x) for x in images]
+    for x in images:
+        if len(x) != dst.ngens or not all(0 <= e < r for e, r in zip(x, dst.orders)):
+            raise ValueError(f"image {x} is not a normal word of dst")
 
     def img(word: Word) -> NormalWord:
         acc = dst.identity

@@ -38,12 +38,12 @@ class TestBuild:
         data = build_be_data(load_presentation(ES_P3, 3))
         assert (data.dim_v, data.dim_w) == (2, 1)
         assert not data.power_map.any()
-        assert data.x_dim() == 0
+        assert data.x_rank == 0
 
     def test_es2_p3_x_is_everything(self):
         data = build_be_data(load_presentation(ES2_P3, 3))
         assert np.count_nonzero(data.power_map) == 1
-        assert data.x_dim() == data.tensor_dim() == 2
+        assert data.x_rank == data.tensor_dim() == 2
 
     def test_class3_rejected(self):
         with pytest.raises(BePreconditionError, match="class"):

@@ -15,7 +15,7 @@ from multlab.entries import (
     load_group_dsl,
     parse_entry,
 )
-from multlab.pcgroup import abelianization, check_consistency
+from multlab.pcgroup import abelianization, check_consistency, direct_product
 from multlab.report import (
     ODD_PART,
     TWO_PART,
@@ -52,15 +52,38 @@ class TestCatalogIntegrity:
             for p in _primes_for(entry)[:2]:
                 check_consistency(catalog.instantiate(eid, p))  # raises on a failing overlap
 
-    def test_product_entry_certified_once(self, monkeypatch):
-        # the factors and then the product itself, built under its entry id
+    @pytest.mark.parametrize("eid,p,want", [
+        ("Phi2_14", 3, ["ESp_p3", "Zp", "Phi2_14"]),
+        ("T6_i", 3, ["ESp_p3", "Zp", "T6_i"]),  # ESp_p3 x Zp^5
+    ])
+    def test_product_entry_certified_once(self, monkeypatch, eid, p, want):
+        # each distinct factor once, then the product itself under its entry
+        # id: no intermediate product is built
         real = pcgroup.check_consistency
         checked = []
         monkeypatch.setattr(pcgroup, "check_consistency",
                             lambda pres: checked.append(pres.name) or real(pres))
-        pres = Catalog.bundled().instantiate("Phi2_14", 3)
-        assert pres.name == "Phi2_14"
-        assert checked == ["ESp_p3", "Zp", "Phi2_14"]
+        pres = Catalog.bundled().instantiate(eid, p)
+        assert pres.name == eid
+        assert checked == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_product_entry_is_the_pairwise_chain(self, catalog, p):
+        checked = 0
+        for eid in catalog.ids():
+            recipe = catalog.resolve_recipe(eid)
+            entry = catalog[eid]
+            if not recipe.is_product or entry.is_disabled or not entry.allows(p):
+                continue
+            parts = [catalog.instantiate(fid, p) for fid in recipe.factors]
+            chain = parts[0]
+            for q in parts[1:-1]:
+                chain = direct_product(chain, q)
+            chain = direct_product(chain, parts[-1], name=eid)
+            pres = catalog.instantiate(eid, p)
+            assert (pres, pres.names, pres.name) == (chain, chain.names, chain.name), eid
+            checked += 1
+        assert checked >= 4
 
     def test_one_factor_product_rejected(self):
         with pytest.raises(CatalogError, match="two factors"):
@@ -199,7 +222,6 @@ class TestGreenSanity:
 
     def test_elementary_abelian_meets_green(self, computer, catalog):
         # rank-k elementary abelian: |M| = p^{k(k-1)/2}, so t = 0
-        from multlab.pcgroup import direct_product
         pres = catalog.instantiate("Zp", 3)
         for _ in range(3):
             pres = direct_product(pres, catalog.instantiate("Zp", 3))
@@ -359,6 +381,13 @@ class TestCli:
         assert out.err == "" and "F0 Phi2_22: exact-order p^1 [computed(tails)]" in out.out
         assert out.out.endswith("replay of Phi2_22 at p=5: OK (0 assumed bound(s), "
                                 "0 capability assumption(s))\n")
+
+    def test_forced_tails_above_the_oracle_cap(self, capsys):
+        from multlab.cli import main
+        assert main(["compute", "--group", "T6_xii", "--p", "5", "--method", "tails",
+                     "--format", "jsonl"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["method"], rec["n"], rec["t"], rec["status"]) == ("tails", 4, 6, "PASS")
 
     def test_forced_inapplicable_method(self, capsys):
         from multlab.cli import main

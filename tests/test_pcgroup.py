@@ -165,6 +165,18 @@ class TestTails:
         res = multiplier_via_tails(catalog.instantiate(eid, p))
         assert res.invariants == AbelianGroup.from_orders(want)
 
+    @pytest.mark.parametrize("eid,p", [("T6_iii", 3), ("Phi2_211b", 5), ("T6_xiv", 2)])
+    def test_reads_the_certificate_without_collecting(self, catalog, monkeypatch, eid, p):
+        pres = catalog.instantiate(eid, p)
+        want = multiplier_via_tails(pres)
+
+        def forbidden(*_):
+            raise AssertionError("collected a word")
+
+        monkeypatch.setattr(PcPresentation, "_collect_onto", forbidden)
+        got = multiplier_via_tails(pres)
+        assert (got.invariants, got.trace) == (want.invariants, want.trace)
+
     def test_inverse_letter_carries_minus_one_tail(self):
         # a^-1 = a^(r-1) t^-1, then a^r = t: a^-1 a collects to 1, no tail
         pres = load_presentation("gen a p^2", 3)
@@ -409,6 +421,17 @@ class TestIsoWitness:
         z2 = load_presentation("gen a 2", 2)
         with pytest.raises(ValueError, match="size mismatch"):
             iso_witness_check(d8, z2, [(0,), (1,)])
+
+    # D8 has relative orders (2, 4): a wrong length, an exponent at or past
+    # r_i, and a negative one, which the collector would chase to its step guard
+    @pytest.mark.parametrize("images", [
+        [(1, 0, 0), (0, 1)], [(1, 5), (0, 1)], [(3, 0), (0, 1)], [(1, 0), (0, 4)],
+        [(1, 0), (0, -1)],
+    ])
+    def test_image_not_a_normal_word_is_an_error(self, images):
+        d8 = load_presentation(D8, 2)
+        with pytest.raises(ValueError, match="not a normal word"):
+            iso_witness_check(d8, d8, images)
 
 
 # -- brute-force references: enumerate the group ------------------------------
