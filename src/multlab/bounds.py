@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 from .abelian import AbelianGroup, exterior_square, tensor
 from .compute import Computer
+from .dsl import DslError, parse_order
+from .entries import _take_citation
 from .pcgroup import (
     PcPresentation,
     Subgroup,
@@ -115,7 +117,6 @@ class Ledger:
 
     def __init__(self):
         self.facts: list[Fact] = []
-        self._by_subject: dict[str, list[Fact]] = {}
 
     def add(self, subject: str, kind: str, p: int, *, exponent: int | None = None,
             structure: AbelianGroup | None = None,
@@ -127,13 +128,12 @@ class Ledger:
                 raise LedgerError(f"premise F{pid} does not exist")
         self._validate(fact)
         self.facts.append(fact)
-        self._by_subject.setdefault(subject, []).append(fact)
         return fact
 
     def _validate(self, fact: Fact):
         if fact.kind == KIND_CAPABLE:
             return
-        subject_facts = self._by_subject.get(fact.subject, []) + [fact]
+        subject_facts = self.for_subject(fact.subject) + [fact]
         uppers = [f.exponent for f in subject_facts if f.kind == KIND_UPPER]
         lowers = [f.exponent for f in subject_facts if f.kind == KIND_LOWER]
         exacts = [f.exponent for f in subject_facts if f.kind == KIND_EXACT]
@@ -152,7 +152,7 @@ class Ledger:
             raise LedgerError(f"{fact.subject}: conflicting exact orders {exacts}")
 
     def for_subject(self, subject: str) -> list[Fact]:
-        return list(self._by_subject.get(subject, []))
+        return [f for f in self.facts if f.subject == subject]
 
     def best_upper(self, subject: str) -> Fact | None:
         cands = [f for f in self.for_subject(subject) if f.kind == KIND_UPPER]
@@ -337,7 +337,10 @@ class ReplayResult:
     subject: str
     ledger: Ledger
     trace: list[str]
-    assumed: list[Fact]
+
+    @property
+    def assumed(self) -> list[Fact]:
+        return [f for f in self.ledger.facts if f.provenance.tag == "assumed"]
 
     def assumed_bounds(self) -> list[Fact]:
         """Assumed order facts (capability assumptions are gate conditions,
@@ -349,15 +352,6 @@ class ReplayResult:
 
     def final_exact(self) -> Fact | None:
         return self.ledger.exact(self.subject)
-
-
-def _parse_power(token: str, p: int) -> int:
-    token = token.strip()
-    if token == "1":
-        return 0
-    if token.startswith("p^"):
-        return int(token[2:])
-    raise LedgerError(f"order values are written 1 or p^E, got {token!r}")
 
 
 def _resolve_subgroup(pres: PcPresentation, spec: str) -> Subgroup:
@@ -381,7 +375,6 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
     subject: str | None = None
     pres: PcPresentation | None = None
     trace: list[str] = []
-    assumed: list[Fact] = []
 
     def add_result(fact_subject: str, result: MultiplierResult) -> Fact:
         """An exact-order fact from a multiplier computation."""
@@ -411,19 +404,14 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
             if subject is None or pres is None:
                 raise LedgerError("script must start with `use <group>`")
             if verb == "assume":
-                kind_tok = parts[1]
-                if kind_tok == "capable":
-                    citation = line.split('"')[1]
-                    fact = ledger.add(subject, KIND_CAPABLE, p,
-                                      provenance=Provenance.assumed(citation))
-                else:
-                    kind = {"upper": KIND_UPPER, "lower": KIND_LOWER,
-                            "exact": KIND_EXACT}[kind_tok]
-                    citation = line.split('"')[1]
-                    fact = ledger.add(subject, kind, p,
-                                      exponent=_parse_power(parts[2], p),
-                                      provenance=Provenance.assumed(citation))
-                assumed.append(fact)
+                if '"' not in line:
+                    raise LedgerError("an assumption needs a quoted citation")
+                _, citation = _take_citation(line)
+                kind = {"capable": KIND_CAPABLE, "upper": KIND_UPPER, "lower": KIND_LOWER,
+                        "exact": KIND_EXACT}[parts[1]]
+                exponent = None if kind == KIND_CAPABLE else parse_order(parts[2])
+                fact = ledger.add(subject, kind, p, exponent=exponent,
+                                  provenance=Provenance.assumed(citation))
                 trace.append(fact.describe())
             elif verb == "apply":
                 rule = parts[1]
@@ -455,7 +443,7 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
             elif verb == "compute":
                 add_result(subject, computer.compute(pres))
             elif verb == "expect":
-                kind_tok, value = parts[1], _parse_power(parts[2], p)
+                kind_tok, value = parts[1], parse_order(parts[2])
                 if kind_tok == "upper":
                     best = ledger.best_upper(subject)
                     found = best.exponent if best else None
@@ -479,8 +467,8 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
                 raise LedgerError(f"unknown verb {verb!r}")
         except ReplayAssertionError:
             raise
-        except (LedgerError, KeyError, IndexError) as exc:
+        except (LedgerError, DslError, KeyError, IndexError) as exc:
             raise ReplayAssertionError(step_no, line, str(exc)) from exc
     if subject is None:
         raise LedgerError("empty script")
-    return ReplayResult(subject, ledger, trace, assumed)
+    return ReplayResult(subject, ledger, trace)

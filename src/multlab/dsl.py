@@ -66,6 +66,16 @@ def _parse_scalar(token: str, p: int, line_no: int) -> int:
         raise DslError(f"bad number {token!r}", line_no) from None
 
 
+def parse_order(token: str) -> int:
+    """E for an order written `1` (E = 0) or `p^E`."""
+    token = token.strip()
+    if token == "1":
+        return 0
+    if token.startswith("p^") and token[2:].isdigit():
+        return int(token[2:])
+    raise DslError(f"order values are written 1 or p^E, got {token!r}")
+
+
 def _parse_word(text: str, gen_index: dict[str, int], p: int, line_no: int):
     text = text.strip()
     if text == "1":

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .abelian import AbelianGroup
-from .dsl import DslError, _parse_scalar, load_presentation
+from .dsl import DslError, _parse_scalar, load_presentation, parse_order
 from .pcgroup import PcPresentation, direct_product, is_prime
 
 CONSTRAINTS = ("odd", "two", "any")
@@ -49,12 +49,7 @@ class Expect:
 
     def order_exponent_at(self, p: int) -> int:
         assert self.kind == "order"
-        v = self.value.strip()
-        if v == "1":
-            return 0
-        if v.startswith("p^"):
-            return int(v[2:])
-        raise CatalogError(f"order expectation must be 1 or p^E, got {v!r}")
+        return parse_order(self.value)
 
     def t_value(self) -> int:
         assert self.kind == "t"
@@ -103,9 +98,10 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
     alias_of = None
     squeeze = None
     disabled = None
-    dsl_lines: list[str] = []
+    dsl_lines: list[str] = []  # header lines blank, so DSL errors keep the file's line numbers
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
+        dsl_lines.append("")
         if not line:
             continue
         kw = line.split()[0]
@@ -130,10 +126,11 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
         elif kw == "disabled":
             disabled = line.split(None, 1)[1] if " " in line else "disabled"
         else:
-            dsl_lines.append(raw)
+            dsl_lines[-1] = raw
     if name is None:
         raise CatalogError("entry has no name")
-    modes = sum(1 for x in (factors, alias_of, dsl_lines) if x)
+    direct = any(dsl_lines)
+    modes = sum(1 for x in (factors, alias_of, direct) if x)
     if modes != 1 and disabled is None:
         raise CatalogError(f"{name}: entry must be exactly one of direct/product/alias")
     if len(factors) == 1:
@@ -141,7 +138,7 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
     return CatalogEntry(
         entry_id=name,
         constraint=constraint,
-        dsl_text="\n".join(dsl_lines) if dsl_lines else None,
+        dsl_text="\n".join(dsl_lines) if direct else None,
         factors=tuple(factors),
         alias_of=alias_of,
         expects=tuple(expects),

@@ -504,29 +504,33 @@ class Subgroup:
 
 
 def derived_subgroup(pres: PcPresentation) -> Subgroup:
-    gens = [pres.comm_el(pres.gen(j), pres.gen(i))
-            for j in range(pres.ngens) for i in range(j)]
-    gens = [g for g in gens if g != pres.identity]
-    return Subgroup.generate(pres, gens, normal=True)
+    """G' = [G, G]: the second term of the lower central series."""
+    lower = lower_central_series(pres)
+    return lower[1] if len(lower) > 1 else lower[0]
+
+
+def _stated(pres: PcPresentation, tail: Word) -> NormalWord:
+    """A relation's tail, which is checked to be normal, as a normal word."""
+    return tuple(dict(tail).get(k, 0) for k in range(pres.ngens))
 
 
 def _descending_series(pres: PcPresentation, p_power: bool) -> list[Subgroup]:
     """S_1 = G, S_{k+1} = [S_k, G] (times S_k^p when `p_power`), down to and
     including the trivial term: the lower central series, or the lower
     exponent-p central series whose last nontrivial term is central and
-    elementary abelian."""
+    elementary abelian.  [G, G] is the normal closure of the stated tails
+    of [g_j, g_i], so the first step collects no commutator."""
     gens = [pres.gen(i) for i in range(pres.ngens)]
     series = [Subgroup.whole(pres)]
-    pairs = [(gens[j], gens[i]) for j in range(len(gens)) for i in range(j)]  # [G, G]
+    words = [_stated(pres, tail) for _, _, tail in pres.comms]
     while series[-1].order_exponent:
-        nxt = [pres.comm_el(u, g) for u, g in pairs]
         if p_power:
-            nxt += [pres.pow_el(u, pres.p) for u in series[-1].igs.values()]
-        nxt = Subgroup.generate(pres, [x for x in nxt if x != pres.identity], normal=True)
+            words += [pres.pow_el(u, pres.p) for u in series[-1].igs.values()]
+        nxt = Subgroup.generate(pres, [x for x in words if x != pres.identity], normal=True)
         if nxt.order_exponent == series[-1].order_exponent:
             raise InconsistentPresentation("descending central series stalled")
         series.append(nxt)
-        pairs = [(u, g) for u in nxt.igs.values() for g in gens]
+        words = [pres.comm_el(u, g) for u in nxt.igs.values() for g in gens]
     return series
 
 
@@ -552,9 +556,9 @@ def center(pres: PcPresentation) -> Subgroup:
     G is never enumerated.
     """
     p = pres.p
-    gens = [pres.gen(i) for i in range(pres.ngens)]
-    if all(pres.commutes(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]):
+    if not any(tail for _, _, tail in pres.comms):
         return Subgroup.whole(pres)
+    gens = [pres.gen(i) for i in range(pres.ngens)]
     n_sub = _descending_series(pres, p_power=True)[-2]
     quotient, survivors = _central_quotient_map(pres, n_sub)
     lifts = [_lift(u, survivors, pres.ngens) for u in center(quotient).igs.values()]
@@ -585,8 +589,9 @@ def center(pres: PcPresentation) -> Subgroup:
     return z
 
 
+@lru_cache(maxsize=None)
 def lower_central_series(pres: PcPresentation) -> list[Subgroup]:
-    """gamma_1 = G >= gamma_2 >= ... down to (and including) the trivial term."""
+    """gamma_1 = G >= gamma_2 >= ... >= 1, built once per presentation."""
     return _descending_series(pres, p_power=False)
 
 
@@ -650,14 +655,10 @@ def _central_quotient_map(pres: PcPresentation, K: Subgroup) -> tuple[PcPresenta
     for t, i in enumerate(survivors):
         y = pres.pow_el(pres.gen(i), new_orders[t])
         new_powers.append(project(y))
-    new_comms = []
-    for tj, j in enumerate(survivors):
-        for ti, i in enumerate(survivors):
-            if i >= j:
-                continue
-            tail = project(pres.comm_el(pres.gen(j), pres.gen(i)))
-            if tail:
-                new_comms.append((tj, ti, tail))
+    new_comms = []  # the stated tails, projected, in (j, i) order
+    for j, i, tail in sorted(pres.comms):
+        if j in pos and i in pos and (w := project(_stated(pres, tail))):
+            new_comms.append((pos[j], pos[i], w))
     q = PcPresentation(
         p=p,
         names=tuple(pres.names[i] for i in survivors),

@@ -1,5 +1,7 @@
 """Ledger rules, consistency guards, and script replays."""
 
+import re
+
 import pytest
 
 from multlab.abelian import AbelianGroup
@@ -13,6 +15,7 @@ from multlab.bounds import (
     MissingPremiseError,
     Provenance,
     ReplayAssertionError,
+    ReplayResult,
     replay_script,
     rule_class_bound,
     rule_extraspecial,
@@ -233,6 +236,29 @@ class TestReplay:
         script = "use ESp_p3\napply class_bound\nexpect upper p^9"
         with pytest.raises(ReplayAssertionError, match="p\\^2"):
             replay_script(script, 3, computer)
+
+    @pytest.mark.parametrize("verb", ["upper p^4", "capable"])
+    def test_citation_may_hold_quotes(self, computer, verb):
+        res = replay_script(f'use ESp_p3\nassume {verb} "Thm "3.1" of MRR"', 3, computer)
+        [fact] = res.assumed
+        assert fact.provenance.citation == 'Thm "3.1" of MRR'
+        assert res.trace[-1].endswith('[assumed "Thm "3.1" of MRR"]')
+
+    @pytest.mark.parametrize("line", ["expect upper 9", "expect upper p^x",
+                                      "assume upper 9 \"c\"", "assume upper p^2"])
+    def test_malformed_step_names_its_step(self, computer, line):
+        with pytest.raises(ReplayAssertionError, match=re.escape(f"step 2 ({line!r})")):
+            replay_script(f"use ESp_p3\n{line}", 3, computer)
+
+    def test_assumed_facts_are_read_off_the_ledger(self):
+        led = Ledger()
+        cap = led.add("G", KIND_CAPABLE, 3, provenance=Provenance.assumed("c"))
+        led.add("G/Z", KIND_EXACT, 3, exponent=1, provenance=Provenance.computed("abelian"))
+        up = led.add("G", KIND_UPPER, 3, exponent=4, provenance=Provenance.assumed("u"))
+        res = ReplayResult("G", led, [])
+        assert res.assumed == [cap, up]
+        assert (res.assumed_bounds(), res.assumed_capabilities()) == ([up], [cap])
+        assert led.for_subject("G") == [cap, up]
 
     def test_replay_is_deterministic(self, computer):
         first = replay_script(load_script("phi7_15_squeeze.script"), 3, computer)

@@ -120,6 +120,17 @@ class TestCatalogIntegrity:
 
 
 class TestLoadGroupDsl:
+    def test_catalog_file_error_names_the_file_line(self):
+        text = "name Bad\nconstraint any\n# header above\ngen a p\ngen b p\npow c = b\n"
+        entry = parse_entry(text)
+        with pytest.raises(CatalogError, match="line 6: unknown generator 'c'"):
+            Catalog({entry.entry_id: entry}).instantiate("Bad", 3)
+
+    def test_malformed_order_expectation(self):
+        entry = parse_entry('name Z\ngen a p\nexpect order p^x "s"\n')
+        with pytest.raises(DslError, match="1 or p\\^E"):
+            entry.expects[0].order_exponent_at(3)
+
     def test_parse_error_carries_line(self):
         with pytest.raises(DslError, match="line 3"):
             load_group_dsl("gen a 2\ngen b 2\ncomm a = b", 2)

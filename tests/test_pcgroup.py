@@ -37,6 +37,7 @@ from multlab.pcgroup import (
     derived_subgroup,
     direct_product,
     iso_witness_check,
+    lower_central_series,
     multiplier_via_tails,
     structure_report,
     upper_central_series,
@@ -602,3 +603,46 @@ class TestStructureLayerWithoutEnumeration:
         else:
             want = AbelianGroup.elementary(p, 2) if max(orders) == p else AbelianGroup.trivial()
         assert got == want
+
+
+def _catalog_instances():
+    cat = Catalog.bundled()
+    out = []
+    for p in (2, 3, 5, 7):
+        for eid in cat.ids():
+            try:
+                out.append(pytest.param(cat.instantiate(eid, p), id=f"{eid}-{p}"))
+            except CatalogError:
+                continue
+    return out
+
+
+class TestOneLowerSeries:
+    """The lower central series starts from the stated commutator tails and
+    is built once per presentation."""
+
+    @pytest.mark.parametrize("pres", _catalog_instances())
+    def test_derived_is_the_closure_of_generator_commutators(self, pres):
+        comms = [pres.comm_el(pres.gen(j), pres.gen(i))
+                 for j in range(pres.ngens) for i in range(j)]
+        reference = Subgroup.generate(
+            pres, [c for c in comms if c != pres.identity], normal=True)
+        assert lower_central_series(pres)[1] == reference == derived_subgroup(pres)
+        if not pres.comms:
+            assert center(pres) == Subgroup.whole(pres)
+
+    def test_auto_builds_each_series_once(self, catalog, computer, monkeypatch):
+        pres = catalog.instantiate("T6_ii", 5)
+        lower_central_series.cache_clear()
+        builds = Counter()
+        descend = pcgroup._descending_series
+
+        def counted(q, p_power):
+            builds[q, p_power] += 1
+            return descend(q, p_power)
+
+        monkeypatch.setattr(pcgroup, "_descending_series", counted)
+        res = computer.compute("T6_ii", 5)
+        assert "blackburn_evens" in [line.split(":")[0] for line in res.trace]
+        lower = {q: n for (q, p_power), n in builds.items() if not p_power}
+        assert pres in lower and set(lower.values()) == {1}
