@@ -53,6 +53,7 @@ __all__ = [
     "h2_trivial_coeffs", "iso_witness_check", "kunneth", "load_group_dsl",
     "multiplier_via_be", "multiplier_via_oracle", "multiplier_via_tails", "replay_script",
     "rule_class_bound", "rule_extraspecial", "rule_green", "rule_jones",
-    "rule_transgression_lower", "run_table24", "snf", "structure_report",
+    "rule_transgression_lower", "run_table24", "structure_report",
     "tensor", "verify_entry", "verify_theorem",
+    "snf",  # snf(matrix, p, k): the Smith form's p-adic valuations over Z_{p^k}
 ]

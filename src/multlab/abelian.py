@@ -5,17 +5,21 @@ as a prime factorization (never a bare integer), so that orders like p^22
 stay exact at any prime.  The operations here are the abelian half of the
 multiplier calculus: Smith normal form, tensor products, exterior squares,
 and the direct-product identity M(A x B) = M(A) + M(B) + A^ab (x) B^ab.
-The one modular eliminator lives here too: `_snf_local` diagonalizes and
-`_kernel_mod` solves over Z_{p^k}.  The cohomology oracle runs them at
-k = log_p |G|; the tensor construction's ranks and kernels and the centre's
-nullspace run them at k = 1, where the diagonal's length is the GF(p) rank.
-"""
+
+There is one Smith-form engine, the modular eliminator `_snf_local` over
+Z_{p^k}; `_kernel_mod` solves with it and `snf` reads cokernels with it.
+Every cokernel read here is a p-group plus free summands, so working
+p-locally loses nothing as long as p^k exceeds its torsion: central tails,
+abelianizations and abelian subgroups of a group of order p^n run at
+k = n + 1 (exp M(G) and every quotient's order divide p^n, and a column
+with valuation n + 1 can only be free), the cohomology oracle at
+k = log_p |G|, and the tensor construction's ranks and kernels and the
+centre's nullspace at k = 1, where the diagonal's length is the GF(p) rank."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -181,95 +185,10 @@ class AbelianGroup:
         return self.render()
 
 
-# -- Smith normal form -----------------------------------------------------
+# -- Smith normal form: the one eliminator --------------------------------
 
 
-def snf(matrix: list[list[int]]) -> list[int]:
-    """Invariant factors of an integer matrix, cokernel convention.
-
-    Returns a list of length = number of columns: the diagonal d1 | d2 | ...
-    of the Smith form padded with zeros for free rank, so Z^cols / rowspace
-    is the direct sum of Z/d_i (d_i = 0 meaning Z).  Smallest-entry pivoting
-    with full gcd sweeps; exact integer arithmetic throughout.
-    """
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    if any(len(r) != ncols for r in matrix):
-        raise ValueError("ragged matrix")
-    if ncols == 0:
-        return []
-    a = [[int(x) for x in row] for row in matrix]
-    m, n = len(a), ncols
-    diag = []
-    t = 0
-    while t < min(m, n):
-        # locate smallest nonzero entry in the working block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            # euclidean sweeps until row t and column t are clear
-            swapped = True
-            while swapped:
-                swapped = False
-                for i in range(t + 1, m):
-                    if a[i][t]:
-                        q = a[i][t] // a[t][t]
-                        if q:
-                            a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                        if a[i][t]:
-                            a[t], a[i] = a[i], a[t]
-                            swapped = True
-                for j in range(t + 1, n):
-                    if a[t][j]:
-                        q = a[t][j] // a[t][t]
-                        if q:
-                            for row in a:
-                                row[j] -= q * row[t]
-                        if a[t][j]:
-                            for row in a:
-                                row[t], row[j] = row[j], row[t]
-                            swapped = True
-            d = a[t][t]
-            stray = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % d:
-                        stray = i
-                        break
-                if stray is not None:
-                    break
-            if stray is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[stray])]
-        diag.append(abs(a[t][t]))
-        t += 1
-    return diag + [0] * (n - len(diag))
-
-
-def snf_group(matrix: list[list[int]]) -> AbelianGroup:
-    """Cokernel of an integer matrix as an AbelianGroup (must be finite)."""
-    inv = snf(matrix)
-    if any(d == 0 for d in inv):
-        raise ValueError("cokernel is infinite")
-    return AbelianGroup.from_orders([d for d in inv if d > 1])
-
-
-# -- the modular eliminator ----------------------------------------------
-
-
-def _snf_local(a: np.ndarray, p: int, k: int, track: np.ndarray | None = None):
+def _snf_local(a, p: int, k: int, track: np.ndarray | None = None):
     """Diagonalize over Z_{p^k} by min-valuation pivoting.
 
     Returns (diagonal valuations, V^T @ track) where the column change of
@@ -278,12 +197,16 @@ def _snf_local(a: np.ndarray, p: int, k: int, track: np.ndarray | None = None):
     only V^T @ track is carried along (None: nothing is).  With the
     global-minimum pivot, one sweep of row operations clears the pivot's
     column and one sweep of column operations its row, exactly (all
-    quotients divide out), so no Euclid iteration is needed.
+    quotients divide out), so no Euclid iteration is needed, and the
+    valuations come out ascending.  Entries stay below m = p^k, so every
+    product is below m^2: int64 while m^2 < 2^63, Python ints (object
+    dtype) past that, so the result is exact at every modulus.
     """
     m = p ** k
-    a = a % m
+    dtype = np.int64 if m * m < 2 ** 63 else object
+    a = np.asarray(a, dtype=dtype) % m
     rows, cols = a.shape
-    x = None if track is None else track % m
+    x = None if track is None else np.asarray(track, dtype=dtype) % m
     diag_vals: list[int] = []
     t = 0
     limit = min(rows, cols)
@@ -329,6 +252,34 @@ def _snf_local(a: np.ndarray, p: int, k: int, track: np.ndarray | None = None):
     return diag_vals, x
 
 
+def snf(matrix, p: int, k: int) -> list[int]:
+    """The Smith form of an integer matrix, read p-locally over Z_{p^k}.
+
+    Cokernel convention: returns one valuation per column, the diagonal's
+    p-adic valuations (ascending) padded with k for columns without a
+    pivot.  Z^cols / rowspace, localized at p, is the sum of Z/p^v over the
+    valuations v < k, plus one summand of order at least p^k -- Z, or
+    torsion too large to see -- for each valuation k.  So a cokernel whose
+    torsion has exponent dividing p^n is read exactly at k = n + 1.
+    Torsion prime to p has unit pivots and is invisible here; it cannot
+    occur for a consistent presentation of a p-group, whose cokernels are
+    p-groups plus free summands.
+    """
+    if not len(matrix):
+        return []
+    vals, _ = _snf_local(matrix, p, k)
+    return vals + [k] * (len(matrix[0]) - len(vals))
+
+
+def snf_group(matrix, p: int, k: int) -> AbelianGroup:
+    """Cokernel of an integer matrix, of order dividing p^(k-1), as an
+    AbelianGroup."""
+    vals = snf(matrix, p, k)
+    if any(v >= k for v in vals):
+        raise ValueError("cokernel is infinite")
+    return AbelianGroup.from_primary({p: [v for v in vals if v]})
+
+
 def _kernel_mod(rows: np.ndarray, width: int, p: int, k: int) -> np.ndarray:
     """Generators (columns) of the solutions of rows @ u = 0 over Z_{p^k}.
 
@@ -337,7 +288,7 @@ def _kernel_mod(rows: np.ndarray, width: int, p: int, k: int) -> np.ndarray:
     past the last pivot are free (a_j = k), and a unit pivot admits only 0.
     """
     diag_vals, v_t = _snf_local(rows, p, k, np.eye(width, dtype=np.int64))
-    a = np.array(diag_vals + [k] * (width - len(diag_vals)), dtype=np.int64)
+    a = np.array(diag_vals + [k] * (width - len(diag_vals)), dtype=v_t.dtype)
     keep = a > 0
     return (v_t[keep] * p ** (k - a[keep, None]) % p ** k).T
 

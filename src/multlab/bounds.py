@@ -361,12 +361,22 @@ def _resolve_subgroup(pres: PcPresentation, spec: str) -> Subgroup:
     if spec == "derived":
         return st.derived
     if spec.startswith("gamma"):
-        idx = int(spec[5:])
-        return st.lower_central[idx - 1]
+        series, idx = st.lower_central, spec[5:]
+        if not (idx.isdecimal() and 1 <= int(idx) <= len(series)):
+            raise LedgerError(f"{spec!r} is not one of gamma1 ... gamma{len(series)}")
+        return series[int(idx) - 1]
     if spec.startswith("gens:"):
         names = spec[5:].split(",")
         return Subgroup.generate(pres, [pres.gen(pres.gen_index(n)) for n in names])
     raise LedgerError(f"unknown subgroup spec {spec!r}")
+
+
+def _resolve_central(pres: PcPresentation, spec: str) -> Subgroup:
+    """A subgroup to factor out: checked central before any quotient is built."""
+    sub = _resolve_subgroup(pres, spec)
+    if not sub.is_central():
+        raise LedgerError(f"{spec} is not central")
+    return sub
 
 
 def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
@@ -415,13 +425,15 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
                 trace.append(fact.describe())
             elif verb == "apply":
                 rule = parts[1]
+                if any("=" not in kv for kv in parts[2:]):
+                    raise LedgerError("rule arguments take the form key=value")
                 args = dict(kv.split("=", 1) for kv in parts[2:])
                 if rule == "green":
                     fact = rule_green(ledger, subject, p, pres.order_exponent)
                 elif rule == "extraspecial":
                     fact = rule_extraspecial(ledger, subject, pres)
                 elif rule == "jones":
-                    K = _resolve_subgroup(pres, args["K"])
+                    K = _resolve_central(pres, args["K"])
                     quot = central_quotient(pres, K)
                     prem = premise_for(f"{subject}/{args['K']}", quot)
                     fact = rule_jones(ledger, subject, pres, K, prem)
@@ -432,7 +444,7 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
                     prem = premise_for(f"{subject}/gamma_c", quot)
                     fact = rule_class_bound(ledger, subject, pres, prem)
                 elif rule == "transgression":
-                    Z = _resolve_subgroup(pres, args["Z"])
+                    Z = _resolve_central(pres, args["Z"])
                     quot = central_quotient(pres, Z)
                     prem = premise_for(f"{subject}/{args['Z']}", quot)
                     fact = rule_transgression_lower(

@@ -23,6 +23,7 @@ from .dsl import DslError, _parse_scalar, load_presentation, parse_order
 from .pcgroup import PcPresentation, direct_product, is_prime
 
 CONSTRAINTS = ("odd", "two", "any")
+EXPECT_KINDS = ("multiplier", "order", "t")
 
 
 class CatalogError(ValueError):
@@ -99,7 +100,7 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
     squeeze = None
     disabled = None
     dsl_lines: list[str] = []  # header lines blank, so DSL errors keep the file's line numbers
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         dsl_lines.append("")
         if not line:
@@ -116,7 +117,19 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
             parts = head.split(None, 2)
             if len(parts) < 3:
                 raise CatalogError(f"malformed expect line: {line!r}")
-            expects.append(Expect(parts[1], parts[2], citation))
+            kind, value = parts[1], parts[2]
+            if kind not in EXPECT_KINDS:
+                raise CatalogError(f"line {lineno}: unknown expect kind {kind!r}")
+            if kind == "multiplier" and not (value[0] == "[" and value[-1] == "]"):
+                raise CatalogError(
+                    f"line {lineno}: expect multiplier needs [...], got {value!r}")
+            if kind == "t":
+                try:
+                    int(value)
+                except ValueError:
+                    raise CatalogError(
+                        f"line {lineno}: expect t needs an integer, got {value!r}") from None
+            expects.append(Expect(kind, value, citation))
         elif kw == "squeeze":
             squeeze = line.split()[1]
         elif kw == "product":

@@ -40,7 +40,8 @@ coordinates (V^T d)_i / p^{a_i}, and the equations' row module needs
 width - #{a_i = 0} generators (the reported pivots).  A closing pass
 checks every block against the final G.  Memory stays at the DP table plus
 a few width^2 matrices (G and the SNF transform).  Every SNF here runs on
-the package's one modular eliminator, `abelian._snf_local` / `_kernel_mod`.
+the package's one eliminator, `abelian._snf_local` (through `_kernel_mod`
+and the cokernel reader `snf`).
 
 H^2(G, Z_m) with m = |G| splits as Ext(G^ab, Z_m) + Hom(M(G), Z_m), and
 both summands collapse to G^ab and M(G) because exp(G^ab) and exp(M(G))
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abelian import AbelianGroup, _kernel_mod, _snf_local, prime_power, valuation
+from .abelian import AbelianGroup, _kernel_mod, _snf_local, prime_power, snf, valuation
 from .cayley import CayleyTable
 from .results import METHOD_ORACLE, MultiplierResult
 
@@ -235,7 +236,7 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
 
     # U kern^T V = diag(p^{a_i}): span(kern) is V^{-T} (sum of p^{a_i} e_i),
     # so a coboundary d has coordinates (V^T d)_i / p^{a_i}
-    diag, wv = _snf_local(kern.T.astype(np.int64), p, k, d_cols)
+    diag, wv = _snf_local(kern.T, p, k, d_cols)
     stats.pivots = width - diag.count(0)
     tcount = len(diag)
     a = np.array(diag, dtype=np.int64)
@@ -244,16 +245,13 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
         raise OracleInconsistency("coboundary escaped the cocycle kernel")
     coords = wv[:tcount] // scale
 
-    # H^2 = kernel / coboundaries: relations p^{k-a_i} g_i = 0 and D-columns
-    rel = np.zeros((tcount, tcount + ns), dtype=np.int64)
+    # H^2 = kernel / coboundaries: relation rows p^{k-a_i} g_i = 0, then one
+    # row per coboundary; valuation k marks a Z_{p^k} summand (its order
+    # relation p^k g = 0 vanishes mod m)
+    rel = np.zeros((tcount + ns, tcount), dtype=np.int64)
     rel[range(tcount), range(tcount)] = p ** (k - a)
-    rel[:, tcount:] = coords
-    diag_vals, _ = _snf_local(rel, p, k)
-    # positions without a pivot are Z_{p^k} summands (their order relation
-    # p^k g = 0 vanishes mod m)
-    exps = [min(v, k) for v in diag_vals] + [k] * (tcount - len(diag_vals))
-    inv_exps = sorted(v for v in exps if v > 0)
-    invs = AbelianGroup.from_primary({p: inv_exps})
+    rel[tcount:] = coords.T
+    invs = AbelianGroup.from_primary({p: [v for v in snf(rel, p, k) if v]})
     return H2Result(m, invs, stats)
 
 

@@ -322,18 +322,20 @@ def multiplier_via_tails(pres: PcPresentation) -> MultiplierResult:
     J. Algebra 320, 2008).  Each overlap, evaluated both ways in the
     presentation with a free central tail on every relation, gives a
     Z-linear relation lhs - rhs among the tails, and Z^tails / relations is
-    R/[F,R] = Z^n + M(G).  Its torsion is M(G); its free rank must be the
-    number of generators n, since R/(R cap F') has finite index in Z^n.
-    The relations are those the presentation's certification left, so no
-    word is collected here."""
+    R/[F,R] = Z^d + M(G) for d generators.  Its torsion is M(G), whose
+    exponent divides |G| = p^n, so its Smith form is read over Z_{p^(n+1)},
+    where valuation n + 1 marks a free column.  The free rank must be d,
+    since R/(R cap F') has finite index in Z^d.  The relations are those
+    the presentation's certification left, so no word is collected here."""
     rows = pres._tail_rows
-    diag = snf(rows)
-    free = diag.count(0)
+    k = pres.order_exponent + 1
+    vals = snf(rows, pres.p, k)
+    free = vals.count(k)
     if free != pres.ngens:
         raise InconsistentPresentation(
             f"tails: free rank {free} != {pres.ngens} generators")
-    invs = AbelianGroup.from_orders(d for d in diag if d > 1)
-    trace = (f"tails: tails={len(diag)}, relations={len(rows)}, free={free} "
+    invs = AbelianGroup.from_primary({pres.p: [v for v in vals if 0 < v < k]})
+    trace = (f"tails: tails={len(vals)}, relations={len(rows)}, free={free} "
              f"-> {invs.render()}",)
     return MultiplierResult(pres.p, invs, METHOD_TAILS, trace=trace)
 
@@ -487,7 +489,7 @@ class Subgroup:
             row = [-exps.get(m, 0) for m in leads]
             row[k] += rel
             rows.append(row)
-        return snf_group(rows)
+        return snf_group(rows, p, self.order_exponent + 1)
 
     def __eq__(self, other):
         if not isinstance(other, Subgroup):
@@ -722,7 +724,7 @@ def abelian_quotient_invariants(pres: PcPresentation, extra) -> AbelianGroup:
         rows.append([dict(tail).get(k, 0) for k in range(n)])
     for x in extra:
         rows.append(list(x))
-    return snf_group(rows)
+    return snf_group(rows, pres.p, pres.order_exponent + 1)
 
 
 # -- structure report ----------------------------------------------------------

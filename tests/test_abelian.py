@@ -1,6 +1,6 @@
 """Invariant-factor arithmetic, checked against independent oracles:
-minor-gcd invariants for SNF, direct solution counting for tensors, and
-row-space counting for the modular eliminator at k = 1."""
+minor-gcd invariants for the p-local SNF, direct solution counting for
+tensors, and row-space counting for the modular eliminator at k = 1."""
 
 from itertools import combinations
 from math import gcd, prod
@@ -19,6 +19,7 @@ from multlab.abelian import (
     kunneth,
     prime_power,
     snf,
+    snf_group,
     tensor,
     valuation,
 )
@@ -52,30 +53,67 @@ def _det(a):
                for j in range(n))
 
 
+def int64_limit(p):
+    """The largest k whose modulus p^k still runs the eliminator in int64."""
+    k = 1
+    while p ** (2 * (k + 1)) < 2 ** 63:
+        k += 1
+    return k
+
+
+def local_valuations(invariants, p, k):
+    """What `snf` at (p, k) should read off integer invariant factors."""
+    return [min(valuation(abs(d), p), k) if d else k for d in invariants]
+
+
 class TestSnf:
+    """`snf` against minor-gcd invariants, which need no elimination: each
+    invariant d reads as min(v_p(d), k), and d = 0 as k."""
+
     def test_zero_matrix(self):
-        assert snf([[0, 0], [0, 0]]) == [0, 0]
+        assert snf([[0, 0], [0, 0]], 3, 4) == [4, 4]
 
     def test_diag_2_3(self):
-        assert snf([[2, 0], [0, 3]]) == [1, 6]
+        assert snf([[2, 0], [0, 3]], 2, 3) == [0, 1]
+        assert snf([[2, 0], [0, 3]], 3, 3) == [0, 1]
 
     def test_known_rectangular(self):
-        assert snf([[2, 4], [6, 8]]) == [2, 4]
+        assert snf([[2, 4], [6, 8]], 2, 5) == [1, 2]
 
     def test_empty(self):
-        assert snf([]) == []
+        assert snf([], 5, 2) == []
 
-    @given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=3),
-                    min_size=1, max_size=3).filter(
-                        lambda rows: len({len(r) for r in rows}) == 1))
-    @settings(max_examples=150, deadline=None)
-    def test_matches_minor_gcd_oracle(self, rows):
-        assert snf(rows) == minor_gcd_invariants(rows)
+    def test_prime_to_p_torsion_is_invisible(self):
+        assert snf([[5, 0], [0, 9]], 3, 3) == [0, 2]
 
-    def test_divisibility_chain(self):
-        out = [d for d in snf([[6, 4, 2], [4, 2, 8], [10, 2, 4]]) if d]
-        for a, b in zip(out, out[1:]):
-            assert b % a == 0
+    def test_torsion_at_k_reads_as_free(self):
+        # Z/9 + Z/27 and Z/9 + Z read alike at k = 3
+        assert snf([[27, 0], [0, 9]], 3, 3) == snf([[9, 0]], 3, 3) == [2, 3]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    @pytest.mark.parametrize("side", ["small", "int64", "object"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_minor_gcd_oracle(self, p, side, data):
+        k = {"small": 2, "int64": int64_limit(p), "object": int64_limit(p) + 1}[side]
+        ncols = data.draw(st.integers(1, 4))
+        entry = st.integers(-p ** (k + 1), p ** (k + 1)) | st.integers(-9, 9)
+        rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                                  min_size=1, max_size=4))
+        assert snf(rows, p, k) == local_valuations(minor_gcd_invariants(rows), p, k)
+
+    def test_object_dtype_keeps_products_exact(self):
+        # residues near m = p^k with determinant p^5: in int64 the products
+        # of the first pivot sweep would wrap
+        p = 13
+        k = int64_limit(p) + 1
+        m = p ** k
+        assert snf([[m - 1, m - 2], [m - 3, m - 6 - p ** 5]], p, k) == [0, 5]
+
+    def test_snf_group_rejects_free_columns(self):
+        with pytest.raises(ValueError, match="infinite"):
+            snf_group([[3, 0]], 3, 2)
+        assert snf_group([[9, 3], [0, 3]], 3, 4) == AbelianGroup.from_orders([3, 9])
 
 
 def brute_rank_mod_p(a, p):

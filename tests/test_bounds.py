@@ -250,6 +250,25 @@ class TestReplay:
         with pytest.raises(ReplayAssertionError, match=re.escape(f"step 2 ({line!r})")):
             replay_script(f"use ESp_p3\n{line}", 3, computer)
 
+    @pytest.mark.parametrize("line, message", [
+        ("apply jones derived", "key=value"),
+        ("apply jones K=gammaX", "'gammaX' is not one of gamma1 ... gamma3"),
+        ("apply jones K=gamma0", "'gamma0' is not one of gamma1 ... gamma3"),
+        ("apply jones K=gamma4", "'gamma4' is not one of gamma1 ... gamma3"),
+        ("apply jones K=gamma1", "gamma1 is not central"),
+        ("apply transgression Z=gamma1", "gamma1 is not central"),
+    ])
+    def test_bad_rule_argument_names_its_step(self, computer, line, message):
+        # T6_viii has class 2: gamma1 ... gamma3 = 1
+        with pytest.raises(ReplayAssertionError) as exc:
+            replay_script(f"use T6_viii\n{line}", 3, computer)
+        assert str(exc.value).startswith(f"step 2 ({line!r}): ")
+        assert message in str(exc.value)
+
+    def test_last_lower_central_term_is_accepted(self, computer):
+        res = replay_script("use ESp_p3\napply jones K=gamma3", 3, computer)
+        assert res.trace[1].startswith("F0 ESp_p3/gamma3: exact-order p^2")
+
     def test_assumed_facts_are_read_off_the_ledger(self):
         led = Ledger()
         cap = led.add("G", KIND_CAPABLE, 3, provenance=Provenance.assumed("c"))

@@ -1,6 +1,7 @@
 """Catalog integrity, method auto-selection, suites, and report formats."""
 
 import json
+import re
 
 import pytest
 
@@ -130,6 +131,15 @@ class TestLoadGroupDsl:
         entry = parse_entry('name Z\ngen a p\nexpect order p^x "s"\n')
         with pytest.raises(DslError, match="1 or p\\^E"):
             entry.expects[0].order_exponent_at(3)
+
+    @pytest.mark.parametrize("line, message", [
+        ('expect mulitplier [p] "typo"', "line 3: unknown expect kind 'mulitplier'"),
+        ('expect t seven "s"', "line 3: expect t needs an integer, got 'seven'"),
+        ('expect multiplier 13 "s"', "line 3: expect multiplier needs [...], got '13'"),
+    ])
+    def test_bad_expectation_rejected_when_parsed(self, line, message):
+        with pytest.raises(CatalogError, match=re.escape(message)):
+            parse_entry(f"name Z\ngen a p\n{line}\n")
 
     def test_parse_error_carries_line(self):
         with pytest.raises(DslError, match="line 3"):
@@ -322,7 +332,7 @@ class TestReports:
 
     def test_tails_free_rank_mismatch_is_a_fail_record(self, catalog, computer, monkeypatch):
         real_snf = pcgroup.snf
-        monkeypatch.setattr(pcgroup, "snf", lambda rows: real_snf(rows) + [0])
+        monkeypatch.setattr(pcgroup, "snf", lambda rows, p, k: real_snf(rows, p, k) + [k])
         rep = verify_entry(catalog, computer, "T6_xii", 5)
         assert (rep.status, rep.t) == ("FAIL", None)
         assert rep.trace == [
