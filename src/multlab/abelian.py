@@ -1,8 +1,9 @@
-"""Finite abelian groups as invariant-factor chains.
+"""Finite abelian p-groups as exponent lists.
 
-Groups are stored as divisibility chains d1 | d2 | ... with every d_i kept
-as a prime factorization (never a bare integer), so that orders like p^22
-stay exact at any prime.  The operations here are the abelian half of the
+Every abelian group multlab builds -- a multiplier, an abelianization, a
+cokernel -- is a p-group, so a group is its prime p and the ascending
+exponents e1 <= e2 <= ... of Z/p^e1 + Z/p^e2 + ...; orders like p^22 stay
+exact at any prime.  The operations here are the abelian half of the
 multiplier calculus: Smith normal form, tensor products, exterior squares,
 and the direct-product identity M(A x B) = M(A) + M(B) + A^ab (x) B^ab.
 
@@ -18,28 +19,11 @@ centre's nullspace at k = 1, where the diagonal's length is the GF(p) rank."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
+from math import isqrt
 
 import numpy as np
-
-
-def _factorize(n: int) -> tuple[tuple[int, int], ...]:
-    if n < 1:
-        raise ValueError(f"cannot factor non-positive order {n}")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
 
 
 def valuation(n: int, p: int) -> int:
@@ -56,133 +40,100 @@ def valuation(n: int, p: int) -> int:
 
 def prime_power(m: int) -> tuple[int, int]:
     """(p, k) with m = p^k and k >= 1; ValueError for any other m."""
-    f = _factorize(m) if m >= 2 else ()
-    if len(f) != 1:
-        raise ValueError(f"{m} is not a prime power")
-    return f[0]
-
-
-def _fact_value(f: tuple[tuple[int, int], ...]) -> int:
-    v = 1
-    for p, e in f:
-        v *= p ** e
-    return v
-
-
-def _fact_gcd(a, b) -> tuple[tuple[int, int], ...]:
-    da, db = dict(a), dict(b)
-    return tuple(sorted((p, min(e, db[p])) for p, e in da.items() if p in db))
-
-
-def render_factor(f: tuple[tuple[int, int], ...]) -> str:
-    """Render one cyclic order as p^e (composite orders join with '*')."""
-    if not f:
-        return "1"
-    return "*".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in f)
+    if m >= 2:
+        p = next((d for d in range(2, isqrt(m) + 1) if m % d == 0), m)  # least prime factor
+        k = valuation(m, p)
+        if p ** k == m:
+            return p, k
+    raise ValueError(f"{m} is not a prime power")
 
 
 @dataclass(frozen=True)
 class AbelianGroup:
-    """A finite abelian group in invariant-factor normal form.
+    """The finite abelian p-group Z/p^e1 + ... + Z/p^ek.
 
-    ``factors`` is the divisibility chain, ascending, each entry a prime
-    factorization tuple ((p, e), ...) with value > 1.  The empty chain is
-    the trivial group.
+    ``exponents`` is ascending and positive; ``p`` is None exactly when it
+    is empty, the trivial group.  Build through `of`, which normalizes.
     """
 
-    factors: tuple[tuple[tuple[int, int], ...], ...] = ()
+    p: int | None = None
+    exponents: tuple[int, ...] = ()
 
     def __post_init__(self):
-        vals = [_fact_value(f) for f in self.factors]
-        if any(v <= 1 for v in vals):
-            raise ValueError(f"invariant factors must exceed 1: {vals}")
-        for a, b in zip(vals, vals[1:]):
-            if b % a != 0:
-                raise ValueError(f"divisibility chain violated: {vals}")
+        es = self.exponents
+        if list(es) != sorted(es) or (es and es[0] < 1) or (self.p is None) != (not es):
+            raise ValueError(f"not a normalized p-group: p={self.p}, exponents={es}")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def of(cls, p: int | None, exponents) -> "AbelianGroup":
+        """Z/p^e over the exponents e, zeros dropped, in any order."""
+        es = tuple(sorted(e for e in exponents if e))
+        return cls(p if es else None, es)
+
+    @classmethod
     def trivial(cls) -> "AbelianGroup":
-        return cls(())
+        return cls()
 
     @classmethod
     def from_orders(cls, orders) -> "AbelianGroup":
-        """Normalize an arbitrary cyclic decomposition to a divisibility chain."""
-        primary: dict[int, list[int]] = {}
+        """Z/n1 + Z/n2 + ... where every n > 1 is a power of one prime."""
+        p, es = None, []
         for n in orders:
             n = int(n)
             if n == 0:
                 raise ValueError("infinite cyclic factors are out of scope")
-            for p, e in _factorize(n):
-                primary.setdefault(p, []).append(e)
-        return cls.from_primary(primary)
-
-    @classmethod
-    def from_primary(cls, primary: dict[int, list[int]]) -> "AbelianGroup":
-        """Build from {prime: [exponents]} primary data."""
-        cols = {p: sorted(es, reverse=True) for p, es in primary.items() if es}
-        k = max((len(es) for es in cols.values()), default=0)
-        chain = []
-        for j in range(k):  # j = 0 is the largest invariant factor
-            f = tuple(sorted((p, es[j]) for p, es in cols.items() if j < len(es)))
-            if f:
-                chain.append(f)
-        chain.reverse()
-        return cls(tuple(chain))
+            if n != 1:
+                q, e = prime_power(n)
+                p = _one_prime(p, q)
+                es.append(e)
+        return cls.of(p, es)
 
     @classmethod
     def cyclic(cls, n: int) -> "AbelianGroup":
-        return cls.from_orders([n]) if n > 1 else cls(())
+        return cls.from_orders([n])
 
     @classmethod
     def elementary(cls, p: int, rank: int) -> "AbelianGroup":
-        return cls.from_orders([p] * rank)
+        return cls.of(p, [1] * rank)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def rank(self) -> int:
-        return len(self.factors)
+        return len(self.exponents)
 
     @property
     def is_trivial(self) -> bool:
-        return not self.factors
-
-    def order_factorization(self) -> Counter:
-        """Group order as a {prime: exponent} counter, never a raw integer."""
-        total: Counter = Counter()
-        for f in self.factors:
-            for p, e in f:
-                total[p] += e
-        return total
+        return not self.exponents
 
     def order_exponent(self, p: int) -> int:
-        """log_p |A| for a p-group (errors if another prime divides the order)."""
-        of = self.order_factorization()
-        if any(q != p for q in of):
-            raise ValueError(f"not a {p}-group: order {dict(of)}")
-        return of.get(p, 0)
-
-    def primary_exponents(self, p: int) -> list[int]:
-        """Exponent partition of the p-primary component, descending."""
-        out = [e for f in self.factors for q, e in f if q == p]
-        return sorted(out, reverse=True)
-
-    def exponent(self) -> int:
-        return _fact_value(self.factors[-1]) if self.factors else 1
-
-    def factor_values(self) -> list[int]:
-        return [_fact_value(f) for f in self.factors]
+        """log_p |A| (errors if A is not a p-group)."""
+        if self.p not in (None, p):
+            raise ValueError(f"not a {p}-group: {self.render()}")
+        return sum(self.exponents)
 
     def is_elementary(self, p: int) -> bool:
-        return all(f == ((p, 1),) for f in self.factors)
+        return self.p in (None, p) and all(e == 1 for e in self.exponents)
+
+    def render_factors(self) -> list[str]:
+        """Each cyclic order as p^e, or p for e = 1."""
+        return [f"{self.p}^{e}" if e > 1 else f"{self.p}" for e in self.exponents]
 
     def render(self) -> str:
-        return "[" + ",".join(render_factor(f) for f in self.factors) + "]"
+        return "[" + ",".join(self.render_factors()) + "]"
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _one_prime(*primes: int | None) -> int | None:
+    """The one prime among `primes` (None stands for the trivial group)."""
+    found = {q for q in primes if q is not None}
+    if len(found) > 1:
+        raise ValueError(f"mixed primes {sorted(found)}")
+    return found.pop() if found else None
 
 
 # -- Smith normal form: the one eliminator --------------------------------
@@ -277,7 +228,7 @@ def snf_group(matrix, p: int, k: int) -> AbelianGroup:
     vals = snf(matrix, p, k)
     if any(v >= k for v in vals):
         raise ValueError("cokernel is infinite")
-    return AbelianGroup.from_primary({p: [v for v in vals if v]})
+    return AbelianGroup.of(p, vals)
 
 
 def _kernel_mod(rows: np.ndarray, width: int, p: int, k: int) -> np.ndarray:
@@ -297,37 +248,24 @@ def _kernel_mod(rows: np.ndarray, width: int, p: int, k: int) -> np.ndarray:
 
 
 def tensor(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
-    """Tensor product: direct sum of Z_gcd(d_i, e_j) over all factor pairs."""
-    parts = []
-    for f in a.factors:
-        for g in b.factors:
-            h = _fact_gcd(f, g)
-            if h:
-                parts.append(_fact_value(h))
-    return AbelianGroup.from_orders(parts)
+    """Tensor product: Z/p^min(e, f) over all factor pairs."""
+    return AbelianGroup.of(_one_prime(a.p, b.p),
+                           [min(e, f) for e in a.exponents for f in b.exponents])
 
 
 def exterior_square(a: AbelianGroup) -> AbelianGroup:
-    """Exterior square: sum of Z_gcd(d_i, d_j) over i < j; equals M(a)."""
-    parts = []
-    fs = a.factors
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            h = _fact_gcd(fs[i], fs[j])
-            if h:
-                parts.append(_fact_value(h))
-    return AbelianGroup.from_orders(parts)
+    """Exterior square: Z/p^min(e_i, e_j) over i < j; equals M(a).  The
+    exponents ascend, so the minimum is e_i."""
+    return AbelianGroup.of(a.p, [e for e, _ in combinations(a.exponents, 2)])
 
 
 def direct_sum(*groups: AbelianGroup) -> AbelianGroup:
-    parts = []
-    for g in groups:
-        parts.extend(g.factor_values())
-    return AbelianGroup.from_orders(parts)
+    return AbelianGroup.of(_one_prime(*(g.p for g in groups)),
+                           [e for g in groups for e in g.exponents])
 
 
 def kunneth(m_a: AbelianGroup, m_b: AbelianGroup,
             a_ab: AbelianGroup, b_ab: AbelianGroup) -> AbelianGroup:
     """Multiplier of a direct product from the factors' multipliers and
-    abelianizations: M(A) + M(B) + (A^ab tensor B^ab), renormalized."""
+    abelianizations: M(A) + M(B) + (A^ab tensor B^ab)."""
     return direct_sum(m_a, m_b, tensor(a_ab, b_ab))

@@ -223,7 +223,7 @@ def multiplier_via_be(pres: PcPresentation,
     b = mu - 2 * a
     if a < 0 or b < 0:
         raise RuntimeError(f"impossible multiplier shape: mu={mu}, nu={nu}")
-    invs = AbelianGroup.from_primary({pres.p: [2] * a + [1] * b})
+    invs = AbelianGroup.of(pres.p, [2] * a + [1] * b)
     trace = (
         f"blackburn_evens: dimV={data.dim_v}, dimW={data.dim_w}, "
         f"dimX={data.x_rank}, dimN={ext.dim_n}, ker_rho={ext.dim_ker_rho}, "

@@ -379,6 +379,11 @@ def _resolve_central(pres: PcPresentation, spec: str) -> Subgroup:
     return sub
 
 
+# the key=value arguments each `apply` rule takes, all of them required
+RULE_KEYS = {"green": (), "extraspecial": (), "class_bound": (), "jones": ("K",),
+             "transgression": ("Z",)}
+
+
 def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
     """Execute a bound-derivation script and assert its declared expectations."""
     ledger = Ledger()
@@ -425,8 +430,15 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
                 trace.append(fact.describe())
             elif verb == "apply":
                 rule = parts[1]
+                if rule not in RULE_KEYS:
+                    raise LedgerError(f"unknown rule {rule!r}")
                 if any("=" not in kv for kv in parts[2:]):
                     raise LedgerError("rule arguments take the form key=value")
+                keys = sorted(kv.split("=", 1)[0] for kv in parts[2:])
+                if keys != sorted(RULE_KEYS[rule]):
+                    raise LedgerError(
+                        f"{rule} takes {' '.join(RULE_KEYS[rule]) or 'no arguments'}, "
+                        f"got {' '.join(keys) or 'none'}")
                 args = dict(kv.split("=", 1) for kv in parts[2:])
                 if rule == "green":
                     fact = rule_green(ledger, subject, p, pres.order_exponent)
@@ -449,8 +461,6 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
                     prem = premise_for(f"{subject}/{args['Z']}", quot)
                     fact = rule_transgression_lower(
                         ledger, subject, pres, Z, ledger.capability(subject), prem)
-                else:
-                    raise LedgerError(f"unknown rule {rule!r}")
                 trace.append(fact.describe())
             elif verb == "compute":
                 add_result(subject, computer.compute(pres))

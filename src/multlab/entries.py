@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .abelian import AbelianGroup
+from .abelian import AbelianGroup, valuation
 from .dsl import DslError, _parse_scalar, load_presentation, parse_order
 from .pcgroup import PcPresentation, direct_product, is_prime
 
@@ -43,10 +43,14 @@ class Expect:
     def multiplier_at(self, p: int) -> AbelianGroup:
         assert self.kind == "multiplier"
         inner = self.value.strip()[1:-1].strip()
-        if not inner:
-            return AbelianGroup.trivial()
-        return AbelianGroup.from_orders(
-            _parse_scalar(tok, p, 0) for tok in inner.split(","))
+        exponents = []
+        for tok in inner.split(",") if inner else ():
+            n = _parse_scalar(tok, p, 0)
+            if n < 1 or p ** (e := valuation(n, p)) != n:
+                raise CatalogError(f"expect multiplier {self.value}: factor {tok.strip()!r} "
+                                   f"is {n}, not a power of p = {p}")
+            exponents.append(e)
+        return AbelianGroup.of(p, exponents)
 
     def order_exponent_at(self, p: int) -> int:
         assert self.kind == "order"
@@ -105,11 +109,13 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
         dsl_lines.append("")
         if not line:
             continue
-        kw = line.split()[0]
+        kw, *args = line.split()
+        if kw in ("name", "constraint", "squeeze", "alias") and not args:
+            raise CatalogError(f"line {lineno}: {line!r} needs an argument")
         if kw == "name":
-            name = line.split()[1]
+            name = args[0]
         elif kw == "constraint":
-            constraint = line.split()[1]
+            constraint = args[0]
             if constraint not in CONSTRAINTS:
                 raise CatalogError(f"unknown constraint {constraint!r}")
         elif kw == "expect":
@@ -131,11 +137,11 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
                         f"line {lineno}: expect t needs an integer, got {value!r}") from None
             expects.append(Expect(kind, value, citation))
         elif kw == "squeeze":
-            squeeze = line.split()[1]
+            squeeze = args[0]
         elif kw == "product":
-            factors = line.split()[1:]
+            factors = args
         elif kw == "alias":
-            alias_of = line.split()[1]
+            alias_of = args[0]
         elif kw == "disabled":
             disabled = line.split(None, 1)[1] if " " in line else "disabled"
         else:

@@ -86,7 +86,7 @@ class H2Result:
     stats: EliminationStats = field(compare=False, default_factory=EliminationStats)
 
     def __post_init__(self):
-        if any(self.modulus % d for d in self.invariants.factor_values()):
+        if any(self.modulus % self.invariants.p ** e for e in self.invariants.exponents):
             raise ValueError("every invariant factor must divide the modulus")
 
     def order_exponent(self, p: int) -> int:
@@ -251,7 +251,7 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
     rel = np.zeros((tcount + ns, tcount), dtype=np.int64)
     rel[range(tcount), range(tcount)] = p ** (k - a)
     rel[tcount:] = coords.T
-    invs = AbelianGroup.from_primary({p: [v for v in snf(rel, p, k) if v]})
+    invs = AbelianGroup.of(p, snf(rel, p, k))
     return H2Result(m, invs, stats)
 
 
@@ -291,7 +291,7 @@ def _invariants_from_order_counts(counts: dict[int, int], p: int) -> AbelianGrou
     for j in range(len(exps), 0, -1):
         need = exps[j - 1] - (exps[j] if j < len(exps) else 0)
         out.extend([j] * need)
-    return AbelianGroup.from_primary({p: out}) if out else AbelianGroup.trivial()
+    return AbelianGroup.of(p, out)
 
 
 def multiplier_via_oracle(pres) -> MultiplierResult:
@@ -306,15 +306,15 @@ def multiplier_via_oracle(pres) -> MultiplierResult:
                                 trace=("oracle: trivial group",))
     h2 = h2_trivial_coeffs(table, m)
     gab = abelianization_from_table(table, p)
-    h2_exps = h2.invariants.primary_exponents(p)
-    gab_exps = gab.primary_exponents(p)
+    h2_exps = h2.invariants.exponents
+    gab_exps = gab.exponents
     remaining = list(h2_exps)
     for e in gab_exps:
         if e not in remaining:
             raise OracleInconsistency(
                 f"H^2 invariants {h2_exps} do not contain G^ab invariants {gab_exps}")
         remaining.remove(e)
-    invs = AbelianGroup.from_primary({p: remaining})
+    invs = AbelianGroup.of(p, remaining)
     trace = (
         f"oracle: N={m}, m={m}, H2={h2.invariants.render()}, Gab={gab.render()}, "
         f"eqs={h2.stats.equations}, pivots={h2.stats.pivots}",

@@ -334,7 +334,7 @@ def multiplier_via_tails(pres: PcPresentation) -> MultiplierResult:
     if free != pres.ngens:
         raise InconsistentPresentation(
             f"tails: free rank {free} != {pres.ngens} generators")
-    invs = AbelianGroup.from_primary({pres.p: [v for v in vals if 0 < v < k]})
+    invs = AbelianGroup.of(pres.p, [v for v in vals if v < k])
     trace = (f"tails: tails={len(vals)}, relations={len(rows)}, free={free} "
              f"-> {invs.render()}",)
     return MultiplierResult(pres.p, invs, METHOD_TAILS, trace=trace)
@@ -357,17 +357,15 @@ def _sift(pres: PcPresentation, igs: dict[int, NormalWord],
     Returns the exponents {lead: e} taken and the rest, which is the identity
     exactly when x lies in the subgroup and otherwise leads with the first
     entry the igs cannot absorb."""
-    p = pres.p
     exps: dict[int, int] = {}
     while x != pres.identity:
         l = _lead(x)
         u = igs.get(l)
         if u is None:
             break
-        step = p ** valuation(u[l], p)
-        if x[l] % step:
+        if x[l] % u[l]:
             break
-        exps[l] = x[l] // step
+        exps[l] = x[l] // u[l]
         x = pres.mul(pres.pow_el(u, -exps[l]), x)
     return exps, x
 
@@ -427,8 +425,7 @@ class Subgroup:
 
     @property
     def order_exponent(self) -> int:
-        p = self.pres.p
-        return sum(valuation(self.pres.orders[l], p) - valuation(u[l], p)
+        return sum(valuation(self.pres.orders[l] // u[l], self.pres.p)
                    for l, u in self.igs.items())
 
     def order(self) -> int:
@@ -445,9 +442,8 @@ class Subgroup:
 
     def elements(self):
         pres = self.pres
-        p = pres.p
         gens = list(self.igs.items())
-        rel = [pres.orders[l] // (p ** valuation(u[l], p)) for l, u in gens]
+        rel = [pres.orders[l] // u[l] for l, u in gens]
 
         # triangular products u_1^{e_1} ... u_m^{e_m} enumerate each element once
         def rec(k, acc):
@@ -482,7 +478,7 @@ class Subgroup:
         leads = list(self.igs)
         rows = []
         for k, (l, u) in enumerate(self.igs.items()):
-            rel = pres.orders[l] // p ** valuation(u[l], p)
+            rel = pres.orders[l] // u[l]
             exps = self.sift(pres.pow_el(u, rel))
             if exps is None:
                 raise InconsistentPresentation(f"{u}^{rel} lies outside its own subgroup")
@@ -624,9 +620,9 @@ def reduce_mod_central(K: Subgroup, x: NormalWord) -> NormalWord:
     """The representative of xK whose entry at each lead l of K's igs is
     below that lead's entry p^v; over the generators that survive in G/K it
     is the normal word of xK there."""
-    pres, p = K.pres, K.pres.p
+    pres = K.pres
     for l, u in K.igs.items():
-        q = x[l] // p ** valuation(u[l], p)
+        q = x[l] // u[l]
         if q:
             x = pres.mul(pres.pow_el(u, -q), x)
     return x
@@ -639,7 +635,7 @@ def _central_quotient_map(pres: PcPresentation, K: Subgroup) -> tuple[PcPresenta
     if not K.is_central():
         raise ValueError("subgroup is not central")
     p = pres.p
-    lead_pow = {l: p ** valuation(u[l], p) for l, u in K.igs.items()}
+    lead_pow = {l: u[l] for l, u in K.igs.items()}
     new_orders = []
     survivors = []
     for i, r in enumerate(pres.orders):
@@ -721,7 +717,7 @@ def abelian_quotient_invariants(pres: PcPresentation, extra) -> AbelianGroup:
             row[k] -= e
         rows.append(row)
     for j, i, tail in pres.comms:
-        rows.append([dict(tail).get(k, 0) for k in range(n)])
+        rows.append(list(_stated(pres, tail)))
     for x in extra:
         rows.append(list(x))
     return snf_group(rows, pres.p, pres.order_exponent + 1)

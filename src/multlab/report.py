@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .abelian import render_factor
 from .bounds import ReplayAssertionError, replay_script
 from .compute import Computer, CrossMethodDisagreement, compute_t
 from .entries import Catalog, CatalogEntry
@@ -118,12 +117,8 @@ def _verify(catalog: Catalog, computer: Computer, entry: CatalogEntry,
     script_name = entry.squeeze_script or catalog.resolve_recipe(entry.entry_id).squeeze_script
     if script_name is not None:
         problems += _squeeze_cross_check(computer, script_name, p, res, trace)
-    return Report(entry.entry_id, p, n, res.method, _render_invs(res), t,
+    return Report(entry.entry_id, p, n, res.method, res.invariants.render_factors(), t,
                   "FAIL" if problems else "PASS", trace=trace + problems)
-
-
-def _render_invs(res: MultiplierResult) -> list[str]:
-    return [render_factor(f) for f in res.invariants.factors]
 
 
 def _squeeze_cross_check(computer: Computer, script_name: str, p: int,

@@ -265,6 +265,25 @@ class TestReplay:
         assert str(exc.value).startswith(f"step 2 ({line!r}): ")
         assert message in str(exc.value)
 
+    @pytest.mark.parametrize("line, message", [
+        ("apply green K=nonsense", "green takes no arguments, got K"),
+        ("apply class_bound Q=junk", "class_bound takes no arguments, got Q"),
+        ("apply extraspecial K=center", "extraspecial takes no arguments, got K"),
+        ("apply jones Q=center", "jones takes K, got Q"),
+        ("apply jones", "jones takes K, got none"),
+        ("apply jones K=center Q=junk", "jones takes K, got K Q"),
+        ("apply jones K=center K=derived", "jones takes K, got K K"),
+        ("apply transgression", "transgression takes Z, got none"),
+        ("apply transgression K=center", "transgression takes Z, got K"),
+    ], ids=["green-unknown", "class_bound-unknown", "extraspecial-unknown",
+            "jones-unknown", "jones-missing", "jones-extra", "jones-repeated",
+            "transgression-missing", "transgression-unknown"])
+    def test_rule_keys_are_checked(self, computer, line, message):
+        script = f"use ESp_p3\n{line}\nexpect upper p^2"
+        with pytest.raises(ReplayAssertionError) as exc:
+            replay_script(script, 3, computer)
+        assert str(exc.value) == f"step 2 ({line!r}): {message}"
+
     def test_last_lower_central_term_is_accepted(self, computer):
         res = replay_script("use ESp_p3\napply jones K=gamma3", 3, computer)
         assert res.trace[1].startswith("F0 ESp_p3/gamma3: exact-order p^2")

@@ -141,6 +141,19 @@ class TestLoadGroupDsl:
         with pytest.raises(CatalogError, match=re.escape(message)):
             parse_entry(f"name Z\ngen a p\n{line}\n")
 
+    @pytest.mark.parametrize("keyword", ["name", "constraint", "squeeze", "alias"])
+    def test_header_without_argument_rejected(self, keyword):
+        message = f"line 2: '{keyword}' needs an argument"
+        with pytest.raises(CatalogError, match=re.escape(message)):
+            parse_entry(f"name Z\n{keyword}   # nothing after it\ngen a p\n")
+
+    @pytest.mark.parametrize("value, token", [("[6]", "6"), ("[2]", "2"), ("[p,2]", "2"),
+                                              ("[-p]", "-p"), ("[0]", "0")])
+    def test_expected_multiplier_factor_must_be_a_power_of_p(self, value, token):
+        entry = parse_entry(f'name Z\ngen a p\nexpect multiplier {value} "s"\n')
+        with pytest.raises(CatalogError, match=re.escape(f"factor {token!r}")):
+            entry.expects[0].multiplier_at(3)
+
     def test_parse_error_carries_line(self):
         with pytest.raises(DslError, match="line 3"):
             load_group_dsl("gen a 2\ngen b 2\ncomm a = b", 2)

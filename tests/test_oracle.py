@@ -208,7 +208,7 @@ def h2_dense_full_triples(table, m, p):
     # coboundary count: m^{n-1} / |Hom(G, Z_m)|
     hom_count = 0
     gab = abelianization_from_table(table, p)
-    for exp in gab.primary_exponents(p):
+    for exp in gab.exponents:
         hom_count += min(exp, k)
     log_cob = (n - 1) * k - hom_count
     return log_sol - log_cob

@@ -220,6 +220,26 @@ class TestStructure:
         assert abelianization(pres).is_trivial
         assert cayley_table(pres).n == 1
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_igs_leads_are_powers_of_p(self, catalog, p):
+        # sifting, orders and quotients read each igs lead entry as the step
+        # p^v itself, which Subgroup.generate normalizes it to; <g^(p-1)>
+        # starts from the unit lead p - 1
+        checked = 0
+        for eid in catalog.ids():
+            try:
+                pres = catalog.instantiate(eid, p)
+            except CatalogError:
+                continue
+            st = structure_report(pres)
+            units = [Subgroup.generate(pres, [pres.pow_el(pres.gen(i), p - 1)])
+                     for i in range(pres.ngens)]
+            for sub in st.lower_central + st.upper_central + [st.center] + units:
+                for l, u in sub.igs.items():
+                    assert u[l] == p ** valuation(u[l], p) < pres.orders[l], (eid, l, u)
+                    checked += 1
+        assert checked >= 100
+
     def test_series_nesting(self):
         st = structure_report(load_presentation(PHI7_15, 3))
         lower = st.lower_central
