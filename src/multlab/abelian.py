@@ -8,17 +8,20 @@ multiplier calculus: Smith normal form, tensor products, exterior squares,
 and the direct-product identity M(A x B) = M(A) + M(B) + A^ab (x) B^ab.
 
 There is one Smith-form engine, the modular eliminator `_snf_local` over
-Z_{p^k}; `_kernel_mod` solves with it and `snf` reads cokernels with it.
+Z_{p^k}; `_kernel_mod` solves with it, and `snf` reads cokernels with it
+after a sparse pass (`snf_sparse`) has taken every unit pivot.
 Every cokernel read here is a p-group plus free summands, so working
 p-locally loses nothing as long as p^k exceeds its torsion: central tails,
 abelianizations and abelian subgroups of a group of order p^n run at
 k = n + 1 (exp M(G) and every quotient's order divide p^n, and a column
-with valuation n + 1 can only be free), the cohomology oracle at
-k = log_p |G|, and the tensor construction's ranks and kernels and the
-centre's nullspace at k = 1, where the diagonal's length is the GF(p) rank."""
+with valuation n + 1 can only be free), and so do the oracle's Cayley-graph
+coinvariants; the H^2 reference solves at k = log_p |G|; the tensor
+construction's ranks and kernels and the centre's nullspace run at k = 1,
+where the diagonal's length is the GF(p) rank."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
@@ -218,8 +221,72 @@ def snf(matrix, p: int, k: int) -> list[int]:
     """
     if not len(matrix):
         return []
-    vals, _ = _snf_local(matrix, p, k)
-    return vals + [k] * (len(matrix[0]) - len(vals))
+    rows = [{j: v for j, v in enumerate(map(int, row)) if v} for row in matrix]
+    return snf_sparse(rows, len(matrix[0]), p, k)
+
+
+def snf_sparse(rows: list[dict[int, int]], width: int, p: int, k: int) -> list[int]:
+    """`snf` of the matrix whose rows are given as {column: entry} dicts.
+
+    A sparse pass first takes every unit pivot it can: the shortest row
+    comes off a heap and pivots on its unit entry in the sparsest column.
+    A unit pivot adds a valuation 0 and removes its row and column without
+    changing the rest of the cokernel, once its column is cleared from the
+    other rows.  A row changed by a pivot goes back on the heap while it
+    still has a unit; a row without one waits, and never gains one, since
+    it is zero mod p and so is every multiple of a pivot row subtracted
+    from it.  `_snf_local` finishes on the unit-free rows that are left,
+    over the columns they still touch.
+    """
+    m = p ** k
+    rows = [{j: v % m for j, v in row.items() if v % m} for row in rows]
+    holders: dict[int, set[int]] = {}  # column -> the rows with an entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows) if any(v % p for v in row.values())]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        size, i = heapq.heappop(heap)
+        row = rows[i]
+        if len(row) != size:  # changed since it was pushed; a newer entry stands
+            continue
+        cands = [j for j, v in row.items() if v % p]
+        if not cands:
+            continue
+        pc = min(cands, key=lambda j: len(holders[j]))
+        rows[i] = {}
+        for j in row:
+            holders[j].discard(i)
+        inv = pow(row[pc], -1, m)
+        for r in holders.pop(pc):
+            other = rows[r]
+            f = other[pc] * inv % m
+            for j, v in row.items():
+                w = (other.get(j, 0) - f * v) % m
+                if w:
+                    if j not in other:
+                        holders[j].add(r)
+                    other[j] = w
+                elif j in other:
+                    del other[j]
+                    if j != pc:
+                        holders[j].discard(r)
+            if any(v % p for v in other.values()):
+                heapq.heappush(heap, (len(other), r))
+        units += 1
+    rest = [row for row in rows if row]
+    cols = sorted({j for row in rest for j in row})
+    vals: list[int] = []
+    if rest:
+        where = {j: c for c, j in enumerate(cols)}
+        dense = np.zeros((len(rest), len(cols)), dtype=np.int64 if m * m < 2 ** 63 else object)
+        for r, row in enumerate(rest):
+            for j, v in row.items():
+                dense[r, where[j]] = v
+        vals, _ = _snf_local(dense, p, k)
+    return [0] * units + vals + [k] * (width - units - len(vals))
 
 
 def snf_group(matrix, p: int, k: int) -> AbelianGroup:

@@ -382,6 +382,8 @@ def _resolve_central(pres: PcPresentation, spec: str) -> Subgroup:
 # the key=value arguments each `apply` rule takes, all of them required
 RULE_KEYS = {"green": (), "extraspecial": (), "class_bound": (), "jones": ("K",),
              "transgression": ("Z",)}
+# the tokens `use <group>`, `compute` and `expect <kind> <order>` take, exactly
+VERB_ARGS = {"use": ("group",), "compute": (), "expect": ("kind", "order")}
 
 
 def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
@@ -411,6 +413,10 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
         parts = line.split()
         verb = parts[0]
         try:
+            if verb in VERB_ARGS and len(parts) - 1 != len(VERB_ARGS[verb]):
+                raise LedgerError(
+                    f"{verb} takes {' '.join(VERB_ARGS[verb]) or 'no arguments'}, "
+                    f"got {' '.join(parts[1:]) or 'none'}")
             if verb == "use":
                 subject = parts[1]
                 pres = computer.catalog.instantiate(subject, p)

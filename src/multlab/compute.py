@@ -2,7 +2,7 @@
 
 `auto` runs every method that applies, in this order: the direct-product
 identity (for catalog product recipes), the class-2 tensor construction,
-the abelian exterior square, the cohomology oracle, and central tails.
+the abelian exterior square, the Cayley-table oracle, and central tails.
 Tails applies to every group, so each result has at least one method; the
 oracle runs only when none of the first three applies and the order is
 within its cap.  All results must agree exactly, and the first one names

@@ -110,8 +110,9 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
         if not line:
             continue
         kw, *args = line.split()
-        if kw in ("name", "constraint", "squeeze", "alias") and not args:
-            raise CatalogError(f"line {lineno}: {line!r} needs an argument")
+        if kw in ("name", "constraint", "squeeze", "alias") and len(args) != 1:
+            raise CatalogError(f"line {lineno}: {line!r} needs an argument" if not args else
+                               f"line {lineno}: {kw} takes one argument, got {line!r}")
         if kw == "name":
             name = args[0]
         elif kw == "constraint":

@@ -1,53 +1,66 @@
-"""Ground-truth Schur multipliers via exact second cohomology over Z_m.
+"""Ground-truth Schur multipliers from a Cayley table, by Hopf's formula.
 
-The oracle works from a Cayley table alone.  Normalized 2-cochains
-f: G x G -> Z_m (f(1,.) = f(.,1) = 0) satisfy the cocycle identity
+The oracle works from a Cayley table alone.  Take the free group F on a
+minimal generating set S and G = F/R.  Hopf's formula gives
+M(G) = (R cap [F,F]) / [F,R], and R/[F,R] = M(G) + Z^|S|: its torsion is
+M(G), and R/(R cap [F,F]) is a subgroup of finite index in F/[F,F] = Z^|S|.
+R is the fundamental group of the Cayley graph Gamma(G, S), so R/[R,R] is
+H_1(Gamma) with G acting by left translation, and R/[F,R] is its module of
+G-coinvariants (Gruenberg, Cohomological Topics in Group Theory, LNM 143,
+1970; Brown, Cohomology of Groups, II.5).
+
+Basis.  A BFS tree from the identity over S spans Gamma; each of the
+N(|S| - 1) + 1 edges x -> xs off the tree closes one cycle c_e: the tree
+path 1 -> y, the edge e = (y, s_i), and the tree path back from y s_i.
+The c_e are a basis of H_1(Gamma), and a cycle's coordinates in it are its
+signed counts of non-tree edges, since c_e crosses e and no other.
+
+Relations.  The coinvariants are H_1(Gamma) / I_G H_1(Gamma).  As a right
+ideal, I_G is generated by the s - 1 with s in S (s g - 1 = (s - 1) g +
+(g - 1), by induction on word length), so I_G H_1(Gamma) is spanned by the
+rows s.c_e - c_e for s in S, where s maps the edge x -> x s_j to
+s x -> s x s_j.  A row has few entries: the translated edges of one cycle
+that land off the tree.
+
+Cokernel.  exp M(G) divides |G| = p^n, so the cokernel is read over
+Z_{p^(n+1)} by `abelian.snf_sparse`: summands of valuation 0 < v < n + 1
+are M(G), and the columns of valuation n + 1 are the free part.  Their
+number must equal |S|; anything else raises `OracleInconsistency`.  The
+|S| rows per cycle are held sparsely, so memory grows like |S|^2 N entries
+plus fill-in, inside the O(|G|^2) the oracle is allowed.
+
+`h2_trivial_coeffs` and `abelianization_from_table` are the earlier oracle.
+Nothing in the report calls them; they stay as the independent reference
+the tests compare M(G) with, and because `bench/tracer.py` times them by
+name.  The reference rests on this:
+H^2(G, Z_m) for m = |G| splits as Ext(G^ab, Z_m) + Hom(M(G), Z_m), and
+both summands collapse to G^ab and M(G) because their exponents divide
+|G|, so M(G) is the multiset difference of the H^2 and G^ab invariants.
+H^2 is solved over Z_m from the cocycle identity
 
     f(x,y) + f(xy,z) = f(y,z) + f(x,yz)
 
-for all triples; coboundaries are dg(x,y) = g(x) + g(y) - g(xy).  Writing
-the identity with z = s for a generating set S lets every unknown f(x, z)
-with z outside S be eliminated along a fixed factorization z = y*s (a BFS
-tree), so the cocycle space is parametrized by the (N-1)*|S| values
-f(x, s).  The remaining instances of the identity become linear
-constraints over Z_m on those values; the identity for arbitrary z then
-follows by induction on word length, because associativity of the twisted
-product composes.
+written with z = s in S, so that every unknown f(x, z) with z outside S
+is eliminated along the BFS factorization z = y*s and the cocycle space is
+parametrized by the (N-1)*|S| values f(x, s); the identity for arbitrary z
+then follows by induction on word length.  A gauge removes N-1-|S| of
+those values: adding dg, with g built along the tree by
+g(ys) = g(y) + g(s) + f(y, s), sets f(y, s) = 0 on every tree edge with
+y != 1, leaving (N-1)(|S|-1) + |S| unknowns; the coboundaries that keep
+the gauge are spanned by the |S| residual coboundaries dg_j,
+g_j(s_i) = [i = j].  The full cocycle module is the gauged module plus
+one free Z_m summand per dropped edge, so the reported pivots,
+width - #{a_i = 0}, do not depend on the gauge.
 
-A gauge removes N-1-|S| of those values.  Adding dg, with g built along
-the tree by g(ys) = g(y) + g(s) + f(y, s), sets f(y, s) = 0 on every tree
-edge with y != 1, so each class has a cocycle that vanishes there, and
-only (N-1)(|S|-1) + |S| unknowns remain.  The coboundaries that keep the
-gauge are the dg with g additive along the tree; they are spanned by the
-|S| residual coboundaries dg_j, g_j(s_i) = [i = j], so H^2 is the gauged
-cocycle module modulo those.  The full cocycle module maps onto the
-dropped coordinates (by coboundaries) with the gauged module as kernel, so
-it is the gauged module plus one free Z_m summand per dropped edge: the
-width and #{a_i = 0} below both fall by N-1-|S|, and the reported pivots,
-width - #{a_i = 0}, do not change.
-
-The constraints are generated block by block.  The oracle holds
-generators G of the solution module of every block so far, starting from
-the identity.  A block B costs one product, resid = B G mod m; if some
-rows are nonzero, G becomes G C with zero columns dropped, where C
-generates the kernel of those rows (an SNF of a rows x t matrix, t the
-column count of G).  A solution of B inside span(G) is G x with
-resid x = 0, so span(G) is always exactly the solution module, and a block
-implied by the earlier ones shrinks nothing.  At the end one SNF,
-U G^T V = diag(p^{a_i}), gives span(G) = V^{-T}(sum p^{a_i} e_i): the
-cocycle module is the sum of the Z/p^{k-a_i}, a coboundary d has
-coordinates (V^T d)_i / p^{a_i}, and the equations' row module needs
-width - #{a_i = 0} generators (the reported pivots).  A closing pass
-checks every block against the final G.  Memory stays at the DP table plus
-a few width^2 matrices (G and the SNF transform).  Every SNF here runs on
-the package's one eliminator, `abelian._snf_local` (through `_kernel_mod`
-and the cokernel reader `snf`).
-
-H^2(G, Z_m) with m = |G| splits as Ext(G^ab, Z_m) + Hom(M(G), Z_m), and
-both summands collapse to G^ab and M(G) because exp(G^ab) and exp(M(G))
-divide |G|; the multiplier is therefore the multiset difference of the
-H^2 and G^ab invariants.  That identity is asserted against independent
-computations in the test suite before anything trusts this module.
+The constraints are met block by block: G holds generators of the
+solution module of every block so far, a block B costs the product
+resid = B G mod m, and if some rows are nonzero G becomes G C, C
+generating the kernel of those rows.  One SNF at the end,
+U G^T V = diag(p^{a_i}), gives the cocycle module as the sum of the
+Z/p^{k-a_i} and the coordinates (V^T d)_i / p^{a_i} of a coboundary d; a
+closing pass checks every block against the final G.  Its phi table holds
+N^2 * width entries, O(|G|^3), which is why it no longer serves the
+report.
 """
 
 from __future__ import annotations
@@ -56,7 +69,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abelian import AbelianGroup, _kernel_mod, _snf_local, prime_power, snf, valuation
+from .abelian import (AbelianGroup, _kernel_mod, _snf_local, prime_power, snf, snf_sparse,
+                      valuation)
 from .cayley import CayleyTable
 from .results import METHOD_ORACLE, MultiplierResult
 
@@ -69,7 +83,8 @@ class MemoryBudgetError(MemoryError):
 
 
 class OracleInconsistency(RuntimeError):
-    """The H^2 / G^ab multiset difference failed; a cornerstone identity broke."""
+    """A cornerstone identity broke: the coinvariants' free rank is not |S|,
+    or the H^2 reference's cocycle checks failed."""
 
 
 @dataclass
@@ -294,29 +309,105 @@ def _invariants_from_order_counts(counts: dict[int, int], p: int) -> AbelianGrou
     return AbelianGroup.of(p, out)
 
 
-def multiplier_via_oracle(pres) -> MultiplierResult:
-    """M(G) = (invariants of H^2(G, Z_|G|)) minus (invariants of G^ab)."""
-    from .pcgroup import cayley_table
+def cycle_relations(table: CayleyTable,
+                    gens: list[int]) -> tuple[int, list[list[dict[int, int]]]]:
+    """The relation rows of H_1(Gamma)_G for Gamma = Gamma(G, gens).
 
-    table = cayley_table(pres, cap=DEFAULT_ORACLE_CAP)
-    p = pres.p
+    Returns the number of non-tree edges, which index the cycle basis, and
+    for each s in gens the block of rows s.c_e - c_e over every cycle c_e,
+    as {non-tree edge: signed count} dicts (zeros dropped).
+    """
+    ns = len(gens)
+    n = table.n
+    t = np.asarray(table.table, dtype=np.int64)
+
+    # BFS tree: z = parent[z] * gens[letter[z]]
+    parent = np.zeros(n, dtype=np.int64)
+    letter = np.zeros(n, dtype=np.int64)
+    depth = np.full(n, -1, dtype=np.int64)
+    depth[0] = 0
+    tree = np.zeros((n, ns), dtype=bool)
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for si, s in enumerate(gens):
+                z = int(t[y, s])
+                if depth[z] < 0:
+                    parent[z], letter[z], depth[z] = y, si, depth[y] + 1
+                    tree[y, si] = True
+                    nxt.append(z)
+        frontier = nxt
+    if (depth < 0).any():
+        raise RuntimeError("generating set failed to reach the whole group")
+
+    # col[x, si]: the index of the non-tree edge x -> x s_i, -1 on the tree
+    ys, letters = np.nonzero(~tree)
+    ncycles = len(ys)
+    col = np.full((n, ns), -1, dtype=np.int64)
+    col[ys, letters] = np.arange(ncycles)
+    zs = t[ys, np.asarray(gens, dtype=np.int64)[letters]]
+
+    # c_e = (tree path 1 -> y) + e - (tree path 1 -> z); walking y and z up
+    # to their meeting point leaves the tree edges parent[w] -> w that the
+    # cycle crosses, forward (+1) on y's side and backward (-1) on z's.
+    cyc, nodes, signs = [], [], []
+    a, b = ys.copy(), zs.copy()
+    ids = np.arange(ncycles)
+    while True:
+        apart = a != b
+        if not apart.any():
+            break
+        for x, sign, up in ((a, 1, apart & (depth[a] >= depth[b])),
+                            (b, -1, apart & (depth[b] >= depth[a]))):
+            cyc.append(ids[up])
+            nodes.append(x[up])
+            signs.append(np.full(int(up.sum()), sign))
+            x[up] = parent[x[up]]
+    cyc, nodes, signs = (np.concatenate(v) if v else np.zeros(0, dtype=np.int64)
+                         for v in (cyc, nodes, signs))
+
+    blocks = []
+    for s in gens:
+        # s maps the edge x -> x s_j to s x -> s x s_j; a tree edge may land
+        # off the tree, and then counts
+        c = np.concatenate([col[t[s, parent[nodes]], letter[nodes]],
+                            col[t[s, ys], letters], ids])
+        r = np.concatenate([cyc, ids, ids])
+        w = np.concatenate([signs, np.ones(ncycles, np.int64), -np.ones(ncycles, np.int64)])
+        on = c >= 0
+        keys, inv = np.unique(r[on] * ncycles + c[on], return_inverse=True)
+        sums = np.bincount(inv, weights=w[on]).astype(np.int64)
+        rows: list[dict[int, int]] = [{} for _ in range(ncycles)]
+        for key, v in zip(keys.tolist(), sums.tolist()):
+            if v:
+                rows[key // ncycles][key % ncycles] = v
+        blocks.append(rows)
+    return ncycles, blocks
+
+
+def multiplier_from_table(table: CayleyTable, p: int) -> MultiplierResult:
+    """M(G) as the torsion of the G-coinvariants of H_1 of the Cayley graph."""
     m = table.n
     if m == 1:
         return MultiplierResult(p, AbelianGroup.trivial(), METHOD_ORACLE,
                                 trace=("oracle: trivial group",))
-    h2 = h2_trivial_coeffs(table, m)
-    gab = abelianization_from_table(table, p)
-    h2_exps = h2.invariants.exponents
-    gab_exps = gab.exponents
-    remaining = list(h2_exps)
-    for e in gab_exps:
-        if e not in remaining:
-            raise OracleInconsistency(
-                f"H^2 invariants {h2_exps} do not contain G^ab invariants {gab_exps}")
-        remaining.remove(e)
-    invs = AbelianGroup.of(p, remaining)
-    trace = (
-        f"oracle: N={m}, m={m}, H2={h2.invariants.render()}, Gab={gab.render()}, "
-        f"eqs={h2.stats.equations}, pivots={h2.stats.pivots}",
-    )
+    gens = table.generating_set()
+    ncycles, blocks = cycle_relations(table, gens)
+    rows = [row for block in blocks for row in block]
+    k = valuation(m, p) + 1
+    vals = snf_sparse(rows, ncycles, p, k)
+    free = vals.count(k)
+    if free != len(gens):
+        raise OracleInconsistency(f"oracle: free rank {free} != {len(gens)} generators")
+    invs = AbelianGroup.of(p, [v for v in vals if v < k])
+    trace = (f"oracle: N={m}, d={len(gens)}, cycles={ncycles}, relations={len(rows)}, "
+             f"free={free} -> {invs.render()}",)
     return MultiplierResult(p, invs, METHOD_ORACLE, trace=trace)
+
+
+def multiplier_via_oracle(pres) -> MultiplierResult:
+    """M(G) from the Cayley table of a presentation, up to DEFAULT_ORACLE_CAP."""
+    from .pcgroup import cayley_table
+
+    return multiplier_from_table(cayley_table(pres, cap=DEFAULT_ORACLE_CAP), pres.p)

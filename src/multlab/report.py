@@ -17,7 +17,7 @@ from importlib import resources
 
 from .bounds import ReplayAssertionError, replay_script
 from .compute import Computer, CrossMethodDisagreement, compute_t
-from .entries import Catalog, CatalogEntry
+from .entries import Catalog, CatalogEntry, CatalogError
 from .oracle import MemoryBudgetError, OracleInconsistency
 from .pcgroup import CollectionError, InconsistentPresentation, PcPresentation, is_prime
 from .results import METHOD_ORACLE, MultiplierResult
@@ -86,7 +86,7 @@ def _expect_failures(entry: CatalogEntry, p: int, t: int,
 # Errors that mean a method or an internal identity broke on one entry: they
 # become that entry's FAIL record, and the rest of a suite still runs.
 RECORDED_FAILURES = (CrossMethodDisagreement, OracleInconsistency, MemoryBudgetError,
-                     CollectionError, InconsistentPresentation)
+                     CollectionError, InconsistentPresentation, CatalogError)
 
 
 def verify_entry(catalog: Catalog, computer: Computer, entry_id: str, p: int,

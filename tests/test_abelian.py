@@ -20,6 +20,7 @@ from multlab.abelian import (
     prime_power,
     snf,
     snf_group,
+    snf_sparse,
     tensor,
     valuation,
 )
@@ -306,3 +307,47 @@ class TestPAdicHelpers:
     def test_valuation_of_unit_times_power(self, p, v, q, r):
         u = p * q + r % (p - 1) + 1   # u mod p lies in 1..p-1
         assert valuation(p ** v * u, p) == v
+
+
+def random_sparse_rows(rng, p, k):
+    """An integer matrix, mostly zeros, whose entries mix units, multiples
+    of p and p^2, and residues past 2^63 when p^k is."""
+    m = p ** k
+    nrows, ncols = (int(x) for x in rng.integers(1, 13, 2))
+    rows = []
+    for _ in range(nrows):
+        row = []
+        for _ in range(ncols):
+            if rng.random() < 0.6:
+                row.append(0)
+                continue
+            v = int(rng.integers(1, 1 << 30)) * p ** int(rng.integers(0, 3))
+            if rng.random() < 0.3:
+                v += m - p ** int(rng.integers(0, 3))
+            row.append(v if rng.random() < 0.5 else -v)
+        rows.append(row)
+    return rows
+
+
+class TestSparseFront:
+    """`snf` takes unit pivots sparsely before `_snf_local` sees the rest;
+    the valuations must be those of `_snf_local` on the whole matrix."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    @pytest.mark.parametrize("side", ["int64", "object"])
+    def test_matches_dense_eliminator(self, p, side):
+        # p^(2k) is below 2^63 at int64_limit(p) and above it one step later
+        k = {"int64": int64_limit(p), "object": int64_limit(p) + 1}[side]
+        assert (p ** (2 * k) < 2 ** 63) == (side == "int64")
+        rng = np.random.default_rng([p, k])
+        for _ in range(60):
+            rows = random_sparse_rows(rng, p, k)
+            reduced = np.array([[v % p ** k for v in row] for row in rows], dtype=object)
+            want, _ = _snf_local(reduced, p, k)
+            assert snf(rows, p, k) == want + [k] * (len(rows[0]) - len(want))
+
+    def test_unit_free_rows_reach_the_dense_remainder(self):
+        # rows 0 and 1 pivot on units; row 2 is zero mod 3 and waits
+        # (determinant 9); the pivots leave it at 9 e_2
+        assert snf([[1, 2, 0], [0, 1, 1], [3, 6, 9]], 3, 4) == [0, 0, 2]
+        assert snf_sparse([{0: 1, 1: 2}, {1: 1, 2: 1}, {0: 3, 1: 6, 2: 9}], 3, 3, 4) == [0, 0, 2]

@@ -284,6 +284,20 @@ class TestReplay:
             replay_script(script, 3, computer)
         assert str(exc.value) == f"step 2 ({line!r}): {message}"
 
+    @pytest.mark.parametrize("script, line, message", [
+        ("use ESp_p3 Phi7_15\ncompute", "use ESp_p3 Phi7_15",
+         "use takes group, got ESp_p3 Phi7_15"),
+        ("use ESp_p3\ncompute now please", "compute now please",
+         "compute takes no arguments, got now please"),
+        ("use ESp_p3\ncompute\nexpect upper p^2 junk", "expect upper p^2 junk",
+         "expect takes kind order, got upper p^2 junk"),
+    ], ids=["use", "compute", "expect"])
+    def test_extra_tokens_are_rejected(self, computer, script, line, message):
+        with pytest.raises(ReplayAssertionError) as exc:
+            replay_script(script, 3, computer)
+        step = script.splitlines().index(line) + 1
+        assert str(exc.value) == f"step {step} ({line!r}): {message}"
+
     def test_last_lower_central_term_is_accepted(self, computer):
         res = replay_script("use ESp_p3\napply jones K=gamma3", 3, computer)
         assert res.trace[1].startswith("F0 ESp_p3/gamma3: exact-order p^2")

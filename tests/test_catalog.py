@@ -147,6 +147,12 @@ class TestLoadGroupDsl:
         with pytest.raises(CatalogError, match=re.escape(message)):
             parse_entry(f"name Z\n{keyword}   # nothing after it\ngen a p\n")
 
+    @pytest.mark.parametrize("keyword", ["name", "constraint", "squeeze", "alias"])
+    def test_header_with_two_arguments_rejected(self, keyword):
+        message = f"line 2: {keyword} takes one argument, got '{keyword} odd two'"
+        with pytest.raises(CatalogError, match=re.escape(message)):
+            parse_entry(f"name Z\n{keyword} odd two\ngen a p\n")
+
     @pytest.mark.parametrize("value, token", [("[6]", "6"), ("[2]", "2"), ("[p,2]", "2"),
                                               ("[-p]", "-p"), ("[0]", "0")])
     def test_expected_multiplier_factor_must_be_a_power_of_p(self, value, token):
@@ -342,6 +348,15 @@ class TestReports:
         assert reports[1].trace == [
             "CrossMethodDisagreement: T6_iv: kunneth gives [3,3,3,3,3,3,3,3,3] "
             "but blackburn_evens gives []"]
+
+    def test_bad_expected_factor_is_a_fail_record(self):
+        # [6] is not a power of 3: that entry fails, the run goes on
+        entry = parse_entry('name T6_xii\ngen a p\ngen b p\nexpect multiplier [6] "s"\n')
+        reports = verify_theorem(3, "odd", catalog=Catalog({"T6_xii": entry}),
+                                 entry_ids=("T6_xii",))
+        assert [(r.group, r.status, r.t) for r in reports] == [("T6_xii", "FAIL", None)]
+        assert reports[0].trace == [
+            "CatalogError: expect multiplier [6]: factor '6' is 6, not a power of p = 3"]
 
     def test_tails_free_rank_mismatch_is_a_fail_record(self, catalog, computer, monkeypatch):
         real_snf = pcgroup.snf

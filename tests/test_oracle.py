@@ -1,7 +1,9 @@
-"""Cohomology oracle: frozen values, an enumeration oracle for tiny groups,
-a dense full-triple eliminator as an independent implementation, the
-universal-coefficient order identity, and the block-by-block kernel update
-against the dense eliminator."""
+"""The oracle: Hopf's formula against the H^2 reference on every catalog
+group the cap admits, its free-rank identity, and for the H^2 reference
+frozen values, an enumeration oracle for tiny groups, a dense full-triple
+eliminator as an independent implementation, the universal-coefficient
+order identity, and the block-by-block kernel update against the dense
+eliminator."""
 
 import itertools
 
@@ -11,8 +13,11 @@ import pytest
 from multlab import oracle
 from multlab.abelian import AbelianGroup, _snf_local, exterior_square, valuation
 from multlab.dsl import load_presentation
+from multlab.entries import CatalogError
 from multlab.oracle import (
+    DEFAULT_ORACLE_CAP,
     MemoryBudgetError,
+    OracleInconsistency,
     _restrict,
     abelianization_from_table,
     h2_trivial_coeffs,
@@ -277,6 +282,52 @@ class TestMultiplier:
             m_exp = exterior_square(gab).order_exponent(p)
             assert h2.invariants.order_exponent(p) == \
                 m_exp + gab.order_exponent(p)
+
+
+def h2_multiplier(table, p):
+    """M(G) by the H^2 reference: the H^2(G, Z_|G|) invariants less G^ab's."""
+    if table.n == 1:
+        return AbelianGroup.trivial()
+    rest = list(h2_trivial_coeffs(table, table.n).invariants.exponents)
+    for e in abelianization_from_table(table, p).exponents:
+        rest.remove(e)
+    return AbelianGroup.of(p, rest)
+
+
+class TestHopfAgainstH2:
+    @pytest.mark.parametrize("p,groups", [(2, 21), (3, 15), (5, 4)])
+    def test_every_catalog_group_under_the_cap(self, catalog, p, groups):
+        checked = []
+        for eid in catalog.ids():
+            try:
+                pres = catalog.instantiate(eid, p)
+            except CatalogError:
+                continue
+            if pres.group_order() > DEFAULT_ORACLE_CAP:
+                continue
+            got = multiplier_via_oracle(pres).invariants
+            assert got == h2_multiplier(cayley_table(pres), p), eid
+            checked.append(eid)
+        assert len(checked) == groups, checked
+
+    def test_trace_counts_the_cycle_basis(self, catalog):
+        # N(d - 1) + 1 cycles for d = 5 generators, d relation rows per cycle
+        res = multiplier_via_oracle(catalog.instantiate("T6_xiv", 2))
+        assert res.trace == ("oracle: N=64, d=5, cycles=257, relations=1285, free=5 "
+                             "-> [2,2,2,2,2,2,2,2,2]",)
+
+    def test_one_generator_short_breaks_the_free_rank(self, catalog, monkeypatch):
+        """Without s_0's rows the module is the coinvariants under a proper
+        subgroup H, of rank 1 + (d - 1)[G:H] > d."""
+        real = oracle.cycle_relations
+
+        def short(table, gens):
+            ncycles, blocks = real(table, gens)
+            return ncycles, blocks[1:]
+
+        monkeypatch.setattr(oracle, "cycle_relations", short)
+        with pytest.raises(OracleInconsistency, match=r"free rank 9 != 5 generators"):
+            multiplier_via_oracle(catalog.instantiate("T6_xiv", 2))
 
 
 class TestTableAbelianization:

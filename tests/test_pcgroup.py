@@ -20,7 +20,7 @@ from multlab.bounds import (
     rule_jones,
     rule_transgression_lower,
 )
-from multlab.cayley import CayleyTable
+from multlab.cayley import CayleyTable, _light_associative
 from multlab.dsl import DslError, load_presentation
 from multlab.entries import Catalog, CatalogError
 from multlab.oracle import _invariants_from_order_counts
@@ -422,6 +422,35 @@ class TestCayleyTable:
         assert len(bad)
         first = ",".join(str(v) for v in bad[0])
         with pytest.raises(ValueError, match=rf"associativity fails at \({first}\)"):
+            CayleyTable(t)
+
+    def test_light_test_agrees_with_every_triple(self, catalog):
+        """Light's test on a generating set passes exactly the associative
+        tables: relabelled group tables pass, and it rejects every random
+        intercalate swap that the scan of all triples rejects."""
+        rng = np.random.default_rng(5)
+        broken = 0
+        for eid in ("D8", "Q8", "T6_xxi", "T6_xx", "T6_xiv"):
+            table = cayley_table(catalog.instantiate(eid, 2))
+            n = table.n
+            perm = [0] + [int(v) for v in rng.permutation(np.arange(1, n))]
+            assert _light_associative(table.relabel(perm).table)
+            involutions = [g for g in range(1, n) if table.table[g, g] == 0]
+            for _ in range(20):
+                t = table.table.copy()
+                g = int(rng.choice(involutions))
+                x, y = (int(v) for v in rng.choice([v for v in range(1, n) if v != g], 2))
+                xg, gy = t[x, g], t[g, y]
+                t[[x, xg], y], t[[x, xg], gy] = t[[x, xg], gy], t[[x, xg], y]
+                associative = np.array_equal(t[t], t[:, t])
+                assert _light_associative(t) == associative
+                broken += not associative
+        assert broken >= 90
+
+    def test_first_bad_row_or_column_named(self):
+        t = cayley_table(load_presentation("gen a 2\ngen b 2", 2)).table.copy()
+        t[2, 1] = t[2, 3]  # row 2 and column 1 repeat an entry
+        with pytest.raises(ValueError, match=r"row/column 1 is not a permutation"):
             CayleyTable(t)
 
 
