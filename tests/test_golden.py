@@ -2,8 +2,8 @@
 
 Each case runs `multlab` in process and compares its exit code, stdout and
 stderr with a file under tests/golden/; the `millis` of JSONL reports are
-masked.  `two_p2` pins the p = 2 part, including the `eqs=` and
-`pivots=` of every oracle run on orders 16-64.  After a deliberate change
+masked.  `two_p2` pins the p = 2 part, including the cycle, relation and
+free counts of every oracle run on orders 8-64.  After a deliberate change
 of output, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
