@@ -9,6 +9,22 @@ import numpy as np
 from .abelian import prime_power
 
 
+def _closure(t: np.ndarray, gens: list[int]) -> set[int]:
+    """Everything right multiplication by `gens` reaches from the identity:
+    in a finite group, the subgroup the elements `gens` generate, since the
+    products of generators already form it."""
+    seen = {0, *gens}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = int(t[x, s])
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
 def _light_associative(t: np.ndarray) -> bool:
     """Light's associativity test on an N x N table with identity 0.
 
@@ -16,22 +32,14 @@ def _light_associative(t: np.ndarray) -> bool:
     products: for two of them, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by))
     = x((ab)y).  So the table is associative exactly when the test holds
     for every s in some set whose products reach every element.  The set is
-    built greedily: each s is the least element that right multiplication
-    by the earlier ones does not reach from the identity, so at most
-    log2(N) of them are taken for a group.
+    built greedily: each s is the least element the earlier ones do not
+    reach, so at most log2(N) of them are taken for a group.
     """
-    n = len(t)
     gens: list[int] = []
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        while True:
-            grown = reached.copy()
-            grown[t[np.ix_(np.flatnonzero(reached), gens)]] = True
-            if grown.sum() == reached.sum():
-                break
-            reached = grown
+    reached = {0}
+    while len(reached) < len(t):
+        gens.append(next(x for x in range(len(t)) if x not in reached))
+        reached = _closure(t, gens)
     return all(np.array_equal(t[t[:, s]], t[:, t[s]]) for s in gens)
 
 
@@ -90,30 +98,13 @@ class CayleyTable:
                 new[i, j] = perm[t[inv[i], inv[j]]]
         return CayleyTable(new)
 
-    def _closure(self, gens: list[int]) -> set[int]:
-        """The subgroup the elements `gens` generate.
-
-        In a finite group the products of generators already form the
-        subgroup, so closing under right multiplication suffices.
-        """
-        seen = {0, *gens}
-        frontier = list(seen)
-        while frontier:
-            x = frontier.pop()
-            for s in gens:
-                y = self.mul(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
-
     def derived_subgroup(self) -> set[int]:
         """G', the subgroup the commutators generate."""
         t = self.table
         inv = np.nonzero(t == 0)[1]  # inv[x] is the y with xy = 1
         comms = np.zeros(self.n, dtype=bool)
         comms[t[t[np.ix_(inv, inv)], t]] = True  # [x, y] = x^-1 y^-1 x y
-        return self._closure(np.flatnonzero(comms).tolist())
+        return _closure(t, np.flatnonzero(comms).tolist())
 
     def power_map(self, e: int) -> np.ndarray:
         """x^e for every element x, as an index array (e >= 1)."""

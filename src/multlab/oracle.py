@@ -364,8 +364,7 @@ def cycle_relations(table: CayleyTable,
             nodes.append(x[up])
             signs.append(np.full(int(up.sum()), sign))
             x[up] = parent[x[up]]
-    cyc, nodes, signs = (np.concatenate(v) if v else np.zeros(0, dtype=np.int64)
-                         for v in (cyc, nodes, signs))
+    cyc, nodes, signs = (np.concatenate(v) for v in (cyc, nodes, signs))
 
     blocks = []
     for s in gens:
