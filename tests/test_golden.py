@@ -30,6 +30,7 @@ CASES = {
                "--format", "jsonl"],
     "odd_p7": ["verify-theorem", "--p", "7", "--part", "odd", "--format", "jsonl"],
     "odd_p13": ["verify-theorem", "--p", "13", "--part", "odd", "--format", "jsonl"],
+    "odd_p31": ["verify-theorem", "--p", "31", "--part", "odd", "--format", "jsonl"],
     "table24_p3": ["table24", "--p", "3", "--format", "jsonl"],
     "table24_p7": ["table24", "--p", "7", "--format", "jsonl"],
     "compute_Phi2_31_p5": ["compute", "--group", "Phi2_31", "--p", "5", "--format", "jsonl"],
