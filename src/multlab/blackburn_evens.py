@@ -18,10 +18,10 @@ fixes the number of Z_{p^2} factors, and everything reduces to GF(p)
 ranks and kernels in dimension dim(V) * dim(W), taken with the package's
 modular eliminator (`abelian._snf_local` / `_kernel_mod`) at k = 1.
 
-The construction reads only the lower central series: its length gives
-the class, and its second term is G'.  V's basis is read off the induced
-generating sequence of G', so neither the structure report nor a quotient
-presentation of G/G' is built.
+The construction reads only the lower central series, whose length gives
+the class and whose second term is G', and the stated relations: V's basis
+is read off the igs of G', and the pairing and f off the surviving
+generators' commutator and power relations, so no commutator is collected.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .pcgroup import (
     NormalWord,
     PcPresentation,
     Subgroup,
+    _stated,
     abelianization,
     lower_central_series,
     reduce_mod_central,
@@ -126,12 +127,14 @@ def be_preconditions(pres: PcPresentation) -> Subgroup:
 
 
 def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) -> BeData:
-    """Assemble pairing, power map, and X for a presentation that meets
-    `be_preconditions`.  A pairing that is not alternating cannot come from
-    a consistent class-2 group, so it raises InconsistentPresentation.
+    """Pairing, power map and X for a presentation that meets `be_preconditions`.
 
     Generator i survives in V = G/G' unless it leads the igs of G' with lead
-    entry 1; with G/G' elementary, each survivor spans one dimension."""
+    entry 1; with G/G' elementary, each survivor spans one dimension.  G' is
+    central and elementary, so the pairing is alternating and bilinear, with
+    the stated tail of [g_b, g_a] at (b, a) for survivors b > a, and f(g_a) =
+    g_a^p is linear.  The V-coordinates of a caller's `reps` are the rows of a
+    change of basis C: the pairing becomes C P C^T and f becomes f C^T."""
     p = pres.p
     derived = be_preconditions(pres)
     survivors = [i for i in range(pres.ngens)
@@ -139,41 +142,33 @@ def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) ->
     dim_v = len(survivors)
     dim_w = derived.order_exponent
 
+    pairing = np.zeros((dim_v, dim_v, dim_w), dtype=np.int64)
+    for a, b in combinations(range(dim_v), 2):
+        tail = _stated(pres, pres.comm_tail(survivors[b], survivors[a]))
+        pairing[b, a] = _w_coordinates(derived, tail)
+        pairing[a, b] = -pairing[b, a] % p
+    power_map = np.array([_w_coordinates(derived, pres.collect([(i, p)]))
+                          for i in survivors], dtype=np.int64).T
+
     if reps is None:
         reps = [pres.gen(i) for i in survivors]
     else:
         reps = [tuple(r) for r in reps]
         # each row is the image in G/G' over the surviving generators
-        mat = np.array([[reduce_mod_central(derived, r)[i] for i in survivors]
-                        for r in reps], dtype=np.int64)
-        if len(reps) != dim_v or _rank(mat, p) != dim_v:
+        c = np.array([[reduce_mod_central(derived, r)[i] for i in survivors]
+                      for r in reps], dtype=np.int64)
+        if len(reps) != dim_v or _rank(c, p) != dim_v:
             raise ValueError("representatives do not project to a V-basis")
-
-    pairing = np.zeros((dim_v, dim_v, dim_w), dtype=np.int64)
-    for i in range(dim_v):
-        for j in range(dim_v):
-            if i == j:
-                continue
-            c = pres.comm_el(reps[i], reps[j])
-            pairing[i, j] = _w_coordinates(derived, c)
-    power_map = np.zeros((dim_w, dim_v), dtype=np.int64)
-    for i in range(dim_v):
-        power_map[:, i] = _w_coordinates(derived, pres.pow_el(reps[i], p))
-
-    if not np.array_equal(pairing, (-pairing.transpose(1, 0, 2)) % p):
-        raise InconsistentPresentation("Blackburn-Evens: pairing not alternating")
+        pairing = np.einsum("ai,bj,ijk->abk", c, c, pairing) % p
+        power_map = power_map @ c.T % p
 
     data = BeData(p, dim_v, dim_w, reps, pairing, power_map,
                   np.zeros((0, dim_v * dim_w), dtype=np.int64), 0, derived)
-    rows = []
     eye = np.eye(dim_v, dtype=np.int64)
-    for a, b, c in combinations(range(dim_v), 3):
-        rows.append(data.jacobi_element(eye[a], eye[b], eye[c]))
-    for a in range(dim_v):
-        rows.append(data.power_element(eye[a]))
-    for a, b in combinations(range(dim_v), 2):
-        rows.append(data.power_element((eye[a] + eye[b]) % p))
-    data.x_rows = np.array(rows, dtype=np.int64)  # class 2 makes dim V >= 2
+    data.x_rows = np.array(  # class 2 makes dim V >= 2
+        [data.jacobi_element(u, v, w) for u, v, w in combinations(eye, 3)]
+        + [data.power_element(v) for v in eye]
+        + [data.power_element((u + v) % p) for u, v in combinations(eye, 2)])
     data.x_rank = _rank(data.x_rows, p)
     return data
 

@@ -220,7 +220,9 @@ def _derived_meet_exponent(pres: PcPresentation, K: Subgroup) -> int:
 
 def rule_jones(ledger: Ledger, subject: str, pres: PcPresentation, K: Subgroup,
                premise: Fact | None) -> Fact:
-    """|M(G)| <= |M(G/K)| |M(K)| |(G/K)^ab (x) K| / |G' cap K| for central K."""
+    """|M(G)| <= |M(G/K)| |M(K)| |(G/K)^ab (x) K| / |G' cap K| for central K > 1."""
+    if not K.order_exponent:
+        raise LedgerError("K is trivial")
     if not K.is_central():
         raise LedgerError("K is not central")
     p = pres.p
@@ -302,12 +304,14 @@ def rule_extraspecial(ledger: Ledger, subject: str, pres: PcPresentation) -> Fac
 def rule_transgression_lower(ledger: Ledger, subject: str, pres: PcPresentation,
                              Z: Subgroup, capability: Fact | None,
                              premise: Fact | None) -> Fact:
-    """For capable G and central Z: |M(G)| > |M(G/Z)| / |G' cap Z|, promoted
+    """For capable G and central Z > 1: |M(G)| > |M(G/Z)| / |G' cap Z|, promoted
     to the next p-power, via the inflation-transgression five-term sequence."""
     if capability is None or capability.kind != KIND_CAPABLE:
         raise MissingPremiseError(
             "refusing to assume the transgression connecting map is nontrivial "
             "without a capability fact")
+    if not Z.order_exponent:
+        raise LedgerError("Z is trivial")
     if not Z.is_central():
         raise LedgerError("Z is not central")
     p = pres.p

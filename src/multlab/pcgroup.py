@@ -211,18 +211,21 @@ class PcPresentation:
         return self._collect_onto(list(u), [(i, e)])
 
     def inv(self, u: NormalWord) -> NormalWord:
-        """u^-1: the letters g_l^(r_l - a_l) that, multiplied onto u at its
-        leading index l, clear u one generator at a time.  Each step leaves
-        the entries up to l zero, so one pass over l suffices, and the
-        letters, with increasing l and 0 < r_l - a_l < r_l, are already the
-        normal word of u^-1."""
+        return self.ldiv(u, self.identity)
+
+    def ldiv(self, u: NormalWord, v: NormalWord) -> NormalWord:
+        """u^-1 v: the letters g_l^((v_l - a_l) mod r_l) that, multiplied onto
+        a = u at each index l in turn, make a agree with v up to l.  A letter
+        g_l^e leaves the entries below l alone, so one pass over l suffices,
+        and the letters, with increasing l and exponents below r_l, are
+        already the normal word of u^-1 v."""
         a = list(u)
-        v = [0] * self.ngens
+        w = [0] * self.ngens
         for l, r in enumerate(self.orders):
-            if a[l]:
-                v[l] = r - a[l]
-                self._collect_onto(a, [(l, v[l])])  # multiplies onto a in place
-        return tuple(v)
+            w[l] = (v[l] - a[l]) % r
+            if w[l]:
+                self._collect_onto(a, [(l, w[l])])  # multiplies onto a in place
+        return tuple(w)
 
     def pow_el(self, u: NormalWord, k: int) -> NormalWord:
         if k < 0:
@@ -236,13 +239,9 @@ class PcPresentation:
             k >>= 1
         return acc
 
-    def conj(self, u: NormalWord, g: NormalWord) -> NormalWord:
-        """u^g = g^-1 u g."""
-        return self.mul(self.mul(self.inv(g), u), g)
-
     def comm_el(self, u: NormalWord, v: NormalWord) -> NormalWord:
-        """[u, v] = u^-1 v^-1 u v."""
-        return self.mul(self.mul(self.inv(u), self.inv(v)), self.mul(u, v))
+        """[u, v] = u^-1 v^-1 u v = (vu)^-1 (uv)."""
+        return self.ldiv(self.mul(v, u), self.mul(u, v))
 
     def element_order(self, u: NormalWord) -> int:
         o = 1
@@ -366,7 +365,7 @@ def _sift(pres: PcPresentation, igs: dict[int, NormalWord],
         if x[l] % u[l]:
             break
         exps[l] = x[l] // u[l]
-        x = pres.mul(pres.pow_el(u, -exps[l]), x)
+        x = pres.ldiv(pres.pow_el(u, exps[l]), x)
     return exps, x
 
 
@@ -418,7 +417,7 @@ class Subgroup:
                     queue.append(pres.comm_el(x, u))
             if normal:
                 for i in range(pres.ngens):
-                    queue.append(pres.conj(x, pres.gen(i)))
+                    queue.append(pres.ldiv(pres.gen(i), pres.mul_gen(x, i)))  # x^g_i
         return cls(pres, igs)
 
     # structure
@@ -624,7 +623,7 @@ def reduce_mod_central(K: Subgroup, x: NormalWord) -> NormalWord:
     for l, u in K.igs.items():
         q = x[l] // u[l]
         if q:
-            x = pres.mul(pres.pow_el(u, -q), x)
+            x = pres.ldiv(pres.pow_el(u, q), x)
     return x
 
 

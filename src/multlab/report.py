@@ -18,8 +18,8 @@ from importlib import resources
 from .bounds import ReplayAssertionError, replay_script
 from .compute import Computer, CrossMethodDisagreement, compute_t
 from .entries import Catalog, CatalogEntry, CatalogError
-from .oracle import MemoryBudgetError, OracleInconsistency
-from .pcgroup import CollectionError, InconsistentPresentation, PcPresentation, is_prime
+from .oracle import OracleInconsistency
+from .pcgroup import CollectionError, InconsistentPresentation, PcPresentation, SizeCapError, is_prime
 from .results import METHOD_ORACLE, MultiplierResult
 
 REPORT_KEYS = ("group", "p", "n", "method", "multiplier", "t", "status",
@@ -83,9 +83,9 @@ def _expect_failures(entry: CatalogEntry, p: int, t: int,
     return problems
 
 
-# Errors that mean a method or an internal identity broke on one entry: they
-# become that entry's FAIL record, and the rest of a suite still runs.
-RECORDED_FAILURES = (CrossMethodDisagreement, OracleInconsistency, MemoryBudgetError,
+# Errors that mean a method, an internal identity or a size cap broke on one
+# entry: they become that entry's FAIL record, and the rest of a suite still runs.
+RECORDED_FAILURES = (CrossMethodDisagreement, OracleInconsistency, SizeCapError,
                      CollectionError, InconsistentPresentation, CatalogError)
 
 

@@ -9,6 +9,7 @@ from multlab import pcgroup
 from multlab.abelian import AbelianGroup
 from multlab.blackburn_evens import (
     BePreconditionError,
+    _w_coordinates,
     build_be_data,
     extension_data,
     multiplier_via_be,
@@ -98,6 +99,18 @@ class TestOracleAgreement:
         assert be.invariants == orc.invariants
 
 
+def assert_matches_collection(data):
+    """The pairing and f, read from the stated relations and moved to the
+    basis of `data.reps`, equal the collected [r_a, r_b] and r_a^p."""
+    pres, derived = data.derived.pres, data.derived
+    for a, r in enumerate(data.reps):
+        assert np.array_equal(data.power_map[:, a],
+                              _w_coordinates(derived, pres.pow_el(r, data.p)))
+        for b, s in enumerate(data.reps):
+            assert np.array_equal(data.pairing[a, b],
+                                  _w_coordinates(derived, pres.comm_el(r, s)))
+
+
 class TestBasisIndependence:
     def test_five_random_bases(self):
         rng = np.random.default_rng(5)
@@ -106,6 +119,7 @@ class TestBasisIndependence:
             pres = load_presentation(text, p)
             base_res = multiplier_via_be(pres)
             data = build_be_data(pres)
+            assert_matches_collection(data)
             dv = data.dim_v
             for _ in range(5):
                 while True:
@@ -120,6 +134,7 @@ class TestBasisIndependence:
                     reps.append(x)
                 res = multiplier_via_be(pres, reps=reps)
                 assert res.invariants == base_res.invariants
+                assert_matches_collection(build_be_data(pres, reps=reps))
 
 
 class TestDerivedLeadEntryP:

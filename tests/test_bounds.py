@@ -16,6 +16,7 @@ from multlab.bounds import (
     Provenance,
     ReplayAssertionError,
     ReplayResult,
+    _resolve_subgroup,
     replay_script,
     rule_class_bound,
     rule_extraspecial,
@@ -26,7 +27,7 @@ from multlab.bounds import (
 )
 from multlab.compute import Computer
 from multlab.dsl import load_presentation
-from multlab.pcgroup import structure_report
+from multlab.pcgroup import Subgroup, structure_report
 from multlab.report import load_script, verify_entry
 
 ES_P3 = "gen a p\ngen a1 p\ngen a2 p\ncomm a1 a = a2"
@@ -99,12 +100,20 @@ class TestRules:
     def test_jones_on_whole_abelian_group(self):
         # K = G abelian reproduces exterior-square exactness
         pres = load_presentation("gen x p\ngen y p^2", 3)
-        from multlab.pcgroup import Subgroup
         led = Ledger()
         prem = led.add("G/G", KIND_EXACT, 3, exponent=0,
                        provenance=Provenance.computed("abelian"))
         fact = rule_jones(led, "G", pres, Subgroup.whole(pres), prem)
         assert fact.exponent == 1  # |M(Z_p x Z_{p^2})| = p
+
+    def test_jones_rejects_trivial_k(self):
+        # K = 1 would turn an exact |M(G/1)| = |M(G)| into its own upper bound
+        pres = load_presentation(ES_P3, 3)
+        led = Ledger()
+        prem = led.add("G/1", KIND_EXACT, 3, exponent=2,
+                       provenance=Provenance.computed("tails"))
+        with pytest.raises(LedgerError, match="K is trivial"):
+            rule_jones(led, "G", pres, Subgroup.trivial(pres), prem)
 
     def test_class_bound_es(self, computer):
         pres = load_presentation(ES_P3, 3)
@@ -171,6 +180,16 @@ class TestRules:
                        provenance=Provenance.computed("abelian"))
         fact = rule_transgression_lower(led, "G", pres, st.center, cap, prem)
         assert fact.exponent == 1  # valid lower bound below the exact p^2
+
+    def test_transgression_rejects_trivial_z(self):
+        # Z = 1 would claim |M(G)| > |M(G)|: p^3 for ESp_p3, whose M is p^2
+        pres = load_presentation(ES_P3, 3)
+        led = Ledger()
+        cap = led.add("G", KIND_CAPABLE, 3, provenance=Provenance.assumed("cap"))
+        prem = led.add("G/1", KIND_EXACT, 3, exponent=2,
+                       provenance=Provenance.computed("tails"))
+        with pytest.raises(LedgerError, match="Z is trivial"):
+            rule_transgression_lower(led, "G", pres, Subgroup.trivial(pres), cap, prem)
 
 
 class TestReplay:
@@ -257,12 +276,15 @@ class TestReplay:
         ("apply jones K=gamma4", "'gamma4' is not one of gamma1 ... gamma3"),
         ("apply jones K=gamma1", "gamma1 is not central"),
         ("apply transgression Z=gamma1", "gamma1 is not central"),
+        ("apply jones K=gamma3", "K is trivial"),
+        ('assume capable "x"\napply transgression Z=gamma3', "Z is trivial"),
     ])
     def test_bad_rule_argument_names_its_step(self, computer, line, message):
-        # T6_viii has class 2: gamma1 ... gamma3 = 1
+        # T6_viii has class 2: gamma1 ... gamma3 = 1; a line may follow others
+        *before, last = line.split("\n")
         with pytest.raises(ReplayAssertionError) as exc:
             replay_script(f"use T6_viii\n{line}", 3, computer)
-        assert str(exc.value).startswith(f"step 2 ({line!r}): ")
+        assert str(exc.value).startswith(f"step {len(before) + 2} ({last!r}): ")
         assert message in str(exc.value)
 
     @pytest.mark.parametrize("line, message", [
@@ -299,8 +321,11 @@ class TestReplay:
         assert str(exc.value) == f"step {step} ({line!r}): {message}"
 
     def test_last_lower_central_term_is_accepted(self, computer):
-        res = replay_script("use ESp_p3\napply jones K=gamma3", 3, computer)
-        assert res.trace[1].startswith("F0 ESp_p3/gamma3: exact-order p^2")
+        # gamma3 = 1 of ESp_p3 is a valid spec, which jones then refuses as trivial
+        pres = computer.catalog.instantiate("ESp_p3", 3)
+        assert _resolve_subgroup(pres, "gamma3") == Subgroup.trivial(pres)
+        with pytest.raises(ReplayAssertionError, match="step 2 .*: K is trivial"):
+            replay_script("use ESp_p3\napply jones K=gamma3", 3, computer)
 
     def test_assumed_facts_are_read_off_the_ledger(self):
         led = Ledger()

@@ -366,15 +366,24 @@ class TestReports:
         assert rep.trace == [
             "InconsistentPresentation: tails: free rank 4 != 3 generators"]
 
-    def test_non_alternating_be_pairing_is_a_fail_record(self, catalog, computer,
-                                                         monkeypatch):
+    def test_corrupt_be_coordinates_are_a_fail_record(self, catalog, computer,
+                                                      monkeypatch):
+        # every W-coordinate off by one: the pairing and f read from the stated
+        # relations are wrong, and tails disagrees
         import multlab.blackburn_evens as be_mod
         real = be_mod._w_coordinates
         monkeypatch.setattr(be_mod, "_w_coordinates", lambda d, x: real(d, x) + 1)
         rep = verify_entry(catalog, computer, "ESp_p3", 3)
         assert (rep.status, rep.t) == ("FAIL", None)
         assert rep.trace == [
-            "InconsistentPresentation: Blackburn-Evens: pairing not alternating"]
+            "CrossMethodDisagreement: ESp_p3: blackburn_evens gives [] but tails gives [3,3]"]
+
+    def test_exhausted_oracle_cap_is_a_fail_record(self, catalog, computer):
+        # T6_xi at p = 3 has order 3^5 = 243, above the Cayley table cap
+        rep = verify_entry(catalog, computer, "T6_xi", 3, method="oracle")
+        assert (rep.group, rep.n, rep.status, rep.t) == ("T6_xi", 5, "FAIL", None)
+        assert rep.trace == [
+            "SizeCapError: group order 243 exceeds the Cayley table cap 128"]
 
 
 class TestCli:

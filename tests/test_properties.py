@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multlab.abelian import AbelianGroup, exterior_square, kunneth, tensor
-from multlab.blackburn_evens import build_be_data, multiplier_via_be
+from multlab.blackburn_evens import _w_coordinates, build_be_data, multiplier_via_be
 from multlab.bounds import KIND_LOWER, KIND_UPPER, Ledger, LedgerError, Provenance
 from multlab.dsl import load_presentation
 from multlab.oracle import h2_trivial_coeffs, multiplier_from_table
@@ -66,6 +66,9 @@ class TestCollectionIdempotence:
                 u = els[rng.integers(0, len(els))]
                 v = els[rng.integers(0, len(els))]
                 seen.add(pres.mul(u, v))
+                # one left division gives the commutator that two inversions give
+                assert pres.comm_el(u, v) == pres.mul(pres.mul(pres.inv(u), pres.inv(v)),
+                                                      pres.mul(u, v))
             assert len(seen) <= pres.group_order()
 
 
@@ -136,6 +139,13 @@ class TestBeBasisIndependence:
                         x = pres.mul(x, pres.pow_el(r, int(e)))
                     reps.append(x)
                 assert multiplier_via_be(pres, reps=reps).invariants == base
+                # the change of basis agrees with collecting in the new basis
+                moved = build_be_data(pres, reps=reps)
+                w = lambda x: _w_coordinates(moved.derived, x)
+                for a, r in enumerate(reps):
+                    assert np.array_equal(moved.power_map[:, a], w(pres.pow_el(r, p)))
+                    for b, s in enumerate(reps):
+                        assert np.array_equal(moved.pairing[a, b], w(pres.comm_el(r, s)))
                 cases += 1
         assert cases >= 200
 
