@@ -7,9 +7,11 @@ exact at any prime.  The operations here are the abelian half of the
 multiplier calculus: Smith normal form, tensor products, exterior squares,
 and the direct-product identity M(A x B) = M(A) + M(B) + A^ab (x) B^ab.
 
-There is one Smith-form engine, the modular eliminator `_snf_local` over
-Z_{p^k}; `_kernel_mod` solves with it, and `snf` reads cokernels with it
-after a sparse pass (`snf_sparse`) has taken every unit pivot.
+Cokernels are read by `snf` over Z_{p^k} on sparse {column: entry} rows
+(`snf_sparse`): one pass takes every unit pivot, and the unit-free rows
+left finish by least-valuation pivoting in the same rows.  The dense numpy
+eliminator `_snf_local` serves only the kernel and rank callers, through
+`_kernel_mod` or directly.
 Every cokernel read here is a p-group plus free summands, so working
 p-locally loses nothing as long as p^k exceeds its torsion: central tails,
 abelianizations and abelian subgroups of a group of order p^n run at
@@ -22,6 +24,7 @@ where the diagonal's length is the GF(p) rank."""
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
@@ -228,65 +231,69 @@ def snf(matrix, p: int, k: int) -> list[int]:
 def snf_sparse(rows: list[dict[int, int]], width: int, p: int, k: int) -> list[int]:
     """`snf` of the matrix whose rows are given as {column: entry} dicts.
 
-    A sparse pass first takes every unit pivot it can: the shortest row
-    comes off a heap and pivots on its unit entry in the sparsest column.
-    A unit pivot adds a valuation 0 and removes its row and column without
-    changing the rest of the cokernel, once its column is cleared from the
-    other rows.  A row changed by a pivot goes back on the heap while it
-    still has a unit; a row without one waits, and never gains one, since
-    it is zero mod p and so is every multiple of a pivot row subtracted
-    from it.  `_snf_local` finishes on the unit-free rows that are left,
-    over the columns they still touch.
+    One pass over the rows, shortest first, takes every unit pivot.  Each
+    row is reduced once against the pivots found so far, in the order they
+    were found: a pivot row holds no earlier pivot's column, so clearing
+    the row's pivot columns in that order (a heap) never brings one back.
+    A row left with a unit pivots on the unit whose column the fewest input
+    rows touch; its row and column drop out with valuation 0.  A row left
+    without one is zero mod p and stays so; it waits, and is reduced again
+    against every pivot at the end.  These unit-free rows finish in the
+    same dicts: the entry of least valuation v clears its column, and its
+    row and column drop out with valuation v; what is left stays a
+    multiple of p^v, so the valuations ascend.  Python ints are exact at
+    any modulus.
     """
     m = p ** k
     rows = [{j: v % m for j, v in row.items() if v % m} for row in rows]
-    holders: dict[int, set[int]] = {}  # column -> the rows with an entry there
-    for i, row in enumerate(rows):
-        for j in row:
-            holders.setdefault(j, set()).add(i)
-    heap = [(len(row), i) for i, row in enumerate(rows) if any(v % p for v in row.values())]
-    heapq.heapify(heap)
-    units = 0
-    while heap:
-        size, i = heapq.heappop(heap)
-        row = rows[i]
-        if len(row) != size:  # changed since it was pushed; a newer entry stands
-            continue
-        cands = [j for j, v in row.items() if v % p]
-        if not cands:
-            continue
-        pc = min(cands, key=lambda j: len(holders[j]))
-        rows[i] = {}
-        for j in row:
-            holders[j].discard(i)
-        inv = pow(row[pc], -1, m)
-        for r in holders.pop(pc):
-            other = rows[r]
-            f = other[pc] * inv % m
-            for j, v in row.items():
-                w = (other.get(j, 0) - f * v) % m
-                if w:
-                    if j not in other:
-                        holders[j].add(r)
-                    other[j] = w
-                elif j in other:
-                    del other[j]
-                    if j != pc:
-                        holders[j].discard(r)
-            if any(v % p for v in other.values()):
-                heapq.heappush(heap, (len(other), r))
-        units += 1
-    rest = [row for row in rows if row]
-    cols = sorted({j for row in rest for j in row})
+    touch = Counter(j for row in rows for j in row)
+    rank: dict[int, int] = {}  # pivot column -> the order it was found in
+    pivots: list[dict[int, int]] = []  # pivot rows, without their own 1
+
+    def reduce(row: dict[int, int]) -> dict[int, int]:
+        heap = [(rank[j], j) for j in row if j in rank]
+        heapq.heapify(heap)
+        while heap:
+            r, c = heapq.heappop(heap)
+            f = row.pop(c, 0)  # 0: cancelled since it was pushed
+            for j, v in pivots[r].items() if f else ():
+                w = (row.get(j, 0) - f * v) % m
+                if w and j not in row and j in rank:
+                    heapq.heappush(heap, (rank[j], j))
+                row[j] = w
+                if not w:
+                    del row[j]
+        return row
+
+    waiting = []
+    for row in sorted(rows, key=len):
+        reduce(row)
+        units = [j for j, v in row.items() if v % p]
+        if units:
+            c = min(units, key=touch.__getitem__)
+            inv = pow(row.pop(c), -1, m)
+            rank[c] = len(pivots)
+            pivots.append({j: v * inv % m for j, v in row.items()})
+        elif row:
+            waiting.append(row)
+    rest = [row for row in map(reduce, waiting) if row]
     vals: list[int] = []
-    if rest:
-        where = {j: c for c, j in enumerate(cols)}
-        dense = np.zeros((len(rest), len(cols)), dtype=np.int64 if m * m < 2 ** 63 else object)
-        for r, row in enumerate(rest):
-            for j, v in row.items():
-                dense[r, where[j]] = v
-        vals, _ = _snf_local(dense, p, k)
-    return [0] * units + vals + [k] * (width - units - len(vals))
+    while rest:
+        v = vals[-1] if vals else 0
+        while not (hit := next(((row, j) for row in rest for j, e in row.items()
+                                if e % p ** (v + 1)), None)):
+            v += 1
+        row, c = hit
+        inv = pow(row.pop(c) // p ** v, -1, m)
+        for other in rest:
+            f = other.pop(c, 0) // p ** v * inv % m  # 0 on row itself
+            for j, e in row.items() if f else ():
+                other[j] = w = (other.get(j, 0) - f * e) % m
+                if not w:
+                    del other[j]
+        rest = [other for other in rest if other and other is not row]
+        vals.append(v)
+    return [0] * len(pivots) + vals + [k] * (width - len(pivots) - len(vals))
 
 
 def snf_group(matrix, p: int, k: int) -> AbelianGroup:

@@ -375,9 +375,11 @@ def _resolve_subgroup(pres: PcPresentation, spec: str) -> Subgroup:
     raise LedgerError(f"unknown subgroup spec {spec!r}")
 
 
-def _resolve_central(pres: PcPresentation, spec: str) -> Subgroup:
-    """A subgroup to factor out: checked central before any quotient is built."""
+def _resolve_central(pres: PcPresentation, spec: str, key: str) -> Subgroup:
+    """Argument `key`'s subgroup, refused if trivial or not central before any quotient."""
     sub = _resolve_subgroup(pres, spec)
+    if not sub.order_exponent:
+        raise LedgerError(f"{key} is trivial")
     if not sub.is_central():
         raise LedgerError(f"{spec} is not central")
     return sub
@@ -455,7 +457,7 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
                 elif rule == "extraspecial":
                     fact = rule_extraspecial(ledger, subject, pres)
                 elif rule == "jones":
-                    K = _resolve_central(pres, args["K"])
+                    K = _resolve_central(pres, args["K"], "K")
                     quot = central_quotient(pres, K)
                     prem = premise_for(f"{subject}/{args['K']}", quot)
                     fact = rule_jones(ledger, subject, pres, K, prem)
@@ -466,7 +468,7 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
                     prem = premise_for(f"{subject}/gamma_c", quot)
                     fact = rule_class_bound(ledger, subject, pres, prem)
                 elif rule == "transgression":
-                    Z = _resolve_central(pres, args["Z"])
+                    Z = _resolve_central(pres, args["Z"], "Z")
                     quot = central_quotient(pres, Z)
                     prem = premise_for(f"{subject}/{args['Z']}", quot)
                     fact = rule_transgression_lower(

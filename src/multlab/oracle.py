@@ -22,12 +22,12 @@ rows s.c_e - c_e for s in S, where s maps the edge x -> x s_j to
 s x -> s x s_j.  A row has few entries: the translated edges of one cycle
 that land off the tree.
 
-Cokernel.  exp M(G) divides |G| = p^n, so the cokernel is read over
-Z_{p^(n+1)} by `abelian.snf_sparse`: summands of valuation 0 < v < n + 1
-are M(G), and the columns of valuation n + 1 are the free part.  Their
-number must equal |S|; anything else raises `OracleInconsistency`.  The
-|S| rows per cycle are held sparsely, so memory grows like |S|^2 N entries
-plus fill-in, inside the O(|G|^2) the oracle is allowed.
+Cokernel.  exp M(G) divides |G| = p^n, so `abelian.snf_sparse` reads the
+cokernel over Z_{p^(n+1)} in the rows' own dicts, |S|^2 N entries plus
+fill-in: each row is reduced once against the unit pivots found so far,
+and the unit-free rest is finished by least-valuation pivoting.  Summands
+of valuation 0 < v < n + 1 are M(G); the columns of valuation n + 1 are
+the free part, and their number must be |S| (else `OracleInconsistency`).
 
 `h2_trivial_coeffs` and `abelianization_from_table` are the earlier oracle.
 Nothing in the report calls them; they stay as the independent reference

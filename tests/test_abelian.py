@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multlab import abelian, oracle
 from multlab.abelian import (
     AbelianGroup,
     _kernel_mod,
@@ -24,6 +25,8 @@ from multlab.abelian import (
     tensor,
     valuation,
 )
+from multlab.oracle import cycle_relations, multiplier_via_oracle
+from multlab.pcgroup import abelianization, cayley_table
 
 PRIMES = [2, 3, 5, 7, 11, 13, 101]
 
@@ -329,9 +332,17 @@ def random_sparse_rows(rng, p, k):
     return rows
 
 
+def permuted(rows, width, rng):
+    """The same matrix with its rows shuffled and its columns relabelled."""
+    label = rng.permutation(width).tolist()
+    return [{label[j]: v for j, v in rows[i].items()} for i in rng.permutation(len(rows))]
+
+
 class TestSparseFront:
-    """`snf` takes unit pivots sparsely before `_snf_local` sees the rest;
-    the valuations must be those of `_snf_local` on the whole matrix."""
+    """`snf` reduces each row once against the unit pivots and finishes the
+    unit-free rows by least valuation; the valuations must be those of
+    `_snf_local` on the whole matrix, whatever the order of rows and the
+    labels of columns, and no dense eliminator may run on the way."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 13])
     @pytest.mark.parametrize("side", ["int64", "object"])
@@ -346,8 +357,72 @@ class TestSparseFront:
             want, _ = _snf_local(reduced, p, k)
             assert snf(rows, p, k) == want + [k] * (len(rows[0]) - len(want))
 
-    def test_unit_free_rows_reach_the_dense_remainder(self):
+    @pytest.mark.parametrize("p", [2, 3, 5, 13])
+    @pytest.mark.parametrize("side", ["int64", "object"])
+    def test_row_order_and_column_labels_do_not_matter(self, p, side):
+        k = {"int64": int64_limit(p), "object": int64_limit(p) + 1}[side]
+        rng = np.random.default_rng([p, k, 1])
+        for _ in range(60):
+            dense = random_sparse_rows(rng, p, k)
+            width = len(dense[0])
+            rows = [{j: v for j, v in enumerate(row) if v} for row in dense]
+            want = snf_sparse(rows, width, p, k)
+            for _ in range(3):
+                assert snf_sparse(permuted(rows, width, rng), width, p, k) == want
+
+    @pytest.mark.parametrize("eid", ["T6_xiv", "T6_xx"])
+    def test_oracle_rows_do_not_depend_on_their_order(self, catalog, eid):
+        table = cayley_table(catalog.instantiate(eid, 2))
+        width, blocks = cycle_relations(table, table.generating_set())
+        rows = [row for block in blocks for row in block]
+        k = valuation(table.n, 2) + 1
+        want = snf_sparse(rows, width, 2, k)
+        assert want.count(k) == len(table.generating_set())
+        rng = np.random.default_rng(len(rows))
+        for _ in range(3):
+            assert snf_sparse(permuted(rows, width, rng), width, 2, k) == want
+
+    def test_unit_free_rows_reach_the_valuation_finish(self):
         # rows 0 and 1 pivot on units; row 2 is zero mod 3 and waits
         # (determinant 9); the pivots leave it at 9 e_2
         assert snf([[1, 2, 0], [0, 1, 1], [3, 6, 9]], 3, 4) == [0, 0, 2]
         assert snf_sparse([{0: 1, 1: 2}, {1: 1, 2: 1}, {0: 3, 1: 6, 2: 9}], 3, 3, 4) == [0, 0, 2]
+
+    def test_finish_pivots_on_least_valuation_through_fill_in(self):
+        # the unit row pivots on column 3; rows 1 and 2 finish.  3 at (1, 0)
+        # is the least valuation; clearing column 0 from row 2 fills in -27
+        # at column 1, which then pivots with valuation 3 ahead of the 81
+        # at column 2 (dropping the fill-in would read valuation 4)
+        matrix = [[0, 2, 0, 1], [3, 9, 0, 0], [9, 0, 81, 0]]
+        want, _ = _snf_local(np.array(matrix, dtype=object), 3, 6)
+        assert want == [0, 1, 3]
+        assert snf(matrix, 3, 6) == [0, 1, 3, 6]
+
+    def test_waiting_row_is_reduced_against_later_pivots(self):
+        # row 1 loses its units to row 0's pivot and waits as 3 e_2; row 2
+        # then pivots on column 2, so the waiting row must become
+        # -9 (e_3 + e_4) before it finishes: valuation 2, not 1
+        rows = [{0: 1, 1: 1}, {0: 1, 1: 1, 2: 3}, {2: 1, 3: 3, 4: 3}]
+        dense = np.array([[row.get(j, 0) for j in range(5)] for row in rows], dtype=object)
+        want, _ = _snf_local(dense, 3, 4)
+        assert want == [0, 0, 2]
+        assert snf_sparse(rows, 5, 3, 4) == [0, 0, 2, 4, 4]
+
+    def test_no_dense_eliminator_on_the_snf_path(self, catalog, monkeypatch):
+        # tails read through `snf`, the abelianization through `snf_group`,
+        # and the oracle through `snf_sparse`, with `_snf_local` forbidden
+        pres = catalog.instantiate("T6_xiv", 2)
+        k = pres.order_exponent + 1
+
+        def run():
+            return (snf(pres._tail_rows, 2, k), abelianization(pres),
+                    multiplier_via_oracle(pres).invariants)
+
+        want = run()
+
+        def forbidden(*_):
+            raise AssertionError("ran the dense eliminator")
+
+        monkeypatch.setattr(abelian, "_snf_local", forbidden)
+        monkeypatch.setattr(oracle, "_snf_local", forbidden)
+        assert run() == want

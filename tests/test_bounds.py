@@ -287,6 +287,25 @@ class TestReplay:
         assert str(exc.value).startswith(f"step {len(before) + 2} ({last!r}): ")
         assert message in str(exc.value)
 
+    @pytest.mark.parametrize("line, key", [
+        ("apply jones K=gamma3", "K"),
+        ('assume capable "x"\napply transgression Z=gamma3', "Z"),
+    ])
+    def test_trivial_subgroup_is_refused_before_any_quotient(self, computer, monkeypatch,
+                                                              line, key):
+        # the quotient by a trivial K is the whole group: refusing K must
+        # come before its multiplier is computed
+        computed = []
+
+        def compute(pres):
+            computed.append(pres)
+            raise AssertionError("computed a quotient's multiplier")
+
+        monkeypatch.setattr(computer, "compute", compute)
+        with pytest.raises(ReplayAssertionError, match=f"{key} is trivial"):
+            replay_script(f"use T6_viii\n{line}", 3, computer)
+        assert computed == []
+
     @pytest.mark.parametrize("line, message", [
         ("apply green K=nonsense", "green takes no arguments, got K"),
         ("apply class_bound Q=junk", "class_bound takes no arguments, got Q"),
