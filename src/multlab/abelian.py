@@ -10,16 +10,16 @@ and the direct-product identity M(A x B) = M(A) + M(B) + A^ab (x) B^ab.
 Cokernels are read by `snf` over Z_{p^k} on sparse {column: entry} rows
 (`snf_sparse`): one pass takes every unit pivot, and the unit-free rows
 left finish by least-valuation pivoting in the same rows.  The dense numpy
-eliminator `_snf_local` serves only the kernel and rank callers, through
-`_kernel_mod` or directly.
+eliminator `_snf_local` serves the tensor construction's ranks, and
+through `_kernel_mod` only the centre's nullspace and the H^2 reference.
 Every cokernel read here is a p-group plus free summands, so working
 p-locally loses nothing as long as p^k exceeds its torsion: central tails,
 abelianizations and abelian subgroups of a group of order p^n run at
 k = n + 1 (exp M(G) and every quotient's order divide p^n, and a column
 with valuation n + 1 can only be free), and so do the oracle's Cayley-graph
 coinvariants; the H^2 reference solves at k = log_p |G|; the tensor
-construction's ranks and kernels and the centre's nullspace run at k = 1,
-where the diagonal's length is the GF(p) rank."""
+construction's ranks and the centre's nullspace run at k = 1, where the
+diagonal's length is the GF(p) rank."""
 
 from __future__ import annotations
 

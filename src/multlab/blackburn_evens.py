@@ -14,14 +14,15 @@ and X = X1 + X2.  With N = V (x) W / X and rho(v1 ^ v2) = (v1, v2), the
 multiplier is an extension of ker(rho) by N whose p-th power map is induced
 by sigma(v1 ^ v2) = v1 (x) f(v2) + binom(p,2) v2 (x) (v1,v2) + X.  So
 |M(G)| = |N| * |V ^ V| / |W|, the p-torsion count |ker(sigma-bar)| * |N|
-fixes the number of Z_{p^2} factors, and everything reduces to GF(p)
-ranks and kernels in dimension dim(V) * dim(W), taken with the package's
-modular eliminator (`abelian._snf_local` / `_kernel_mod`) at k = 1.
+fixes the number of Z_{p^2} factors, and everything reduces to GF(p) ranks
+in dimension dim(V) * dim(W), taken with the package's modular eliminator
+(`abelian._snf_local`) at k = 1; no kernel is formed.
 
 The construction reads only the lower central series, whose length gives
 the class and whose second term is G', and the stated relations: V's basis
-is read off the igs of G', and the pairing and f off the surviving
-generators' commutator and power relations, so no commutator is collected.
+is the surviving generators of the presentation (those the igs of G' does
+not lead with entry 1), and the pairing and f are read off their stated
+commutator and power relations, so no commutator is collected.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .abelian import AbelianGroup, _kernel_mod, _snf_local
+from .abelian import AbelianGroup, _snf_local
 from .pcgroup import (
     InconsistentPresentation,
     NormalWord,
@@ -40,7 +41,6 @@ from .pcgroup import (
     _stated,
     abelianization,
     lower_central_series,
-    reduce_mod_central,
 )
 from .results import METHOD_BE, MultiplierResult
 
@@ -66,7 +66,7 @@ class BeData:
     p: int
     dim_v: int
     dim_w: int
-    reps: list[NormalWord]            # coset representatives of the V-basis
+    reps: list[NormalWord]            # the surviving generators: the V-basis
     pairing: np.ndarray               # (dV, dV, dW): (v_i, v_j) in W coordinates
     power_map: np.ndarray             # (dW, dV): f on the basis
     x_rows: np.ndarray                # rows spanning X inside V (x) W
@@ -126,15 +126,14 @@ def be_preconditions(pres: PcPresentation) -> Subgroup:
     return derived
 
 
-def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) -> BeData:
+def build_be_data(pres: PcPresentation) -> BeData:
     """Pairing, power map and X for a presentation that meets `be_preconditions`.
 
     Generator i survives in V = G/G' unless it leads the igs of G' with lead
-    entry 1; with G/G' elementary, each survivor spans one dimension.  G' is
-    central and elementary, so the pairing is alternating and bilinear, with
-    the stated tail of [g_b, g_a] at (b, a) for survivors b > a, and f(g_a) =
-    g_a^p is linear.  The V-coordinates of a caller's `reps` are the rows of a
-    change of basis C: the pairing becomes C P C^T and f becomes f C^T."""
+    entry 1; with G/G' elementary, each survivor spans one dimension, and the
+    survivors are the basis of V.  G' is central and elementary, so the
+    pairing is alternating and bilinear, with the stated tail of [g_b, g_a]
+    at (b, a) for survivors b > a, and f(g_a) = g_a^p is linear."""
     p = pres.p
     derived = be_preconditions(pres)
     survivors = [i for i in range(pres.ngens)
@@ -150,20 +149,8 @@ def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) ->
     power_map = np.array([_w_coordinates(derived, pres.collect([(i, p)]))
                           for i in survivors], dtype=np.int64).T
 
-    if reps is None:
-        reps = [pres.gen(i) for i in survivors]
-    else:
-        reps = [tuple(r) for r in reps]
-        # each row is the image in G/G' over the surviving generators
-        c = np.array([[reduce_mod_central(derived, r)[i] for i in survivors]
-                      for r in reps], dtype=np.int64)
-        if len(reps) != dim_v or _rank(c, p) != dim_v:
-            raise ValueError("representatives do not project to a V-basis")
-        pairing = np.einsum("ai,bj,ijk->abk", c, c, pairing) % p
-        power_map = power_map @ c.T % p
-
-    data = BeData(p, dim_v, dim_w, reps, pairing, power_map,
-                  np.zeros((0, dim_v * dim_w), dtype=np.int64), 0, derived)
+    data = BeData(p, dim_v, dim_w, [pres.gen(i) for i in survivors], pairing,
+                  power_map, np.zeros((0, dim_v * dim_w), dtype=np.int64), 0, derived)
     eye = np.eye(dim_v, dtype=np.int64)
     data.x_rows = np.array(  # class 2 makes dim V >= 2
         [data.jacobi_element(u, v, w) for u, v, w in combinations(eye, 3)]
@@ -174,43 +161,38 @@ def build_be_data(pres: PcPresentation, reps: list[NormalWord] | None = None) ->
 
 
 def extension_data(data: BeData) -> BeExtensionData:
-    """The dimensions of N, ker(rho) and ker(sigma-bar) that fix M(G), with
-    ker(rho) taken in exterior-square coordinates.  The commutators of a
-    class-2 group span G', so rho is onto; if not, InconsistentPresentation."""
-    p = data.p
+    """The dimensions of N, ker(rho) and ker(sigma-bar) that fix M(G), from
+    ranks alone.  The commutators of a class-2 group span G', so rho is onto
+    (if not, InconsistentPresentation) and dim ker(rho) = dim V^V - dim W.
+    The map u -> (rho u, sigma u + X) on V ^ V has kernel ker(rho) meet
+    sigma^-1(X), so sigma-bar has rank rank[rho sigma; 0 X] - dim W - dim X
+    on ker(rho): one row [rho(e_i ^ e_j) | sigma(e_i ^ e_j)] per pair, one
+    row [0 | x] per row x of X."""
+    p, dim_w = data.p, data.dim_w
     pairs = list(combinations(range(data.dim_v), 2))
-    rho = np.zeros((data.dim_w, len(pairs)), dtype=np.int64)
-    for c, (i, j) in enumerate(pairs):
-        rho[:, c] = data.pairing[i, j]
-    ker = _kernel_mod(rho, len(pairs), p, 1)
-    if len(pairs) - ker.shape[1] != data.dim_w:
+    # sigma(e_i ^ e_j) = e_i (x) f(e_j) + X, block i of V (x) W after rho's
+    # columns; the binom(p,2) e_j (x) (e_i, e_j) term vanishes at odd p
+    rows = np.zeros((len(pairs), dim_w + data.tensor_dim()), dtype=np.int64)
+    for r, (i, j) in enumerate(pairs):
+        rows[r, :dim_w] = data.pairing[i, j]
+        rows[r, dim_w * (i + 1):dim_w * (i + 2)] = data.power_map[:, j]
+    if _rank(rows[:, :dim_w], p) != dim_w:
         raise InconsistentPresentation(
             "Blackburn-Evens: commutators do not span the derived subgroup")
-
-    # sigma(e_i ^ e_j) = e_i (x) f(e_j) + X; the binom(p,2) e_j (x) (e_i, e_j)
-    # term of the general formula vanishes at odd p
-    sigma_cols = np.zeros((data.tensor_dim(), len(pairs)), dtype=np.int64)
-    eye = np.eye(data.dim_v, dtype=np.int64)
-    for c, (i, j) in enumerate(pairs):
-        sigma_cols[:, c] = np.outer(eye[i], data.power_map[:, j]).reshape(-1)
-    sigma_on_ker = (sigma_cols @ ker) % p
-
-    # the rank of the image modulo X counts the Z_{p^2} factors
-    rank_sigma = _rank(np.vstack([data.x_rows, sigma_on_ker.T]), p) - data.x_rank
-    dim_ker_rho = ker.shape[1]
-    dim_n = data.tensor_dim() - data.x_rank
+    x_rows = np.hstack([np.zeros((len(data.x_rows), dim_w), dtype=np.int64), data.x_rows])
+    rank_sigma = _rank(np.vstack([rows, x_rows]), p) - dim_w - data.x_rank
+    dim_ker_rho = len(pairs) - dim_w
     return BeExtensionData(
-        dim_n=dim_n,
+        dim_n=data.tensor_dim() - data.x_rank,
         dim_ker_rho=dim_ker_rho,
         dim_ker_sigma_bar=dim_ker_rho - rank_sigma,
     )
 
 
-def multiplier_via_be(pres: PcPresentation,
-                      reps: list[NormalWord] | None = None) -> MultiplierResult:
+def multiplier_via_be(pres: PcPresentation) -> MultiplierResult:
     """M(G): order p^{dim N + dim ker rho}, structure Z_{p^2}^a x Z_p^b with
     a determined by the p-torsion count |ker sigma-bar| * |N|."""
-    data = build_be_data(pres, reps=reps)
+    data = build_be_data(pres)
     ext = extension_data(data)
     mu = ext.dim_n + ext.dim_ker_rho                  # log_p |M|
     nu = ext.dim_n + ext.dim_ker_sigma_bar            # log_p #{m : m^p = 1}

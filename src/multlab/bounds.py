@@ -325,9 +325,9 @@ def rule_transgression_lower(ledger: Ledger, subject: str, pres: PcPresentation,
 
 
 def squeeze_exact(ledger: Ledger, subject: str, p: int) -> Fact | None:
-    """Derive an exact order when the best bounds meet."""
+    """Derive an exact order when the best bounds meet and none is known yet."""
     lo, hi = ledger.best_lower(subject), ledger.best_upper(subject)
-    if lo is None or hi is None or lo.exponent != hi.exponent:
+    if ledger.exact(subject) or lo is None or hi is None or lo.exponent != hi.exponent:
         return None
     return ledger.add(subject, KIND_EXACT, p, exponent=lo.exponent,
                       provenance=Provenance.rule("squeeze", (lo.fact_id, hi.fact_id)))
@@ -388,6 +388,9 @@ def _resolve_central(pres: PcPresentation, spec: str, key: str) -> Subgroup:
 # the key=value arguments each `apply` rule takes, all of them required
 RULE_KEYS = {"green": (), "extraspecial": (), "class_bound": (), "jones": ("K",),
              "transgression": ("Z",)}
+# the fact each `assume <kind>` adds; all but capable take an order
+ASSUME_KINDS = {"capable": KIND_CAPABLE, "upper": KIND_UPPER, "lower": KIND_LOWER,
+                "exact": KIND_EXACT}
 # the tokens `use <group>`, `compute` and `expect <kind> <order>` take, exactly
 VERB_ARGS = {"use": ("group",), "compute": (), "expect": ("kind", "order")}
 
@@ -433,11 +436,15 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
             if verb == "assume":
                 if '"' not in line:
                     raise LedgerError("an assumption needs a quoted citation")
-                _, citation = _take_citation(line)
-                kind = {"capable": KIND_CAPABLE, "upper": KIND_UPPER, "lower": KIND_LOWER,
-                        "exact": KIND_EXACT}[parts[1]]
-                exponent = None if kind == KIND_CAPABLE else parse_order(parts[2])
-                fact = ledger.add(subject, kind, p, exponent=exponent,
+                head, citation = _take_citation(line)
+                args = head.split()[1:]
+                if args and args[0] not in ASSUME_KINDS:
+                    raise LedgerError(f"unknown assumption kind {args[0]!r}")
+                if len(args) != (1 if args[:1] == ["capable"] else 2):
+                    raise LedgerError("assume takes <upper|lower|exact> <order> or capable "
+                                      f"before the citation, got {' '.join(args) or 'none'}")
+                fact = ledger.add(subject, ASSUME_KINDS[args[0]], p,
+                                  exponent=parse_order(args[1]) if args[1:] else None,
                                   provenance=Provenance.assumed(citation))
                 trace.append(fact.describe())
             elif verb == "apply":

@@ -107,8 +107,13 @@ class ParsedPresentation:
     comms: list[tuple[str, str, str, int]]   # (high, low, word text, line)
 
 
+# the leading tokens that name what a statement defines, once per text
+DEFINES = {"prime": 1, "gen": 2, "pow": 2, "comm": 3}
+
+
 def parse_statements(text: str) -> ParsedPresentation:
     out = ParsedPresentation(None, [], [], [])
+    defined: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -133,6 +138,10 @@ def parse_statements(text: str) -> ParsedPresentation:
             out.comms.append((parts[1], parts[2], " ".join(parts[4:]), line_no))
         else:
             raise DslError(f"unknown statement {kw!r}", line_no)
+        key = " ".join(parts[:DEFINES[kw]])  # a second `pow a`, whatever its word
+        if key in defined:
+            raise DslError(f"{key!r} is stated twice", line_no)
+        defined.add(key)
     return out
 
 
@@ -145,8 +154,6 @@ def build_presentation(parsed: ParsedPresentation, p: int,
     gen_index = {}
     orders = []
     for gname, order_tok in parsed.gens:
-        if gname in gen_index:
-            raise DslError(f"duplicate generator {gname!r}")
         gen_index[gname] = len(orders)
         orders.append(_parse_scalar(order_tok, p, 0))
     n = len(orders)
@@ -167,8 +174,6 @@ def build_presentation(parsed: ParsedPresentation, p: int,
         if gname not in gen_index:
             raise DslError(f"unknown generator {gname!r}", line_no)
         i = gen_index[gname]
-        if powers[i]:
-            raise DslError(f"duplicate power relation for {gname!r}", line_no)
         powers[i] = normalize(_parse_word(word_text, gen_index, p, line_no), line_no)
     comms = []
     for high, low, word_text, line_no in parsed.comms:

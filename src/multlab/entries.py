@@ -23,6 +23,7 @@ from .dsl import DslError, _parse_scalar, load_presentation, parse_order
 from .pcgroup import PcPresentation, direct_product, is_prime
 
 CONSTRAINTS = ("odd", "two", "any")
+SINGLE_HEADERS = ("name", "constraint", "squeeze", "alias", "product", "disabled")
 EXPECT_KINDS = ("multiplier", "order", "t")
 
 
@@ -104,6 +105,7 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
     squeeze = None
     disabled = None
     dsl_lines: list[str] = []  # header lines blank, so DSL errors keep the file's line numbers
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         dsl_lines.append("")
@@ -113,6 +115,9 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
         if kw in ("name", "constraint", "squeeze", "alias") and len(args) != 1:
             raise CatalogError(f"line {lineno}: {line!r} needs an argument" if not args else
                                f"line {lineno}: {kw} takes one argument, got {line!r}")
+        if kw in SINGLE_HEADERS and kw in seen:
+            raise CatalogError(f"line {lineno}: {kw!r} is stated twice")
+        seen.add(kw)
         if kw == "name":
             name = args[0]
         elif kw == "constraint":

@@ -137,8 +137,8 @@ def matrices_mod_p(draw):
 
 
 class TestModularEliminatorOverGFp:
-    """`_snf_local` and `_kernel_mod` at k = 1, as the tensor construction
-    and the centre use them."""
+    """`_snf_local` and `_kernel_mod` at k = 1: the tensor construction
+    takes ranks, the centre a nullspace."""
 
     @given(matrices_mod_p())
     @settings(max_examples=200, deadline=None)

@@ -1,15 +1,21 @@
-"""The class-2 tensor construction: frozen values, oracle agreement, basis
-independence, the spanning-set soundness of X1 and X2, and what the
+"""The class-2 tensor construction: frozen values, oracle agreement, the
+pairing and power map against collection, the spanning-set soundness of X1
+and X2, the rank count of extension_data against a kernel, and what the
 construction reads of the group (the lower central series only)."""
+
+import itertools
+import sys
 
 import numpy as np
 import pytest
 
 from multlab import pcgroup
-from multlab.abelian import AbelianGroup
+from multlab.abelian import AbelianGroup, _kernel_mod, _snf_local
 from multlab.blackburn_evens import (
+    BeData,
     BePreconditionError,
     _w_coordinates,
+    be_preconditions,
     build_be_data,
     extension_data,
     multiplier_via_be,
@@ -17,7 +23,12 @@ from multlab.blackburn_evens import (
 from multlab.dsl import load_presentation
 from multlab.entries import Catalog, CatalogError
 from multlab.oracle import multiplier_via_oracle
-from multlab.pcgroup import _central_quotient_map, direct_product, structure_report
+from multlab.pcgroup import (
+    InconsistentPresentation,
+    _central_quotient_map,
+    direct_product,
+    structure_report,
+)
 from multlab.results import METHOD_BE
 
 ES_P3 = "gen a p\ngen a1 p\ngen a2 p\ncomm a1 a = a2"
@@ -99,9 +110,31 @@ class TestOracleAgreement:
         assert be.invariants == orc.invariants
 
 
+def _odd_instances():
+    """Every catalog group at p = 3, 5, 7, and those the construction applies to."""
+    cat = Catalog.bundled()
+    out, be = [], []
+    for p in (3, 5, 7):
+        for eid in cat.ids():
+            try:
+                pres = cat.instantiate(eid, p)
+            except CatalogError:
+                continue
+            out.append(pytest.param(eid, p, id=f"{eid}-{p}"))
+            try:
+                be_preconditions(pres)
+            except BePreconditionError:
+                continue
+            be.append(out[-1])
+    return out, be
+
+
+ODD_INSTANCES, BE_INSTANCES = _odd_instances()
+
+
 def assert_matches_collection(data):
-    """The pairing and f, read from the stated relations and moved to the
-    basis of `data.reps`, equal the collected [r_a, r_b] and r_a^p."""
+    """The pairing and f, read from the stated relations, equal the collected
+    [r_a, r_b] and r_a^p of the basis `data.reps`."""
     pres, derived = data.derived.pres, data.derived
     for a, r in enumerate(data.reps):
         assert np.array_equal(data.power_map[:, a],
@@ -111,64 +144,45 @@ def assert_matches_collection(data):
                                   _w_coordinates(derived, pres.comm_el(r, s)))
 
 
-class TestBasisIndependence:
-    def test_five_random_bases(self):
-        rng = np.random.default_rng(5)
-        for text in (ES_P3, PHI2_211B, PHI4_15):
-            p = 3
-            pres = load_presentation(text, p)
-            base_res = multiplier_via_be(pres)
-            data = build_be_data(pres)
-            assert_matches_collection(data)
-            dv = data.dim_v
-            for _ in range(5):
-                while True:
-                    t_mat = rng.integers(0, p, size=(dv, dv))
-                    if round(np.linalg.det(t_mat)) % p:
-                        break
-                reps = []
-                for col in t_mat.T:
-                    x = pres.identity
-                    for r, e in zip(data.reps, col):
-                        x = pres.mul(x, pres.pow_el(r, int(e)))
-                    reps.append(x)
-                res = multiplier_via_be(pres, reps=reps)
-                assert res.invariants == base_res.invariants
-                assert_matches_collection(build_be_data(pres, reps=reps))
+class TestCatalogBasis:
+    @pytest.mark.parametrize("eid,p", BE_INSTANCES)
+    def test_default_basis_without_a_kernel(self, catalog, eid, p, monkeypatch):
+        """On every catalog group the construction applies to, the pairing
+        and f in the presentation's own basis match collection, and the
+        multiplier is found with `_kernel_mod` made to raise."""
+        pres = catalog.instantiate(eid, p)
+        assert_matches_collection(build_be_data(pres))
+
+        def forbidden(*_):
+            raise AssertionError("Blackburn-Evens took a kernel")
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("multlab") and hasattr(mod, "_kernel_mod"):
+                monkeypatch.setattr(mod, "_kernel_mod", forbidden)
+        assert multiplier_via_be(pres).method == METHOD_BE
 
 
 class TestDerivedLeadEntryP:
     """G' = <a^p> for a of relative order p^2: the igs of G' has lead entry p,
-    so V-coordinates must reduce modulo G' lead entry by lead entry."""
+    so a survives in V although a^p lies in G'."""
 
     META = "gen b p\ngen a p^2\ncomm a b = a^p"
     META_C = "gen b p\ngen c p\ngen a p^2\ncomm a b = a^p\ncomm c b = a^p"
 
-    @staticmethod
-    def word(pres, *letters):
-        return pres.collect([(pres.gen_index(g), e) for g, e in letters])
-
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_metacyclic_of_order_p_cubed(self, p):
         pres = load_presentation(self.META, p)
-        assert build_be_data(pres).derived.igs == {1: (0, p)}
-        # images b a and a^(1+p) in G/G' = <b, a> form a basis
-        reps = [self.word(pres, ("b", 1), ("a", 1)), self.word(pres, ("a", 1 + p))]
-        for r in (None, reps):
-            assert multiplier_via_be(pres, reps=r).invariants.is_trivial
-        with pytest.raises(ValueError, match="V-basis"):
-            build_be_data(pres, reps=[pres.gen(0), self.word(pres, ("b", 1), ("a", p))])
+        data = build_be_data(pres)
+        assert data.derived.igs == {1: (0, p)}
+        assert data.reps == [pres.gen(0), pres.gen(1)]
+        assert multiplier_via_be(pres).invariants.is_trivial
         if p == 3:
             assert multiplier_via_oracle(pres).invariants.is_trivial
 
     def test_two_commutators_onto_a_p(self):
         pres = load_presentation(self.META_C, 3)
         want = AbelianGroup.from_orders([3, 3])
-        reps = [self.word(pres, ("b", 1), ("c", 1)),
-                self.word(pres, ("c", 1), ("a", 3)),
-                self.word(pres, ("a", 1), ("b", 1))]
-        for r in (None, reps):
-            assert multiplier_via_be(pres, reps=r).invariants == want
+        assert multiplier_via_be(pres).invariants == want
         assert multiplier_via_oracle(pres).invariants == want
 
 
@@ -210,21 +224,47 @@ class TestExtension:
             wedge = data.dim_v * (data.dim_v - 1) // 2
             assert ext.dim_ker_rho == wedge - data.dim_w
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_rank_count_matches_the_kernel_method(self, p):
+        """On random alternating pairings and power maps, the three counts
+        equal those of ker(rho), sigma on it, and a rank modulo X."""
+        rng = np.random.default_rng(p)
+        onto = 0
+        for _ in range(120):
+            dim_v = int(rng.integers(2, 6))
+            dim_w = int(rng.integers(1, min(dim_v * (dim_v - 1) // 2, 4) + 1))
+            pairing = np.zeros((dim_v, dim_v, dim_w), dtype=np.int64)
+            for a, b in itertools.combinations(range(dim_v), 2):
+                pairing[b, a] = rng.integers(0, p, size=dim_w)
+                pairing[a, b] = -pairing[b, a] % p
+            # f = 0 about half the time, so X is X1 alone there
+            power_map = rng.integers(0, p, size=(dim_w, dim_v)) * rng.integers(0, 2)
+            data = BeData(p, dim_v, dim_w, [], pairing, power_map,
+                          np.zeros((0, dim_v * dim_w), dtype=np.int64), 0, None)
+            eye = np.eye(dim_v, dtype=np.int64)
+            data.x_rows = np.array(
+                [data.jacobi_element(u, v, w) for u, v, w in itertools.combinations(eye, 3)]
+                + [data.power_element(v) for v in eye]
+                + [data.power_element((u + v) % p) for u, v in itertools.combinations(eye, 2)])
+            data.x_rank = len(_snf_local(data.x_rows, p, 1)[0])
 
-def _odd_instances():
-    cat = Catalog.bundled()
-    out = []
-    for p in (3, 5, 7):
-        for eid in cat.ids():
-            try:
-                cat.instantiate(eid, p)
-            except CatalogError:
+            pairs = list(itertools.combinations(range(dim_v), 2))
+            rho = np.array([pairing[i, j] for i, j in pairs], dtype=np.int64).T
+            ker = _kernel_mod(rho, len(pairs), p, 1)
+            if len(pairs) - ker.shape[1] != dim_w:
+                with pytest.raises(InconsistentPresentation, match="span"):
+                    extension_data(data)
                 continue
-            out.append(pytest.param(eid, p, id=f"{eid}-{p}"))
-    return out
-
-
-ODD_INSTANCES = _odd_instances()
+            sigma = np.array([np.outer(eye[i], power_map[:, j]).reshape(-1)
+                              for i, j in pairs], dtype=np.int64).T
+            image = (sigma @ ker % p).T
+            rank_sigma = len(_snf_local(np.vstack([data.x_rows, image]), p, 1)[0])
+            rank_sigma -= data.x_rank
+            ext = extension_data(data)
+            assert (ext.dim_n, ext.dim_ker_rho, ext.dim_ker_sigma_bar) == (
+                dim_v * dim_w - data.x_rank, ker.shape[1], ker.shape[1] - rank_sigma)
+            onto += 1
+        assert onto >= 80
 
 
 class TestReadsTheLowerSeries:

@@ -332,12 +332,33 @@ class TestReplay:
          "compute takes no arguments, got now please"),
         ("use ESp_p3\ncompute\nexpect upper p^2 junk", "expect upper p^2 junk",
          "expect takes kind order, got upper p^2 junk"),
-    ], ids=["use", "compute", "expect"])
+        ('use ESp_p3\nassume upper p^4 junk "c"', 'assume upper p^4 junk "c"',
+         "assume takes <upper|lower|exact> <order> or capable before the citation, "
+         "got upper p^4 junk"),
+        ('use ESp_p3\nassume capable p^9 "c"', 'assume capable p^9 "c"',
+         "assume takes <upper|lower|exact> <order> or capable before the citation, "
+         "got capable p^9"),
+        ('use ESp_p3\nassume upper "c"', 'assume upper "c"',
+         "assume takes <upper|lower|exact> <order> or capable before the citation, "
+         "got upper"),
+        ('use ESp_p3\nassume bogus p^2 "c"', 'assume bogus p^2 "c"',
+         "unknown assumption kind 'bogus'"),
+    ], ids=["use", "compute", "expect", "assume-extra", "assume-capable-order",
+            "assume-missing-order", "assume-unknown-kind"])
     def test_extra_tokens_are_rejected(self, computer, script, line, message):
         with pytest.raises(ReplayAssertionError) as exc:
             replay_script(script, 3, computer)
         step = script.splitlines().index(line) + 1
         assert str(exc.value) == f"step {step} ({line!r}): {message}"
+
+    def test_repeated_expect_exact_squeezes_once(self, computer):
+        script = ('use ESp_p3\nassume lower p^2 "l"\nassume upper p^2 "u"\n'
+                  "expect exact p^2\nexpect exact p^2")
+        res = replay_script(script, 3, computer)
+        assert [f.describe() for f in res.ledger.facts[2:]] == [
+            "F2 ESp_p3: exact-order p^2 [rule squeeze <- [0, 1]]"]
+        assert res.trace[-3:] == ["F2 ESp_p3: exact-order p^2 [rule squeeze <- [0, 1]]",
+                                  "expect exact p^2: OK", "expect exact p^2: OK"]
 
     def test_last_lower_central_term_is_accepted(self, computer):
         # gamma3 = 1 of ESp_p3 is a valid spec, which jones then refuses as trivial

@@ -153,6 +153,16 @@ class TestLoadGroupDsl:
         with pytest.raises(CatalogError, match=re.escape(message)):
             parse_entry(f"name Z\n{keyword} odd two\ngen a p\n")
 
+    @pytest.mark.parametrize("first, second", [
+        ("name Z", "name Y"), ("constraint odd", "constraint odd"),
+        ("squeeze a.script", "squeeze b.script"), ("alias ES", "alias ES"),
+        ("product A B", "product A C"), ("disabled no source", "disabled"),
+    ], ids=["name", "constraint", "squeeze", "alias", "product", "disabled"])
+    def test_repeated_header_rejected(self, first, second):
+        message = f"line 3: {second.split()[0]!r} is stated twice"
+        with pytest.raises(CatalogError, match=re.escape(message)):
+            parse_entry(f"# header\n{first}\n{second}\ngen a p\n")
+
     @pytest.mark.parametrize("value, token", [("[6]", "6"), ("[2]", "2"), ("[p,2]", "2"),
                                               ("[-p]", "-p"), ("[0]", "0")])
     def test_expected_multiplier_factor_must_be_a_power_of_p(self, value, token):

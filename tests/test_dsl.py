@@ -26,6 +26,22 @@ class TestParsing:
         with pytest.raises(DslError, match="higher index"):
             load_presentation("gen a 2\ngen b 4\ncomm a b = b^2", 2)
 
+    @pytest.mark.parametrize("text, message", [
+        ("gen a p\ngen b p\npow a = 1\npow a = b", "line 4: 'pow a' is stated twice"),
+        ("gen a p\ngen b p\npow a = b\npow a = b", "line 4: 'pow a' is stated twice"),
+        ("gen a p\ngen b p\ngen c p\ncomm b a = c\ncomm b a = 1",
+         "line 5: 'comm b a' is stated twice"),
+        ("gen a p\ngen b p\ngen c p\ncomm b a = c\ncomm b a = c^2",
+         "line 5: 'comm b a' is stated twice"),
+        ("prime 3\ngen a p\nprime 3", "line 3: 'prime' is stated twice"),
+        ("gen a p\ngen b p\ngen a p^2", "line 3: 'gen a' is stated twice"),
+    ], ids=["pow-trivial-first", "pow-same", "comm-trivial-second", "comm-two-tails",
+            "prime", "gen"])
+    def test_repeated_statement_rejected_with_its_line(self, text, message):
+        with pytest.raises(DslError) as exc:
+            load_presentation(text, 3)
+        assert str(exc.value) == message
+
 
 class TestInstantiation:
     def test_parametric_orders(self):
