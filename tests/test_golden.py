@@ -3,7 +3,8 @@
 Each case runs `multlab` in process and compares its exit code, stdout and
 stderr with a file under tests/golden/; the `millis` of JSONL reports are
 masked.  `two_p2` pins the p = 2 part, including the cycle, relation and
-free counts of every oracle run on orders 8-64.  After a deliberate change
+free counts of every oracle run on orders 8-64, and `compute_T6_xiii_p2_oracle`
+pins one oracle run at the cap, order 128.  After a deliberate change
 of output, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -34,6 +35,8 @@ CASES = {
     "table24_p3": ["table24", "--p", "3", "--format", "jsonl"],
     "table24_p7": ["table24", "--p", "7", "--format", "jsonl"],
     "compute_Phi2_31_p5": ["compute", "--group", "Phi2_31", "--p", "5", "--format", "jsonl"],
+    "compute_T6_xiii_p2_oracle": ["compute", "--group", "T6_xiii", "--p", "2", "--method", "oracle",
+                                  "--format", "jsonl"],
     **{f"replay_{script}_p{p}": ["replay", "--script", f"{script}.script", "--p", str(p)]
        for script in ("phi7_15_squeeze", "phi2_2111c_jones", "es_p3_class_bound")
        for p in (3, 5)},
