@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .abelian import AbelianGroup, exterior_square, tensor
 from .compute import Computer
 from .dsl import DslError, parse_order
-from .entries import _take_citation
+from .entries import _strip_comment, _take_citation
 from .pcgroup import (
     PcPresentation,
     Subgroup,
@@ -416,7 +416,10 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
         return add_result(quot_subject, computer.compute(quot_pres))
 
     for step_no, raw in enumerate(script.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        try:
+            line = _strip_comment(raw)
+        except ValueError as exc:
+            raise ReplayAssertionError(step_no, raw.strip(), str(exc)) from None
         if not line:
             continue
         parts = line.split()

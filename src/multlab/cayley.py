@@ -9,20 +9,23 @@ import numpy as np
 from .abelian import prime_power
 
 
-def _closure(t: np.ndarray, gens: list[int]) -> set[int]:
-    """Everything right multiplication by `gens` reaches from the identity:
-    in a finite group, the subgroup the elements `gens` generate, since the
-    products of generators already form it."""
-    seen = {0, *gens}
-    frontier = list(seen)
-    while frontier:
-        x = frontier.pop()
-        for s in gens:
-            y = int(t[x, s])
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
+def walk(t: np.ndarray, gens: list[int]) -> tuple[list[int], dict[int, int], dict[int, int]]:
+    """A breadth-first walk from the identity by right multiplication.
+
+    `order` is the reached set in the order reached, the identity first: in
+    a finite group, the subgroup `gens` generate.  For each z reached after
+    the identity, z = parent[z] * gens[letter[z]]; these are the edges of a
+    BFS tree, and parent's keys are the rest of `order`, in order.
+    """
+    cols = [t[:, s].tolist() for s in gens]  # cols[i][y] = y * gens[i]
+    order, parent, letter = [0], {}, {}
+    for y in order:  # the queue: order grows while it is read
+        for i, col in enumerate(cols):
+            z = col[y]
+            if z and z not in parent:
+                parent[z], letter[z] = y, i
+                order.append(z)
+    return order, parent, letter
 
 
 def _light_associative(t: np.ndarray) -> bool:
@@ -32,14 +35,14 @@ def _light_associative(t: np.ndarray) -> bool:
     products: for two of them, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by))
     = x((ab)y).  So the table is associative exactly when the test holds
     for every s in some set whose products reach every element.  The set is
-    built greedily: each s is the least element the earlier ones do not
-    reach, so at most log2(N) of them are taken for a group.
+    built greedily: each s is the least element that a walk over the earlier
+    ones does not reach, so at most log2(N) of them are taken for a group.
     """
     gens: list[int] = []
     reached = {0}
     while len(reached) < len(t):
         gens.append(next(x for x in range(len(t)) if x not in reached))
-        reached = _closure(t, gens)
+        reached = set(walk(t, gens)[0])
     return all(np.array_equal(t[t[:, s]], t[:, t[s]]) for s in gens)
 
 
@@ -104,7 +107,7 @@ class CayleyTable:
         inv = np.nonzero(t == 0)[1]  # inv[x] is the y with xy = 1
         comms = np.zeros(self.n, dtype=bool)
         comms[t[t[np.ix_(inv, inv)], t]] = True  # [x, y] = x^-1 y^-1 x y
-        return _closure(t, np.flatnonzero(comms).tolist())
+        return set(walk(t, np.flatnonzero(comms).tolist())[0])
 
     def power_map(self, e: int) -> np.ndarray:
         """x^e for every element x, as an index array (e >= 1)."""

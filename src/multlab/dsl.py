@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .abelian import valuation
 from .pcgroup import PcPresentation
 
 
@@ -101,8 +102,8 @@ def _parse_word(text: str, gen_index: dict[str, int], p: int, line_no: int):
 
 @dataclass
 class ParsedPresentation:
-    prime_token: str | None
-    gens: list[tuple[str, str]]              # (name, order token)
+    prime: tuple[str, int] | None            # (prime token, line)
+    gens: list[tuple[str, str, int]]         # (name, order token, line)
     pows: list[tuple[str, str, int]]         # (name, word text, line)
     comms: list[tuple[str, str, str, int]]   # (high, low, word text, line)
 
@@ -123,11 +124,11 @@ def parse_statements(text: str) -> ParsedPresentation:
         if kw == "prime":
             if len(parts) != 2:
                 raise DslError("prime takes one argument", line_no)
-            out.prime_token = parts[1]
+            out.prime = (parts[1], line_no)
         elif kw == "gen":
             if len(parts) != 3:
                 raise DslError("gen takes a name and a relative order", line_no)
-            out.gens.append((parts[1], parts[2]))
+            out.gens.append((parts[1], parts[2], line_no))
         elif kw == "pow":
             if len(parts) < 4 or parts[2] != "=":
                 raise DslError("expected `pow <name> = <word>`", line_no)
@@ -147,15 +148,20 @@ def parse_statements(text: str) -> ParsedPresentation:
 
 def build_presentation(parsed: ParsedPresentation, p: int,
                        name: str | None = None) -> PcPresentation:
-    if parsed.prime_token is not None and parsed.prime_token != "p":
-        declared = int(parsed.prime_token)
-        if declared != p:
-            raise DslError(f"presentation is fixed at prime {declared}, not {p}")
+    if parsed.prime is not None and parsed.prime[0] != "p":
+        token, line_no = parsed.prime
+        if not token.isdigit():
+            raise DslError(f"bad prime {token!r}", line_no)
+        if int(token) != p:
+            raise DslError(f"presentation is fixed at prime {token}, not {p}", line_no)
     gen_index = {}
     orders = []
-    for gname, order_tok in parsed.gens:
+    for gname, order_tok, line_no in parsed.gens:
         gen_index[gname] = len(orders)
-        orders.append(_parse_scalar(order_tok, p, 0))
+        order = _parse_scalar(order_tok, p, line_no)
+        if order < p or p ** valuation(order, p) != order:
+            raise DslError(f"relative order of {gname} is {order}, not a power of {p}", line_no)
+        orders.append(order)
     n = len(orders)
 
     def normalize(letters, line_no):
@@ -190,7 +196,7 @@ def build_presentation(parsed: ParsedPresentation, p: int,
     try:
         return PcPresentation(
             p=p,
-            names=tuple(g for g, _ in parsed.gens),
+            names=tuple(g for g, _, _ in parsed.gens),
             orders=tuple(orders),
             powers=tuple(powers),
             comms=tuple(comms),

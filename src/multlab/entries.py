@@ -89,6 +89,19 @@ class CatalogEntry:
         return True
 
 
+def _strip_comment(raw: str) -> str:
+    """The line without its `# comment`, stripped.  A quoted citation may hold
+    `#` and quotes: it runs from the first `"` to the first later `"` that
+    only blanks or a comment follow, and ValueError is raised if none does."""
+    head, quote, rest = raw.partition('"')
+    if "#" in head or not quote:
+        return head.split("#", 1)[0].strip()
+    for i, ch in enumerate(rest):
+        if ch == '"' and not rest[i + 1:].split("#", 1)[0].strip():
+            return f'{head}"{rest[:i + 1]}'.strip()
+    raise ValueError("only a comment may follow the closing quote of a citation")
+
+
 def _take_citation(line: str) -> tuple[str, str]:
     if '"' in line:
         head, _, rest = line.partition('"')
@@ -107,7 +120,10 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
     dsl_lines: list[str] = []  # header lines blank, so DSL errors keep the file's line numbers
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        try:
+            line = _strip_comment(raw)
+        except ValueError as exc:
+            raise CatalogError(f"line {lineno}: {exc}") from None
         dsl_lines.append("")
         if not line:
             continue

@@ -9,18 +9,22 @@ H_1(Gamma) with G acting by left translation, and R/[F,R] is its module of
 G-coinvariants (Gruenberg, Cohomological Topics in Group Theory, LNM 143,
 1970; Brown, Cohomology of Groups, II.5).
 
-Basis.  A BFS tree from the identity over S spans Gamma; each of the
-N(|S| - 1) + 1 edges x -> xs off the tree closes one cycle c_e: the tree
-path 1 -> y, the edge e = (y, s_i), and the tree path back from y s_i.
-The c_e are a basis of H_1(Gamma), and a cycle's coordinates in it are its
-signed counts of non-tree edges, since c_e crosses e and no other.
+Basis.  `cayley.walk` gives a BFS tree from the identity over S that spans
+Gamma; each of the N(|S| - 1) + 1 edges x -> xs off the tree closes one
+cycle c_e: the tree path 1 -> y, the edge e = (y, s_i), and the tree path
+back from z = y s_i.  The c_e are a basis of H_1(Gamma), and a cycle's
+coordinates in it are its signed counts of non-tree edges, since c_e
+crosses e and no other.
 
 Relations.  The coinvariants are H_1(Gamma) / I_G H_1(Gamma).  As a right
 ideal, I_G is generated by the s - 1 with s in S (s g - 1 = (s - 1) g +
 (g - 1), by induction on word length), so I_G H_1(Gamma) is spanned by the
 rows s.c_e - c_e for s in S, where s maps the edge x -> x s_j to
-s x -> s x s_j.  A row has few entries: the translated edges of one cycle
-that land off the tree.
+s x -> s x s_j.  One pass down the tree per s builds path_s[z], the
+non-tree edges among the translates of the tree path 1 -> z: path_s[parent
+z], plus the translated edge into z if it is off the tree.  The row of e is
++1 on path_s[y] less path_s[z], -1 on path_s[z] less path_s[y], +1 on s e
+if it is off the tree, and -1 on e.
 
 Cokernel.  exp M(G) divides |G| = p^n, so `abelian.snf_sparse` reads the
 cokernel over Z_{p^(n+1)} in the rows' own dicts, |S|^2 N entries plus
@@ -71,7 +75,7 @@ import numpy as np
 
 from .abelian import (AbelianGroup, _kernel_mod, _snf_local, prime_power, snf, snf_sparse,
                       valuation)
-from .cayley import CayleyTable
+from .cayley import CayleyTable, walk
 from .results import METHOD_ORACLE, MultiplierResult
 
 DEFAULT_ORACLE_CAP = 128
@@ -154,21 +158,9 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
     ns = len(gens)
     t = np.asarray(table.table, dtype=np.int64)
 
-    # BFS factorization z = parent * s over the generating set
-    parent = {0: None}
-    order = []
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for si, s in enumerate(gens):
-                z = int(t[y, s])
-                if z not in parent:
-                    parent[z] = (y, si)
-                    order.append(z)
-                    nxt.append(z)
-        frontier = nxt
-    if len(parent) != n:
+    # BFS factorization z = parent[z] * gens[letter[z]], z after 1 in the order reached
+    order, parent, letter = walk(t, gens)
+    if len(order) != n:
         raise RuntimeError("generating set failed to reach the whole group")
 
     # gauge: f(y, s) = 0 on every tree edge y*s with y != 1.  col[x, si] is
@@ -176,8 +168,7 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
     # (x = 1 or a tree edge); the free (x, si) are also the blocks below.
     free = np.ones((n, ns), dtype=bool)
     free[0] = False
-    for z in order:
-        free[parent[z]] = False
+    free[list(parent.values()), list(letter.values())] = False
     width = int(free.sum())
     col = np.full((n, ns), -1, dtype=np.int64)
     col[free] = np.arange(width)
@@ -193,8 +184,8 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
     for si, s in enumerate(gens):
         rows = np.nonzero(free[:, si])[0]
         phi[rows, s, col[rows, si]] = 1
-    for z in order:
-        y, si = parent[z]
+    for z in parent:
+        y, si = parent[z], letter[z]
         if y == 0:
             continue
         # f(x, y s) = f(x, y) + f(xy, s) - f(y, s), and f(y, s) = 0 here
@@ -240,8 +231,8 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
     # They span the coboundaries that respect the gauge, so they must vanish
     # off the unknowns (on the x = 1 row they do by definition).
     g = np.zeros((n, ns), dtype=np.int64)
-    for z in order:
-        y, si = parent[z]
+    for z in parent:
+        y, si = parent[z], letter[z]
         g[z] = g[y]
         g[z, si] += 1
     dg = g[:, None, :] + g[gens][None, :, :] - g[t[:, gens]]  # dg[x, si, j]
@@ -315,86 +306,63 @@ def cycle_relations(table: CayleyTable,
 
     Returns the number of non-tree edges, which index the cycle basis, and
     for each s in gens the block of rows s.c_e - c_e over every cycle c_e,
-    as {non-tree edge: signed count} dicts (zeros dropped).
+    as {non-tree edge: signed count} dicts, keys ascending (zeros dropped).
     """
-    ns = len(gens)
-    n = table.n
-    t = np.asarray(table.table, dtype=np.int64)
-
-    # BFS tree: z = parent[z] * gens[letter[z]]
-    parent = np.zeros(n, dtype=np.int64)
-    letter = np.zeros(n, dtype=np.int64)
-    depth = np.full(n, -1, dtype=np.int64)
-    depth[0] = 0
-    tree = np.zeros((n, ns), dtype=bool)
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for si, s in enumerate(gens):
-                z = int(t[y, s])
-                if depth[z] < 0:
-                    parent[z], letter[z], depth[z] = y, si, depth[y] + 1
-                    tree[y, si] = True
-                    nxt.append(z)
-        frontier = nxt
-    if (depth < 0).any():
+    n, ns = table.n, len(gens)
+    t = table.table
+    order, parent, letter = walk(t, gens)
+    if len(order) != n:
         raise RuntimeError("generating set failed to reach the whole group")
-
-    # col[x, si]: the index of the non-tree edge x -> x s_i, -1 on the tree
-    ys, letters = np.nonzero(~tree)
-    ncycles = len(ys)
-    col = np.full((n, ns), -1, dtype=np.int64)
-    col[ys, letters] = np.arange(ncycles)
-    zs = t[ys, np.asarray(gens, dtype=np.int64)[letters]]
-
-    # c_e = (tree path 1 -> y) + e - (tree path 1 -> z); walking y and z up
-    # to their meeting point leaves the tree edges parent[w] -> w that the
-    # cycle crosses, forward (+1) on y's side and backward (-1) on z's.
-    cyc, nodes, signs = [], [], []
-    a, b = ys.copy(), zs.copy()
-    ids = np.arange(ncycles)
-    while True:
-        apart = a != b
-        if not apart.any():
-            break
-        for x, sign, up in ((a, 1, apart & (depth[a] >= depth[b])),
-                            (b, -1, apart & (depth[b] >= depth[a]))):
-            cyc.append(ids[up])
-            nodes.append(x[up])
-            signs.append(np.full(int(up.sum()), sign))
-            x[up] = parent[x[up]]
-    cyc, nodes, signs = (np.concatenate(v) for v in (cyc, nodes, signs))
+    right = [t[:, s].tolist() for s in gens]  # right[i][y] = y s_i
+    tree = set(zip(parent.values(), letter.values()))
+    edges = [(y, i) for y in range(n) for i in range(ns) if (y, i) not in tree]
+    col = [[-1] * ns for _ in range(n)]  # col[y][i]: the edge y -> y s_i, -1 on the tree
+    for c, (y, i) in enumerate(edges):
+        col[y][i] = c
 
     blocks = []
     for s in gens:
-        # s maps the edge x -> x s_j to s x -> s x s_j; a tree edge may land
-        # off the tree, and then counts
-        c = np.concatenate([col[t[s, parent[nodes]], letter[nodes]],
-                            col[t[s, ys], letters], ids])
-        r = np.concatenate([cyc, ids, ids])
-        w = np.concatenate([signs, np.ones(ncycles, np.int64), -np.ones(ncycles, np.int64)])
-        on = c >= 0
-        keys, inv = np.unique(r[on] * ncycles + c[on], return_inverse=True)
-        sums = np.bincount(inv, weights=w[on]).astype(np.int64)
-        rows: list[dict[int, int]] = [{} for _ in range(ncycles)]
-        for key, v in zip(keys.tolist(), sums.tolist()):
-            if v:
-                rows[key // ncycles][key % ncycles] = v
+        left = t[s].tolist()  # left[x] = s x
+        # path[z]: the non-tree edges among the translates by s of the edges
+        # of the tree path 1 -> z, as a bit set (translation is injective)
+        path = [0] * n
+        for z in parent:  # in the order reached
+            c = col[left[parent[z]]][letter[z]]
+            path[z] = path[parent[z]] if c < 0 else path[parent[z]] | 1 << c
+        rows = []
+        for e, (y, i) in enumerate(edges):
+            # s.c_e = s(1 -> y) + s e - s(1 -> z): their shared head cancels
+            py, pz = path[y], path[right[i][y]]
+            plus, minus = py & ~pz, pz & ~py
+            c = col[left[y]][i]
+            if c >= 0:
+                plus |= 1 << c
+            row = {}
+            rest = plus | minus | 1 << e  # - c_e crosses e alone
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                c = low.bit_length() - 1
+                v = (plus >> c & 1) - (minus >> c & 1) - (c == e)
+                if v:
+                    row[c] = v
+            rows.append(row)
         blocks.append(rows)
-    return ncycles, blocks
+    return len(edges), blocks
 
 
 def multiplier_from_table(table: CayleyTable, p: int) -> MultiplierResult:
     """M(G) as the torsion of the G-coinvariants of H_1 of the Cayley graph."""
     m = table.n
+    k = valuation(m, p) + 1  # exp M(G) divides m = p^(k-1)
+    if m != p ** (k - 1):
+        raise ValueError(f"the order {m} is not a power of p = {p}")
     if m == 1:
         return MultiplierResult(p, AbelianGroup.trivial(), METHOD_ORACLE,
                                 trace=("oracle: trivial group",))
     gens = table.generating_set()
     ncycles, blocks = cycle_relations(table, gens)
     rows = [row for block in blocks for row in block]
-    k = valuation(m, p) + 1
     vals = snf_sparse(rows, ncycles, p, k)
     free = vals.count(k)
     if free != len(gens):

@@ -256,12 +256,17 @@ class TestReplay:
         with pytest.raises(ReplayAssertionError, match="p\\^2"):
             replay_script(script, 3, computer)
 
-    @pytest.mark.parametrize("verb", ["upper p^4", "capable"])
-    def test_citation_may_hold_quotes(self, computer, verb):
-        res = replay_script(f'use ESp_p3\nassume {verb} "Thm "3.1" of MRR"', 3, computer)
+    @pytest.mark.parametrize("verb, citation, comment", [
+        ("upper p^4", 'Thm "3.1" of MRR', ""),
+        ("capable", 'Thm "3.1" of MRR', ""),
+        ("upper p^4", "MRR #3.1", ""),
+        ("upper p^4", 'Thm "3.1" of MRR #2', '  # see "MRR"'),
+    ], ids=["upper p^4", "capable", "hash", "hash-and-comment"])
+    def test_citation_may_hold_quotes(self, computer, verb, citation, comment):
+        res = replay_script(f'use ESp_p3\nassume {verb} "{citation}"{comment}', 3, computer)
         [fact] = res.assumed
-        assert fact.provenance.citation == 'Thm "3.1" of MRR'
-        assert res.trace[-1].endswith('[assumed "Thm "3.1" of MRR"]')
+        assert fact.provenance.citation == citation
+        assert res.trace[-1].endswith(f'[assumed "{citation}"]')
 
     @pytest.mark.parametrize("line", ["expect upper 9", "expect upper p^x",
                                       "assume upper 9 \"c\"", "assume upper p^2"])
@@ -343,8 +348,15 @@ class TestReplay:
          "got upper"),
         ('use ESp_p3\nassume bogus p^2 "c"', 'assume bogus p^2 "c"',
          "unknown assumption kind 'bogus'"),
+        ('use ESp_p3\nassume upper p^4 "c" junk', 'assume upper p^4 "c" junk',
+         "only a comment may follow the closing quote of a citation"),
+        ('use ESp_p3\nassume upper p^4 "c" junk # note', 'assume upper p^4 "c" junk # note',
+         "only a comment may follow the closing quote of a citation"),
+        ('use ESp_p3\nassume upper p^4 "c', 'assume upper p^4 "c',
+         "only a comment may follow the closing quote of a citation"),
     ], ids=["use", "compute", "expect", "assume-extra", "assume-capable-order",
-            "assume-missing-order", "assume-unknown-kind"])
+            "assume-missing-order", "assume-unknown-kind", "assume-after-citation",
+            "assume-after-citation-commented", "assume-unclosed-citation"])
     def test_extra_tokens_are_rejected(self, computer, script, line, message):
         with pytest.raises(ReplayAssertionError) as exc:
             replay_script(script, 3, computer)

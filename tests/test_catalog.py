@@ -136,10 +136,21 @@ class TestLoadGroupDsl:
         ('expect mulitplier [p] "typo"', "line 3: unknown expect kind 'mulitplier'"),
         ('expect t seven "s"', "line 3: expect t needs an integer, got 'seven'"),
         ('expect multiplier 13 "s"', "line 3: expect multiplier needs [...], got '13'"),
+        ('expect t 6 "s" junk', "line 3: only a comment may follow the closing quote"),
+        ('expect t 6 "s', "line 3: only a comment may follow the closing quote"),
     ])
     def test_bad_expectation_rejected_when_parsed(self, line, message):
         with pytest.raises(CatalogError, match=re.escape(message)):
             parse_entry(f"name Z\ngen a p\n{line}\n")
+
+    @pytest.mark.parametrize("line, source", [
+        ('expect t 6 "part #6"', "part #6"),
+        ('expect t 6 "part #6"  # a "comment"', "part #6"),
+        ('expect t 6 "Thm "3.1" of MRR"', 'Thm "3.1" of MRR'),
+    ])
+    def test_expect_source_is_kept_whole(self, line, source):
+        [expect] = parse_entry(f"name Z\ngen a p\n{line}\n").expects
+        assert (expect.kind, expect.value, expect.source) == ("t", "6", source)
 
     @pytest.mark.parametrize("keyword", ["name", "constraint", "squeeze", "alias"])
     def test_header_without_argument_rejected(self, keyword):

@@ -43,6 +43,21 @@ class TestParsing:
         assert str(exc.value) == message
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("prime x\ngen a 2", "line 1: bad prime 'x'"),
+        ("gen a p\nprime 2.0", "line 2: bad prime '2.0'"),
+        ("prime 2\ngen a 2", "line 1: presentation is fixed at prime 2, not 3"),
+        ("gen a p\ngen b p^x", "line 2: bad exponent 'p^x'"),
+        ("gen a p\n\ngen b 6", "line 3: relative order of b is 6, not a power of 3"),
+        ("gen a 1", "line 1: relative order of a is 1, not a power of 3"),
+    ], ids=["prime-word", "prime-float", "prime-mismatch", "gen-exponent", "gen-composite",
+            "gen-one"])
+    def test_prime_and_gen_errors_name_their_line(self, text, message):
+        with pytest.raises(DslError) as exc:
+            load_presentation(text, 3)
+        assert str(exc.value) == message
+
+
 class TestInstantiation:
     def test_parametric_orders(self):
         pres = load_presentation("gen a p^2\ngen b p", 5)

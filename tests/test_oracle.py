@@ -20,7 +20,9 @@ from multlab.oracle import (
     OracleInconsistency,
     _restrict,
     abelianization_from_table,
+    cycle_relations,
     h2_trivial_coeffs,
+    multiplier_from_table,
     multiplier_via_oracle,
 )
 from multlab.pcgroup import SizeCapError, abelianization, cayley_table
@@ -272,6 +274,13 @@ class TestMultiplier:
         pres = load_presentation("", 3)
         assert multiplier_via_oracle(pres).invariants.is_trivial
 
+    @pytest.mark.parametrize("text,q,p", [(D8, 2, 3), (ES_P3, 3, 2), ("gen a 3", 3, 5)],
+                             ids=["D8-at-3", "ESp_p3-at-2", "Z3-at-5"])
+    def test_refuses_an_order_that_is_no_power_of_p(self, text, q, p):
+        table = cayley_table(load_presentation(text, q))
+        with pytest.raises(ValueError, match=rf"order {table.n} is not a power of p = {p}"):
+            multiplier_from_table(table, p)
+
     def test_order_identity_small(self):
         # |H^2(G, Z_|G|)| = |M(G)| * |G^ab| with M from the exterior square
         for text, p in [("gen a 2\ngen b 2\ngen c 2", 2), ("gen a 9\ngen b 3", 3)]:
@@ -328,6 +337,71 @@ class TestHopfAgainstH2:
         monkeypatch.setattr(oracle, "cycle_relations", short)
         with pytest.raises(OracleInconsistency, match=r"free rank 9 != 5 generators"):
             multiplier_via_oracle(catalog.instantiate("T6_xiv", 2))
+
+
+def naive_cycle_rows(table, gens):
+    """The rows s.c_e - c_e rebuilt edge by edge: each edge of the tree path
+    1 -> y, of e = (y, s_i) and of the tree path back from y s_i, translated
+    by s and counted when it lands off the tree.  The tree is the BFS tree
+    that takes the generators in order."""
+    t = table.table
+    parent, letter, queue = {0: None}, {}, [0]
+    for y in queue:
+        for i, g in enumerate(gens):
+            z = int(t[y, g])
+            if z not in parent:
+                parent[z], letter[z] = y, i
+                queue.append(z)
+    tree = {(parent[z], letter[z]) for z in queue[1:]}
+    edges = [(y, i) for y in range(table.n) for i in range(len(gens)) if (y, i) not in tree]
+    index = {edge: c for c, edge in enumerate(edges)}
+
+    def tree_path(x):
+        path = []
+        while x:
+            path.append((parent[x], letter[x]))
+            x = parent[x]
+        return path
+
+    blocks = []
+    for s in gens:
+        rows = []
+        for e, (y, i) in enumerate(edges):
+            counts = {e: -1}
+            z = int(t[y, gens[i]])
+            for sign, path in ((1, tree_path(y) + [(y, i)]), (-1, tree_path(z))):
+                for x, j in path:
+                    c = index.get((int(t[s, x]), j))
+                    if c is not None:
+                        counts[c] = counts.get(c, 0) + sign
+            rows.append({c: v for c, v in sorted(counts.items()) if v})
+        blocks.append(rows)
+    return len(edges), blocks
+
+
+class TestCycleRows:
+    @pytest.mark.parametrize("p,tables", [(2, 40), (3, 8)])
+    def test_rows_equal_the_naive_walk(self, catalog, p, tables):
+        rng = np.random.default_rng(p)
+        checked = 0
+        for eid in catalog.ids():
+            try:
+                pres = catalog.instantiate(eid, p)
+            except CatalogError:
+                continue
+            if pres.group_order() > 64:
+                continue
+            table = cayley_table(pres)
+            perm = [0] + list(rng.permutation(np.arange(1, table.n)))
+            for tab in (table, table.relabel(perm)):
+                gens = tab.generating_set()
+                ncycles, blocks = cycle_relations(tab, gens)
+                want = naive_cycle_rows(tab, gens)
+                assert ncycles == want[0], eid
+                assert [[list(row.items()) for row in block] for block in blocks] == \
+                    [[list(row.items()) for row in block] for block in want[1]], eid
+                checked += 1
+        assert checked == tables
 
 
 class TestTableAbelianization:
