@@ -7,19 +7,21 @@ exact at any prime.  The operations here are the abelian half of the
 multiplier calculus: Smith normal form, tensor products, exterior squares,
 and the direct-product identity M(A x B) = M(A) + M(B) + A^ab (x) B^ab.
 
-Cokernels are read by `snf` over Z_{p^k} on sparse {column: entry} rows
-(`snf_sparse`): one pass takes every unit pivot, and the unit-free rows
-left finish by least-valuation pivoting in the same rows.  The dense numpy
-eliminator `_snf_local` serves the tensor construction's ranks, and
-through `_kernel_mod` only the centre's nullspace and the H^2 reference.
-Every cokernel read here is a p-group plus free summands, so working
-p-locally loses nothing as long as p^k exceeds its torsion: central tails,
-abelianizations and abelian subgroups of a group of order p^n run at
-k = n + 1 (exp M(G) and every quotient's order divide p^n, and a column
-with valuation n + 1 can only be free), and so do the oracle's Cayley-graph
-coinvariants; the H^2 reference solves at k = log_p |G|; the tensor
-construction's ranks and the centre's nullspace run at k = 1, where the
-diagonal's length is the GF(p) rank."""
+Cokernels and ranks are read by `snf` over Z_{p^k} on sparse {column:
+entry} rows (`snf_sparse`): one pass takes every unit pivot, and the
+unit-free rows left finish by least-valuation pivoting in the same rows.
+It serves central tails, abelianizations, abelian subgroups, the oracle's
+Cayley-graph coinvariants and the tensor construction's ranks.  The dense
+numpy eliminator `_snf_local`, and `_kernel_mod` on top of it, serve only
+the H^2 reference and the tests, and import numpy themselves, so the
+report never loads it.  Every cokernel read here is a p-group plus free
+summands, so working p-locally loses nothing as long as p^k exceeds its
+torsion: central tails, abelianizations and abelian subgroups of a group
+of order p^n run at k = n + 1 (exp M(G) and every quotient's order divide
+p^n, and a column with valuation n + 1 can only be free), and so do the
+oracle's Cayley-graph coinvariants; the H^2 reference solves at
+k = log_p |G|; the tensor construction's ranks run at k = 1, where the
+number of valuations 0 is the GF(p) rank."""
 
 from __future__ import annotations
 
@@ -28,8 +30,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
-
-import numpy as np
 
 
 def valuation(n: int, p: int) -> int:
@@ -145,7 +145,7 @@ def _one_prime(*primes: int | None) -> int | None:
 # -- Smith normal form: the one eliminator --------------------------------
 
 
-def _snf_local(a, p: int, k: int, track: np.ndarray | None = None):
+def _snf_local(a, p: int, k: int, track=None):
     """Diagonalize over Z_{p^k} by min-valuation pivoting.
 
     Returns (diagonal valuations, V^T @ track) where the column change of
@@ -159,6 +159,7 @@ def _snf_local(a, p: int, k: int, track: np.ndarray | None = None):
     product is below m^2: int64 while m^2 < 2^63, Python ints (object
     dtype) past that, so the result is exact at every modulus.
     """
+    import numpy as np
     m = p ** k
     dtype = np.int64 if m * m < 2 ** 63 else object
     a = np.asarray(a, dtype=dtype) % m
@@ -305,13 +306,14 @@ def snf_group(matrix, p: int, k: int) -> AbelianGroup:
     return AbelianGroup.of(p, vals)
 
 
-def _kernel_mod(rows: np.ndarray, width: int, p: int, k: int) -> np.ndarray:
+def _kernel_mod(rows, width: int, p: int, k: int):
     """Generators (columns) of the solutions of rows @ u = 0 over Z_{p^k}.
 
     With U rows V = diag(p^{a_j}), u = V w solves it exactly when each
     p^{a_j} w_j vanishes, i.e. w_j is a multiple of p^{k-a_j}; coordinates
     past the last pivot are free (a_j = k), and a unit pivot admits only 0.
     """
+    import numpy as np
     diag_vals, v_t = _snf_local(rows, p, k, np.eye(width, dtype=np.int64))
     a = np.array(diag_vals + [k] * (width - len(diag_vals)), dtype=v_t.dtype)
     keep = a > 0

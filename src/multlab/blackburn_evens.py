@@ -15,8 +15,8 @@ multiplier is an extension of ker(rho) by N whose p-th power map is induced
 by sigma(v1 ^ v2) = v1 (x) f(v2) + binom(p,2) v2 (x) (v1,v2) + X.  So
 |M(G)| = |N| * |V ^ V| / |W|, the p-torsion count |ker(sigma-bar)| * |N|
 fixes the number of Z_{p^2} factors, and everything reduces to GF(p) ranks
-in dimension dim(V) * dim(W), taken with the package's modular eliminator
-(`abelian._snf_local`) at k = 1; no kernel is formed.
+in dimension dim(V) * dim(W), taken with the package's one eliminator
+(`abelian.snf`) at k = 1 on int lists; no kernel is formed.
 
 The construction reads only the lower central series, whose length gives
 the class and whose second term is G', and the stated relations: V's basis
@@ -30,9 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
-from .abelian import AbelianGroup, _snf_local
+from .abelian import AbelianGroup, snf
 from .pcgroup import (
     InconsistentPresentation,
     NormalWord,
@@ -53,9 +51,9 @@ class BePreconditionError(ValueError):
         super().__init__(f"{reason}" + (f": {detail}" if detail else ""))
 
 
-def _rank(rows: np.ndarray, p: int) -> int:
-    """GF(p) rank: the length of the eliminator's diagonal at k = 1."""
-    return len(_snf_local(rows, p, 1)[0])
+def _rank(rows: list[list[int]], p: int) -> int:
+    """GF(p) rank: the number of unit diagonal entries at k = 1."""
+    return snf(rows, p, 1).count(0)
 
 
 # -- construction data ---------------------------------------------------------
@@ -67,30 +65,32 @@ class BeData:
     dim_v: int
     dim_w: int
     reps: list[NormalWord]            # the surviving generators: the V-basis
-    pairing: np.ndarray               # (dV, dV, dW): (v_i, v_j) in W coordinates
-    power_map: np.ndarray             # (dW, dV): f on the basis
-    x_rows: np.ndarray                # rows spanning X inside V (x) W
+    pairing: list[list[list[int]]]    # pairing[i][j] = (v_i, v_j) in W coordinates
+    power_map: list[list[int]]        # power_map[i] = f(v_i) in W coordinates
+    x_rows: list[list[int]]           # rows spanning X inside V (x) W
     x_rank: int                       # dim X
     derived: Subgroup
 
     def tensor_dim(self) -> int:
         return self.dim_v * self.dim_w
 
-    def jacobi_element(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """u (x) (v,w) + v (x) (w,u) + w (x) (u,v) for arbitrary V-vectors."""
-        p = self.p
-        pair = lambda x, y: np.einsum("i,j,ijk->k", x, y, self.pairing) % p
-        out = (np.outer(u, pair(v, w)) + np.outer(v, pair(w, u))
-               + np.outer(w, pair(u, v))) % p
-        return out.reshape(-1)
+    def jacobi_element(self, u: list[int], v: list[int], w: list[int]) -> list[int]:
+        """u (x) (v,w) + v (x) (w,u) + w (x) (u,v) for arbitrary V-vectors,
+        with coordinate i * dim W + k of V (x) W."""
+        dim_v, dim_w, pairing = self.dim_v, self.dim_w, self.pairing
+        pair = lambda x, y: [sum(a * b * c[k] for a, row in zip(x, pairing)
+                                 for b, c in zip(y, row)) for k in range(dim_w)]
+        terms = ((u, pair(v, w)), (v, pair(w, u)), (w, pair(u, v)))
+        return [sum(x[i] * y[k] for x, y in terms) % self.p
+                for i in range(dim_v) for k in range(dim_w)]
 
-    def power_element(self, v: np.ndarray) -> np.ndarray:
+    def power_element(self, v: list[int]) -> list[int]:
         """v (x) f(v) for an arbitrary V-vector."""
-        fv = (self.power_map @ v) % self.p
-        return np.outer(v, fv).reshape(-1) % self.p
+        fv = [sum(a * f[k] for a, f in zip(v, self.power_map)) for k in range(self.dim_w)]
+        return [a * b % self.p for a in v for b in fv]
 
-    def in_x(self, vec: np.ndarray) -> bool:
-        return _rank(np.vstack([self.x_rows, vec]), self.p) == self.x_rank
+    def in_x(self, vec: list[int]) -> bool:
+        return _rank(self.x_rows + [list(vec)], self.p) == self.x_rank
 
 
 @dataclass
@@ -100,12 +100,12 @@ class BeExtensionData:
     dim_ker_sigma_bar: int
 
 
-def _w_coordinates(derived: Subgroup, x: NormalWord) -> np.ndarray:
+def _w_coordinates(derived: Subgroup, x: NormalWord) -> list[int]:
     """Coordinates of x in the elementary abelian G' w.r.t. its echelon basis."""
     exps = derived.sift(x)
     if exps is None:
         raise ValueError("element not in the derived subgroup")
-    return np.array([exps.get(l, 0) for l in derived.igs], dtype=np.int64)
+    return [exps.get(l, 0) for l in derived.igs]
 
 
 def be_preconditions(pres: PcPresentation) -> Subgroup:
@@ -141,21 +141,20 @@ def build_be_data(pres: PcPresentation) -> BeData:
     dim_v = len(survivors)
     dim_w = derived.order_exponent
 
-    pairing = np.zeros((dim_v, dim_v, dim_w), dtype=np.int64)
+    pairing = [[[0] * dim_w for _ in range(dim_v)] for _ in range(dim_v)]
     for a, b in combinations(range(dim_v), 2):
         tail = _stated(pres, pres.comm_tail(survivors[b], survivors[a]))
-        pairing[b, a] = _w_coordinates(derived, tail)
-        pairing[a, b] = -pairing[b, a] % p
-    power_map = np.array([_w_coordinates(derived, pres.collect([(i, p)]))
-                          for i in survivors], dtype=np.int64).T
+        pairing[b][a] = _w_coordinates(derived, tail)
+        pairing[a][b] = [-c % p for c in pairing[b][a]]
+    power_map = [_w_coordinates(derived, pres.collect([(i, p)])) for i in survivors]
 
     data = BeData(p, dim_v, dim_w, [pres.gen(i) for i in survivors], pairing,
-                  power_map, np.zeros((0, dim_v * dim_w), dtype=np.int64), 0, derived)
-    eye = np.eye(dim_v, dtype=np.int64)
-    data.x_rows = np.array(  # class 2 makes dim V >= 2
+                  power_map, [], 0, derived)
+    eye = [[int(i == j) for j in range(dim_v)] for i in range(dim_v)]
+    data.x_rows = (  # class 2 makes dim V >= 2
         [data.jacobi_element(u, v, w) for u, v, w in combinations(eye, 3)]
         + [data.power_element(v) for v in eye]
-        + [data.power_element((u + v) % p) for u, v in combinations(eye, 2)])
+        + [data.power_element([a + b for a, b in zip(u, v)]) for u, v in combinations(eye, 2)])
     data.x_rank = _rank(data.x_rows, p)
     return data
 
@@ -172,15 +171,14 @@ def extension_data(data: BeData) -> BeExtensionData:
     pairs = list(combinations(range(data.dim_v), 2))
     # sigma(e_i ^ e_j) = e_i (x) f(e_j) + X, block i of V (x) W after rho's
     # columns; the binom(p,2) e_j (x) (e_i, e_j) term vanishes at odd p
-    rows = np.zeros((len(pairs), dim_w + data.tensor_dim()), dtype=np.int64)
-    for r, (i, j) in enumerate(pairs):
-        rows[r, :dim_w] = data.pairing[i, j]
-        rows[r, dim_w * (i + 1):dim_w * (i + 2)] = data.power_map[:, j]
-    if _rank(rows[:, :dim_w], p) != dim_w:
+    rho = [data.pairing[i][j] for i, j in pairs]
+    if _rank(rho, p) != dim_w:
         raise InconsistentPresentation(
             "Blackburn-Evens: commutators do not span the derived subgroup")
-    x_rows = np.hstack([np.zeros((len(data.x_rows), dim_w), dtype=np.int64), data.x_rows])
-    rank_sigma = _rank(np.vstack([rows, x_rows]), p) - dim_w - data.x_rank
+    rows = [r + [0] * (dim_w * i) + data.power_map[j] + [0] * (dim_w * (data.dim_v - i - 1))
+            for r, (i, j) in zip(rho, pairs)]
+    rows += [[0] * dim_w + x for x in data.x_rows]
+    rank_sigma = _rank(rows, p) - dim_w - data.x_rank
     dim_ker_rho = len(pairs) - dim_w
     return BeExtensionData(
         dim_n=data.tensor_dim() - data.x_rank,

@@ -1,15 +1,17 @@
-"""Dense Cayley tables: the oracle's presentation-free view of a group."""
+"""Cayley tables as tuples of int tuples: the oracle's presentation-free view of a group."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import product
+from operator import itemgetter
 
 from .abelian import prime_power
 
+Table = tuple[tuple[int, ...], ...]
 
-def walk(t: np.ndarray, gens: list[int]) -> tuple[list[int], dict[int, int], dict[int, int]]:
+
+def walk(t: Table, gens: list[int]) -> tuple[list[int], dict[int, int], dict[int, int]]:
     """A breadth-first walk from the identity by right multiplication.
 
     `order` is the reached set in the order reached, the identity first: in
@@ -17,18 +19,18 @@ def walk(t: np.ndarray, gens: list[int]) -> tuple[list[int], dict[int, int], dic
     the identity, z = parent[z] * gens[letter[z]]; these are the edges of a
     BFS tree, and parent's keys are the rest of `order`, in order.
     """
-    cols = [t[:, s].tolist() for s in gens]  # cols[i][y] = y * gens[i]
     order, parent, letter = [0], {}, {}
     for y in order:  # the queue: order grows while it is read
-        for i, col in enumerate(cols):
-            z = col[y]
+        row = t[y]
+        for i, s in enumerate(gens):
+            z = row[s]
             if z and z not in parent:
                 parent[z], letter[z] = y, i
                 order.append(z)
     return order, parent, letter
 
 
-def _light_associative(t: np.ndarray) -> bool:
+def _light_associative(t: Table) -> bool:
     """Light's associativity test on an N x N table with identity 0.
 
     The elements s with (xs)y = x(sy) for all x and y are closed under
@@ -43,48 +45,52 @@ def _light_associative(t: np.ndarray) -> bool:
     while len(reached) < len(t):
         gens.append(next(x for x in range(len(t)) if x not in reached))
         reached = set(walk(t, gens)[0])
-    return all(np.array_equal(t[t[:, s]], t[:, t[s]]) for s in gens)
+    return all(t[row[s]] == itemgetter(*t[s])(row) for s in gens for row in t)
 
 
 @dataclass(frozen=True)
 class CayleyTable:
     """An N x N index table of the group operation, identity at index 0.
 
-    Rows and columns must be permutations of 0..N-1, and the table must be
-    associative.  Light's test checks that in O(dN^2); only when it fails
-    does a scan of every triple find the first bad one to name.
+    Rows may be any iterables of ints; they are stored as a tuple of int
+    tuples.  Rows and columns must be permutations of 0..N-1, and
+    the table must be associative.  Light's test checks that in O(dN^2);
+    only when it fails does a scan of every triple find the first bad one
+    to name.
     """
 
-    table: np.ndarray
+    table: Table
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.int32)
+        try:
+            t = tuple(tuple(map(int, row)) for row in self.table)
+        except TypeError:
+            raise ValueError("table rows must be sequences of ints") from None
         object.__setattr__(self, "table", t)
-        n = self.n
-        if t.ndim != 2 or t.shape != (n, n):
-            raise ValueError(f"table must be square, got {t.shape}")
+        n = len(t)
+        if any(len(row) != n for row in t):
+            raise ValueError(f"table must be square, got {n} rows of lengths "
+                             f"{sorted({len(row) for row in t})}")
         if n == 0:
             raise ValueError("empty table; the trivial group has N = 1")
-        full = np.arange(n)
-        if not np.array_equal(t[0], full) or not np.array_equal(t[:, 0], full):
+        full = list(range(n))
+        if list(t[0]) != full or [row[0] for row in t] != full:
             raise ValueError("index 0 is not an identity")
-        bad = np.flatnonzero(~((np.sort(t, axis=1) == full).all(axis=1)
-                               & (np.sort(t, axis=0) == full[:, None]).all(axis=0)))
-        if bad.size:
-            raise ValueError(f"row/column {bad[0]} is not a permutation")
+        bad = next((i for i, (row, col) in enumerate(zip(t, zip(*t)))
+                    if sorted(row) != full or sorted(col) != full), None)
+        if bad is not None:
+            raise ValueError(f"row/column {bad} is not a permutation")
         if not _light_associative(t):
-            for x in range(n):  # row x of t[t] == t[:, t], one row at a time
-                bad = np.argwhere(t[t[x]] != t[x][t])
-                if bad.size:
-                    y, z = bad[0]
-                    raise ValueError(f"associativity fails at ({x},{y},{z})")
+            x, y, z = next((x, y, z) for x, y, z in product(range(n), repeat=3)
+                           if t[t[x][y]][z] != t[x][t[y][z]])
+            raise ValueError(f"associativity fails at ({x},{y},{z})")
 
     @property
     def n(self) -> int:
-        return int(np.asarray(self.table).shape[0])
+        return len(self.table)
 
     def mul(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
+        return self.table[i][j]
 
     def relabel(self, perm: list[int]) -> "CayleyTable":
         """Conjugate by a permutation fixing the identity."""
@@ -95,26 +101,22 @@ class CayleyTable:
         for i, v in enumerate(perm):
             inv[v] = i
         t = self.table
-        new = np.zeros_like(t)
-        for i in range(self.n):
-            for j in range(self.n):
-                new[i, j] = perm[t[inv[i], inv[j]]]
-        return CayleyTable(new)
+        return CayleyTable([[perm[t[a][b]] for b in inv] for a in inv])
 
     def derived_subgroup(self) -> set[int]:
         """G', the subgroup the commutators generate."""
         t = self.table
-        inv = np.nonzero(t == 0)[1]  # inv[x] is the y with xy = 1
-        comms = np.zeros(self.n, dtype=bool)
-        comms[t[t[np.ix_(inv, inv)], t]] = True  # [x, y] = x^-1 y^-1 x y
-        return set(walk(t, np.flatnonzero(comms).tolist())[0])
+        inv = [row.index(0) for row in t]  # inv[x] is the y with xy = 1
+        comms = {t[t[inv[x]][inv[y]]][xy]  # [x, y] = x^-1 y^-1 x y
+                 for x, row in enumerate(t) for y, xy in enumerate(row)}
+        return set(walk(t, sorted(comms))[0])
 
-    def power_map(self, e: int) -> np.ndarray:
-        """x^e for every element x, as an index array (e >= 1)."""
+    def power_map(self, e: int) -> list[int]:
+        """x^e for every element x, as an index list (e >= 1)."""
         t = self.table
-        powers = np.arange(self.n)
+        powers = list(range(self.n))
         for _ in range(e - 1):
-            powers = t[powers, np.arange(self.n)]
+            powers = [t[y][x] for x, y in enumerate(powers)]
         return powers
 
     def generating_set(self) -> list[int]:
@@ -133,14 +135,14 @@ class CayleyTable:
         p, _ = prime_power(n)
         t = self.table
         # G^p G' is the union of the cosets x^p G', as G/G' is abelian
-        covered = np.zeros(n, dtype=bool)  # H, starting at Phi(G)
-        covered[t[np.ix_(self.power_map(p), sorted(self.derived_subgroup()))]] = True
+        derived = sorted(self.derived_subgroup())
+        covered = {t[x][d] for x in self.power_map(p) for d in derived}  # H, from Phi(G)
         gens: list[int] = []
-        while not covered.all():
-            g = int(np.argmin(covered))
+        while len(covered) < n:
+            g = next(x for x in range(n) if x not in covered)
             gens.append(g)
-            coset = np.flatnonzero(covered)
+            coset = covered
             for _ in range(p - 1):
-                coset = t[coset, g]
-                covered[coset] = True
+                coset = {t[x][g] for x in coset}
+                covered |= coset
         return gens

@@ -92,12 +92,15 @@ class CatalogEntry:
 def _strip_comment(raw: str) -> str:
     """The line without its `# comment`, stripped.  A quoted citation may hold
     `#` and quotes: it runs from the first `"` to the first later `"` that
-    only blanks or a comment follow, and ValueError is raised if none does."""
+    only blanks or a comment follow; ValueError if none does, or if it is
+    directly followed by `#` and a later `"`, which could close it instead."""
     head, quote, rest = raw.partition('"')
     if "#" in head or not quote:
         return head.split("#", 1)[0].strip()
     for i, ch in enumerate(rest):
         if ch == '"' and not rest[i + 1:].split("#", 1)[0].strip():
+            if rest[i + 1:i + 2] == "#" and '"' in rest[i + 1:]:
+                raise ValueError('a citation\'s "# is ambiguous when a later " follows')
             return f'{head}"{rest[:i + 1]}'.strip()
     raise ValueError("only a comment may follow the closing quote of a citation")
 

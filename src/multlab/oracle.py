@@ -36,7 +36,9 @@ the free part, and their number must be |S| (else `OracleInconsistency`).
 `h2_trivial_coeffs` and `abelianization_from_table` are the earlier oracle.
 Nothing in the report calls them; they stay as the independent reference
 the tests compare M(G) with, and because `bench/tracer.py` times them by
-name.  The reference rests on this:
+name.  The H^2 path (`h2_trivial_coeffs`, `_mod`, `_restrict`) is dense
+numpy and imports it inside itself, so the report never loads it.  The
+reference rests on this:
 H^2(G, Z_m) for m = |G| splits as Ext(G^ab, Z_m) + Hom(M(G), Z_m), and
 both summands collapse to G^ab and M(G) because their exponents divide
 |G|, so M(G) is the multiset difference of the H^2 and G^ab invariants.
@@ -70,8 +72,6 @@ report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .abelian import (AbelianGroup, _kernel_mod, _snf_local, prime_power, snf, snf_sparse,
                       valuation)
@@ -112,22 +112,23 @@ class H2Result:
         return self.invariants.order_exponent(p)
 
 
-def _mod(x: np.ndarray, m: int) -> np.ndarray:
-    """x mod m for float64 integers with |x| + m < 2^53.
+def _mod(x, m: int):
+    """x mod m for a float64 array of integers with |x| + m < 2^53.
 
     x / m is then within half an ulp of no integer it does not equal, so
     its floor is exact; ten times faster than float64 %.
     """
+    import numpy as np
     return x - m * np.floor(x / m)
 
 
-def _residue(block: np.ndarray, gens: np.ndarray, m: int) -> np.ndarray:
+def _residue(block, gens, m: int):
     # block entries are at most 2N in size and gens entries below m, so every
     # sum is below 2N * m * width < 2^53: exact in BLAS
     return _mod(block @ gens, m)
 
 
-def _restrict(gens: np.ndarray, block: np.ndarray, p: int, k: int) -> np.ndarray:
+def _restrict(gens, block, p: int, k: int):
     """Generators of {u in span(gens) : block @ u = 0}, from those of span(gens).
 
     A member gens @ x is annihilated exactly when x solves the residue
@@ -135,6 +136,7 @@ def _restrict(gens: np.ndarray, block: np.ndarray, p: int, k: int) -> np.ndarray
     Only the nonzero rows of the residue constrain x; with none, the block
     is implied and gens stands.
     """
+    import numpy as np
     m = p ** k
     resid = _residue(block, gens, m)
     dirty = resid.any(axis=1)
@@ -147,7 +149,9 @@ def _restrict(gens: np.ndarray, block: np.ndarray, p: int, k: int) -> np.ndarray
 
 def h2_trivial_coeffs(table: CayleyTable, m: int, *,
                       memory_budget: int = DEFAULT_MEMORY_BUDGET) -> H2Result:
-    """Invariant factors of H^2(G, Z_m) for the group of a Cayley table."""
+    """Invariant factors of H^2(G, Z_m) for the group of a Cayley table.
+    A dense reference that needs numpy, which it imports itself."""
+    import numpy as np
     p, k = prime_power(m)
     n = table.n
     stats = EliminationStats()
@@ -159,7 +163,7 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
     t = np.asarray(table.table, dtype=np.int64)
 
     # BFS factorization z = parent[z] * gens[letter[z]], z after 1 in the order reached
-    order, parent, letter = walk(t, gens)
+    order, parent, letter = walk(table.table, gens)
     if len(order) != n:
         raise RuntimeError("generating set failed to reach the whole group")
 
@@ -313,7 +317,6 @@ def cycle_relations(table: CayleyTable,
     order, parent, letter = walk(t, gens)
     if len(order) != n:
         raise RuntimeError("generating set failed to reach the whole group")
-    right = [t[:, s].tolist() for s in gens]  # right[i][y] = y s_i
     tree = set(zip(parent.values(), letter.values()))
     edges = [(y, i) for y in range(n) for i in range(ns) if (y, i) not in tree]
     col = [[-1] * ns for _ in range(n)]  # col[y][i]: the edge y -> y s_i, -1 on the tree
@@ -322,7 +325,7 @@ def cycle_relations(table: CayleyTable,
 
     blocks = []
     for s in gens:
-        left = t[s].tolist()  # left[x] = s x
+        left = t[s]  # left[x] = s x
         # path[z]: the non-tree edges among the translates by s of the edges
         # of the tree path 1 -> z, as a bit set (translation is injective)
         path = [0] * n
@@ -332,7 +335,7 @@ def cycle_relations(table: CayleyTable,
         rows = []
         for e, (y, i) in enumerate(edges):
             # s.c_e = s(1 -> y) + s e - s(1 -> z): their shared head cancels
-            py, pz = path[y], path[right[i][y]]
+            py, pz = path[y], path[t[y][gens[i]]]
             plus, minus = py & ~pz, pz & ~py
             c = col[left[y]][i]
             if c >= 0:

@@ -23,9 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 
-import numpy as np
-
-from .abelian import AbelianGroup, _kernel_mod, snf, snf_group, valuation
+from .abelian import AbelianGroup, snf, snf_group, valuation
 from .cayley import CayleyTable
 from .results import METHOD_TAILS, MultiplierResult
 
@@ -546,11 +544,14 @@ def center(pres: PcPresentation) -> Subgroup:
 
     With N that series' last nontrivial term, Y/N = Z(G/N) comes from the
     quotient by recursion.  N is central, so x -> ([x, g_i])_i is a
-    homomorphism from Y into the GF(p)-space N^d whose kernel is Z(G).  That
-    kernel is generated by the igs products a nullspace vector names, the
-    p-th powers of Y's igs, and N (which holds [Y, Y], so the products need
-    no commutator correction).  Cost grows with the number of generators;
-    G is never enumerated.
+    homomorphism from Y into the GF(p)-space N^d whose kernel is Z(G).  One
+    GF(p) echelon of the images of Y's igs carries each row's element: with
+    a pivot row r, the image of v, u v^(p-f) has the image row - f r, so a
+    row that reduces to zero names an element of the kernel.  Those, the
+    p-th powers of Y's igs, and N (which holds [Y, Y], so Y/Y^pN is
+    elementary) generate the kernel, of index p^rank, rank the number of
+    pivots.  Cost grows with the number of generators; G is never
+    enumerated.
     """
     p = pres.p
     if not any(tail for _, _, tail in pres.comms):
@@ -561,7 +562,8 @@ def center(pres: PcPresentation) -> Subgroup:
     lifts = [_lift(u, survivors, pres.ngens) for u in center(quotient).igs.values()]
     y = Subgroup.generate(pres, lifts + list(n_sub.igs.values()))
     ys = list(y.igs.values())
-    rows = []
+    kernel = [pres.pow_el(u, p) for u in ys] + list(n_sub.igs.values())
+    pivots = []  # (column, row scaled to 1 there, the element of Y it is the image of)
     for u in ys:
         row = []
         for g in gens:
@@ -569,17 +571,18 @@ def center(pres: PcPresentation) -> Subgroup:
             if exps is None:
                 raise InconsistentPresentation("[Z(G/N), G] is not inside N")
             row.extend(exps.get(l, 0) for l in n_sub.igs)
-        rows.append(row)
-    null = _kernel_mod(np.array(rows, dtype=np.int64).T, len(ys), p, 1)  # b . rows = 0
-    kernel = [pres.pow_el(u, p) for u in ys] + list(n_sub.igs.values())
-    for b in null.T:
-        x = pres.identity
-        for u, e in zip(ys, b):
-            if e:
-                x = pres.mul(x, pres.pow_el(u, int(e)))
-        kernel.append(x)
+        for c, prow, pu in pivots:  # u * pu^(p - f) has the image row - f * prow
+            if f := row[c]:
+                row = [(a - f * b) % p for a, b in zip(row, prow)]
+                u = pres.mul(u, pres.pow_el(pu, p - f))
+        c = next((c for c, a in enumerate(row) if a % p), None)
+        if c is None:
+            kernel.append(u)
+        else:
+            inv = pow(row[c], -1, p)
+            pivots.append((c, [a * inv % p for a in row], pres.pow_el(u, inv)))
     z = Subgroup.generate(pres, [x for x in kernel if x != pres.identity])
-    rank = len(ys) - null.shape[1]
+    rank = len(pivots)
     if z.order_exponent != y.order_exponent - rank:
         raise InconsistentPresentation(
             f"centre has order p^{z.order_exponent}, expected p^{y.order_exponent - rank}")
@@ -766,19 +769,17 @@ def cayley_table(pres: PcPresentation, cap: int = 128) -> CayleyTable:
         raise SizeCapError(f"group order {n} exceeds the Cayley table cap {cap}")
     words = list(pres.elements())
     index = {w: k for k, w in enumerate(words)}
-    # right[l, i] = index of words[i] * g_l
-    right = np.array([[index[pres.mul_gen(w, l)] for w in words]
-                      for l in range(pres.ngens)], dtype=np.int32)
+    # right[l][i] = index of words[i] * g_l
+    right = [[index[pres.mul_gen(w, l)] for w in words] for l in range(pres.ngens)]
     strides = [prod(pres.orders[l + 1:]) for l in range(pres.ngens)]
     # In the lexicographic enumeration, word j is its predecessor (the last
     # nonzero exponent, at l, lowered by one) times g_l, already normal, so
     # column j is column j - strides[l] multiplied on the right by g_l.
-    cols = np.zeros((n, n), dtype=np.int32)
-    cols[0] = np.arange(n)
+    cols = [list(range(n))]
     for j in range(1, n):
         l = max(i for i, e in enumerate(words[j]) if e)
-        cols[j] = right[l, cols[j - strides[l]]]
-    return CayleyTable(cols.T)
+        cols.append([right[l][c] for c in cols[j - strides[l]]])
+    return CayleyTable(list(zip(*cols)))
 
 
 def iso_witness_check(src: PcPresentation, dst: PcPresentation,

@@ -354,9 +354,12 @@ class TestReplay:
          "only a comment may follow the closing quote of a citation"),
         ('use ESp_p3\nassume upper p^4 "c', 'assume upper p^4 "c',
          "only a comment may follow the closing quote of a citation"),
+        ('use ESp_p3\nassume upper p^4 "MRR "#3.1""', 'assume upper p^4 "MRR "#3.1""',
+         'a citation\'s "# is ambiguous when a later " follows'),
     ], ids=["use", "compute", "expect", "assume-extra", "assume-capable-order",
             "assume-missing-order", "assume-unknown-kind", "assume-after-citation",
-            "assume-after-citation-commented", "assume-unclosed-citation"])
+            "assume-after-citation-commented", "assume-unclosed-citation",
+            "assume-ambiguous-hash"])
     def test_extra_tokens_are_rejected(self, computer, script, line, message):
         with pytest.raises(ReplayAssertionError) as exc:
             replay_script(script, 3, computer)

@@ -393,7 +393,7 @@ class TestReports:
         # relations are wrong, and tails disagrees
         import multlab.blackburn_evens as be_mod
         real = be_mod._w_coordinates
-        monkeypatch.setattr(be_mod, "_w_coordinates", lambda d, x: real(d, x) + 1)
+        monkeypatch.setattr(be_mod, "_w_coordinates", lambda d, x: [c + 1 for c in real(d, x)])
         rep = verify_entry(catalog, computer, "ESp_p3", 3)
         assert (rep.status, rep.t) == ("FAIL", None)
         assert rep.trace == [

@@ -344,7 +344,7 @@ def naive_cycle_rows(table, gens):
     1 -> y, of e = (y, s_i) and of the tree path back from y s_i, translated
     by s and counted when it lands off the tree.  The tree is the BFS tree
     that takes the generators in order."""
-    t = table.table
+    t = np.array(table.table)
     parent, letter, queue = {0: None}, {}, [0]
     for y in queue:
         for i, g in enumerate(gens):

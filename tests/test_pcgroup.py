@@ -378,7 +378,7 @@ class TestCayleyTable:
         for i, u in enumerate(words):
             for j, v in enumerate(words):
                 s = tuple((x + y) % 2 for x, y in zip(u, v))
-                assert tab.table[i, j] == words.index(s)
+                assert tab.table[i][j] == words.index(s)
 
     def test_d8_noncommutative_entry(self):
         pres = load_presentation(D8, 2)
@@ -400,7 +400,7 @@ class TestCayleyTable:
             words = list(pres.elements())
             index = {w: k for k, w in enumerate(words)}
             want = [[index[pres.mul(u, v)] for v in words] for u in words]
-            assert cayley_table(pres).table.tolist() == want, eid
+            assert list(map(list, cayley_table(pres).table)) == want, eid
             checked += 1
         assert checked >= 10
 
@@ -412,7 +412,7 @@ class TestCayleyTable:
     def test_swapped_intercalate_rejected_at_first_bad_triple(self):
         # rows x, xg and columns y, gy of an involution g form a 2 x 2 Latin
         # subsquare; swapping it keeps every row and column a permutation
-        t = cayley_table(Catalog.bundled().instantiate("T6_xiv", 2)).table.copy()
+        t = np.array(cayley_table(Catalog.bundled().instantiate("T6_xiv", 2)).table)
         n = len(t)
         g = next(g for g in range(1, n) if t[g, g] == 0)
         x = y = next(x for x in range(1, n) if x != g)
@@ -435,20 +435,32 @@ class TestCayleyTable:
             n = table.n
             perm = [0] + [int(v) for v in rng.permutation(np.arange(1, n))]
             assert _light_associative(table.relabel(perm).table)
-            involutions = [g for g in range(1, n) if table.table[g, g] == 0]
+            involutions = [g for g in range(1, n) if table.table[g][g] == 0]
             for _ in range(20):
-                t = table.table.copy()
+                t = np.array(table.table)
                 g = int(rng.choice(involutions))
                 x, y = (int(v) for v in rng.choice([v for v in range(1, n) if v != g], 2))
                 xg, gy = t[x, g], t[g, y]
                 t[[x, xg], y], t[[x, xg], gy] = t[[x, xg], gy], t[[x, xg], y]
                 associative = np.array_equal(t[t], t[:, t])
-                assert _light_associative(t) == associative
+                assert _light_associative(tuple(map(tuple, t.tolist()))) == associative
                 broken += not associative
         assert broken >= 90
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 1], [1, 0, 2]], "table must be square, got 2 rows of lengths [2, 3]"),
+        (np.zeros((2, 3), dtype=int), "table must be square, got 2 rows of lengths [3]"),
+        ([0, 1], "table rows must be sequences of ints"),
+        ([], "empty table; the trivial group has N = 1"),
+        ([[1, 0], [0, 1]], "index 0 is not an identity"),
+    ], ids=["ragged", "wide", "flat", "empty", "identity-at-1"])
+    def test_malformed_table_is_named(self, rows, message):
+        with pytest.raises(ValueError) as exc:
+            CayleyTable(rows)
+        assert str(exc.value) == message
+
     def test_first_bad_row_or_column_named(self):
-        t = cayley_table(load_presentation("gen a 2\ngen b 2", 2)).table.copy()
+        t = np.array(cayley_table(load_presentation("gen a 2\ngen b 2", 2)).table)
         t[2, 1] = t[2, 3]  # row 2 and column 1 repeat an entry
         with pytest.raises(ValueError, match=r"row/column 1 is not a permutation"):
             CayleyTable(t)

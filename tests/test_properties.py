@@ -77,7 +77,7 @@ class TestCayleyAssociativity:
         for pres in sample_presentations:
             if pres.group_order() > 32:
                 continue
-            t = cayley_table(pres, cap=32).table
+            t = np.array(cayley_table(pres, cap=32).table)
             n = t.shape[0]
             for x, y, z in itertools.product(range(n), repeat=3):
                 assert t[t[x, y], z] == t[x, t[y, z]]
