@@ -10,7 +10,8 @@ to the next p-power, which is what makes "p^3 < |M|" machine-usable as
 
 Replay scripts are small text programs (use / assume / apply / compute /
 expect) that re-derive bound chains step by step and assert the declared
-outcomes, failing loudly on the first divergent step.
+outcomes, failing loudly on the first divergent step.  `dsl.read_line`
+reads their lines; only `assume` takes a citation.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from dataclasses import dataclass, field
 
 from .abelian import AbelianGroup, exterior_square, tensor
 from .compute import Computer
-from .dsl import DslError, parse_order
-from .entries import _strip_comment, _take_citation
+from .dsl import DslError, parse_order, read_line
 from .pcgroup import (
     PcPresentation,
     Subgroup,
@@ -417,14 +417,15 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
 
     for step_no, raw in enumerate(script.splitlines(), start=1):
         try:
-            line = _strip_comment(raw)
+            line, parts, citation = read_line(raw)
         except ValueError as exc:
             raise ReplayAssertionError(step_no, raw.strip(), str(exc)) from None
-        if not line:
+        if not parts:
             continue
-        parts = line.split()
         verb = parts[0]
         try:
+            if citation is not None and verb != "assume":
+                raise LedgerError(f"{verb} takes no citation")
             if verb in VERB_ARGS and len(parts) - 1 != len(VERB_ARGS[verb]):
                 raise LedgerError(
                     f"{verb} takes {' '.join(VERB_ARGS[verb]) or 'no arguments'}, "
@@ -437,10 +438,9 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
             if subject is None or pres is None:
                 raise LedgerError("script must start with `use <group>`")
             if verb == "assume":
-                if '"' not in line:
+                if citation is None:
                     raise LedgerError("an assumption needs a quoted citation")
-                head, citation = _take_citation(line)
-                args = head.split()[1:]
+                args = parts[1:]
                 if args and args[0] not in ASSUME_KINDS:
                     raise LedgerError(f"unknown assumption kind {args[0]!r}")
                 if len(args) != (1 if args[:1] == ["capable"] else 2):

@@ -13,13 +13,13 @@ Words are `*`-separated `name^exp` atoms or the literal `1`.  Exponents may
 be integers, `p`, `p^INT`, or `nu` (the least quadratic non-residue mod p),
 all instantiated when the text is loaded at a concrete prime.  Exponents are
 normalized into [0, relative order) at load time.  Blank lines and `#`
-comments are ignored; unknown leading keywords are rejected here but may be
-claimed by catalog-level wrappers before parsing.
+comments are ignored.  `read_line` reads the DSL, catalog files and replay
+scripts under this one rule; a quoted citation may end a line only where its
+keyword takes one (a catalog `expect`, a replay `assume`), and any other
+stray word or citation is rejected with its line number.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .abelian import valuation
 from .pcgroup import PcPresentation
@@ -27,7 +27,6 @@ from .pcgroup import PcPresentation
 
 class DslError(ValueError):
     def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
         super().__init__(f"line {line_no}: {message}" if line_no else message)
 
 
@@ -100,63 +99,69 @@ def _parse_word(text: str, gen_index: dict[str, int], p: int, line_no: int):
     return letters
 
 
-@dataclass
-class ParsedPresentation:
-    prime: tuple[str, int] | None            # (prime token, line)
-    gens: list[tuple[str, str, int]]         # (name, order token, line)
-    pows: list[tuple[str, str, int]]         # (name, word text, line)
-    comms: list[tuple[str, str, str, int]]   # (high, low, word text, line)
+def read_line(raw: str) -> tuple[str, list[str], str | None]:
+    """Split a line into its statement (without its `# comment`, stripped),
+    the words before its quoted citation, and the citation or None.  A
+    citation may hold `#` and quotes: it runs from the first `"` to the
+    first later `"` that only blanks or a comment follow; ValueError if none
+    does, if it is directly followed by `#` and a later `"`, which could
+    close it instead, or if no word comes before it."""
+    head, quote, rest = raw.partition('"')
+    if "#" in head or not quote:
+        statement = head.split("#", 1)[0].strip()
+        return statement, statement.split(), None
+    if not head.strip():
+        raise ValueError("a citation must follow a keyword")
+    for i, ch in enumerate(rest):
+        if ch == '"' and not rest[i + 1:].split("#", 1)[0].strip():
+            if rest[i + 1:i + 2] == "#" and '"' in rest[i + 1:]:
+                raise ValueError('a citation\'s "# is ambiguous when a later " follows')
+            return f'{head}"{rest[:i + 1]}'.strip(), head.split(), rest[:i]
+    raise ValueError("only a comment may follow the closing quote of a citation")
 
 
-# the leading tokens that name what a statement defines, once per text
+# the leading words that name what a statement defines, once per text
 DEFINES = {"prime": 1, "gen": 2, "pow": 2, "comm": 3}
 
 
-def parse_statements(text: str) -> ParsedPresentation:
-    out = ParsedPresentation(None, [], [], [])
+def build_presentation(statements, p: int, name: str | None = None) -> PcPresentation:
+    """Instantiate `(line number, words)` statements at p."""
+    prime = None
+    gens, pows, comms = [], [], []
     defined: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kw = parts[0]
+    for line_no, words in statements:
+        kw = words[0]
         if kw == "prime":
-            if len(parts) != 2:
+            if len(words) != 2:
                 raise DslError("prime takes one argument", line_no)
-            out.prime = (parts[1], line_no)
+            prime = (words[1], line_no)
         elif kw == "gen":
-            if len(parts) != 3:
+            if len(words) != 3:
                 raise DslError("gen takes a name and a relative order", line_no)
-            out.gens.append((parts[1], parts[2], line_no))
+            gens.append((words[1], words[2], line_no))
         elif kw == "pow":
-            if len(parts) < 4 or parts[2] != "=":
+            if len(words) < 4 or words[2] != "=":
                 raise DslError("expected `pow <name> = <word>`", line_no)
-            out.pows.append((parts[1], " ".join(parts[3:]), line_no))
+            pows.append((words[1], " ".join(words[3:]), line_no))
         elif kw == "comm":
-            if len(parts) < 5 or parts[3] != "=":
+            if len(words) < 5 or words[3] != "=":
                 raise DslError("expected `comm <name> <name> = <word>`", line_no)
-            out.comms.append((parts[1], parts[2], " ".join(parts[4:]), line_no))
+            comms.append((words[1], words[2], " ".join(words[4:]), line_no))
         else:
             raise DslError(f"unknown statement {kw!r}", line_no)
-        key = " ".join(parts[:DEFINES[kw]])  # a second `pow a`, whatever its word
+        key = " ".join(words[:DEFINES[kw]])  # a second `pow a`, whatever its word
         if key in defined:
             raise DslError(f"{key!r} is stated twice", line_no)
         defined.add(key)
-    return out
-
-
-def build_presentation(parsed: ParsedPresentation, p: int,
-                       name: str | None = None) -> PcPresentation:
-    if parsed.prime is not None and parsed.prime[0] != "p":
-        token, line_no = parsed.prime
+    if prime is not None and prime[0] != "p":
+        token, line_no = prime
         if not token.isdigit():
             raise DslError(f"bad prime {token!r}", line_no)
         if int(token) != p:
             raise DslError(f"presentation is fixed at prime {token}, not {p}", line_no)
     gen_index = {}
     orders = []
-    for gname, order_tok, line_no in parsed.gens:
+    for gname, order_tok, line_no in gens:
         gen_index[gname] = len(orders)
         order = _parse_scalar(order_tok, p, line_no)
         if order < p or p ** valuation(order, p) != order:
@@ -176,13 +181,13 @@ def build_presentation(parsed: ParsedPresentation, p: int,
         return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
 
     powers: list = [()] * n
-    for gname, word_text, line_no in parsed.pows:
+    for gname, word_text, line_no in pows:
         if gname not in gen_index:
             raise DslError(f"unknown generator {gname!r}", line_no)
         i = gen_index[gname]
         powers[i] = normalize(_parse_word(word_text, gen_index, p, line_no), line_no)
-    comms = []
-    for high, low, word_text, line_no in parsed.comms:
+    tails = []
+    for high, low, word_text, line_no in comms:
         for nm in (high, low):
             if nm not in gen_index:
                 raise DslError(f"unknown generator {nm!r}", line_no)
@@ -192,14 +197,14 @@ def build_presentation(parsed: ParsedPresentation, p: int,
                 f"comm {high} {low}: first generator must have the higher index", line_no)
         tail = normalize(_parse_word(word_text, gen_index, p, line_no), line_no)
         if tail:
-            comms.append((j, i, tail))
+            tails.append((j, i, tail))
     try:
         return PcPresentation(
             p=p,
-            names=tuple(g for g, _, _ in parsed.gens),
+            names=tuple(g for g, _, _ in gens),
             orders=tuple(orders),
             powers=tuple(powers),
-            comms=tuple(comms),
+            comms=tuple(tails),
             name=name,
         )
     except ValueError as exc:
@@ -208,4 +213,14 @@ def build_presentation(parsed: ParsedPresentation, p: int,
 
 def load_presentation(text: str, p: int, name: str | None = None) -> PcPresentation:
     """Parse and instantiate at p; building the presentation checks consistency."""
-    return build_presentation(parse_statements(text), p, name=name)
+    statements = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        try:
+            _, words, citation = read_line(raw)
+        except ValueError as exc:
+            raise DslError(str(exc), line_no) from None
+        if citation is not None:
+            raise DslError(f"{words[0]} takes no citation", line_no)
+        if words:
+            statements.append((line_no, words))
+    return build_presentation(statements, p, name=name)

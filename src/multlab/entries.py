@@ -10,16 +10,20 @@ A file is either a direct presentation (DSL statements), a product recipe
     expect order p^9 "source"
     expect t 6 "source"
     squeeze phi7_15_squeeze.script         # bound replay, an order cross-check
-    disabled <reason>
+    disabled <reason>                      # the rest of the line, citation and all
+
+Each line is read once, by `dsl.read_line` under the DSL's comment and
+citation rule; DSL lines are kept as `(line, words)` statements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .abelian import AbelianGroup, valuation
-from .dsl import DslError, _parse_scalar, load_presentation, parse_order
+from .dsl import (DslError, _parse_scalar, build_presentation, load_presentation,
+                  parse_order, read_line)
 from .pcgroup import PcPresentation, direct_product, is_prime
 
 CONSTRAINTS = ("odd", "two", "any")
@@ -43,12 +47,15 @@ class Expect:
 
     def multiplier_at(self, p: int) -> AbelianGroup:
         assert self.kind == "multiplier"
-        inner = self.value.strip()[1:-1].strip()
+        inner = self.value[1:-1]
         exponents = []
         for tok in inner.split(",") if inner else ():
-            n = _parse_scalar(tok, p, 0)
+            try:
+                n = _parse_scalar(tok, p, 0)
+            except DslError as exc:
+                raise CatalogError(f"expect multiplier {self.value}: {exc}") from None
             if n < 1 or p ** (e := valuation(n, p)) != n:
-                raise CatalogError(f"expect multiplier {self.value}: factor {tok.strip()!r} "
+                raise CatalogError(f"expect multiplier {self.value}: factor {tok!r} "
                                    f"is {n}, not a power of p = {p}")
             exponents.append(e)
         return AbelianGroup.of(p, exponents)
@@ -66,7 +73,7 @@ class Expect:
 class CatalogEntry:
     entry_id: str
     constraint: str
-    dsl_text: str | None = None
+    statements: tuple[tuple[int, tuple[str, ...]], ...] = ()  # (line, words) of the DSL
     factors: tuple[str, ...] = ()
     alias_of: str | None = None
     expects: tuple[Expect, ...] = ()
@@ -89,29 +96,6 @@ class CatalogEntry:
         return True
 
 
-def _strip_comment(raw: str) -> str:
-    """The line without its `# comment`, stripped.  A quoted citation may hold
-    `#` and quotes: it runs from the first `"` to the first later `"` that
-    only blanks or a comment follow; ValueError if none does, or if it is
-    directly followed by `#` and a later `"`, which could close it instead."""
-    head, quote, rest = raw.partition('"')
-    if "#" in head or not quote:
-        return head.split("#", 1)[0].strip()
-    for i, ch in enumerate(rest):
-        if ch == '"' and not rest[i + 1:].split("#", 1)[0].strip():
-            if rest[i + 1:i + 2] == "#" and '"' in rest[i + 1:]:
-                raise ValueError('a citation\'s "# is ambiguous when a later " follows')
-            return f'{head}"{rest[:i + 1]}'.strip()
-    raise ValueError("only a comment may follow the closing quote of a citation")
-
-
-def _take_citation(line: str) -> tuple[str, str]:
-    if '"' in line:
-        head, _, rest = line.partition('"')
-        return head.strip(), rest.rsplit('"', 1)[0]
-    return line.strip(), ""
-
-
 def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
     name = fallback_name
     constraint = "any"
@@ -120,61 +104,59 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
     alias_of = None
     squeeze = None
     disabled = None
-    dsl_lines: list[str] = []  # header lines blank, so DSL errors keep the file's line numbers
+    statements: list[tuple[int, tuple[str, ...]]] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
-            line = _strip_comment(raw)
-        except ValueError as exc:
+            line, words, citation = read_line(raw)
+            if not words:
+                continue
+            kw, *args = words
+            if citation is not None and kw not in ("expect", "disabled"):
+                raise CatalogError(f"{kw} takes no citation")
+            if kw in ("name", "constraint", "squeeze", "alias") and len(args) != 1:
+                raise CatalogError(f"{line!r} needs an argument" if not args else
+                                   f"{kw} takes one argument, got {line!r}")
+            if kw in SINGLE_HEADERS and kw in seen:
+                raise CatalogError(f"{kw!r} is stated twice")
+            seen.add(kw)
+            if kw == "name":
+                name = args[0]
+            elif kw == "constraint":
+                constraint = args[0]
+                if constraint not in CONSTRAINTS:
+                    raise CatalogError(f"unknown constraint {constraint!r}")
+            elif kw == "expect":
+                if len(args) != 2:
+                    raise CatalogError(f"malformed expect line: {line!r}")
+                kind, value = args
+                if kind not in EXPECT_KINDS:
+                    raise CatalogError(f"unknown expect kind {kind!r}")
+                if kind == "multiplier" and not (value[0] == "[" and value[-1] == "]"):
+                    raise CatalogError(f"expect multiplier needs [...], got {value!r}")
+                if kind == "order":
+                    parse_order(value)
+                if kind == "t":
+                    try:
+                        int(value)
+                    except ValueError:
+                        raise CatalogError(f"expect t needs an integer, got {value!r}") from None
+                expects.append(Expect(kind, value, citation or ""))
+            elif kw == "squeeze":
+                squeeze = args[0]
+            elif kw == "product":
+                factors = args
+            elif kw == "alias":
+                alias_of = args[0]
+            elif kw == "disabled":
+                disabled = line[len(kw):].strip() or "disabled"
+            else:
+                statements.append((lineno, tuple(words)))
+        except ValueError as exc:  # read_line's, parse_order's and the header checks'
             raise CatalogError(f"line {lineno}: {exc}") from None
-        dsl_lines.append("")
-        if not line:
-            continue
-        kw, *args = line.split()
-        if kw in ("name", "constraint", "squeeze", "alias") and len(args) != 1:
-            raise CatalogError(f"line {lineno}: {line!r} needs an argument" if not args else
-                               f"line {lineno}: {kw} takes one argument, got {line!r}")
-        if kw in SINGLE_HEADERS and kw in seen:
-            raise CatalogError(f"line {lineno}: {kw!r} is stated twice")
-        seen.add(kw)
-        if kw == "name":
-            name = args[0]
-        elif kw == "constraint":
-            constraint = args[0]
-            if constraint not in CONSTRAINTS:
-                raise CatalogError(f"unknown constraint {constraint!r}")
-        elif kw == "expect":
-            head, citation = _take_citation(line)
-            parts = head.split(None, 2)
-            if len(parts) < 3:
-                raise CatalogError(f"malformed expect line: {line!r}")
-            kind, value = parts[1], parts[2]
-            if kind not in EXPECT_KINDS:
-                raise CatalogError(f"line {lineno}: unknown expect kind {kind!r}")
-            if kind == "multiplier" and not (value[0] == "[" and value[-1] == "]"):
-                raise CatalogError(
-                    f"line {lineno}: expect multiplier needs [...], got {value!r}")
-            if kind == "t":
-                try:
-                    int(value)
-                except ValueError:
-                    raise CatalogError(
-                        f"line {lineno}: expect t needs an integer, got {value!r}") from None
-            expects.append(Expect(kind, value, citation))
-        elif kw == "squeeze":
-            squeeze = args[0]
-        elif kw == "product":
-            factors = args
-        elif kw == "alias":
-            alias_of = args[0]
-        elif kw == "disabled":
-            disabled = line.split(None, 1)[1] if " " in line else "disabled"
-        else:
-            dsl_lines[-1] = raw
     if name is None:
         raise CatalogError("entry has no name")
-    direct = any(dsl_lines)
-    modes = sum(1 for x in (factors, alias_of, direct) if x)
+    modes = sum(1 for x in (factors, alias_of, statements) if x)
     if modes != 1 and disabled is None:
         raise CatalogError(f"{name}: entry must be exactly one of direct/product/alias")
     if len(factors) == 1:
@@ -182,7 +164,7 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
     return CatalogEntry(
         entry_id=name,
         constraint=constraint,
-        dsl_text="\n".join(dsl_lines) if direct else None,
+        statements=tuple(statements),
         factors=tuple(factors),
         alias_of=alias_of,
         expects=tuple(expects),
@@ -246,7 +228,7 @@ class Catalog:
                                   name=entry_id)
         else:
             try:
-                pres = load_presentation(target.dsl_text, p, name=entry_id)
+                pres = build_presentation(target.statements, p, name=entry_id)
             except DslError as exc:
                 raise CatalogError(f"{entry_id}: {exc}") from exc
         self._cache[key] = pres

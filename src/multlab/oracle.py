@@ -378,6 +378,8 @@ def multiplier_from_table(table: CayleyTable, p: int) -> MultiplierResult:
 
 def multiplier_via_oracle(pres) -> MultiplierResult:
     """M(G) from the Cayley table of a presentation, up to DEFAULT_ORACLE_CAP."""
-    from .pcgroup import cayley_table
+    from .pcgroup import SizeCapError, cayley_table
 
-    return multiplier_from_table(cayley_table(pres, cap=DEFAULT_ORACLE_CAP), pres.p)
+    if (n := pres.group_order()) > DEFAULT_ORACLE_CAP:
+        raise SizeCapError(f"group order {n} exceeds the Cayley table cap {DEFAULT_ORACLE_CAP}")
+    return multiplier_from_table(cayley_table(pres), pres.p)

@@ -763,10 +763,8 @@ def structure_report(pres: PcPresentation) -> StructureReport:
 # -- Cayley tables and isomorphism witnesses -----------------------------------
 
 
-def cayley_table(pres: PcPresentation, cap: int = 128) -> CayleyTable:
+def cayley_table(pres: PcPresentation) -> CayleyTable:
     n = pres.group_order()
-    if n > cap:
-        raise SizeCapError(f"group order {n} exceeds the Cayley table cap {cap}")
     words = list(pres.elements())
     index = {w: k for k, w in enumerate(words)}
     # right[l][i] = index of words[i] * g_l

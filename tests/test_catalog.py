@@ -128,9 +128,8 @@ class TestLoadGroupDsl:
             Catalog({entry.entry_id: entry}).instantiate("Bad", 3)
 
     def test_malformed_order_expectation(self):
-        entry = parse_entry('name Z\ngen a p\nexpect order p^x "s"\n')
-        with pytest.raises(DslError, match="1 or p\\^E"):
-            entry.expects[0].order_exponent_at(3)
+        with pytest.raises(CatalogError, match="line 3: order values are written 1 or p\\^E"):
+            parse_entry('name Z\ngen a p\nexpect order p^x "s"\n')
 
     @pytest.mark.parametrize("line, message", [
         ('expect mulitplier [p] "typo"', "line 3: unknown expect kind 'mulitplier'"),
@@ -138,10 +137,23 @@ class TestLoadGroupDsl:
         ('expect multiplier 13 "s"', "line 3: expect multiplier needs [...], got '13'"),
         ('expect t 6 "s" junk', "line 3: only a comment may follow the closing quote"),
         ('expect t 6 "s', "line 3: only a comment may follow the closing quote"),
+        ('expect t "s"', "line 3: malformed expect line: 'expect t \"s\"'"),
     ])
     def test_bad_expectation_rejected_when_parsed(self, line, message):
         with pytest.raises(CatalogError, match=re.escape(message)):
             parse_entry(f"name Z\ngen a p\n{line}\n")
+
+    def test_unknown_constraint_names_its_line(self):
+        with pytest.raises(CatalogError, match="line 2: unknown constraint 'weird'"):
+            parse_entry("name Z\nconstraint weird\ngen a p\n")
+
+    @pytest.mark.parametrize("line, reason", [
+        ('disabled gone "c"', 'gone "c"'),
+        ('disabled gone "c"  # note', 'gone "c"'),
+        ("disabled", "disabled"),
+    ])
+    def test_disabled_keeps_its_whole_reason(self, line, reason):
+        assert parse_entry(f"name Z\n{line}\n").disabled_reason == reason
 
     @pytest.mark.parametrize("line, source", [
         ('expect t 6 "part #6"', "part #6"),
@@ -370,14 +382,18 @@ class TestReports:
             "CrossMethodDisagreement: T6_iv: kunneth gives [3,3,3,3,3,3,3,3,3] "
             "but blackburn_evens gives []"]
 
-    def test_bad_expected_factor_is_a_fail_record(self):
-        # [6] is not a power of 3: that entry fails, the run goes on
-        entry = parse_entry('name T6_xii\ngen a p\ngen b p\nexpect multiplier [6] "s"\n')
+    @pytest.mark.parametrize("value, problem", [
+        ("[6]", "factor '6' is 6, not a power of p = 3"),
+        ("[p^x]", "bad exponent 'p^x'"),
+    ])
+    def test_bad_expected_factor_is_a_fail_record(self, value, problem):
+        # neither [6] nor [p^x] is a power of 3: that entry fails, the run goes on
+        entry = parse_entry(
+            f'name T6_xii\ngen a p\ngen b p\nexpect multiplier {value} "s"\n')
         reports = verify_theorem(3, "odd", catalog=Catalog({"T6_xii": entry}),
                                  entry_ids=("T6_xii",))
         assert [(r.group, r.status, r.t) for r in reports] == [("T6_xii", "FAIL", None)]
-        assert reports[0].trace == [
-            "CatalogError: expect multiplier [6]: factor '6' is 6, not a power of p = 3"]
+        assert reports[0].trace == [f"CatalogError: expect multiplier {value}: {problem}"]
 
     def test_tails_free_rank_mismatch_is_a_fail_record(self, catalog, computer, monkeypatch):
         real_snf = pcgroup.snf

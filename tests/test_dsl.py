@@ -2,17 +2,19 @@
 
 import pytest
 
-from multlab.dsl import DslError, least_nonresidue, load_presentation, parse_statements
+from multlab.bounds import replay_script
+from multlab.dsl import DslError, least_nonresidue, load_presentation
+from multlab.entries import Catalog, parse_entry
 
 
 class TestParsing:
     def test_malformed_comm(self):
         with pytest.raises(DslError, match="comm"):
-            parse_statements("gen a 2\ngen b 2\ncomm a = b")
+            load_presentation("gen a 2\ngen b 2\ncomm a = b", 2)
 
     def test_unknown_statement(self):
         with pytest.raises(DslError, match="line 2"):
-            parse_statements("gen a 2\nfrobnicate a")
+            load_presentation("gen a 2\nfrobnicate a", 2)
 
     def test_unknown_generator_in_word(self):
         with pytest.raises(DslError, match="unknown generator"):
@@ -90,3 +92,68 @@ class TestInstantiation:
     def test_word_folding(self):
         pres = load_presentation("gen a 3\ngen b 9\npow a = b * b^2", 3)
         assert pres.powers[0] == ((1, 3),)
+
+
+class TestLineReader:
+    """The DSL, catalog files and replay scripts share one line reader: every
+    word and citation is consumed by its keyword or rejected with its line."""
+
+    @staticmethod
+    def read(fmt, text, computer):
+        if fmt == "dsl":
+            load_presentation(text, 3)
+        elif fmt == "grp":
+            entry = parse_entry(f"name Z\ngen a p\n{text}\n")
+            Catalog({"Z": entry}).instantiate("Z", 3)
+        else:
+            replay_script(f"use ESp_p3\n{text}", 3, computer)
+
+    @pytest.mark.parametrize("fmt, text, message", [
+        ("dsl", "prime 3 5", "line 1: prime takes one argument"),
+        ("dsl", 'prime 3 "c"', "line 1: prime takes no citation"),
+        ("dsl", "gen a p p", "line 1: gen takes a name and a relative order"),
+        ("dsl", 'gen a p "c"', "line 1: gen takes no citation"),
+        ("dsl", "gen a p\ngen b p\npow a = b x", "line 3: unknown generator 'b x' in word"),
+        ("dsl", 'gen a p\ngen b p\npow a = b "c"', "line 3: pow takes no citation"),
+        ("dsl", "gen a p\ngen b p\ngen c p\ncomm b a = c x",
+         "line 4: unknown generator 'c x' in word"),
+        ("dsl", 'gen a p\ngen b p\ngen c p\ncomm b a = c "c"', "line 4: comm takes no citation"),
+        ("dsl", '"c"', "line 1: a citation must follow a keyword"),
+        ("grp", "name Y x", "line 3: name takes one argument, got 'name Y x'"),
+        ("grp", 'name Y "c"', "line 3: name takes no citation"),
+        ("grp", "constraint odd x",
+         "line 3: constraint takes one argument, got 'constraint odd x'"),
+        ("grp", 'constraint odd "c"', "line 3: constraint takes no citation"),
+        ("grp", "squeeze a.script x",
+         "line 3: squeeze takes one argument, got 'squeeze a.script x'"),
+        ("grp", 'squeeze a.script "c"', "line 3: squeeze takes no citation"),
+        ("grp", "alias Zp x", "line 3: alias takes one argument, got 'alias Zp x'"),
+        ("grp", 'alias Zp "c"', "line 3: alias takes no citation"),
+        ("grp", 'product Zp Zp "c"', "line 3: product takes no citation"),
+        ("grp", 'expect t 6 x "s"', "line 3: malformed expect line: 'expect t 6 x \"s\"'"),
+        ("grp", 'expect t 6 "s" x', "line 3: only a comment may follow the closing quote"
+                                    " of a citation"),
+        ("grp", "gen b p q", "line 3: gen takes a name and a relative order"),
+        ("grp", 'gen b p "c"', "line 3: gen takes no citation"),
+        ("grp", '"c"', "line 3: a citation must follow a keyword"),
+        ("script", "use ESp_p3 x", "step 2 ('use ESp_p3 x'): use takes group, got ESp_p3 x"),
+        ("script", 'use ESp_p3 "c"', "step 2 ('use ESp_p3 \"c\"'): use takes no citation"),
+        ("script", "compute x", "step 2 ('compute x'): compute takes no arguments, got x"),
+        ("script", 'compute "c"', "step 2 ('compute \"c\"'): compute takes no citation"),
+        ("script", "expect upper p^2 x",
+         "step 2 ('expect upper p^2 x'): expect takes kind order, got upper p^2 x"),
+        ("script", 'expect upper p^2 "c"',
+         "step 2 ('expect upper p^2 \"c\"'): expect takes no citation"),
+        ("script", "apply green x",
+         "step 2 ('apply green x'): rule arguments take the form key=value"),
+        ("script", 'apply green "c"', "step 2 ('apply green \"c\"'): apply takes no citation"),
+        ("script", 'assume upper p^4 x "c"',
+         "step 2 ('assume upper p^4 x \"c\"'): assume takes <upper|lower|exact> <order> "
+         "or capable before the citation, got upper p^4 x"),
+        ("script", '"c"', "step 2 ('\"c\"'): a citation must follow a keyword"),
+    ])
+    def test_stray_word_or_citation_is_rejected_with_its_line(self, computer, fmt, text,
+                                                              message):
+        with pytest.raises(ValueError) as exc:
+            self.read(fmt, text, computer)
+        assert str(exc.value).endswith(message)

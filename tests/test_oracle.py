@@ -270,6 +270,12 @@ class TestMultiplier:
         with pytest.raises(SizeCapError):
             multiplier_via_oracle(pres)
 
+    def test_cap_error_names_cap(self):
+        pres = load_presentation("gen a 3\ngen b 3\ngen c 3\ngen d 3\ngen e 3", 3)
+        with pytest.raises(SizeCapError) as exc:
+            multiplier_via_oracle(pres)
+        assert str(exc.value) == "group order 243 exceeds the Cayley table cap 128"
+
     def test_trivial_group(self):
         pres = load_presentation("", 3)
         assert multiplier_via_oracle(pres).invariants.is_trivial

@@ -27,7 +27,6 @@ from multlab.oracle import _invariants_from_order_counts
 from multlab.pcgroup import (
     InconsistentPresentation,
     PcPresentation,
-    SizeCapError,
     Subgroup,
     abelianization,
     cayley_table,
@@ -403,11 +402,6 @@ class TestCayleyTable:
             assert list(map(list, cayley_table(pres).table)) == want, eid
             checked += 1
         assert checked >= 10
-
-    def test_cap_error_names_cap(self):
-        pres = load_presentation("gen a 3\ngen b 3\ngen c 3\ngen d 3\ngen e 3\ngen f 3", 3)
-        with pytest.raises(SizeCapError, match="243"):
-            cayley_table(pres, cap=243)
 
     def test_swapped_intercalate_rejected_at_first_bad_triple(self):
         # rows x, xg and columns y, gy of an involution g form a 2 x 2 Latin
