@@ -8,25 +8,21 @@ multiplier calculus: Smith normal form, tensor products, exterior squares,
 and the direct-product identity M(A x B) = M(A) + M(B) + A^ab (x) B^ab.
 
 Cokernels and ranks are read by `snf` over Z_{p^k} on sparse {column:
-entry} rows (`snf_sparse`): one pass takes every unit pivot, and the
-unit-free rows left finish by least-valuation pivoting in the same rows.
-It serves central tails, abelianizations, abelian subgroups, the oracle's
-Cayley-graph coinvariants and the tensor construction's ranks.  The dense
-numpy eliminator `_snf_local`, and `_kernel_mod` on top of it, serve only
-the H^2 reference and the tests, and import numpy themselves, so the
-report never loads it.  Every cokernel read here is a p-group plus free
-summands, so working p-locally loses nothing as long as p^k exceeds its
-torsion: central tails, abelianizations and abelian subgroups of a group
-of order p^n run at k = n + 1 (exp M(G) and every quotient's order divide
-p^n, and a column with valuation n + 1 can only be free), and so do the
-oracle's Cayley-graph coinvariants; the H^2 reference solves at
-k = log_p |G|; the tensor construction's ranks run at k = 1, where the
-number of valuations 0 is the GF(p) rank."""
+entry} rows (`snf_sparse`, which reduces the rows it is given in place):
+one pass takes every unit pivot, keeping each pivot row free of the other
+pivots' columns, and the unit-free rows left finish by least-valuation
+pivoting.  It serves central tails, abelianizations, abelian subgroups,
+the oracle and the tensor construction's ranks.  The dense `_snf_local`
+and `_kernel_mod` import numpy themselves and serve only the H^2
+reference and the tests.  Every cokernel read here is a p-group plus free
+summands, read exactly while p^k exceeds its torsion: at k = n + 1 for a
+group of order p^n (tails, abelianizations, abelian subgroups, the
+oracle), at k = n for the H^2 reference, and at k = 1 for ranks, where
+the valuations 0 count the GF(p) rank."""
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
@@ -219,65 +215,68 @@ def snf(matrix, p: int, k: int) -> list[int]:
     valuations v < k, plus one summand of order at least p^k -- Z, or
     torsion too large to see -- for each valuation k.  So a cokernel whose
     torsion has exponent dividing p^n is read exactly at k = n + 1.
-    Torsion prime to p has unit pivots and is invisible here; it cannot
-    occur for a consistent presentation of a p-group, whose cokernels are
-    p-groups plus free summands.
+    Torsion prime to p has unit pivots and is invisible here.
     """
-    if not len(matrix):
-        return []
-    rows = [{j: v for j, v in enumerate(map(int, row)) if v} for row in matrix]
-    return snf_sparse(rows, len(matrix[0]), p, k)
+    m = p ** k
+    rows = [{j: w for j, v in enumerate(row) if (w := int(v) % m)} for row in matrix]
+    return snf_sparse(rows, len(matrix[0]), p, k) if rows else []
 
 
 def snf_sparse(rows: list[dict[int, int]], width: int, p: int, k: int) -> list[int]:
     """`snf` of the matrix whose rows are given as {column: entry} dicts.
 
-    One pass over the rows, shortest first, takes every unit pivot.  Each
-    row is reduced once against the pivots found so far, in the order they
-    were found: a pivot row holds no earlier pivot's column, so clearing
-    the row's pivot columns in that order (a heap) never brings one back.
-    A row left with a unit pivots on the unit whose column the fewest input
-    rows touch; its row and column drop out with valuation 0.  A row left
-    without one is zero mod p and stays so; it waits, and is reduced again
-    against every pivot at the end.  These unit-free rows finish in the
-    same dicts: the entry of least valuation v clears its column, and its
-    row and column drop out with valuation v; what is left stays a
-    multiple of p^v, so the valuations ascend.  Python ints are exact at
-    any modulus.
+    The rows are consumed: reduced in place, an entry mod p^k when first
+    touched.  One pass, shortest row first, takes every unit pivot; a row
+    left with a unit pivots on the unit whose column the fewest input rows
+    touch, and its row and column drop out with valuation 0.  No pivot row
+    holds another pivot's column: a new pivot on c is substituted out of
+    the pivot rows holding c (`holders` indexes them), so one pass over a
+    row's pivot columns reduces it.  A row left without a unit is zero mod
+    p and stays so; it waits, and is reduced against every pivot at the
+    end.  These rows finish by least valuation: the entry of valuation v
+    clears its column, its row and column drop out with valuation v, and
+    the rest stays a multiple of p^v, so the valuations ascend.  Python
+    ints are exact at any modulus.
     """
     m = p ** k
-    rows = [{j: v % m for j, v in row.items() if v % m} for row in rows]
     touch = Counter(j for row in rows for j in row)
-    rank: dict[int, int] = {}  # pivot column -> the order it was found in
-    pivots: list[dict[int, int]] = []  # pivot rows, without their own 1
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> its row, without its own 1
+    holders: dict[int, set[int]] = defaultdict(set)  # column -> pivots whose rows hold it
 
     def reduce(row: dict[int, int]) -> dict[int, int]:
-        heap = [(rank[j], j) for j in row if j in rank]
-        heapq.heapify(heap)
-        while heap:
-            r, c = heapq.heappop(heap)
-            f = row.pop(c, 0)  # 0: cancelled since it was pushed
-            for j, v in pivots[r].items() if f else ():
-                w = (row.get(j, 0) - f * v) % m
-                if w and j not in row and j in rank:
-                    heapq.heappush(heap, (rank[j], j))
-                row[j] = w
-                if not w:
-                    del row[j]
+        for c in row.keys() & pivots.keys():
+            f = row.pop(c)
+            for j, v in pivots[c].items():
+                if w := (row.get(j, 0) - f * v) % m:
+                    row[j] = w
+                else:
+                    row.pop(j, None)
         return row
 
     waiting = []
     for row in sorted(rows, key=len):
-        reduce(row)
-        units = [j for j, v in row.items() if v % p]
+        units = [j for j, v in reduce(row).items() if v % p]
         if units:
             c = min(units, key=touch.__getitem__)
             inv = pow(row.pop(c), -1, m)
-            rank[c] = len(pivots)
-            pivots.append({j: v * inv % m for j, v in row.items()})
+            new = {j: w for j, v in row.items() if (w := v * inv % m)}
+            for q in holders.pop(c, ()):
+                old = pivots[q]
+                f = old.pop(c)
+                for j, v in new.items():
+                    if w := (old.get(j, 0) - f * v) % m:
+                        holders[j].add(q)
+                        old[j] = w
+                    elif old.pop(j, 0):
+                        holders[j].discard(q)
+            for j in new:
+                holders[j].add(c)
+            pivots[c] = new
         elif row:
             waiting.append(row)
-    rest = [row for row in map(reduce, waiting) if row]
+    # drop untouched multiples of p^k, which the finish would read as pivots
+    rest = [row for row in ({j: e % m for j, e in reduce(row).items() if e % m}
+                            for row in waiting) if row]
     vals: list[int] = []
     while rest:
         v = vals[-1] if vals else 0

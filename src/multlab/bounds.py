@@ -451,6 +451,8 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
                                   provenance=Provenance.assumed(citation))
                 trace.append(fact.describe())
             elif verb == "apply":
+                if len(parts) == 1:
+                    raise LedgerError(f"apply takes a rule: {', '.join(RULE_KEYS)}")
                 rule = parts[1]
                 if rule not in RULE_KEYS:
                     raise LedgerError(f"unknown rule {rule!r}")

@@ -47,13 +47,8 @@ class Expect:
 
     def multiplier_at(self, p: int) -> AbelianGroup:
         assert self.kind == "multiplier"
-        inner = self.value[1:-1]
         exponents = []
-        for tok in inner.split(",") if inner else ():
-            try:
-                n = _parse_scalar(tok, p, 0)
-            except DslError as exc:
-                raise CatalogError(f"expect multiplier {self.value}: {exc}") from None
+        for tok, n in _factors(self.value, p):
             if n < 1 or p ** (e := valuation(n, p)) != n:
                 raise CatalogError(f"expect multiplier {self.value}: factor {tok!r} "
                                    f"is {n}, not a power of p = {p}")
@@ -67,6 +62,15 @@ class Expect:
     def t_value(self) -> int:
         assert self.kind == "t"
         return int(self.value)
+
+
+def _factors(value: str, p: int) -> list[tuple[str, int]]:
+    """Each factor of an `expect multiplier [...]` value, as (token, value at p)."""
+    inner = value[1:-1]
+    try:
+        return [(tok, _parse_scalar(tok, p, 0)) for tok in inner.split(",") if inner]
+    except DslError as exc:
+        raise CatalogError(f"expect multiplier {value}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,13 @@ class CatalogEntry:
         if self.constraint == "odd":
             return p != 2
         return True
+
+    def check_prime(self, p: int) -> None:
+        """ConstraintError unless p is a prime this entry is stated at."""
+        if not is_prime(p):
+            raise ConstraintError(f"{p} is not prime")
+        if not self.allows(p):
+            raise ConstraintError(f"{self.entry_id} requires a {self.constraint} prime, got {p}")
 
 
 def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
@@ -132,8 +143,10 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
                 kind, value = args
                 if kind not in EXPECT_KINDS:
                     raise CatalogError(f"unknown expect kind {kind!r}")
-                if kind == "multiplier" and not (value[0] == "[" and value[-1] == "]"):
-                    raise CatalogError(f"expect multiplier needs [...], got {value!r}")
+                if kind == "multiplier":
+                    if not (value[0] == "[" and value[-1] == "]"):
+                        raise CatalogError(f"expect multiplier needs [...], got {value!r}")
+                    _factors(value, 3)  # the syntax, at an odd prime (nu needs one)
                 if kind == "order":
                     parse_order(value)
                 if kind == "t":
@@ -215,11 +228,7 @@ class Catalog:
         entry = self[entry_id]
         if entry.is_disabled:
             raise CatalogError(f"{entry_id} is disabled: {entry.disabled_reason}")
-        if not is_prime(p):
-            raise ConstraintError(f"{p} is not prime")
-        if not entry.allows(p):
-            raise ConstraintError(
-                f"{entry_id} requires a {entry.constraint} prime, got {p}")
+        entry.check_prime(p)
         target = self.resolve_recipe(entry_id)
         if target.is_disabled:
             raise CatalogError(f"{entry_id} aliases disabled {target.entry_id}")

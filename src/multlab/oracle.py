@@ -27,9 +27,11 @@ z], plus the translated edge into z if it is off the tree.  The row of e is
 if it is off the tree, and -1 on e.
 
 Cokernel.  exp M(G) divides |G| = p^n, so `abelian.snf_sparse` reads the
-cokernel over Z_{p^(n+1)} in the rows' own dicts, |S|^2 N entries plus
-fill-in: each row is reduced once against the unit pivots found so far,
-and the unit-free rest is finished by least-valuation pivoting.  Summands
+cokernel over Z_{p^(n+1)} in the rows' own dicts, which it consumes,
+|S|^2 N entries plus fill-in.  Each unit pivot is substituted out of the
+earlier pivot rows, so every row is reduced in one pass over the pivot
+columns it holds, and the unit-free rest is finished by least-valuation
+pivoting.  Summands
 of valuation 0 < v < n + 1 are M(G); the columns of valuation n + 1 are
 the free part, and their number must be |S| (else `OracleInconsistency`).
 

@@ -97,12 +97,14 @@ def verify_entry(catalog: Catalog, computer: Computer, entry_id: str, p: int,
         report = Report(entry_id, p, 0, "-", [], None, "DISABLED",
                         trace=[entry.disabled_reason])
     else:
-        pres = catalog.instantiate(entry_id, p)
+        entry.check_prime(p)  # a prime the entry is not stated at is the caller's error
+        pres = None  # a factor that cannot be built is the entry's FAIL record
         try:
+            pres = catalog.instantiate(entry_id, p)
             report = _verify(catalog, computer, entry, pres, method)
         except RECORDED_FAILURES as exc:
-            report = Report(entry_id, p, pres.order_exponent, "-", [], None, "FAIL",
-                            trace=[f"{type(exc).__name__}: {exc}"])
+            report = Report(entry_id, p, pres.order_exponent if pres else 0, "-", [], None,
+                            "FAIL", trace=[f"{type(exc).__name__}: {exc}"])
     report.millis = int((time.monotonic() - start) * 1000)
     return report
 

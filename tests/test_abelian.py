@@ -339,10 +339,59 @@ def permuted(rows, width, rng):
 
 
 class TestSparseFront:
-    """`snf` reduces each row once against the unit pivots and finishes the
-    unit-free rows by least valuation; the valuations must be those of
-    `_snf_local` on the whole matrix, whatever the order of rows and the
-    labels of columns, and no dense eliminator may run on the way."""
+    """`snf_sparse` consumes its rows, keeps each unit pivot's row free of
+    the other pivots' columns, reduces each row by one pass over its pivot
+    columns and finishes the unit-free rows by least valuation; the
+    valuations must be those of `_snf_local` on the whole matrix, whatever
+    the order of rows, the labels of columns and the representatives of
+    the entries mod p^k, and no dense eliminator may run on the way."""
+
+    @staticmethod
+    def dense_valuations(rows, width, p, k):
+        dense = np.array([[row.get(j, 0) % p ** k for j in range(width)] for row in rows],
+                         dtype=object)
+        want, _ = _snf_local(dense, p, k)
+        return want + [k] * (width - len(want))
+
+    @pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (5, 2)])
+    def test_unreduced_and_negative_entries(self, p, k):
+        # the rows go to `snf_sparse` as they are, without `snf`'s reduction:
+        # multiples of p^k in any sign, negative units and non-units
+        m = p ** k
+        rows = [{0: m, 1: -1, 2: 3 * m + p}, {0: -m - 1, 2: -p, 3: 2 * m},
+                {1: p - m, 3: -5 * m}, {2: -2 * m, 3: p * p - m}]
+        want = self.dense_valuations(rows, 4, p, k)
+        assert snf_sparse([dict(row) for row in rows], 4, p, k) == want
+        assert snf([[row.get(j, 0) for j in range(4)] for row in rows], p, k) == want
+
+    def test_row_that_is_zero_mod_p_to_the_k(self):
+        # untouched multiples of 27 are zero mod 27 and must be dropped before
+        # the finish, which would read 81 as a pivot of valuation 4
+        assert snf_sparse([{0: 81, 2: -54}], 3, 3, 3) == [3, 3, 3]
+        assert snf_sparse([{0: 27, 2: -54}, {1: 9, 2: 81}], 3, 3, 3) == [2, 3, 3]
+
+    def test_update_cancelling_at_a_column_the_row_lacks(self):
+        # mod 4: reducing row 1 by row 0's pivot on column 0 adds -2 * 2 = 0
+        # at column 1, which row 1 does not hold; then row 3's pivot on
+        # column 2 is substituted out of row 2's pivot row, adding 0 at
+        # column 3, which that pivot row does not hold
+        rows = [{0: 1, 1: 2}, {0: 2, 4: 1}, {5: 1, 2: 2}, {2: 1, 3: 2}]
+        want = self.dense_valuations(rows, 6, 2, 2)
+        assert want == [0, 0, 0, 0, 2, 2]
+        assert snf_sparse(rows, 6, 2, 2) == want
+
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_long_pivot_chain(self, n):
+        # row 0 can pivot only on column 0, and row i = e_i - e_{i+1} pivots
+        # on column i (touched no more often than i + 1, and first), so each
+        # pivot row holds the column of the next: unreduced, they would chain
+        # 0 -> 1 -> ... -> n, which the waiting row 3 e_0 and the last row
+        # would each follow to its end
+        rows = ([{0: 3}, {0: 1, 1: 3}] + [{i: 1, i + 1: -1} for i in range(1, n)]
+                + [{0: 1, n: 1, n + 1: 1}])
+        want = self.dense_valuations(rows, n + 2, 3, 4)
+        assert want == [0] * (n + 1) + [2]
+        assert snf_sparse(rows, n + 2, 3, 4) == want
 
     @pytest.mark.parametrize("p", [2, 3, 5, 13])
     @pytest.mark.parametrize("side", ["int64", "object"])
@@ -366,7 +415,7 @@ class TestSparseFront:
             dense = random_sparse_rows(rng, p, k)
             width = len(dense[0])
             rows = [{j: v for j, v in enumerate(row) if v} for row in dense]
-            want = snf_sparse(rows, width, p, k)
+            want = snf_sparse([dict(row) for row in rows], width, p, k)  # it consumes rows
             for _ in range(3):
                 assert snf_sparse(permuted(rows, width, rng), width, p, k) == want
 
@@ -376,7 +425,7 @@ class TestSparseFront:
         width, blocks = cycle_relations(table, table.generating_set())
         rows = [row for block in blocks for row in block]
         k = valuation(table.n, 2) + 1
-        want = snf_sparse(rows, width, 2, k)
+        want = snf_sparse([dict(row) for row in rows], width, 2, k)  # it consumes rows
         assert want.count(k) == len(table.generating_set())
         rng = np.random.default_rng(len(rows))
         for _ in range(3):

@@ -321,9 +321,10 @@ class TestReplay:
         ("apply jones K=center K=derived", "jones takes K, got K K"),
         ("apply transgression", "transgression takes Z, got none"),
         ("apply transgression K=center", "transgression takes Z, got K"),
+        ("apply", "apply takes a rule: green, extraspecial, class_bound, jones, transgression"),
     ], ids=["green-unknown", "class_bound-unknown", "extraspecial-unknown",
             "jones-unknown", "jones-missing", "jones-extra", "jones-repeated",
-            "transgression-missing", "transgression-unknown"])
+            "transgression-missing", "transgression-unknown", "no-rule"])
     def test_rule_keys_are_checked(self, computer, line, message):
         script = f"use ESp_p3\n{line}\nexpect upper p^2"
         with pytest.raises(ReplayAssertionError) as exc:

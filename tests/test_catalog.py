@@ -135,6 +135,9 @@ class TestLoadGroupDsl:
         ('expect mulitplier [p] "typo"', "line 3: unknown expect kind 'mulitplier'"),
         ('expect t seven "s"', "line 3: expect t needs an integer, got 'seven'"),
         ('expect multiplier 13 "s"', "line 3: expect multiplier needs [...], got '13'"),
+        ('expect multiplier [p,,p] "s"', "line 3: expect multiplier [p,,p]: bad number ''"),
+        ('expect multiplier [p^x] "s"', "line 3: expect multiplier [p^x]: bad exponent 'p^x'"),
+        ('expect multiplier [p,] "s"', "line 3: expect multiplier [p,]: bad number ''"),
         ('expect t 6 "s" junk', "line 3: only a comment may follow the closing quote"),
         ('expect t 6 "s', "line 3: only a comment may follow the closing quote"),
         ('expect t "s"', "line 3: malformed expect line: 'expect t \"s\"'"),
@@ -384,16 +387,28 @@ class TestReports:
 
     @pytest.mark.parametrize("value, problem", [
         ("[6]", "factor '6' is 6, not a power of p = 3"),
-        ("[p^x]", "bad exponent 'p^x'"),
+        ("[-p]", "factor '-p' is -3, not a power of p = 3"),
     ])
     def test_bad_expected_factor_is_a_fail_record(self, value, problem):
-        # neither [6] nor [p^x] is a power of 3: that entry fails, the run goes on
+        # neither [6] nor [-p] is a power of 3: that entry fails, the run goes on
         entry = parse_entry(
             f'name T6_xii\ngen a p\ngen b p\nexpect multiplier {value} "s"\n')
         reports = verify_theorem(3, "odd", catalog=Catalog({"T6_xii": entry}),
                                  entry_ids=("T6_xii",))
         assert [(r.group, r.status, r.t) for r in reports] == [("T6_xii", "FAIL", None)]
         assert reports[0].trace == [f"CatalogError: expect multiplier {value}: {problem}"]
+
+    def test_bad_factor_reference_is_a_fail_record(self, catalog):
+        # the product names a factor the catalog lacks: that entry fails
+        product = parse_entry("name P\nproduct Zp Zq\n")
+        small = Catalog({"Zp": catalog["Zp"], "P": product})
+        rep = verify_entry(small, Computer(small), "P", 2)
+        assert (rep.group, rep.n, rep.status, rep.t) == ("P", 0, "FAIL", None)
+        assert rep.trace == ["CatalogError: no catalog entry named 'Zq'"]
+
+    def test_prime_outside_the_entry_constraint_is_an_error(self, catalog, computer):
+        with pytest.raises(ConstraintError, match="T6_i requires a odd prime, got 2"):
+            verify_entry(catalog, computer, "T6_i", 2)
 
     def test_tails_free_rank_mismatch_is_a_fail_record(self, catalog, computer, monkeypatch):
         real_snf = pcgroup.snf

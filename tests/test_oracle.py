@@ -25,7 +25,7 @@ from multlab.oracle import (
     multiplier_from_table,
     multiplier_via_oracle,
 )
-from multlab.pcgroup import SizeCapError, abelianization, cayley_table
+from multlab.pcgroup import SizeCapError, abelianization, cayley_table, multiplier_via_tails
 
 Z2 = "gen a 2"
 Z22 = "gen a 2\ngen b 2"
@@ -324,6 +324,14 @@ class TestHopfAgainstH2:
             assert got == h2_multiplier(cayley_table(pres), p), eid
             checked.append(eid)
         assert len(checked) == groups, checked
+
+    def test_above_the_cap_agrees_with_tails(self, catalog):
+        # T6_xi at p = 3: N = 243, 1,461 relation rows, above the report's cap
+        pres = catalog.instantiate("T6_xi", 3)
+        assert pres.group_order() > DEFAULT_ORACLE_CAP
+        got = multiplier_from_table(cayley_table(pres), 3)
+        want = multiplier_via_tails(pres).invariants
+        assert got.invariants == want == AbelianGroup.elementary(3, 4)
 
     def test_trace_counts_the_cycle_basis(self, catalog):
         # N(d - 1) + 1 cycles for d = 5 generators, d relation rows per cycle
