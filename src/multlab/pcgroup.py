@@ -11,9 +11,14 @@ Collection from the left with a work-stack rewrites arbitrary words to the
 unique normal form g_1^{a_1} ... g_n^{a_n}, 0 <= a_i < r_i; the standard
 triple- and power-overlap tests certify that a presentation is consistent,
 i.e. the presented group has order exactly prod r_i.  Every presentation
-runs them once, when it is built, so no function here ever sees one that
-fails.  That one pass carries a free central tail on every relation, and
-the tail relations it leaves are what central tails reads M(G) from.
+is checked when it is built, so no function here ever sees one that fails.
+That one pass carries a free central tail on every relation, and the tail
+relations it leaves are what central tails reads M(G) from.  It collects
+each pair product g_j g_i once and shares it between the overlaps that
+start from it, and its rows are memoized, so it runs once per distinct
+presentation per process.  A presentation is immutable, so its other
+facts are memoized too: the lower central series, the centre, G^ab and
+the structure report are each computed once.
 """
 
 from __future__ import annotations
@@ -265,7 +270,9 @@ def overlaps(pres: PcPresentation):
     both ways; a side is (normal word, tails), the tails being the tail
     vector the collection applied (see `_collect_onto`).  A power g_i^{r_i}
     enters as its collected tail w_i carrying t_i, never as a letter for
-    the collector."""
+    the collector.  Each g_j g_i (j > i) is collected once, and every
+    triple and power overlap that starts from it shares that side; `mul`
+    copies its operands, so no overlap changes another's."""
     n = pres.ngens
     width = n + n * (n - 1) // 2
 
@@ -285,17 +292,17 @@ def overlaps(pres: PcPresentation):
 
     g = [unit(i) for i in range(n)]
     wv = [power(i) for i in range(n)]
+    pair = {(j, i): mul(g[j], g[i]) for j in range(n) for i in range(j)}
     for k in range(n):
         for j in range(k):
             for i in range(j):
-                yield ("triple", (k, j, i), mul(mul(g[k], g[j]), g[i]),
-                       mul(g[k], mul(g[j], g[i])))
+                yield ("triple", (k, j, i), mul(pair[k, j], g[i]), mul(g[k], pair[j, i]))
     for j in range(n):
         for i in range(j):
             yield ("power-left", (j, i), mul(wv[j], g[i]),
-                   mul(unit(j, pres.orders[j] - 1), mul(g[j], g[i])))
+                   mul(unit(j, pres.orders[j] - 1), pair[j, i]))
             yield ("power-right", (j, i), mul(g[j], wv[i]),
-                   mul(mul(g[j], g[i]), unit(i, pres.orders[i] - 1)))
+                   mul(pair[j, i], unit(i, pres.orders[i] - 1)))
     for i in range(n):
         yield "power-cycle", (i,), mul(g[i], wv[i]), mul(wv[i], g[i])
 
@@ -303,7 +310,14 @@ def overlaps(pres: PcPresentation):
 def check_consistency(pres: PcPresentation) -> tuple[tuple[int, ...], ...]:
     """Run the full overlap family; raise InconsistentPresentation naming the
     first overlap that fails.  Returns the tail relations lhs - rhs, one row
-    per overlap, that central tails reads M(G) from."""
+    per overlap, that central tails reads M(G) from.  The rows are memoized
+    per presentation, so an equal presentation built again collects nothing;
+    a failing overlap raises on every build, since nothing is cached then."""
+    return _overlap_rows(pres)
+
+
+@lru_cache(maxsize=None)
+def _overlap_rows(pres: PcPresentation) -> tuple[tuple[int, ...], ...]:
     rows = []
     for kind, idxs, (lhs, ls), (rhs, rs) in overlaps(pres):
         if lhs != rhs:
@@ -514,8 +528,13 @@ def _descending_series(pres: PcPresentation, p_power: bool) -> list[Subgroup]:
     including the trivial term: the lower central series, or the lower
     exponent-p central series whose last nontrivial term is central and
     elementary abelian.  [G, G] is the normal closure of the stated tails
-    of [g_j, g_i], so the first step collects no commutator."""
-    gens = [pres.gen(i) for i in range(pres.ngens)]
+    of [g_j, g_i], so the first step collects no commutator.  Later steps
+    read [g_j, g_i] for an igs element that is a generator g_j off the
+    stated tail of the pair too: that is the commutator or its inverse,
+    which have the same normal closure."""
+    n = pres.ngens
+    gens = [pres.gen(i) for i in range(n)]
+    unit = {g: i for i, g in enumerate(gens)}
     series = [Subgroup.whole(pres)]
     words = [_stated(pres, tail) for _, _, tail in pres.comms]
     while series[-1].order_exponent:
@@ -525,7 +544,11 @@ def _descending_series(pres: PcPresentation, p_power: bool) -> list[Subgroup]:
         if nxt.order_exponent == series[-1].order_exponent:
             raise InconsistentPresentation("descending central series stalled")
         series.append(nxt)
-        words = [pres.comm_el(u, g) for u in nxt.igs.values() for g in gens]
+        words = []
+        for u in nxt.igs.values():
+            j = unit.get(u)
+            words += ([pres.comm_el(u, g) for g in gens] if j is None else
+                      [_stated(pres, pres.comm_tail(max(i, j), min(i, j))) for i in range(n)])
     return series
 
 
@@ -538,6 +561,7 @@ def _lift(u: NormalWord, survivors: list[int], n: int) -> NormalWord:
     return tuple(w)
 
 
+@lru_cache(maxsize=None)
 def center(pres: PcPresentation) -> Subgroup:
     """Z(G) by linear algebra down the lower exponent-p central series
     (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 8).
@@ -551,7 +575,8 @@ def center(pres: PcPresentation) -> Subgroup:
     p-th powers of Y's igs, and N (which holds [Y, Y], so Y/Y^pN is
     elementary) generate the kernel, of index p^rank, rank the number of
     pivots.  Cost grows with the number of generators; G is never
-    enumerated.
+    enumerated.  Z(G) is built once per presentation, and the one Subgroup
+    is shared by every caller, so none may change it.
     """
     p = pres.p
     if not any(tail for _, _, tail in pres.comms):
@@ -703,8 +728,10 @@ def direct_product(*factors: PcPresentation, name: str | None = None) -> PcPrese
 # -- abelianization ------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def abelianization(pres: PcPresentation) -> AbelianGroup:
-    """Invariant factors of G/G' from the SNF of the relation matrix."""
+    """Invariant factors of G/G' from the SNF of the relation matrix,
+    computed once per presentation."""
     return abelian_quotient_invariants(pres, ())
 
 

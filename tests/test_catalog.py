@@ -86,6 +86,19 @@ class TestCatalogIntegrity:
             checked += 1
         assert checked >= 4
 
+    def test_bundled_references_name_bundled_entries(self, catalog):
+        # a user-built catalog may name a missing factor (a FAIL record, see
+        # test_bad_factor_reference_is_a_fail_record); the bundled one never does
+        ids = set(catalog.ids())
+        products = aliases = 0
+        for eid in catalog.ids():
+            entry = catalog[eid]
+            assert set(entry.factors) <= ids, (eid, set(entry.factors) - ids)
+            assert entry.alias_of is None or entry.alias_of in ids, (eid, entry.alias_of)
+            products += entry.is_product
+            aliases += entry.alias_of is not None
+        assert products >= 4 and aliases >= 6
+
     def test_one_factor_product_rejected(self):
         with pytest.raises(CatalogError, match="two factors"):
             parse_entry("name P\nproduct Zp")

@@ -1,5 +1,6 @@
 """Collection, consistency, subgroup and structure machinery."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -41,6 +42,7 @@ from multlab.pcgroup import (
     structure_report,
     upper_central_series,
 )
+from multlab.report import verify_theorem
 from multlab.results import METHOD_TAILS
 
 ES_P3 = "gen a p\ngen a1 p\ngen a2 p\ncomm a1 a = a2"
@@ -508,18 +510,25 @@ def brute_invariants(sub):
     return _invariants_from_order_counts(counts, p)
 
 
-def _small_instances(limit=5 ** 5):
+def _instances_at(primes):
+    """Every catalog instance at each of `primes`; each is named by its entry id."""
     cat = Catalog.bundled()
     out = []
-    for p in (2, 3, 5):
+    for p in primes:
         for eid in cat.ids():
             try:
-                pres = cat.instantiate(eid, p)
+                out.append(cat.instantiate(eid, p))
             except CatalogError:
                 continue
-            if pres.group_order() <= limit:
-                out.append(pytest.param(pres, id=f"{eid}-{p}"))
     return out
+
+
+def _params(instances):
+    return [pytest.param(pres, id=f"{pres.name}-{pres.p}") for pres in instances]
+
+
+def _small_instances(limit=5 ** 5):
+    return _params(pres for pres in _instances_at((2, 3, 5)) if pres.group_order() <= limit)
 
 
 def _same(a, b):
@@ -546,6 +555,7 @@ class TestWholeGroup:
 class TestCenterAgainstEnumeration:
     @pytest.mark.parametrize("pres", _small_instances())
     def test_catalog_entry(self, pres, monkeypatch):
+        center.cache_clear()  # a memoized centre would skip the code under test
         _forbid_enumeration(monkeypatch)
         z = center(pres)
         upper = upper_central_series(pres)
@@ -619,6 +629,7 @@ class TestStructureLayerWithoutEnumeration:
     @pytest.mark.parametrize("pres", _small_instances())
     def test_catalog_entry(self, pres, monkeypatch):
         structure_report.cache_clear()
+        center.cache_clear()
         _forbid_enumeration(monkeypatch)
         st = structure_report(pres)
         try:
@@ -647,6 +658,7 @@ class TestStructureLayerWithoutEnumeration:
     def test_extraspecial_order_p3(self, catalog, eid, p, monkeypatch):
         pres = catalog.instantiate(eid, p)
         structure_report.cache_clear()
+        center.cache_clear()
         _forbid_enumeration(monkeypatch)
         led = Ledger()
         rule_extraspecial(led, eid, pres)
@@ -661,23 +673,11 @@ class TestStructureLayerWithoutEnumeration:
         assert got == want
 
 
-def _catalog_instances():
-    cat = Catalog.bundled()
-    out = []
-    for p in (2, 3, 5, 7):
-        for eid in cat.ids():
-            try:
-                out.append(pytest.param(cat.instantiate(eid, p), id=f"{eid}-{p}"))
-            except CatalogError:
-                continue
-    return out
-
-
 class TestOneLowerSeries:
     """The lower central series starts from the stated commutator tails and
     is built once per presentation."""
 
-    @pytest.mark.parametrize("pres", _catalog_instances())
+    @pytest.mark.parametrize("pres", _params(_instances_at((2, 3, 5, 7))))
     def test_derived_is_the_closure_of_generator_commutators(self, pres):
         comms = [pres.comm_el(pres.gen(j), pres.gen(i))
                  for j in range(pres.ngens) for i in range(j)]
@@ -702,3 +702,145 @@ class TestOneLowerSeries:
         assert "blackburn_evens" in [line.split(":")[0] for line in res.trace]
         lower = {q: n for (q, p_power), n in builds.items() if not p_power}
         assert pres in lower and set(lower.values()) == {1}
+
+    @pytest.mark.parametrize("p_power", [False, True])
+    def test_series_equals_the_fully_collected_one(self, p_power):
+        # every later step collects [u, g] for each u of the igs, as a
+        # reference for the stated tails read when u is a generator
+        checked = 0
+        for pres in _instances_at((2, 3, 5, 7)):
+            gens = [pres.gen(i) for i in range(pres.ngens)]
+            reference = [Subgroup.whole(pres)]
+            words = [pres.comm_el(g, h) for g in gens for h in gens]
+            while reference[-1].order_exponent:
+                if p_power:
+                    words += [pres.pow_el(u, pres.p) for u in reference[-1].igs.values()]
+                reference.append(Subgroup.generate(
+                    pres, [x for x in words if x != pres.identity], normal=True))
+                assert len(reference) <= pres.order_exponent + 1
+                words = [pres.comm_el(u, g) for u in reference[-1].igs.values() for g in gens]
+            series = pcgroup._descending_series(pres, p_power)
+            assert len(series) == len(reference)
+            assert all(a == b for a, b in zip(series, reference))
+            checked += 1
+        assert checked >= 100
+
+
+def _reference_overlap_rows(pres):
+    """The overlap family with every side evaluated from unit words as it
+    is bracketed, nothing shared between overlaps."""
+    n = pres.ngens
+    width = n + n * (n - 1) // 2
+
+    def unit(i, e=1):
+        v = [0] * n
+        v[i] = e
+        return tuple(v), [0] * width
+
+    def power(i):  # g_i^{r_i} as its collected tail w_i carrying t_i
+        tails = [int(k == i) for k in range(width)]
+        return pres._collect_onto([0] * n, pres.powers[i], tails), tails
+
+    def mul(x, y):
+        (u, s), (v, t) = x, y
+        acc = [a + b for a, b in zip(s, t)]
+        return pres._collect_onto(list(u), pres.word_of(v), acc), acc
+
+    def row(lhs, rhs):
+        assert lhs[0] == rhs[0]
+        return tuple(a - b for a, b in zip(lhs[1], rhs[1]))
+
+    rows = []
+    for k in range(n):
+        for j in range(k):
+            for i in range(j):
+                rows.append(row(mul(mul(unit(k), unit(j)), unit(i)),
+                                mul(unit(k), mul(unit(j), unit(i)))))
+    for j in range(n):
+        for i in range(j):
+            rows.append(row(mul(power(j), unit(i)),
+                            mul(unit(j, pres.orders[j] - 1), mul(unit(j), unit(i)))))
+            rows.append(row(mul(unit(j), power(i)),
+                            mul(mul(unit(j), unit(i)), unit(i, pres.orders[i] - 1))))
+    for i in range(n):
+        rows.append(row(mul(unit(i), power(i)), mul(power(i), unit(i))))
+    return tuple(rows)
+
+
+class TestOverlapPass:
+    """The overlap pass collects each g_j g_i once and shares it."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_rows_equal_the_unshared_reference(self, p):
+        instances = _instances_at([p])
+        for pres in instances:
+            assert check_consistency(pres) == _reference_overlap_rows(pres), pres.name
+        assert len(instances) >= 20
+
+    def test_each_pair_product_collected_once(self, monkeypatch):
+        pres = load_presentation(PHI7_15, 5)
+        entries = Counter()
+        collect = PcPresentation._collect_onto
+
+        def counted(self, a, letters, tails=None):
+            entries[tuple(a), tuple(letters)] += 1
+            return collect(self, a, letters, tails)
+
+        monkeypatch.setattr(PcPresentation, "_collect_onto", counted)
+        list(pcgroup.overlaps(pres))
+        for j in range(pres.ngens):
+            for i in range(j):
+                assert entries[pres.gen(j), ((i, 1),)] == 1, (j, i)
+
+
+class TestMemoizedFacts:
+    """Certification, the centre and G^ab are computed once per presentation;
+    `check_consistency` itself still runs on every build."""
+
+    def _counting(self, monkeypatch):
+        calls = Counter()
+        check, overlaps = pcgroup.check_consistency, pcgroup.overlaps
+
+        def counted_check(pres):
+            calls["check"] += 1
+            return check(pres)
+
+        def counted_overlaps(pres):
+            calls["overlaps"] += 1
+            return overlaps(pres)
+
+        monkeypatch.setattr(pcgroup, "check_consistency", counted_check)
+        monkeypatch.setattr(pcgroup, "overlaps", counted_overlaps)
+        return calls
+
+    def test_equal_presentation_runs_the_overlaps_once(self, monkeypatch):
+        pcgroup._overlap_rows.cache_clear()
+        calls = self._counting(monkeypatch)
+        a = load_presentation(PHI7_15, 5)
+        b = load_presentation(PHI7_15, 5)
+        assert a == b and a is not b
+        assert calls == {"check": 2, "overlaps": 1}
+        assert a._tail_rows == b._tail_rows == _reference_overlap_rows(b)
+
+    def test_inconsistent_presentation_raises_on_every_build(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(InconsistentPresentation, match=r"power-right overlap on \(b, a\)"):
+                PcPresentation(2, ("a", "b"), (2, 2), ((), ()), ((1, 0, ((1, 1),)),))
+        assert calls == {"check": 3, "overlaps": 3}
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_memos_equal_their_wrapped_functions(self, p):
+        for pres in _instances_at([p]):
+            z, fresh = center(pres), center.__wrapped__(pres)
+            assert z.igs == fresh.igs and z is center(pres)
+            assert abelianization(pres) == abelianization.__wrapped__(pres)
+
+    def test_repeated_suite_gives_the_same_reports(self):
+        for memo in (pcgroup._overlap_rows, center, abelianization,
+                     lower_central_series, structure_report):
+            memo.cache_clear()
+        runs = [[dataclasses.replace(r, millis=0) for r in verify_theorem(3, "odd")]
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == 12 and all(r.status == "PASS" for r in runs[0])
