@@ -528,13 +528,8 @@ def _descending_series(pres: PcPresentation, p_power: bool) -> list[Subgroup]:
     including the trivial term: the lower central series, or the lower
     exponent-p central series whose last nontrivial term is central and
     elementary abelian.  [G, G] is the normal closure of the stated tails
-    of [g_j, g_i], so the first step collects no commutator.  Later steps
-    read [g_j, g_i] for an igs element that is a generator g_j off the
-    stated tail of the pair too: that is the commutator or its inverse,
-    which have the same normal closure."""
-    n = pres.ngens
-    gens = [pres.gen(i) for i in range(n)]
-    unit = {g: i for i, g in enumerate(gens)}
+    of [g_j, g_i], so the first step collects no commutator."""
+    gens = [pres.gen(i) for i in range(pres.ngens)]
     series = [Subgroup.whole(pres)]
     words = [_stated(pres, tail) for _, _, tail in pres.comms]
     while series[-1].order_exponent:
@@ -544,11 +539,7 @@ def _descending_series(pres: PcPresentation, p_power: bool) -> list[Subgroup]:
         if nxt.order_exponent == series[-1].order_exponent:
             raise InconsistentPresentation("descending central series stalled")
         series.append(nxt)
-        words = []
-        for u in nxt.igs.values():
-            j = unit.get(u)
-            words += ([pres.comm_el(u, g) for g in gens] if j is None else
-                      [_stated(pres, pres.comm_tail(max(i, j), min(i, j))) for i in range(n)])
+        words = [pres.comm_el(u, g) for u in nxt.igs.values() for g in gens]
     return series
 
 

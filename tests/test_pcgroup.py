@@ -554,8 +554,8 @@ class TestWholeGroup:
 
 class TestCenterAgainstEnumeration:
     @pytest.mark.parametrize("pres", _small_instances())
-    def test_catalog_entry(self, pres, monkeypatch):
-        center.cache_clear()  # a memoized centre would skip the code under test
+    def test_catalog_entry(self, pres, monkeypatch, clear_memos):
+        clear_memos()  # a memoized fact would skip the code under test
         _forbid_enumeration(monkeypatch)
         z = center(pres)
         upper = upper_central_series(pres)
@@ -627,9 +627,8 @@ class TestStructureLayerWithoutEnumeration:
     rules never enumerate G; their results match enumerated references."""
 
     @pytest.mark.parametrize("pres", _small_instances())
-    def test_catalog_entry(self, pres, monkeypatch):
-        structure_report.cache_clear()
-        center.cache_clear()
+    def test_catalog_entry(self, pres, monkeypatch, clear_memos):
+        clear_memos()
         _forbid_enumeration(monkeypatch)
         st = structure_report(pres)
         try:
@@ -655,10 +654,9 @@ class TestStructureLayerWithoutEnumeration:
     @pytest.mark.parametrize("eid,p", [("ESp_p3", 3), ("ESp_p3", 5), ("ESp_p3", 7),
                                        ("ESp2_p3", 3), ("ESp2_p3", 5), ("ESp2_p3", 7),
                                        ("D8", 2), ("Q8", 2)])
-    def test_extraspecial_order_p3(self, catalog, eid, p, monkeypatch):
+    def test_extraspecial_order_p3(self, catalog, eid, p, monkeypatch, clear_memos):
         pres = catalog.instantiate(eid, p)
-        structure_report.cache_clear()
-        center.cache_clear()
+        clear_memos()
         _forbid_enumeration(monkeypatch)
         led = Ledger()
         rule_extraspecial(led, eid, pres)
@@ -702,28 +700,6 @@ class TestOneLowerSeries:
         assert "blackburn_evens" in [line.split(":")[0] for line in res.trace]
         lower = {q: n for (q, p_power), n in builds.items() if not p_power}
         assert pres in lower and set(lower.values()) == {1}
-
-    @pytest.mark.parametrize("p_power", [False, True])
-    def test_series_equals_the_fully_collected_one(self, p_power):
-        # every later step collects [u, g] for each u of the igs, as a
-        # reference for the stated tails read when u is a generator
-        checked = 0
-        for pres in _instances_at((2, 3, 5, 7)):
-            gens = [pres.gen(i) for i in range(pres.ngens)]
-            reference = [Subgroup.whole(pres)]
-            words = [pres.comm_el(g, h) for g in gens for h in gens]
-            while reference[-1].order_exponent:
-                if p_power:
-                    words += [pres.pow_el(u, pres.p) for u in reference[-1].igs.values()]
-                reference.append(Subgroup.generate(
-                    pres, [x for x in words if x != pres.identity], normal=True))
-                assert len(reference) <= pres.order_exponent + 1
-                words = [pres.comm_el(u, g) for u in reference[-1].igs.values() for g in gens]
-            series = pcgroup._descending_series(pres, p_power)
-            assert len(series) == len(reference)
-            assert all(a == b for a, b in zip(series, reference))
-            checked += 1
-        assert checked >= 100
 
 
 def _reference_overlap_rows(pres):
@@ -813,8 +789,8 @@ class TestMemoizedFacts:
         monkeypatch.setattr(pcgroup, "overlaps", counted_overlaps)
         return calls
 
-    def test_equal_presentation_runs_the_overlaps_once(self, monkeypatch):
-        pcgroup._overlap_rows.cache_clear()
+    def test_equal_presentation_runs_the_overlaps_once(self, monkeypatch, clear_memos):
+        clear_memos()
         calls = self._counting(monkeypatch)
         a = load_presentation(PHI7_15, 5)
         b = load_presentation(PHI7_15, 5)
@@ -836,10 +812,8 @@ class TestMemoizedFacts:
             assert z.igs == fresh.igs and z is center(pres)
             assert abelianization(pres) == abelianization.__wrapped__(pres)
 
-    def test_repeated_suite_gives_the_same_reports(self):
-        for memo in (pcgroup._overlap_rows, center, abelianization,
-                     lower_central_series, structure_report):
-            memo.cache_clear()
+    def test_repeated_suite_gives_the_same_reports(self, clear_memos):
+        clear_memos()
         runs = [[dataclasses.replace(r, millis=0) for r in verify_theorem(3, "odd")]
                 for _ in range(2)]
         assert runs[0] == runs[1]
