@@ -23,9 +23,10 @@ the valuations 0 count the GF(p) rank."""
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
+
+from .record import Frozen
 
 
 def valuation(n: int, p: int) -> int:
@@ -50,21 +51,20 @@ def prime_power(m: int) -> tuple[int, int]:
     raise ValueError(f"{m} is not a prime power")
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Frozen):
     """The finite abelian p-group Z/p^e1 + ... + Z/p^ek.
 
     ``exponents`` is ascending and positive; ``p`` is None exactly when it
     is empty, the trivial group.  Build through `of`, which normalizes.
     """
 
-    p: int | None = None
-    exponents: tuple[int, ...] = ()
+    _fields = ("p", "exponents")
 
-    def __post_init__(self):
-        es = self.exponents
-        if list(es) != sorted(es) or (es and es[0] < 1) or (self.p is None) != (not es):
-            raise ValueError(f"not a normalized p-group: p={self.p}, exponents={es}")
+    def __init__(self, p: int | None = None, exponents: tuple[int, ...] = ()):
+        es = exponents
+        if list(es) != sorted(es) or (es and es[0] < 1) or (p is None) != (not es):
+            raise ValueError(f"not a normalized p-group: p={p}, exponents={es}")
+        self._set(p=p, exponents=exponents)
 
     # -- constructors ------------------------------------------------------
 

@@ -27,7 +27,6 @@ commutator and power relations, so no commutator is collected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .abelian import AbelianGroup, snf
@@ -40,6 +39,7 @@ from .pcgroup import (
     abelianization,
     lower_central_series,
 )
+from .record import Record
 from .results import METHOD_BE, MultiplierResult
 
 
@@ -59,17 +59,22 @@ def _rank(rows: list[list[int]], p: int) -> int:
 # -- construction data ---------------------------------------------------------
 
 
-@dataclass
-class BeData:
-    p: int
-    dim_v: int
-    dim_w: int
-    reps: list[NormalWord]            # the surviving generators: the V-basis
-    pairing: list[list[list[int]]]    # pairing[i][j] = (v_i, v_j) in W coordinates
-    power_map: list[list[int]]        # power_map[i] = f(v_i) in W coordinates
-    x_rows: list[list[int]]           # rows spanning X inside V (x) W
-    x_rank: int                       # dim X
-    derived: Subgroup
+class BeData(Record):
+    _fields = ("p", "dim_v", "dim_w", "reps", "pairing", "power_map", "x_rows", "x_rank",
+               "derived")
+
+    def __init__(self, p: int, dim_v: int, dim_w: int, reps: list[NormalWord],
+                 pairing: list[list[list[int]]], power_map: list[list[int]],
+                 x_rows: list[list[int]], x_rank: int, derived: Subgroup):
+        self.p = p
+        self.dim_v = dim_v
+        self.dim_w = dim_w
+        self.reps = reps              # the surviving generators: the V-basis
+        self.pairing = pairing        # pairing[i][j] = (v_i, v_j) in W coordinates
+        self.power_map = power_map    # power_map[i] = f(v_i) in W coordinates
+        self.x_rows = x_rows          # rows spanning X inside V (x) W
+        self.x_rank = x_rank          # dim X
+        self.derived = derived
 
     def tensor_dim(self) -> int:
         return self.dim_v * self.dim_w
@@ -93,11 +98,13 @@ class BeData:
         return _rank(self.x_rows + [list(vec)], self.p) == self.x_rank
 
 
-@dataclass
-class BeExtensionData:
-    dim_n: int
-    dim_ker_rho: int
-    dim_ker_sigma_bar: int
+class BeExtensionData(Record):
+    _fields = ("dim_n", "dim_ker_rho", "dim_ker_sigma_bar")
+
+    def __init__(self, dim_n: int, dim_ker_rho: int, dim_ker_sigma_bar: int):
+        self.dim_n = dim_n
+        self.dim_ker_rho = dim_ker_rho
+        self.dim_ker_sigma_bar = dim_ker_sigma_bar
 
 
 def _w_coordinates(derived: Subgroup, x: NormalWord) -> list[int]:

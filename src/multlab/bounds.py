@@ -16,8 +16,6 @@ reads their lines; only `assume` takes a citation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .abelian import AbelianGroup, exterior_square, tensor
 from .compute import Computer
 from .dsl import DslError, parse_order, read_line
@@ -30,6 +28,7 @@ from .pcgroup import (
     derived_subgroup,
     structure_report,
 )
+from .record import Frozen, Record
 from .results import MultiplierResult
 
 KIND_EXACT = "exact-order"
@@ -56,12 +55,13 @@ class ReplayAssertionError(LedgerError):
         super().__init__(f"step {step_no} ({line!r}): {message}")
 
 
-@dataclass(frozen=True)
-class Provenance:
-    tag: str                                # computed | rule | assumed
-    detail: str = ""                        # method or rule name
-    premises: tuple[int, ...] = ()
-    citation: str | None = None
+class Provenance(Frozen):
+    _fields = ("tag", "detail", "premises", "citation")
+
+    def __init__(self, tag: str,            # computed | rule | assumed
+                 detail: str = "",          # method or rule name
+                 premises: tuple[int, ...] = (), citation: str | None = None):
+        self._set(tag=tag, detail=detail, premises=premises, citation=citation)
 
     @classmethod
     def computed(cls, method: str) -> "Provenance":
@@ -76,24 +76,25 @@ class Provenance:
         return cls("assumed", citation=citation)
 
 
-@dataclass(frozen=True)
-class Fact:
-    fact_id: int
-    subject: str
-    kind: str
-    p: int
-    exponent: int | None = None            # order facts: value is p^exponent
-    structure: AbelianGroup | None = None
-    provenance: Provenance = field(default_factory=lambda: Provenance("computed"))
+_COMPUTED = Provenance("computed")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise LedgerError(f"unknown fact kind {self.kind!r}")
-        if self.kind in (KIND_EXACT, KIND_UPPER, KIND_LOWER) and self.exponent is None:
-            raise LedgerError(f"{self.kind} facts carry an exponent")
-        if self.kind in (KIND_EXACT, KIND_STRUCTURE) and self.provenance.tag == "rule" \
-                and not self.provenance.premises:
+
+class Fact(Frozen):
+    _fields = ("fact_id", "subject", "kind", "p", "exponent", "structure", "provenance")
+
+    def __init__(self, fact_id: int, subject: str, kind: str, p: int,
+                 exponent: int | None = None,      # order facts: value is p^exponent
+                 structure: AbelianGroup | None = None,
+                 provenance: Provenance = _COMPUTED):
+        if kind not in _KINDS:
+            raise LedgerError(f"unknown fact kind {kind!r}")
+        if kind in (KIND_EXACT, KIND_UPPER, KIND_LOWER) and exponent is None:
+            raise LedgerError(f"{kind} facts carry an exponent")
+        if kind in (KIND_EXACT, KIND_STRUCTURE) and provenance.tag == "rule" \
+                and not provenance.premises:
             raise LedgerError("rule-derived facts must list premises")
+        self._set(fact_id=fact_id, subject=subject, kind=kind, p=p, exponent=exponent,
+                  structure=structure, provenance=provenance)
 
     def describe(self) -> str:
         prov = self.provenance
@@ -336,11 +337,13 @@ def squeeze_exact(ledger: Ledger, subject: str, p: int) -> Fact | None:
 # -- script replay ---------------------------------------------------------------
 
 
-@dataclass
-class ReplayResult:
-    subject: str
-    ledger: Ledger
-    trace: list[str]
+class ReplayResult(Record):
+    _fields = ("subject", "ledger", "trace")
+
+    def __init__(self, subject: str, ledger: Ledger, trace: list[str]):
+        self.subject = subject
+        self.ledger = ledger
+        self.trace = trace
 
     @property
     def assumed(self) -> list[Fact]:

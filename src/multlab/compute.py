@@ -11,13 +11,12 @@ the method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abelian import direct_sum, exterior_square, kunneth
 from .blackburn_evens import BePreconditionError, be_preconditions, multiplier_via_be
 from .entries import Catalog, CatalogEntry
 from .oracle import DEFAULT_ORACLE_CAP, multiplier_via_oracle
 from .pcgroup import PcPresentation, abelianization, multiplier_via_tails
+from .record import Record
 from .results import (
     METHOD_ABELIAN,
     METHOD_BE,
@@ -40,11 +39,13 @@ def compute_t(pres: PcPresentation, mult: MultiplierResult) -> int:
     return n * (n - 1) // 2 - mult.order_exponent
 
 
-@dataclass
-class Computer:
+class Computer(Record):
     """Multiplier computation bound to a catalog (for product recipes)."""
 
-    catalog: Catalog
+    _fields = ("catalog",)
+
+    def __init__(self, catalog: Catalog):
+        self.catalog = catalog
 
     # -- single-method routes ------------------------------------------------
 

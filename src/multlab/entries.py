@@ -18,13 +18,13 @@ citation rule; DSL lines are kept as `(line, words)` statements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
 from .abelian import AbelianGroup, valuation
 from .dsl import (DslError, _parse_scalar, build_presentation, load_presentation,
                   parse_order, read_line)
 from .pcgroup import PcPresentation, direct_product, is_prime
+from .record import Frozen
 
 CONSTRAINTS = ("odd", "two", "any")
 SINGLE_HEADERS = ("name", "constraint", "squeeze", "alias", "product", "disabled")
@@ -39,11 +39,13 @@ class ConstraintError(CatalogError):
     pass
 
 
-@dataclass(frozen=True)
-class Expect:
-    kind: str                       # multiplier | order | t
-    value: str                      # raw token(s); instantiated per prime
-    source: str
+class Expect(Frozen):
+    _fields = ("kind", "value", "source")
+
+    def __init__(self, kind: str,     # multiplier | order | t
+                 value: str,          # raw token(s); instantiated per prime
+                 source: str):
+        self._set(kind=kind, value=value, source=source)
 
     def multiplier_at(self, p: int) -> AbelianGroup:
         assert self.kind == "multiplier"
@@ -73,16 +75,18 @@ def _factors(value: str, p: int) -> list[tuple[str, int]]:
         raise CatalogError(f"expect multiplier {value}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    entry_id: str
-    constraint: str
-    statements: tuple[tuple[int, tuple[str, ...]], ...] = ()  # (line, words) of the DSL
-    factors: tuple[str, ...] = ()
-    alias_of: str | None = None
-    expects: tuple[Expect, ...] = ()
-    squeeze_script: str | None = None
-    disabled_reason: str | None = None
+class CatalogEntry(Frozen):
+    _fields = ("entry_id", "constraint", "statements", "factors", "alias_of", "expects",
+               "squeeze_script", "disabled_reason")
+
+    def __init__(self, entry_id: str, constraint: str,
+                 statements: tuple[tuple[int, tuple[str, ...]], ...] = (),  # (line, words) of the DSL
+                 factors: tuple[str, ...] = (), alias_of: str | None = None,
+                 expects: tuple[Expect, ...] = (), squeeze_script: str | None = None,
+                 disabled_reason: str | None = None):
+        self._set(entry_id=entry_id, constraint=constraint, statements=statements,
+                  factors=factors, alias_of=alias_of, expects=expects,
+                  squeeze_script=squeeze_script, disabled_reason=disabled_reason)
 
     @property
     def is_product(self) -> bool:
@@ -104,7 +108,8 @@ class CatalogEntry:
         if not is_prime(p):
             raise ConstraintError(f"{p} is not prime")
         if not self.allows(p):
-            raise ConstraintError(f"{self.entry_id} requires a {self.constraint} prime, got {p}")
+            need = "p = 2" if self.constraint == "two" else "an odd prime"
+            raise ConstraintError(f"{self.entry_id} requires {need}, got {p}")
 
 
 def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:

@@ -73,11 +73,10 @@ report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .abelian import (AbelianGroup, _kernel_mod, _snf_local, prime_power, snf, snf_sparse,
                       valuation)
 from .cayley import CayleyTable, walk
+from .record import Frozen, Record
 from .results import METHOD_ORACLE, MultiplierResult
 
 DEFAULT_ORACLE_CAP = 128
@@ -93,22 +92,27 @@ class OracleInconsistency(RuntimeError):
     or the H^2 reference's cocycle checks failed."""
 
 
-@dataclass
-class EliminationStats:
-    equations: int = 0
-    pivots: int = 0
-    verified: int = 0
+class EliminationStats(Record):
+    _fields = ("equations", "pivots", "verified")
+
+    def __init__(self, equations: int = 0, pivots: int = 0, verified: int = 0):
+        self.equations = equations
+        self.pivots = pivots
+        self.verified = verified
 
 
-@dataclass(frozen=True)
-class H2Result:
-    modulus: int
-    invariants: AbelianGroup
-    stats: EliminationStats = field(compare=False, default_factory=EliminationStats)
+class H2Result(Frozen):
+    """H^2 with its modulus; the elimination's stats are not compared."""
 
-    def __post_init__(self):
-        if any(self.modulus % self.invariants.p ** e for e in self.invariants.exponents):
+    _fields = ("modulus", "invariants", "stats")
+    _compared = ("modulus", "invariants")
+
+    def __init__(self, modulus: int, invariants: AbelianGroup,
+                 stats: EliminationStats | None = None):
+        if any(modulus % invariants.p ** e for e in invariants.exponents):
             raise ValueError("every invariant factor must divide the modulus")
+        self._set(modulus=modulus, invariants=invariants,
+                  stats=EliminationStats() if stats is None else stats)
 
     def order_exponent(self, p: int) -> int:
         return self.invariants.order_exponent(p)

@@ -16,20 +16,22 @@ That one pass carries a free central tail on every relation, and the tail
 relations it leaves are what central tails reads M(G) from.  It collects
 each pair product g_j g_i once and shares it between the overlaps that
 start from it, and its rows are memoized, so it runs once per distinct
-presentation per process.  A presentation is immutable, so its other
-facts are memoized too: the lower central series, the centre, G^ab and
-the structure report are each computed once.
+presentation per process.  A presentation is immutable by construction:
+its fields are set once, in `__init__`, and its hash is computed there,
+once, from every field but its `name`.  So its other facts are memoized
+too: the lower central series, the centre, G^ab and the structure report
+are each computed once, and each lookup costs one stored hash.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 
 from .abelian import AbelianGroup, snf, snf_group, valuation
 from .cayley import CayleyTable
+from .record import Frozen, Record
 from .results import METHOD_TAILS, MultiplierResult
 
 Word = tuple[tuple[int, int], ...]       # ((gen index, exponent), ...)
@@ -54,17 +56,21 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
-@dataclass(frozen=True)
-class PcPresentation:
-    p: int
-    names: tuple[str, ...]
-    orders: tuple[int, ...]
-    powers: tuple[Word, ...]                      # tail of g_i^{r_i}
-    comms: tuple[tuple[int, int, Word], ...]      # (j, i, tail of [g_j, g_i]), j > i
-    name: str | None = field(default=None, compare=False)
+class PcPresentation(Frozen):
+    """A consistent presentation, immutable once built.
 
-    def __post_init__(self):
-        p = self.p
+    `name` is a label only: presentations with equal relations compare and
+    hash equal whatever their names, so the memos below serve them both.
+    The hash is computed once, here, since every memo looks it up."""
+
+    _fields = ("p", "names", "orders", "powers", "comms", "name")
+    _compared = ("p", "names", "orders", "powers", "comms")
+
+    def __init__(self, p: int, names: tuple[str, ...], orders: tuple[int, ...],
+                 powers: tuple[Word, ...],                  # tail of g_i^{r_i}
+                 comms: tuple[tuple[int, int, Word], ...],  # (j, i, tail of [g_j, g_i]), j > i
+                 name: str | None = None):
+        self._set(p=p, names=names, orders=orders, powers=powers, comms=comms, name=name)
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         n = len(self.orders)
@@ -84,8 +90,12 @@ class PcPresentation:
                 raise ValueError(f"duplicate commutator relation ({j}, {i})")
             seen.add((j, i))
             self._check_tail(tail, i, f"commutator [{self.names[j]},{self.names[i]}]")
-        object.__setattr__(self, "_comm_map", {(j, i): tail for j, i, tail in self.comms})
-        object.__setattr__(self, "_tail_rows", check_consistency(self))
+        self._set(_comm_map={(j, i): tail for j, i, tail in self.comms},
+                  _hash=hash(self._key()))
+        self._set(_tail_rows=check_consistency(self))  # its memo reads _hash
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _check_tail(self, tail: Word, lhs_min: int, what: str):
         prev = lhs_min
@@ -746,15 +756,20 @@ def abelian_quotient_invariants(pres: PcPresentation, extra) -> AbelianGroup:
 # -- structure report ----------------------------------------------------------
 
 
-@dataclass
-class StructureReport:
-    pres: PcPresentation
-    order_exponent: int
-    nilpotency_class: int
-    derived: Subgroup
-    center: Subgroup
-    lower_central: list[Subgroup]
-    upper_central: list[Subgroup]
+class StructureReport(Record):
+    _fields = ("pres", "order_exponent", "nilpotency_class", "derived", "center",
+               "lower_central", "upper_central")
+
+    def __init__(self, pres: PcPresentation, order_exponent: int, nilpotency_class: int,
+                 derived: Subgroup, center: Subgroup, lower_central: list[Subgroup],
+                 upper_central: list[Subgroup]):
+        self.pres = pres
+        self.order_exponent = order_exponent
+        self.nilpotency_class = nilpotency_class
+        self.derived = derived
+        self.center = center
+        self.lower_central = lower_central
+        self.upper_central = upper_central
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .bounds import ReplayAssertionError, replay_script
@@ -20,6 +19,7 @@ from .compute import Computer, CrossMethodDisagreement, compute_t
 from .entries import Catalog, CatalogEntry, CatalogError
 from .oracle import OracleInconsistency
 from .pcgroup import CollectionError, InconsistentPresentation, PcPresentation, SizeCapError, is_prime
+from .record import Record
 from .results import METHOD_ORACLE, MultiplierResult
 
 REPORT_KEYS = ("group", "p", "n", "method", "multiplier", "t", "status",
@@ -36,18 +36,22 @@ TABLE24 = ("Phi2_211a", "Phi2_14", "Phi2_31", "Phi2_22", "Phi2_211b",
            "Phi2_211c", "Phi3_211a", "Phi3_211b1", "Phi3_14")
 
 
-@dataclass
-class Report:
-    group: str
-    p: int
-    n: int
-    method: str
-    multiplier: list[str]
-    t: int | None
-    status: str
-    assumed: list[str] = field(default_factory=list)
-    trace: list[str] = field(default_factory=list)
-    millis: int = 0
+class Report(Record):
+    _fields = REPORT_KEYS
+
+    def __init__(self, group: str, p: int, n: int, method: str, multiplier: list[str],
+                 t: int | None, status: str, assumed: list[str] | None = None,
+                 trace: list[str] | None = None, millis: int = 0):
+        self.group = group
+        self.p = p
+        self.n = n
+        self.method = method
+        self.multiplier = multiplier
+        self.t = t
+        self.status = status
+        self.assumed = [] if assumed is None else assumed
+        self.trace = [] if trace is None else trace
+        self.millis = millis
 
     def as_record(self) -> dict:
         return {k: getattr(self, k) for k in REPORT_KEYS}

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .abelian import AbelianGroup
+from .record import Frozen
 
 METHOD_ORACLE = "oracle"
 METHOD_BE = "blackburn_evens"
@@ -15,20 +14,22 @@ METHOD_TAILS = "tails"
 _METHODS = (METHOD_ORACLE, METHOD_BE, METHOD_KUNNETH, METHOD_ABELIAN, METHOD_TAILS)
 
 
-@dataclass(frozen=True)
-class MultiplierResult:
-    """Invariant factors of M(G), the method that produced them, and a trace."""
+class MultiplierResult(Frozen):
+    """Invariant factors of M(G), the method that produced them, and a trace.
 
-    p: int
-    invariants: AbelianGroup
-    method: str
-    trace: tuple[str, ...] = field(default=(), compare=False)
+    The trace is not compared: equal results may have been reached by
+    different routes."""
 
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
+    _fields = ("p", "invariants", "method", "trace")
+    _compared = ("p", "invariants", "method")
+
+    def __init__(self, p: int, invariants: AbelianGroup, method: str,
+                 trace: tuple[str, ...] = ()):
+        if method not in _METHODS:
+            raise ValueError(f"unknown method tag {method!r}")
         # multiplier of a p-group is a p-group
-        self.invariants.order_exponent(self.p)
+        invariants.order_exponent(p)
+        self._set(p=p, invariants=invariants, method=method, trace=trace)
 
     @property
     def order_exponent(self) -> int:

@@ -420,8 +420,10 @@ class TestReports:
         assert rep.trace == ["CatalogError: no catalog entry named 'Zq'"]
 
     def test_prime_outside_the_entry_constraint_is_an_error(self, catalog, computer):
-        with pytest.raises(ConstraintError, match="T6_i requires a odd prime, got 2"):
+        with pytest.raises(ConstraintError, match="T6_i requires an odd prime, got 2"):
             verify_entry(catalog, computer, "T6_i", 2)
+        with pytest.raises(ConstraintError, match="T6_xiii requires p = 2, got 3"):
+            verify_entry(catalog, computer, "T6_xiii", 3)
 
     def test_tails_free_rank_mismatch_is_a_fail_record(self, catalog, computer, monkeypatch):
         real_snf = pcgroup.snf
