@@ -1,4 +1,5 @@
-"""Cayley tables as tuples of int tuples: the oracle's presentation-free view of a group."""
+"""Walks along permutation actions, and Cayley tables as tuples of int tuples:
+the presentation-free view of a group that the H^2 reference and the tests use."""
 
 from __future__ import annotations
 
@@ -11,23 +12,40 @@ from .record import Frozen
 Table = tuple[tuple[int, ...], ...]
 
 
-def walk(t: Table, gens: list[int]) -> tuple[list[int], dict[int, int], dict[int, int]]:
-    """A breadth-first walk from the identity by right multiplication.
+def walk(actions) -> tuple[list[int], dict[int, int], dict[int, int]]:
+    """A breadth-first walk from point 0 along permutations of 0..N-1.
 
-    `order` is the reached set in the order reached, the identity first: in
-    a finite group, the subgroup `gens` generate.  For each z reached after
-    the identity, z = parent[z] * gens[letter[z]]; these are the edges of a
-    BFS tree, and parent's keys are the rest of `order`, in order.
+    `order` is the reached set in the order reached, 0 first: for right
+    multiplication by elements of a finite group, with the identity at 0,
+    the subgroup they generate.  For each z reached after 0,
+    z = actions[letter[z]][parent[z]]; these are the edges of a BFS tree,
+    and parent's keys are the rest of `order`, in order.
     """
     order, parent, letter = [0], {}, {}
     for y in order:  # the queue: order grows while it is read
-        row = t[y]
-        for i, s in enumerate(gens):
-            z = row[s]
+        for i, a in enumerate(actions):
+            z = a[y]
             if z and z not in parent:
                 parent[z], letter[z] = y, i
                 order.append(z)
     return order, parent, letter
+
+
+def greedy_generators(actions) -> list:
+    """The actions, in order, that a walk over the earlier picks misses.
+
+    Action a is picked when its image of 0, a[0], lies outside the points
+    the picks so far reach; the picks stop once they reach all of them.
+    For right multiplications, a[0] is the element that acts.
+    """
+    picks, reached = [], {0}
+    for a in actions:
+        if a[0] not in reached:
+            picks.append(a)
+            reached = set(walk(picks)[0])
+            if len(reached) == len(a):
+                break
+    return picks
 
 
 def _light_associative(t: Table) -> bool:
@@ -37,14 +55,11 @@ def _light_associative(t: Table) -> bool:
     products: for two of them, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by))
     = x((ab)y).  So the table is associative exactly when the test holds
     for every s in some set whose products reach every element.  The set is
-    built greedily: each s is the least element that a walk over the earlier
-    ones does not reach, so at most log2(N) of them are taken for a group.
+    built greedily over the columns: each s is the least element that a
+    walk over the earlier ones does not reach, so at most log2(N) of them
+    are taken for a group.
     """
-    gens: list[int] = []
-    reached = {0}
-    while len(reached) < len(t):
-        gens.append(next(x for x in range(len(t)) if x not in reached))
-        reached = set(walk(t, gens)[0])
+    gens = [col[0] for col in greedy_generators(zip(*t))]
     return all(t[row[s]] == itemgetter(*t[s])(row) for s in gens for row in t)
 
 
@@ -108,13 +123,18 @@ class CayleyTable(Frozen):
         t = self.table
         return CayleyTable([[perm[t[a][b]] for b in inv] for a in inv])
 
+    def actions(self, gens: list[int]) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+        """Right and left multiplication by each of `gens`: its column and its row."""
+        t = self.table
+        return [[row[s] for row in t] for s in gens], [t[s] for s in gens]
+
     def derived_subgroup(self) -> set[int]:
         """G', the subgroup the commutators generate."""
         t = self.table
         inv = [row.index(0) for row in t]  # inv[x] is the y with xy = 1
         comms = {t[t[inv[x]][inv[y]]][xy]  # [x, y] = x^-1 y^-1 x y
                  for x, row in enumerate(t) for y, xy in enumerate(row)}
-        return set(walk(t, sorted(comms))[0])
+        return set(walk(self.actions(sorted(comms))[0])[0])
 
     def power_map(self, e: int) -> list[int]:
         """x^e for every element x, as an index list (e >= 1)."""

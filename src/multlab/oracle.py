@@ -1,13 +1,26 @@
-"""Ground-truth Schur multipliers from a Cayley table, by Hopf's formula.
+"""Ground-truth Schur multipliers by Hopf's formula, from the actions of a
+generating set on the elements.
 
-The oracle works from a Cayley table alone.  Take the free group F on a
-minimal generating set S and G = F/R.  Hopf's formula gives
+The oracle works from right and left multiplication by a generating set S,
+N |S| entries on each side, which `multiplier_via_oracle` reads off a
+presentation and `multiplier_from_table` off a Cayley table's columns and
+rows.  Take the free group F on S and G = F/R.  Hopf's formula gives
 M(G) = (R cap [F,F]) / [F,R], and R/[F,R] = M(G) + Z^|S|: its torsion is
 M(G), and R/(R cap [F,F]) is a subgroup of finite index in F/[F,F] = Z^|S|.
 R is the fundamental group of the Cayley graph Gamma(G, S), so R/[R,R] is
 H_1(Gamma) with G acting by left translation, and R/[F,R] is its module of
 G-coinvariants (Gruenberg, Cohomological Topics in Group Theory, LNM 143,
 1970; Brown, Cohomology of Groups, II.5).
+
+Certificate.  The actions are checked, not trusted: each must be a
+permutation of the N points, each left action must commute with each right
+one, and the walks along either side must reach all N points.  Then the
+right actions generate a transitive group H whose centralizer holds the
+transitive left ones, so both are regular, H has order N, the right walk's
+graph is the Cayley graph of H over S, and each left action is left
+multiplication by its image of the identity.  A failure is an
+`OracleInconsistency`.  On a presentation, S is taken greedily among the pc
+generators: g_l joins when the walk over the earlier picks misses it.
 
 Basis.  `cayley.walk` gives a BFS tree from the identity over S that spans
 Gamma; each of the N(|S| - 1) + 1 edges x -> xs off the tree closes one
@@ -75,7 +88,7 @@ from __future__ import annotations
 
 from .abelian import (AbelianGroup, _kernel_mod, _snf_local, prime_power, snf, snf_sparse,
                       valuation)
-from .cayley import CayleyTable, walk
+from .cayley import CayleyTable, greedy_generators, walk
 from .record import Frozen, Record
 from .results import METHOD_ORACLE, MultiplierResult
 
@@ -88,8 +101,9 @@ class MemoryBudgetError(MemoryError):
 
 
 class OracleInconsistency(RuntimeError):
-    """A cornerstone identity broke: the coinvariants' free rank is not |S|,
-    or the H^2 reference's cocycle checks failed."""
+    """A cornerstone identity broke: the actions fail their certificate, the
+    coinvariants' free rank is not |S|, or the H^2 reference's cocycle
+    checks failed."""
 
 
 class EliminationStats(Record):
@@ -169,7 +183,7 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
     t = np.asarray(table.table, dtype=np.int64)
 
     # BFS factorization z = parent[z] * gens[letter[z]], z after 1 in the order reached
-    order, parent, letter = walk(table.table, gens)
+    order, parent, letter = walk(table.actions(gens)[0])
     if len(order) != n:
         raise RuntimeError("generating set failed to reach the whole group")
 
@@ -310,19 +324,18 @@ def _invariants_from_order_counts(counts: dict[int, int], p: int) -> AbelianGrou
     return AbelianGroup.of(p, out)
 
 
-def cycle_relations(table: CayleyTable,
-                    gens: list[int]) -> tuple[int, list[list[dict[int, int]]]]:
-    """The relation rows of H_1(Gamma)_G for Gamma = Gamma(G, gens).
+def cycle_relations(right, left) -> tuple[int, list[list[dict[int, int]]]]:
+    """The relation rows of H_1(Gamma)_G for Gamma = Gamma(G, S), from the
+    right and left multiplications by each s in S.
 
     Returns the number of non-tree edges, which index the cycle basis, and
-    for each s in gens the block of rows s.c_e - c_e over every cycle c_e,
+    for each s in S the block of rows s.c_e - c_e over every cycle c_e,
     as {non-tree edge: signed count} dicts, keys ascending (zeros dropped).
     """
-    n, ns = table.n, len(gens)
-    t = table.table
-    order, parent, letter = walk(t, gens)
+    n, ns = len(right[0]), len(right)
+    order, parent, letter = walk(right)
     if len(order) != n:
-        raise RuntimeError("generating set failed to reach the whole group")
+        raise OracleInconsistency(f"oracle: the right walk reaches {len(order)} of {n} points")
     tree = set(zip(parent.values(), letter.values()))
     edges = [(y, i) for y in range(n) for i in range(ns) if (y, i) not in tree]
     col = [[-1] * ns for _ in range(n)]  # col[y][i]: the edge y -> y s_i, -1 on the tree
@@ -330,20 +343,19 @@ def cycle_relations(table: CayleyTable,
         col[y][i] = c
 
     blocks = []
-    for s in gens:
-        left = t[s]  # left[x] = s x
+    for s_left in left:  # s_left[x] = s x
         # path[z]: the non-tree edges among the translates by s of the edges
         # of the tree path 1 -> z, as a bit set (translation is injective)
         path = [0] * n
         for z in parent:  # in the order reached
-            c = col[left[parent[z]]][letter[z]]
+            c = col[s_left[parent[z]]][letter[z]]
             path[z] = path[parent[z]] if c < 0 else path[parent[z]] | 1 << c
         rows = []
         for e, (y, i) in enumerate(edges):
             # s.c_e = s(1 -> y) + s e - s(1 -> z): their shared head cancels
-            py, pz = path[y], path[t[y][gens[i]]]
+            py, pz = path[y], path[right[i][y]]
             plus, minus = py & ~pz, pz & ~py
-            c = col[left[y]][i]
+            c = col[s_left[y]][i]
             if c >= 0:
                 plus |= 1 << c
             row = {}
@@ -360,32 +372,48 @@ def cycle_relations(table: CayleyTable,
     return len(edges), blocks
 
 
-def multiplier_from_table(table: CayleyTable, p: int) -> MultiplierResult:
-    """M(G) as the torsion of the G-coinvariants of H_1 of the Cayley graph."""
-    m = table.n
+def multiplier_from_actions(right, left, p: int) -> MultiplierResult:
+    """M(G) as the torsion of the G-coinvariants of H_1 of the Cayley graph,
+    from right[i][x] = x s_i and left[i][x] = s_i x for a generating set S."""
+    m = len(right[0]) if right else 1
     k = valuation(m, p) + 1  # exp M(G) divides m = p^(k-1)
     if m != p ** (k - 1):
         raise ValueError(f"the order {m} is not a power of p = {p}")
+    # the certificate (module docstring); `cycle_relations` walks the right side
+    full = list(range(m))
+    if any(sorted(a) != full for a in (*right, *left)):
+        raise OracleInconsistency("oracle: an action is not a permutation of the elements")
+    if any([s[y] for y in r] != [r[y] for y in s] for s in left for r in right):
+        raise OracleInconsistency("oracle: a left action does not commute with a right one")
+    if len(reached := walk(left)[0]) != m:
+        raise OracleInconsistency(f"oracle: the left walk reaches {len(reached)} of {m} points")
     if m == 1:
         return MultiplierResult(p, AbelianGroup.trivial(), METHOD_ORACLE,
                                 trace=("oracle: trivial group",))
-    gens = table.generating_set()
-    ncycles, blocks = cycle_relations(table, gens)
+    ncycles, blocks = cycle_relations(right, left)
     rows = [row for block in blocks for row in block]
     vals = snf_sparse(rows, ncycles, p, k)
     free = vals.count(k)
-    if free != len(gens):
-        raise OracleInconsistency(f"oracle: free rank {free} != {len(gens)} generators")
+    if free != len(right):
+        raise OracleInconsistency(f"oracle: free rank {free} != {len(right)} generators")
     invs = AbelianGroup.of(p, [v for v in vals if v < k])
-    trace = (f"oracle: N={m}, d={len(gens)}, cycles={ncycles}, relations={len(rows)}, "
+    trace = (f"oracle: N={m}, d={len(right)}, cycles={ncycles}, relations={len(rows)}, "
              f"free={free} -> {invs.render()}",)
     return MultiplierResult(p, invs, METHOD_ORACLE, trace=trace)
 
 
+def multiplier_from_table(table: CayleyTable, p: int) -> MultiplierResult:
+    """`multiplier_from_actions` on the columns and rows of a minimal generating set."""
+    return multiplier_from_actions(*table.actions(table.generating_set()), p)
+
+
 def multiplier_via_oracle(pres) -> MultiplierResult:
-    """M(G) from the Cayley table of a presentation, up to DEFAULT_ORACLE_CAP."""
-    from .pcgroup import SizeCapError, cayley_table
+    """M(G) from the element actions of a presentation, up to DEFAULT_ORACLE_CAP.
+    S is taken greedily among the pc generators."""
+    from .pcgroup import SizeCapError, left_actions, right_actions
 
     if (n := pres.group_order()) > DEFAULT_ORACLE_CAP:
-        raise SizeCapError(f"group order {n} exceeds the Cayley table cap {DEFAULT_ORACLE_CAP}")
-    return multiplier_from_table(cayley_table(pres), pres.p)
+        raise SizeCapError(f"group order {n} exceeds the oracle cap {DEFAULT_ORACLE_CAP}")
+    right = right_actions(pres)
+    picks = greedy_generators(right)
+    return multiplier_from_actions(picks, left_actions(pres, right, [a[0] for a in picks]), pres.p)

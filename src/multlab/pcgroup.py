@@ -793,24 +793,38 @@ def structure_report(pres: PcPresentation) -> StructureReport:
     )
 
 
-# -- Cayley tables and isomorphism witnesses -----------------------------------
+# -- element actions, Cayley tables and isomorphism witnesses -----------------
+
+
+def right_actions(pres: PcPresentation) -> list[list[int]]:
+    """right[l][x] = x g_l for every pc generator g_l, on the indices of the
+    elements in the lexicographic order of `elements`."""
+    words = list(pres.elements())
+    index = {w: k for k, w in enumerate(words)}
+    return [[index[pres.mul_gen(w, l)] for w in words] for l in range(pres.ngens)]
+
+
+def left_actions(pres: PcPresentation, right: list[list[int]], elems) -> list[tuple[int, ...]]:
+    """Left multiplication x -> s x by each s of `elems`, from the right
+    actions, in N |elems| steps and no collection.
+
+    In the lexicographic order, word j is its predecessor (the last nonzero
+    exponent, at l, lowered by one) times g_l, already normal, so
+    s w_j = (s w_{j - strides[l]}) g_l.  Its l is the least with
+    strides[l] | j, since the exponents after l are zero and the one at l
+    is not.
+    """
+    strides = [prod(pres.orders[l + 1:]) for l in range(pres.ngens)]
+    cols = [list(elems)]  # cols[j][i] = elems[i] w_j
+    for j in range(1, pres.group_order()):
+        l = next(l for l, m in enumerate(strides) if j % m == 0)
+        cols.append([right[l][c] for c in cols[j - strides[l]]])
+    return list(zip(*cols))
 
 
 def cayley_table(pres: PcPresentation) -> CayleyTable:
-    n = pres.group_order()
-    words = list(pres.elements())
-    index = {w: k for k, w in enumerate(words)}
-    # right[l][i] = index of words[i] * g_l
-    right = [[index[pres.mul_gen(w, l)] for w in words] for l in range(pres.ngens)]
-    strides = [prod(pres.orders[l + 1:]) for l in range(pres.ngens)]
-    # In the lexicographic enumeration, word j is its predecessor (the last
-    # nonzero exponent, at l, lowered by one) times g_l, already normal, so
-    # column j is column j - strides[l] multiplied on the right by g_l.
-    cols = [list(range(n))]
-    for j in range(1, n):
-        l = max(i for i, e in enumerate(words[j]) if e)
-        cols.append([right[l][c] for c in cols[j - strides[l]]])
-    return CayleyTable(list(zip(*cols)))
+    """The N x N table: row s is the left action of s."""
+    return CayleyTable(left_actions(pres, right_actions(pres), range(pres.group_order())))
 
 
 def iso_witness_check(src: PcPresentation, dst: PcPresentation,

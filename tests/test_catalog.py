@@ -446,11 +446,11 @@ class TestReports:
             "CrossMethodDisagreement: ESp_p3: blackburn_evens gives [] but tails gives [3,3]"]
 
     def test_exhausted_oracle_cap_is_a_fail_record(self, catalog, computer):
-        # T6_xi at p = 3 has order 3^5 = 243, above the Cayley table cap
+        # T6_xi at p = 3 has order 3^5 = 243, above the oracle cap
         rep = verify_entry(catalog, computer, "T6_xi", 3, method="oracle")
         assert (rep.group, rep.n, rep.status, rep.t) == ("T6_xi", 5, "FAIL", None)
         assert rep.trace == [
-            "SizeCapError: group order 243 exceeds the Cayley table cap 128"]
+            "SizeCapError: group order 243 exceeds the oracle cap 128"]
 
 
 class TestCli:

@@ -1,9 +1,10 @@
 """The oracle: Hopf's formula against the H^2 reference on every catalog
-group the cap admits, its free-rank identity, and for the H^2 reference
-frozen values, an enumeration oracle for tiny groups, a dense full-triple
-eliminator as an independent implementation, the universal-coefficient
-order identity, and the block-by-block kernel update against the dense
-eliminator."""
+group the cap admits, its free-rank identity, the certificate on its
+actions, and a report path that builds no Cayley table; and for the H^2
+reference frozen values, an enumeration oracle for tiny groups, a dense
+full-triple eliminator as an independent implementation, the
+universal-coefficient order identity, and the block-by-block kernel update
+against the dense eliminator."""
 
 import itertools
 
@@ -12,6 +13,8 @@ import pytest
 
 from multlab import oracle
 from multlab.abelian import AbelianGroup, _snf_local, exterior_square, valuation
+from multlab.cayley import CayleyTable, greedy_generators
+from multlab.compute import Computer
 from multlab.dsl import load_presentation
 from multlab.entries import CatalogError
 from multlab.oracle import (
@@ -22,10 +25,13 @@ from multlab.oracle import (
     abelianization_from_table,
     cycle_relations,
     h2_trivial_coeffs,
+    multiplier_from_actions,
     multiplier_from_table,
     multiplier_via_oracle,
 )
-from multlab.pcgroup import SizeCapError, abelianization, cayley_table, multiplier_via_tails
+from multlab.pcgroup import (SizeCapError, abelianization, cayley_table, left_actions,
+                             multiplier_via_tails, right_actions)
+from multlab.report import run_table24, verify_entry, verify_theorem
 
 Z2 = "gen a 2"
 Z22 = "gen a 2\ngen b 2"
@@ -274,7 +280,7 @@ class TestMultiplier:
         pres = load_presentation("gen a 3\ngen b 3\ngen c 3\ngen d 3\ngen e 3", 3)
         with pytest.raises(SizeCapError) as exc:
             multiplier_via_oracle(pres)
-        assert str(exc.value) == "group order 243 exceeds the Cayley table cap 128"
+        assert str(exc.value) == "group order 243 exceeds the oracle cap 128"
 
     def test_trivial_group(self):
         pres = load_presentation("", 3)
@@ -344,8 +350,8 @@ class TestHopfAgainstH2:
         subgroup H, of rank 1 + (d - 1)[G:H] > d."""
         real = oracle.cycle_relations
 
-        def short(table, gens):
-            ncycles, blocks = real(table, gens)
+        def short(right, left):
+            ncycles, blocks = real(right, left)
             return ncycles, blocks[1:]
 
         monkeypatch.setattr(oracle, "cycle_relations", short)
@@ -409,13 +415,100 @@ class TestCycleRows:
             perm = [0] + list(rng.permutation(np.arange(1, table.n)))
             for tab in (table, table.relabel(perm)):
                 gens = tab.generating_set()
-                ncycles, blocks = cycle_relations(tab, gens)
+                ncycles, blocks = cycle_relations(*tab.actions(gens))
                 want = naive_cycle_rows(tab, gens)
                 assert ncycles == want[0], eid
                 assert [[list(row.items()) for row in block] for block in blocks] == \
                     [[list(row.items()) for row in block] for block in want[1]], eid
                 checked += 1
         assert checked == tables
+
+
+def presentation_actions(pres):
+    """The oracle's inputs from a presentation: the greedy picks' right and
+    left actions."""
+    right = right_actions(pres)
+    picks = greedy_generators(right)
+    return picks, left_actions(pres, right, [a[0] for a in picks])
+
+
+def repeat_an_entry(right, left):
+    return right, [left[0][:1] * 2 + left[0][2:]] + left[1:]
+
+
+def swap_two_entries(right, left):
+    s = list(left[0])
+    s[1], s[2] = s[2], s[1]
+    return right, [s] + left[1:]
+
+
+def drop_a_generator(right, left):
+    return right[1:], left[1:]
+
+
+def drop_a_right_action(right, left):
+    return right[1:], left
+
+
+FAULTS = [(repeat_an_entry, "not a permutation"), (swap_two_entries, "does not commute"),
+          (drop_a_generator, "left walk reaches 32 of 64 points"),
+          (drop_a_right_action, "right walk reaches 32 of 64 points")]
+
+
+class TestActions:
+    def test_every_small_catalog_instance(self, catalog):
+        """From the presentation's actions, the oracle equals the table
+        adapter and tails, with as many greedy picks as the table's minimal
+        generating set, so the row count does not grow."""
+        checked = 0
+        for eid in catalog.ids():
+            for p in (2, 3, 5, 7):
+                try:
+                    pres = catalog.instantiate(eid, p)
+                except CatalogError:
+                    continue
+                if pres.group_order() > DEFAULT_ORACLE_CAP:
+                    continue
+                table = cayley_table(pres)
+                picks, left = presentation_actions(pres)
+                assert len(picks) == len(table.generating_set()), (eid, p)
+                got = multiplier_from_actions(picks, left, p)
+                assert got.trace == multiplier_from_table(table, p).trace, (eid, p)
+                assert got.invariants == multiplier_via_tails(pres).invariants, (eid, p)
+                checked += 1
+        assert checked == 42
+
+    def test_table_rows_are_the_left_actions(self, catalog):
+        pres = catalog.instantiate("T6_xiv", 2)
+        right = right_actions(pres)
+        table = cayley_table(pres).table
+        assert [[row[a[0]] for row in table] for a in right] == right
+        assert list(left_actions(pres, right, [5, 17])) == [table[5], table[17]]
+
+    @pytest.mark.parametrize("fault,message", FAULTS, ids=[f.__name__ for f, _ in FAULTS])
+    def test_a_broken_certificate_is_a_fail_record(self, catalog, monkeypatch, fault, message):
+        pres = catalog.instantiate("T6_xiv", 2)
+        with pytest.raises(OracleInconsistency, match=message):
+            multiplier_from_actions(*fault(*presentation_actions(pres)), 2)
+
+        real = oracle.multiplier_from_actions
+        monkeypatch.setattr(oracle, "multiplier_from_actions",
+                            lambda right, left, p: real(*fault(right, left), p))
+        report = verify_entry(catalog, Computer(catalog), "T6_xiv", 2)
+        assert report.status == "FAIL"
+        assert report.trace[0].startswith("OracleInconsistency: oracle: ")
+        assert message in report.trace[0]
+
+    def test_the_report_path_builds_no_table(self, monkeypatch, clear_memos):
+        def forbidden(self):
+            raise AssertionError("built an N x N Cayley table")
+
+        monkeypatch.setattr(CayleyTable, "__post_init__", forbidden)
+        clear_memos()
+        reports = verify_theorem(2, "two") + verify_theorem(3, "odd") + run_table24(3)
+        assert reports
+        assert all(r.status in ("PASS", "DISABLED") for r in reports), \
+            [(r.group, r.trace) for r in reports if r.status not in ("PASS", "DISABLED")]
 
 
 class TestTableAbelianization:
