@@ -19,15 +19,40 @@ right actions generate a transitive group H whose centralizer holds the
 transitive left ones, so both are regular, H has order N, the right walk's
 graph is the Cayley graph of H over S, and each left action is left
 multiplication by its image of the identity.  A failure is an
-`OracleInconsistency`.  On a presentation, S is taken greedily among the pc
-generators: g_l joins when the walk over the earlier picks misses it.
+`OracleInconsistency`, and so are the two holonomy checks below.  On a
+presentation, S is taken greedily among the pc generators: g_l joins when
+the walk over the earlier picks misses it.
+
+Quotient.  The point c is central exactly when s c = c s for every s in S,
+and z x is read by following x's right-walk tree path from z instead of
+from the identity.  Z = <z>, for the first central z of largest order q,
+acts freely on Gamma and commutes with G, so Gamma -> Gamma/Z is a
+covering with G acting on both.  Its fundamental groups are R and R' =
+the preimage of Z in F, and the 5-term sequence of 1 -> R -> R' -> Z -> 1
+(Brown, VII.6), with H_2(R') = H_2(Z) = 0, gives
+
+    0 -> H_1(Gamma)_Z -> H_1(Gamma/Z) -> Z -> 0,
+
+the last map the holonomy: the end z^h of a cycle lifted from the
+identity.  So H_1(Gamma)_G = L_{G/Z}, where L is the holonomy's kernel,
+and everything below is read on Gamma/Z = Gamma(G/Z, S), with N/q points
+and (N/q)(|S| - 1) + 1 cycles.  Lifting its BFS tree gives each non-tree
+edge e its holonomy h_e mod q.  Some h_e0 is a unit, else the holonomy
+would miss z; none is an `OracleInconsistency`.  With k_e = h_e / h_e0
+mod q, L has the basis b_e = c_e - k_e c_e0 (e != e0) and b_0 = q c_e0,
+and a vector v of L has the coordinates v_e off e0 and, in place of e0,
+its holonomy sum (sum of v_e k_e, with k_e0 = 1) over q.  G preserves
+holonomy because Z is central, so each relation row lies in L; a row whose
+holonomy sum is not 0 mod q is an `OracleInconsistency`.  The rows fed to
+the cokernel are (s - 1) b in these coordinates, |S| per basis vector:
+|S|((N/q)(|S| - 1) + 1) in all, against |S|(N(|S| - 1) + 1) on Gamma.
 
 Basis.  `cayley.walk` gives a BFS tree from the identity over S that spans
-Gamma; each of the N(|S| - 1) + 1 edges x -> xs off the tree closes one
-cycle c_e: the tree path 1 -> y, the edge e = (y, s_i), and the tree path
-back from z = y s_i.  The c_e are a basis of H_1(Gamma), and a cycle's
-coordinates in it are its signed counts of non-tree edges, since c_e
-crosses e and no other.
+the graph; each of the N(|S| - 1) + 1 edges x -> xs off the tree of a
+Cayley graph Gamma on N points closes one cycle c_e: the tree path 1 -> y,
+the edge e = (y, s_i), and the tree path back from z = y s_i.  The c_e are
+a basis of H_1(Gamma), and a cycle's coordinates in it are its signed
+counts of non-tree edges, since c_e crosses e and no other.
 
 Relations.  The coinvariants are H_1(Gamma) / I_G H_1(Gamma).  As a right
 ideal, I_G is generated by the s - 1 with s in S (s g - 1 = (s - 1) g +
@@ -37,16 +62,17 @@ s x -> s x s_j.  One pass down the tree per s builds path_s[z], the
 non-tree edges among the translates of the tree path 1 -> z: path_s[parent
 z], plus the translated edge into z if it is off the tree.  The row of e is
 +1 on path_s[y] less path_s[z], -1 on path_s[z] less path_s[y], +1 on s e
-if it is off the tree, and -1 on e.
+if it is off the tree, and -1 on e.  `cycle_relations` builds these rows
+for any such actions; the oracle gives it the quotient's.
 
 Cokernel.  exp M(G) divides |G| = p^n, so `abelian.snf_sparse` reads the
-cokernel over Z_{p^(n+1)} in the rows' own dicts, which it consumes,
-|S|^2 N entries plus fill-in.  Each unit pivot is substituted out of the
-earlier pivot rows, so every row is reduced in one pass over the pivot
-columns it holds, and the unit-free rest is finished by least-valuation
-pivoting.  Summands
-of valuation 0 < v < n + 1 are M(G); the columns of valuation n + 1 are
-the free part, and their number must be |S| (else `OracleInconsistency`).
+cokernel over Z_{p^(n+1)} in the rows' own dicts, which it consumes.  Each
+unit pivot is substituted out of the earlier pivot rows, so every row is
+reduced in one pass over the pivot columns it holds, and the unit-free
+rest is finished by least-valuation pivoting.  Summands of valuation
+0 < v < n + 1 are M(G); the columns of valuation n + 1 are the free part,
+and their number must be |S| (else `OracleInconsistency`), since
+L_{G/Z} = H_1(Gamma)_G = M(G) + Z^|S|.
 
 `h2_trivial_coeffs` and `abelianization_from_table` are the earlier oracle.
 Nothing in the report calls them; they stay as the independent reference
@@ -372,14 +398,50 @@ def cycle_relations(right, left) -> tuple[int, list[list[dict[int, int]]]]:
     return len(edges), blocks
 
 
+def _orbit_length(perm) -> int:
+    """The length of 0's orbit under a permutation."""
+    n, x = 1, perm[0]
+    while x:
+        n, x = n + 1, perm[x]
+    return n
+
+
+def central_quotient(right, left, zx):
+    """The actions of S on Gamma / <z> for z x = zx[x], with z central, and
+    the holonomy in Z/q of each non-tree edge of the quotient, in the order
+    of `cycle_relations`' columns; q is the order of z.
+
+    The cosets are labelled in order of their least element, so the
+    identity's is 0; pos[x] = j for x = z^j times its coset's least element.
+    """
+    m, q = len(zx), _orbit_length(zx)
+    coset, pos, reps = [-1] * m, [0] * m, []
+    for x in range(m):
+        y, j = x, 0
+        while coset[y] < 0:  # the orbit x, z x, z^2 x, ...
+            coset[y], pos[y], y, j = len(reps), j, zx[y], j + 1
+        if j:
+            reps.append(x)
+    qright, qleft = ([[coset[a[x]] for x in reps] for a in acts] for acts in (right, left))
+    _, parent, letter = walk(qright)
+    lift = [0] * len(reps)  # lift[c]: the end of the tree path 0 -> c lifted from 0
+    for c in parent:
+        lift[c] = right[letter[c]][lift[parent[c]]]
+    tree = set(zip(parent.values(), letter.values()))
+    hol = [(pos[a[lift[c]]] - pos[lift[qa[c]]]) % q for c in range(len(reps))
+           for i, (a, qa) in enumerate(zip(right, qright)) if (c, i) not in tree]
+    return q, qright, qleft, hol
+
+
 def multiplier_from_actions(right, left, p: int) -> MultiplierResult:
     """M(G) as the torsion of the G-coinvariants of H_1 of the Cayley graph,
-    from right[i][x] = x s_i and left[i][x] = s_i x for a generating set S."""
+    from right[i][x] = x s_i and left[i][x] = s_i x for a generating set S,
+    read on the quotient graph by a central cyclic subgroup (module docstring)."""
     m = len(right[0]) if right else 1
     k = valuation(m, p) + 1  # exp M(G) divides m = p^(k-1)
     if m != p ** (k - 1):
         raise ValueError(f"the order {m} is not a power of p = {p}")
-    # the certificate (module docstring); `cycle_relations` walks the right side
+    # the certificate (module docstring), all of it on G's own actions
     full = list(range(m))
     if any(sorted(a) != full for a in (*right, *left)):
         raise OracleInconsistency("oracle: an action is not a permutation of the elements")
@@ -387,18 +449,51 @@ def multiplier_from_actions(right, left, p: int) -> MultiplierResult:
         raise OracleInconsistency("oracle: a left action does not commute with a right one")
     if len(reached := walk(left)[0]) != m:
         raise OracleInconsistency(f"oracle: the left walk reaches {len(reached)} of {m} points")
+    order, parent, letter = walk(right)
+    if len(order) != m:
+        raise OracleInconsistency(f"oracle: the right walk reaches {len(order)} of {m} points")
     if m == 1:
         return MultiplierResult(p, AbelianGroup.trivial(), METHOD_ORACLE,
                                 trace=("oracle: trivial group",))
-    ncycles, blocks = cycle_relations(right, left)
-    rows = [row for block in blocks for row in block]
+
+    def left_by(c):  # c x, along x's tree path from c instead of from 0
+        cx = [c] * m
+        for x in order[1:]:
+            cx[x] = right[letter[x]][cx[parent[x]]]
+        return cx
+
+    # z: the first central element of largest order, at N steps per central element
+    zx = max((left_by(c) for c in full if all(a[c] == b[c] for a, b in zip(left, right))),
+             key=_orbit_length)
+    q, qright, qleft, hol = central_quotient(right, left, zx)
+    e0 = next((e for e, h in enumerate(hol) if h % p), None)
+    if e0 is None:
+        raise OracleInconsistency("oracle: no non-tree edge has unit holonomy")
+    inv = pow(hol[e0], -1, q)
+    ratio = [h * inv % q for h in hol]  # k_e, and k_e0 = 1
+    ncycles, blocks = cycle_relations(qright, qleft)
+    rows = []
+    for block in blocks:
+        for row in block:  # into the coordinates of L: e0's is the holonomy sum over q
+            total = sum(v * ratio[c] for c, v in row.items())
+            if total % q:
+                raise OracleInconsistency(
+                    f"oracle: a relation row's holonomy sum is {total % q} mod {q}, not 0")
+            row[e0] = total // q
+        base = block[e0]  # (s - 1) b_e = (s - 1) c_e - k_e base, (s - 1) b_0 = q base
+        for e, row in enumerate(block):
+            f = ratio[e] if e != e0 else 1 - q
+            row = dict(row)
+            for c, v in base.items():
+                row[c] = row.get(c, 0) - f * v
+            rows.append({c: v for c, v in row.items() if v})
     vals = snf_sparse(rows, ncycles, p, k)
     free = vals.count(k)
     if free != len(right):
         raise OracleInconsistency(f"oracle: free rank {free} != {len(right)} generators")
     invs = AbelianGroup.of(p, [v for v in vals if v < k])
-    trace = (f"oracle: N={m}, d={len(right)}, cycles={ncycles}, relations={len(rows)}, "
-             f"free={free} -> {invs.render()}",)
+    trace = (f"oracle: N={m}, d={len(right)}, Z={q}, cycles={ncycles}, "
+             f"relations={len(rows)}, free={free} -> {invs.render()}",)
     return MultiplierResult(p, invs, METHOD_ORACLE, trace=trace)
 
 

@@ -1,18 +1,20 @@
 """The oracle: Hopf's formula against the H^2 reference on every catalog
 group the cap admits, its free-rank identity, the certificate on its
-actions, and a report path that builds no Cayley table; and for the H^2
+actions, its quotient by a central cyclic subgroup against the full graph
+and tails, and a report path that builds no Cayley table; and for the H^2
 reference frozen values, an enumeration oracle for tiny groups, a dense
 full-triple eliminator as an independent implementation, the
 universal-coefficient order identity, and the block-by-block kernel update
 against the dense eliminator."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from multlab import oracle
-from multlab.abelian import AbelianGroup, _snf_local, exterior_square, valuation
+from multlab.abelian import AbelianGroup, _snf_local, exterior_square, snf_sparse, valuation
 from multlab.cayley import CayleyTable, greedy_generators
 from multlab.compute import Computer
 from multlab.dsl import load_presentation
@@ -29,7 +31,7 @@ from multlab.oracle import (
     multiplier_from_table,
     multiplier_via_oracle,
 )
-from multlab.pcgroup import (SizeCapError, abelianization, cayley_table, left_actions,
+from multlab.pcgroup import (SizeCapError, abelianization, cayley_table, center, left_actions,
                              multiplier_via_tails, right_actions)
 from multlab.report import run_table24, verify_entry, verify_theorem
 
@@ -340,9 +342,10 @@ class TestHopfAgainstH2:
         assert got.invariants == want == AbelianGroup.elementary(3, 4)
 
     def test_trace_counts_the_cycle_basis(self, catalog):
-        # N(d - 1) + 1 cycles for d = 5 generators, d relation rows per cycle
+        # (N/q)(d - 1) + 1 cycles of the quotient by Z = <a>, of order q = 4,
+        # for d = 5 generators, d relation rows per cycle
         res = multiplier_via_oracle(catalog.instantiate("T6_xiv", 2))
-        assert res.trace == ("oracle: N=64, d=5, cycles=257, relations=1285, free=5 "
+        assert res.trace == ("oracle: N=64, d=5, Z=4, cycles=65, relations=325, free=5 "
                              "-> [2,2,2,2,2,2,2,2,2]",)
 
     def test_one_generator_short_breaks_the_free_rank(self, catalog, monkeypatch):
@@ -509,6 +512,92 @@ class TestActions:
         assert reports
         assert all(r.status in ("PASS", "DISABLED") for r in reports), \
             [(r.group, r.trace) for r in reports if r.status not in ("PASS", "DISABLED")]
+
+
+def full_graph_multiplier(right, left, p):
+    """M(G) and the free rank by Hopf's formula on the whole Cayley graph:
+    the rows s.c_e - c_e of every cycle of Gamma itself, with no quotient."""
+    k = valuation(len(right[0]), p) + 1
+    ncycles, blocks = cycle_relations(right, left)
+    vals = snf_sparse([row for block in blocks for row in block], ncycles, p, k)
+    return AbelianGroup.of(p, [v for v in vals if v < k]), vals.count(k)
+
+
+def instances(catalog, low, high):
+    """Every catalog instance at p = 2, 3, 5, 7 of order in [low, high]."""
+    for eid in catalog.ids():
+        for p in (2, 3, 5, 7):
+            try:
+                pres = catalog.instantiate(eid, p)
+            except CatalogError:
+                continue
+            if low <= pres.group_order() <= high:
+                yield eid, p, pres
+
+
+def quotient_order(result):
+    return int(re.search(r"\bZ=(\d+),", result.trace[0]).group(1))
+
+
+def non_central_z(real):
+    """z: the first generator that is not central."""
+    return lambda right, left, zx: real(right, left,
+                                        next(s for s, r in zip(left, right) if s != r))
+
+
+def holonomy_in_2z(real):
+    """The holonomies read in 2Z/q, so that at p = 2 none is a unit."""
+    def quotient(right, left, zx):
+        q, qright, qleft, hol = real(right, left, zx)
+        return q, qright, qleft, [2 * h % q for h in hol]
+    return quotient
+
+
+QUOTIENT_FAULTS = [(non_central_z, "holonomy sum is"),
+                   (holonomy_in_2z, "no non-tree edge has unit holonomy")]
+
+
+class TestCentralQuotient:
+    def test_small_instances_equal_the_full_graph_and_tails(self, catalog):
+        """Up to the cap, the quotient's M(G) and free rank are the full
+        graph's, and M(G) is tails'; q is the largest order of an element
+        of the centre the presentation gives (for an abelian p-group, the
+        largest order of its generators)."""
+        checked = 0
+        for eid, p, pres in instances(catalog, 1, DEFAULT_ORACLE_CAP):
+            right, left = presentation_actions(pres)
+            got = multiplier_from_actions(right, left, p)
+            want = multiplier_via_tails(pres).invariants
+            assert full_graph_multiplier(right, left, p) == (got.invariants, len(right)), (eid, p)
+            assert got.invariants == want, (eid, p)
+            if pres.group_order() > 1:
+                zs = center(pres).igs.values()
+                assert quotient_order(got) == max(map(pres.element_order, zs)), (eid, p)
+            checked += 1
+        assert checked == 42
+
+    def test_above_the_cap_equals_tails(self, catalog):
+        checked = 0
+        for eid, p, pres in instances(catalog, DEFAULT_ORACLE_CAP + 1, 1300):
+            if not any(tail for _, _, tail in pres.comms):
+                continue  # abelian
+            got = multiplier_from_actions(*presentation_actions(pres), p)
+            assert got.invariants == multiplier_via_tails(pres).invariants, (eid, p)
+            zs = center(pres).igs.values()
+            assert quotient_order(got) == max(map(pres.element_order, zs)), (eid, p)
+            checked += 1
+        assert checked == 28
+
+    @pytest.mark.parametrize("fault,message", QUOTIENT_FAULTS,
+                             ids=[f.__name__ for f, _ in QUOTIENT_FAULTS])
+    def test_a_broken_quotient_is_a_fail_record(self, catalog, monkeypatch, fault, message):
+        monkeypatch.setattr(oracle, "central_quotient", fault(oracle.central_quotient))
+        with pytest.raises(OracleInconsistency, match=message):
+            multiplier_via_oracle(catalog.instantiate("T6_xiv", 2))
+        report = verify_entry(catalog, Computer(catalog), "T6_xiv", 2)
+        assert report.status == "FAIL"
+        assert report.trace[0].startswith("OracleInconsistency: oracle: ")
+        assert message in report.trace[0]
 
 
 class TestTableAbelianization:
