@@ -1,10 +1,10 @@
 """multlab: Schur multipliers of finite p-groups at desk scale.
 
 Five cooperating methods compute M(G) for groups given by power-commutator
-presentations: central tails, which reaches every group, a Cayley-table
-oracle by Hopf's formula on the Cayley graph, the Blackburn-Evens
-construction for odd-p class-2 groups, the direct-product (Kunneth-style)
-identity, and the abelian exterior square.  A bound-derivation ledger replays squeeze
+presentations: central tails, which reaches every group, an oracle by
+Hopf's formula on the Cayley graph that the generators' actions span, the
+Blackburn-Evens construction for odd-p class-2 groups, the direct-product
+(Kunneth-style) identity, and the abelian exterior square.  A bound-derivation ledger replays squeeze
 arguments as cross-checks.  A bundled catalog covers the classification of p-groups whose
 multiplier has corank t(G) = 6 against Green's bound.
 """

@@ -490,7 +490,7 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
                         ledger, subject, pres, Z, ledger.capability(subject), prem)
                 trace.append(fact.describe())
             elif verb == "compute":
-                add_result(subject, computer.compute(pres))
+                add_result(subject, computer.compute(subject, p))
             elif verb == "expect":
                 kind_tok, value = parts[1], parse_order(parts[2])
                 if kind_tok == "upper":

@@ -1,5 +1,7 @@
 """Walks along permutation actions, and Cayley tables as tuples of int tuples:
-the presentation-free view of a group that the H^2 reference and the tests use."""
+the presentation-free view of a group.  The report's oracle picks its
+generators with `greedy_generators` and walks their actions with `walk`;
+the tables serve the H^2 reference and the tests."""
 
 from __future__ import annotations
 

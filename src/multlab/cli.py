@@ -78,7 +78,7 @@ def _dispatch(args) -> int:
 
     if args.verb == "compute":
         method = method_map.get(args.method, args.method)
-        report = verify_entry(catalog, computer, args.group, args.p, method=method)
+        report = verify_entry(computer, args.group, args.p, method=method)
         print(emit_report([report], args.format))
         return 0 if report.ok else 1
 

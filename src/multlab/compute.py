@@ -2,11 +2,11 @@
 
 `auto` runs every method that applies, in this order: the direct-product
 identity (for catalog product recipes), the class-2 tensor construction,
-the abelian exterior square, the Cayley-table oracle, and central tails.
-Tails applies to every group, so each result has at least one method; the
-oracle runs only when none of the first three applies and the order is
-within its cap.  All results must agree exactly, and the first one names
-the method.
+the abelian exterior square, the Hopf oracle on generator actions, and
+central tails.  Tails applies to every group, so each result has at least
+one method; the oracle runs only when none of the first three applies and
+the order is within its cap.  All results must agree exactly, and the
+first one names the method.
 """
 
 from __future__ import annotations
@@ -102,6 +102,9 @@ class Computer(Record):
 
     def compute(self, target: str | PcPresentation, p: int | None = None,
                 method: str = "auto") -> MultiplierResult:
+        """M(G) for the catalog entry `target` at p, or for the presentation
+        `target`, whose name is a label only: Kunneth runs for entries alone."""
+        entry = None
         if isinstance(target, str):
             if p is None:
                 raise ValueError("a prime is required with an entry id")
@@ -109,10 +112,6 @@ class Computer(Record):
             pres = self.catalog.instantiate(target, p)
         else:
             pres = target
-            entry = None
-            name = pres.name
-            if name is not None and name in self.catalog.entries:
-                entry = self.catalog[name]
         if method != "auto":
             return self._run(method, pres, entry)
         methods, _ = self.applicable(pres, entry)

@@ -40,11 +40,13 @@ class ConstraintError(CatalogError):
 
 
 class Expect(Frozen):
+    """One `expect` line.  An order's exponent of p and a t are kept as the
+    ints they parse to; a multiplier keeps its raw `[...]`, read per prime."""
+
     _fields = ("kind", "value", "source")
 
     def __init__(self, kind: str,     # multiplier | order | t
-                 value: str,          # raw token(s); instantiated per prime
-                 source: str):
+                 value: str | int, source: str):
         self._set(kind=kind, value=value, source=source)
 
     def multiplier_at(self, p: int) -> AbelianGroup:
@@ -56,14 +58,6 @@ class Expect(Frozen):
                                    f"is {n}, not a power of p = {p}")
             exponents.append(e)
         return AbelianGroup.of(p, exponents)
-
-    def order_exponent_at(self, p: int) -> int:
-        assert self.kind == "order"
-        return parse_order(self.value)
-
-    def t_value(self) -> int:
-        assert self.kind == "t"
-        return int(self.value)
 
 
 def _factors(value: str, p: int) -> list[tuple[str, int]]:
@@ -152,11 +146,11 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
                     if not (value[0] == "[" and value[-1] == "]"):
                         raise CatalogError(f"expect multiplier needs [...], got {value!r}")
                     _factors(value, 3)  # the syntax, at an odd prime (nu needs one)
-                if kind == "order":
-                    parse_order(value)
-                if kind == "t":
+                elif kind == "order":
+                    value = parse_order(value)
+                else:
                     try:
-                        int(value)
+                        value = int(value)
                     except ValueError:
                         raise CatalogError(f"expect t needs an integer, got {value!r}") from None
                 expects.append(Expect(kind, value, citation or ""))

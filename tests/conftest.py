@@ -2,7 +2,20 @@ import pytest
 
 from multlab import pcgroup
 from multlab.compute import Computer
-from multlab.entries import Catalog
+from multlab.entries import Catalog, CatalogError
+
+
+def catalog_instances(primes, catalog=None):
+    """(entry id, p, presentation) for every entry of `catalog` (the bundled
+    one by default) that instantiates at p, for each p of `primes` in turn."""
+    catalog = catalog or Catalog.bundled()
+    for p in primes:
+        for eid in catalog.ids():
+            try:
+                pres = catalog.instantiate(eid, p)
+            except CatalogError:
+                continue
+            yield eid, p, pres
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import catalog_instances
 
 from multlab import pcgroup
 from multlab.abelian import AbelianGroup, _kernel_mod, _snf_local
@@ -21,7 +22,6 @@ from multlab.blackburn_evens import (
     multiplier_via_be,
 )
 from multlab.dsl import load_presentation
-from multlab.entries import Catalog, CatalogError
 from multlab.oracle import multiplier_via_oracle
 from multlab.pcgroup import (
     InconsistentPresentation,
@@ -111,20 +111,14 @@ class TestOracleAgreement:
 
 def _odd_instances():
     """Every catalog group at p = 3, 5, 7, and those the construction applies to."""
-    cat = Catalog.bundled()
     out, be = [], []
-    for p in (3, 5, 7):
-        for eid in cat.ids():
-            try:
-                pres = cat.instantiate(eid, p)
-            except CatalogError:
-                continue
-            out.append(pytest.param(eid, p, id=f"{eid}-{p}"))
-            try:
-                be_preconditions(pres)
-            except BePreconditionError:
-                continue
-            be.append(out[-1])
+    for eid, p, pres in catalog_instances((3, 5, 7)):
+        out.append(pytest.param(eid, p, id=f"{eid}-{p}"))
+        try:
+            be_preconditions(pres)
+        except BePreconditionError:
+            continue
+        be.append(out[-1])
     return out, be
 
 

@@ -247,7 +247,7 @@ class TestReplay:
         [fact] = res.ledger.facts
         assert fact.exponent == 0 and fact.provenance == Provenance.computed("tails")
         assert not res.assumed
-        report = verify_entry(catalog, computer, "Phi2_31", 5)
+        report = verify_entry(computer, "Phi2_31", 5)
         assert (report.status, report.method, report.assumed, report.multiplier) == \
             ("PASS", "tails", [], [])
 

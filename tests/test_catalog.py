@@ -16,7 +16,7 @@ from multlab.entries import (
     load_group_dsl,
     parse_entry,
 )
-from multlab.pcgroup import abelianization, check_consistency, direct_product
+from multlab.pcgroup import PcPresentation, abelianization, check_consistency, direct_product
 from multlab.report import (
     ODD_PART,
     TWO_PART,
@@ -178,7 +178,7 @@ class TestLoadGroupDsl:
     ])
     def test_expect_source_is_kept_whole(self, line, source):
         [expect] = parse_entry(f"name Z\ngen a p\n{line}\n").expects
-        assert (expect.kind, expect.value, expect.source) == ("t", "6", source)
+        assert (expect.kind, expect.value, expect.source) == ("t", 6, source)
 
     @pytest.mark.parametrize("keyword", ["name", "constraint", "squeeze", "alias"])
     def test_header_without_argument_rejected(self, keyword):
@@ -270,6 +270,19 @@ class TestAutoSelection:
     def test_products_prefer_kunneth(self, computer):
         assert computer.compute("T6_ix", 3).method == METHOD_KUNNETH
 
+    def test_a_presentation_name_picks_no_method(self, catalog, computer):
+        # a presentation's name is a label: Kunneth runs for an entry id alone
+        pres = catalog.instantiate("T6_viii", 3)
+        renamed = PcPresentation(pres.p, pres.names, pres.orders, pres.powers, pres.comms,
+                                 name="X")
+        named, unnamed = computer.compute(pres), computer.compute(renamed)
+        # the same trace, so the same `auto: methods` line or none
+        assert (named.invariants, named.method, named.trace) == \
+            (unnamed.invariants, unnamed.method, unnamed.trace)
+        by_id = computer.compute("T6_viii", 3)
+        assert by_id.invariants == named.invariants
+        assert by_id.trace[-1] == "auto: methods ['kunneth', 'tails'] agree"
+
     def test_phi5_via_be(self, computer):
         res = computer.compute("Phi5_214b", 3)
         assert res.method == METHOD_BE
@@ -320,7 +333,7 @@ class TestGreenSanity:
 
 class TestReports:
     def test_jsonl_round_trip(self, catalog, computer):
-        rep = verify_entry(catalog, computer, "D8", 2)
+        rep = verify_entry(computer, "D8", 2)
         text = emit_report([rep], "jsonl")
         back = parse_report_jsonl(text)
         assert len(back) == 1
@@ -339,13 +352,13 @@ class TestReports:
             emit_report([], "xml")
 
     def test_table_contains_status(self, catalog, computer):
-        rep = verify_entry(catalog, computer, "Q8", 2)
+        rep = verify_entry(computer, "Q8", 2)
         out = emit_report([rep], "table")
         assert "PASS" in out and "Q8" in out
 
     def test_single_d8_row(self, catalog, computer):
         # n = 3 and |M| = 2 give corank 3 - 1 = 2
-        rep = verify_entry(catalog, computer, "D8", 2)
+        rep = verify_entry(computer, "D8", 2)
         out = emit_report([rep], "table")
         assert len(out.splitlines()) == 3  # header, rule, one row
         assert rep.t == 2
@@ -369,7 +382,7 @@ class TestReports:
             id="T6_xii"),
     ])
     def test_assumed_values_pinned_in_jsonl(self, catalog, computer, entry_id, fields):
-        rep = verify_entry(catalog, computer, entry_id, 5)
+        rep = verify_entry(computer, entry_id, 5)
         assert rep.status == "PASS"
         line = emit_report([rep], "jsonl")
         assert line[line.index('"assumed"'):line.index(', "millis"')] == fields
@@ -415,20 +428,20 @@ class TestReports:
         # the product names a factor the catalog lacks: that entry fails
         product = parse_entry("name P\nproduct Zp Zq\n")
         small = Catalog({"Zp": catalog["Zp"], "P": product})
-        rep = verify_entry(small, Computer(small), "P", 2)
+        rep = verify_entry(Computer(small), "P", 2)
         assert (rep.group, rep.n, rep.status, rep.t) == ("P", 0, "FAIL", None)
         assert rep.trace == ["CatalogError: no catalog entry named 'Zq'"]
 
     def test_prime_outside_the_entry_constraint_is_an_error(self, catalog, computer):
         with pytest.raises(ConstraintError, match="T6_i requires an odd prime, got 2"):
-            verify_entry(catalog, computer, "T6_i", 2)
+            verify_entry(computer, "T6_i", 2)
         with pytest.raises(ConstraintError, match="T6_xiii requires p = 2, got 3"):
-            verify_entry(catalog, computer, "T6_xiii", 3)
+            verify_entry(computer, "T6_xiii", 3)
 
     def test_tails_free_rank_mismatch_is_a_fail_record(self, catalog, computer, monkeypatch):
         real_snf = pcgroup.snf
         monkeypatch.setattr(pcgroup, "snf", lambda rows, p, k: real_snf(rows, p, k) + [k])
-        rep = verify_entry(catalog, computer, "T6_xii", 5)
+        rep = verify_entry(computer, "T6_xii", 5)
         assert (rep.status, rep.t) == ("FAIL", None)
         assert rep.trace == [
             "InconsistentPresentation: tails: free rank 4 != 3 generators"]
@@ -440,14 +453,14 @@ class TestReports:
         import multlab.blackburn_evens as be_mod
         real = be_mod._w_coordinates
         monkeypatch.setattr(be_mod, "_w_coordinates", lambda d, x: [c + 1 for c in real(d, x)])
-        rep = verify_entry(catalog, computer, "ESp_p3", 3)
+        rep = verify_entry(computer, "ESp_p3", 3)
         assert (rep.status, rep.t) == ("FAIL", None)
         assert rep.trace == [
             "CrossMethodDisagreement: ESp_p3: blackburn_evens gives [] but tails gives [3,3]"]
 
     def test_exhausted_oracle_cap_is_a_fail_record(self, catalog, computer):
         # T6_xi at p = 3 has order 3^5 = 243, above the oracle cap
-        rep = verify_entry(catalog, computer, "T6_xi", 3, method="oracle")
+        rep = verify_entry(computer, "T6_xi", 3, method="oracle")
         assert (rep.group, rep.n, rep.status, rep.t) == ("T6_xi", 5, "FAIL", None)
         assert rep.trace == [
             "SizeCapError: group order 243 exceeds the oracle cap 128"]

@@ -12,13 +12,13 @@ import re
 
 import numpy as np
 import pytest
+from conftest import catalog_instances
 
 from multlab import oracle
 from multlab.abelian import AbelianGroup, _snf_local, exterior_square, snf_sparse, valuation
 from multlab.cayley import CayleyTable, greedy_generators
 from multlab.compute import Computer
 from multlab.dsl import load_presentation
-from multlab.entries import CatalogError
 from multlab.oracle import (
     DEFAULT_ORACLE_CAP,
     MemoryBudgetError,
@@ -42,6 +42,12 @@ Q8 = "gen b 2\ngen a 4\npow b = a^2\ncomm a b = a^2"
 ES_P3 = "gen a p\ngen a1 p\ngen a2 p\ncomm a1 a = a2"
 PHI3_14 = ("gen a p\ngen a1 p\ngen a2 p\ngen a3 p\npow a1 = a3^-cp3\n"
            "comm a1 a = a2\ncomm a2 a = a3")
+
+
+def instances(catalog, low, high, primes=(2, 3, 5, 7)):
+    """Every catalog instance at `primes` of order in [low, high]."""
+    return [(eid, p, pres) for eid, p, pres in catalog_instances(primes, catalog)
+            if low <= pres.group_order() <= high]
 
 
 def h2_by_enumeration(table, m):
@@ -321,13 +327,7 @@ class TestHopfAgainstH2:
     @pytest.mark.parametrize("p,groups", [(2, 21), (3, 15), (5, 4)])
     def test_every_catalog_group_under_the_cap(self, catalog, p, groups):
         checked = []
-        for eid in catalog.ids():
-            try:
-                pres = catalog.instantiate(eid, p)
-            except CatalogError:
-                continue
-            if pres.group_order() > DEFAULT_ORACLE_CAP:
-                continue
+        for eid, _, pres in instances(catalog, 1, DEFAULT_ORACLE_CAP, (p,)):
             got = multiplier_via_oracle(pres).invariants
             assert got == h2_multiplier(cayley_table(pres), p), eid
             checked.append(eid)
@@ -407,13 +407,7 @@ class TestCycleRows:
     def test_rows_equal_the_naive_walk(self, catalog, p, tables):
         rng = np.random.default_rng(p)
         checked = 0
-        for eid in catalog.ids():
-            try:
-                pres = catalog.instantiate(eid, p)
-            except CatalogError:
-                continue
-            if pres.group_order() > 64:
-                continue
+        for eid, _, pres in instances(catalog, 1, 64, (p,)):
             table = cayley_table(pres)
             perm = [0] + list(rng.permutation(np.arange(1, table.n)))
             for tab in (table, table.relabel(perm)):
@@ -464,21 +458,14 @@ class TestActions:
         adapter and tails, with as many greedy picks as the table's minimal
         generating set, so the row count does not grow."""
         checked = 0
-        for eid in catalog.ids():
-            for p in (2, 3, 5, 7):
-                try:
-                    pres = catalog.instantiate(eid, p)
-                except CatalogError:
-                    continue
-                if pres.group_order() > DEFAULT_ORACLE_CAP:
-                    continue
-                table = cayley_table(pres)
-                picks, left = presentation_actions(pres)
-                assert len(picks) == len(table.generating_set()), (eid, p)
-                got = multiplier_from_actions(picks, left, p)
-                assert got.trace == multiplier_from_table(table, p).trace, (eid, p)
-                assert got.invariants == multiplier_via_tails(pres).invariants, (eid, p)
-                checked += 1
+        for eid, p, pres in instances(catalog, 1, DEFAULT_ORACLE_CAP):
+            table = cayley_table(pres)
+            picks, left = presentation_actions(pres)
+            assert len(picks) == len(table.generating_set()), (eid, p)
+            got = multiplier_from_actions(picks, left, p)
+            assert got.trace == multiplier_from_table(table, p).trace, (eid, p)
+            assert got.invariants == multiplier_via_tails(pres).invariants, (eid, p)
+            checked += 1
         assert checked == 42
 
     def test_table_rows_are_the_left_actions(self, catalog):
@@ -497,7 +484,7 @@ class TestActions:
         real = oracle.multiplier_from_actions
         monkeypatch.setattr(oracle, "multiplier_from_actions",
                             lambda right, left, p: real(*fault(right, left), p))
-        report = verify_entry(catalog, Computer(catalog), "T6_xiv", 2)
+        report = verify_entry(Computer(catalog), "T6_xiv", 2)
         assert report.status == "FAIL"
         assert report.trace[0].startswith("OracleInconsistency: oracle: ")
         assert message in report.trace[0]
@@ -521,18 +508,6 @@ def full_graph_multiplier(right, left, p):
     ncycles, blocks = cycle_relations(right, left)
     vals = snf_sparse([row for block in blocks for row in block], ncycles, p, k)
     return AbelianGroup.of(p, [v for v in vals if v < k]), vals.count(k)
-
-
-def instances(catalog, low, high):
-    """Every catalog instance at p = 2, 3, 5, 7 of order in [low, high]."""
-    for eid in catalog.ids():
-        for p in (2, 3, 5, 7):
-            try:
-                pres = catalog.instantiate(eid, p)
-            except CatalogError:
-                continue
-            if low <= pres.group_order() <= high:
-                yield eid, p, pres
 
 
 def quotient_order(result):
@@ -595,7 +570,7 @@ class TestCentralQuotient:
         monkeypatch.setattr(oracle, "central_quotient", fault(oracle.central_quotient))
         with pytest.raises(OracleInconsistency, match=message):
             multiplier_via_oracle(catalog.instantiate("T6_xiv", 2))
-        report = verify_entry(catalog, Computer(catalog), "T6_xiv", 2)
+        report = verify_entry(Computer(catalog), "T6_xiv", 2)
         assert report.status == "FAIL"
         assert report.trace[0].startswith("OracleInconsistency: oracle: ")
         assert message in report.trace[0]

@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import catalog_instances
 
 from multlab import bounds, pcgroup
 from multlab.abelian import AbelianGroup, valuation
@@ -22,7 +23,7 @@ from multlab.bounds import (
 )
 from multlab.cayley import CayleyTable, _light_associative
 from multlab.dsl import DslError, load_presentation
-from multlab.entries import Catalog, CatalogError
+from multlab.entries import Catalog
 from multlab.oracle import _invariants_from_order_counts
 from multlab.pcgroup import (
     InconsistentPresentation,
@@ -85,11 +86,7 @@ class TestCollect:
         # with negative exponents, for random u in every catalog group at p
         rng = random.Random(p)
         checked = 0
-        for eid in catalog.ids():
-            try:
-                pres = catalog.instantiate(eid, p)
-            except CatalogError:
-                continue
+        for _, _, pres in catalog_instances((p,), catalog):
             for _ in range(5):
                 u = tuple(rng.randrange(r) for r in pres.orders)
                 v = pres.inv(u)
@@ -226,11 +223,7 @@ class TestStructure:
         # p^v itself, which Subgroup.generate normalizes it to; <g^(p-1)>
         # starts from the unit lead p - 1
         checked = 0
-        for eid in catalog.ids():
-            try:
-                pres = catalog.instantiate(eid, p)
-            except CatalogError:
-                continue
+        for eid, _, pres in catalog_instances((p,), catalog):
             st = structure_report(pres)
             units = [Subgroup.generate(pres, [pres.pow_el(pres.gen(i), p - 1)])
                      for i in range(pres.ngens)]
@@ -509,25 +502,12 @@ def brute_invariants(sub):
     return _invariants_from_order_counts(counts, p)
 
 
-def _instances_at(primes):
-    """Every catalog instance at each of `primes`; each is named by its entry id."""
-    cat = Catalog.bundled()
-    out = []
-    for p in primes:
-        for eid in cat.ids():
-            try:
-                out.append(cat.instantiate(eid, p))
-            except CatalogError:
-                continue
-    return out
-
-
 def _params(instances):
-    return [pytest.param(pres, id=f"{pres.name}-{pres.p}") for pres in instances]
+    return [pytest.param(pres, id=f"{eid}-{p}") for eid, p, pres in instances]
 
 
 def _small_instances(limit=5 ** 5):
-    return _params(pres for pres in _instances_at((2, 3, 5)) if pres.group_order() <= limit)
+    return _params(i for i in catalog_instances((2, 3, 5)) if i[2].group_order() <= limit)
 
 
 def _same(a, b):
@@ -674,7 +654,7 @@ class TestOneLowerSeries:
     """The lower central series starts from the stated commutator tails and
     is built once per presentation."""
 
-    @pytest.mark.parametrize("pres", _params(_instances_at((2, 3, 5, 7))))
+    @pytest.mark.parametrize("pres", _params(catalog_instances((2, 3, 5, 7))))
     def test_derived_is_the_closure_of_generator_commutators(self, pres):
         comms = [pres.comm_el(pres.gen(j), pres.gen(i))
                  for j in range(pres.ngens) for i in range(j)]
@@ -747,10 +727,11 @@ class TestOverlapPass:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_rows_equal_the_unshared_reference(self, p):
-        instances = _instances_at([p])
-        for pres in instances:
-            assert check_consistency(pres) == _reference_overlap_rows(pres), pres.name
-        assert len(instances) >= 20
+        checked = 0
+        for eid, _, pres in catalog_instances((p,)):
+            assert check_consistency(pres) == _reference_overlap_rows(pres), eid
+            checked += 1
+        assert checked >= 20
 
     def test_each_pair_product_collected_once(self, monkeypatch):
         pres = load_presentation(PHI7_15, 5)
@@ -806,7 +787,7 @@ class TestMemoizedFacts:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_memos_equal_their_wrapped_functions(self, p):
-        for pres in _instances_at([p]):
+        for _, _, pres in catalog_instances((p,)):
             z, fresh = center(pres), center.__wrapped__(pres)
             assert z.igs == fresh.igs and z is center(pres)
             assert abelianization(pres) == abelianization.__wrapped__(pres)
