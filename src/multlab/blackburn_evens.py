@@ -155,15 +155,17 @@ def build_be_data(pres: PcPresentation) -> BeData:
         pairing[a][b] = [-c % p for c in pairing[b][a]]
     power_map = [_w_coordinates(derived, pres.collect([(i, p)])) for i in survivors]
 
-    data = BeData(p, dim_v, dim_w, [pres.gen(i) for i in survivors], pairing,
-                  power_map, [], 0, derived)
-    eye = [[int(i == j) for j in range(dim_v)] for i in range(dim_v)]
-    data.x_rows = (  # class 2 makes dim V >= 2
-        [data.jacobi_element(u, v, w) for u, v, w in combinations(eye, 3)]
-        + [data.power_element(v) for v in eye]
-        + [data.power_element([a + b for a, b in zip(u, v)]) for u, v in combinations(eye, 2)])
-    data.x_rank = _rank(data.x_rows, p)
-    return data
+    # X's rows for the basis, read off the pairing P and f: e_a (x) P[b][c] + e_b (x) P[c][a]
+    # + e_c (x) P[a][b] for a < b < c, e_a (x) f(e_a), and (e_a + e_b) (x) (f(e_a) + f(e_b))
+    P, f, basis, zero = pairing, power_map, range(dim_v), [0] * dim_w
+    row = lambda blocks: [c % p for i in basis for c in blocks.get(i, zero)]  # {i: block i}
+    x_rows = (  # class 2 makes dim V >= 2
+        [row({a: P[b][c], b: P[c][a], c: P[a][b]}) for a, b, c in combinations(basis, 3)]
+        + [row({a: f[a]}) for a in basis]
+        + [row(dict.fromkeys((a, b), [x + y for x, y in zip(f[a], f[b])]))
+           for a, b in combinations(basis, 2)])
+    return BeData(p, dim_v, dim_w, [pres.gen(i) for i in survivors], pairing,
+                  power_map, x_rows, _rank(x_rows, p), derived)
 
 
 def extension_data(data: BeData) -> BeExtensionData:

@@ -14,13 +14,15 @@ i.e. the presented group has order exactly prod r_i.  Every presentation
 is checked when it is built, so no function here ever sees one that fails.
 That one pass carries a free central tail on every relation, and the tail
 relations it leaves are what central tails reads M(G) from.  It collects
-each pair product g_j g_i once and shares it between the overlaps that
-start from it, and its rows are memoized, so it runs once per distinct
-presentation per process.  A presentation is immutable by construction:
-its fields are set once, in `__init__`, and its hash is computed there,
-once, from every field but its `name`.  So its other facts are memoized
-too: the lower central series, the centre, G^ab and the structure report
-are each computed once, and each lookup costs one stored hash.
+each shared side, a pair product g_j g_i or a power tail w_i, once and
+stores its word, letters and tails; an overlap copies those tails and
+collects the other operand's letters onto a copy of the left word.  Its
+rows are memoized, so it runs once per distinct presentation per process.
+A presentation is immutable by construction: its fields are set once, in
+`__init__`, and its hash is computed there, once, from every field but its
+`name`.  So its other facts are memoized too: the lower central series,
+the centre, G^ab and the structure report are each computed once, and each
+lookup costs one stored hash.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import prod
+from operator import sub
 
 from .abelian import AbelianGroup, snf, snf_group, valuation
 from .cayley import CayleyTable
@@ -153,12 +156,11 @@ class PcPresentation(Frozen):
         `tails`, each relation applied adds its signed count to that
         relation's entry, read as a free central tail t: g_i^{r_i} = w_i t_i
         at position i and [g_j, g_i] = w_ji t_ji at n + j(j-1)/2 + i."""
-        orders = self.orders
-        powers = self.powers
-        comm = self._comm_map
+        orders, powers, comm = self.orders, self.powers, self._comm_map
+        guard = _COLLECT_GUARD
         n = len(a)
         stack = []
-        for k, e in reversed(list(letters)):
+        for k, e in reversed(letters if isinstance(letters, (list, tuple)) else list(letters)):
             if not 0 <= k < n:
                 raise CollectionError(f"letter references generator {k} of {n}")
             if e:
@@ -169,18 +171,14 @@ class PcPresentation(Frozen):
         steps = 0
         while stack:
             steps += 1
-            if steps > _COLLECT_GUARD:
+            if steps > guard:
                 raise CollectionError("collection did not terminate (guard tripped)")
-            i, e = stack.pop()
-            if e == 0:
-                continue
+            i, e = stack.pop()  # every pushed exponent is nonzero
             if e < 0:
                 # g^-1 = g^{r-1} * w^-1 * t^-1 with w t the power relation of g
                 if e < -1:
                     stack.append((i, e + 1))
-                w = powers[i]
-                for k, x in w:
-                    stack.append((k, -x))
+                stack.extend([(k, -x) for k, x in powers[i]])
                 stack.append((i, orders[i] - 1))
                 if tails is not None:
                     tails[i] -= 1
@@ -190,8 +188,7 @@ class PcPresentation(Frozen):
                 r = orders[i]
                 while a[i] >= r:
                     a[i] -= r
-                    for k, x in reversed(powers[i]):
-                        stack.append((k, x))
+                    stack.extend(reversed(powers[i]))
                     if tails is not None:
                         tails[i] += 1
                 if a[i] and i > top:
@@ -206,8 +203,9 @@ class PcPresentation(Frozen):
                 top -= 1
             if e > 1:
                 stack.append((i, e - 1))
-            for k, x in reversed(comm.get((j, i), ())):
-                stack.append((k, x))
+            w = comm.get((j, i))
+            if w:
+                stack.extend(reversed(w))
             stack.append((j, 1))
             stack.append((i, 1))
             if tails is not None:
@@ -280,41 +278,43 @@ def overlaps(pres: PcPresentation):
     both ways; a side is (normal word, tails), the tails being the tail
     vector the collection applied (see `_collect_onto`).  A power g_i^{r_i}
     enters as its collected tail w_i carrying t_i, never as a letter for
-    the collector.  Each g_j g_i (j > i) is collected once, and every
-    triple and power overlap that starts from it shares that side; `mul`
-    copies its operands, so no overlap changes another's."""
+    the collector.  Each shared side, a power tail or a pair product g_j g_i
+    (j > i), is collected once and stored with its letters; a side copies
+    its shared operand's tails (the other operand, a letter, has none) and
+    collects onto a copy of the left word, so no overlap changes another's."""
     n = pres.ngens
     width = n + n * (n - 1) // 2
+    collect = pres._collect_onto
+    gen = [pres.gen(i) for i in range(n)]
+    one = [((i, 1),) for i in range(n)]
 
-    def mul(x, y):
-        (u, s), (v, t) = x, y
-        acc = [a + b for a, b in zip(s, t)]
-        return pres._collect_onto(list(u), pres.word_of(v), acc), acc
+    def stored(u, letters, tails):  # u * letters with the letters of its word
+        w = collect(list(u), letters, tails)
+        return w, [(k, e) for k, e in enumerate(w) if e], tails
 
-    def unit(i, e=1):
-        v = [0] * n
-        v[i] = e
-        return tuple(v), [0] * width
+    def then(x, letters):  # stored x times letters
+        tails = x[2].copy()
+        return collect(list(x[0]), letters, tails), tails
 
-    def power(i):  # g_i^{r_i} = w_i t_i
-        tails = [int(k == i) for k in range(width)]
-        return pres._collect_onto([0] * n, pres.powers[i], tails), tails
+    def onto(u, x):  # word u times stored x
+        tails = x[2].copy()
+        return collect(list(u), x[1], tails), tails
 
-    g = [unit(i) for i in range(n)]
-    wv = [power(i) for i in range(n)]
-    pair = {(j, i): mul(g[j], g[i]) for j in range(n) for i in range(j)}
+    wv = [stored(pres.identity, pres.powers[i], [int(k == i) for k in range(width)])
+          for i in range(n)]
+    pair = {(j, i): stored(gen[j], one[i], [0] * width) for j in range(n) for i in range(j)}
     for k in range(n):
         for j in range(k):
             for i in range(j):
-                yield ("triple", (k, j, i), mul(pair[k, j], g[i]), mul(g[k], pair[j, i]))
+                yield "triple", (k, j, i), then(pair[k, j], one[i]), onto(gen[k], pair[j, i])
     for j in range(n):
         for i in range(j):
-            yield ("power-left", (j, i), mul(wv[j], g[i]),
-                   mul(unit(j, pres.orders[j] - 1), pair[j, i]))
-            yield ("power-right", (j, i), mul(g[j], wv[i]),
-                   mul(pair[j, i], unit(i, pres.orders[i] - 1)))
+            yield ("power-left", (j, i), then(wv[j], one[i]),  # rhs g_j^(r_j - 1) (g_j g_i)
+                   onto([(pres.orders[j] - 1) * x for x in gen[j]], pair[j, i]))
+            yield ("power-right", (j, i), onto(gen[j], wv[i]),
+                   then(pair[j, i], ((i, pres.orders[i] - 1),)))
     for i in range(n):
-        yield "power-cycle", (i,), mul(g[i], wv[i]), mul(wv[i], g[i])
+        yield "power-cycle", (i,), onto(gen[i], wv[i]), then(wv[i], one[i])
 
 
 def check_consistency(pres: PcPresentation) -> tuple[tuple[int, ...], ...]:
@@ -334,7 +334,7 @@ def _overlap_rows(pres: PcPresentation) -> tuple[tuple[int, ...], ...]:
             gens = ", ".join(pres.names[t] for t in idxs)
             raise InconsistentPresentation(
                 f"inconsistent presentation: {kind} overlap on ({gens}): {lhs} != {rhs}")
-        rows.append(tuple(a - b for a, b in zip(ls, rs)))
+        rows.append(tuple(map(sub, ls, rs)))
     return tuple(rows)
 
 

@@ -157,6 +157,20 @@ class TestCatalogBasis:
         assert multiplier_via_be(pres).method == METHOD_BE
 
 
+class TestXRows:
+    @pytest.mark.parametrize("eid,p", BE_INSTANCES)
+    def test_rows_equal_the_general_elements(self, catalog, eid, p):
+        """X's rows, read off the pairing and f, equal the rows the general
+        `jacobi_element` and `power_element` give over the identity basis."""
+        data = build_be_data(catalog.instantiate(eid, p))
+        eye = [[int(i == j) for j in range(data.dim_v)] for i in range(data.dim_v)]
+        assert data.x_rows == (
+            [data.jacobi_element(u, v, w) for u, v, w in itertools.combinations(eye, 3)]
+            + [data.power_element(v) for v in eye]
+            + [data.power_element([a + b for a, b in zip(u, v)])
+               for u, v in itertools.combinations(eye, 2)])
+
+
 class TestDerivedLeadEntryP:
     """G' = <a^p> for a of relative order p^2: the igs of G' has lead entry p,
     so a survives in V although a^p lies in G'."""

@@ -26,6 +26,7 @@ from multlab.dsl import DslError, load_presentation
 from multlab.entries import Catalog
 from multlab.oracle import _invariants_from_order_counts
 from multlab.pcgroup import (
+    CollectionError,
     InconsistentPresentation,
     PcPresentation,
     Subgroup,
@@ -99,6 +100,22 @@ class TestCollect:
         pres = load_presentation(PHI3_14, 3)
         for v in pres.elements():
             assert pres.collect(pres.word_of(v)) == v
+
+
+class TestCollectorChecks:
+    def test_letter_out_of_range(self):
+        pres = load_presentation(ES_P3, 3)
+        for k in (3, -1):
+            with pytest.raises(CollectionError, match=f"letter references generator {k} of 3"):
+                pres.collect([(0, 1), (k, 1)])
+
+    def test_guard_trips_on_a_long_collection(self, monkeypatch):
+        pres = load_presentation(PHI7_15, 5)
+        word = [(4, 1), (3, 1), (2, 1), (1, 1), (0, 1)] * 4
+        assert pres.collect(word) == (4, 4, 4, 4, 4)
+        monkeypatch.setattr(pcgroup, "_COLLECT_GUARD", 50)
+        with pytest.raises(CollectionError, match="guard tripped"):
+            pres.collect(word)
 
 
 class TestConsistency:
@@ -732,6 +749,43 @@ class TestOverlapPass:
             assert check_consistency(pres) == _reference_overlap_rows(pres), eid
             checked += 1
         assert checked >= 20
+
+    def test_rows_equal_the_reference_on_every_suite_presentation(self, monkeypatch,
+                                                                  clear_memos):
+        """Every presentation the suites certify, squeeze-replay quotients
+        included, has the rows the unshared reference gives."""
+        built = {}
+        check = pcgroup.check_consistency
+
+        def recorded(pres):
+            built.setdefault(pres, pres)
+            return check(pres)
+
+        clear_memos()
+        monkeypatch.setattr(pcgroup, "check_consistency", recorded)
+        for p, part in ((2, "two"), (3, "odd"), (5, "odd"), (7, "odd")):
+            verify_theorem(p, part)
+        names = {pres.name for pres in built}
+        assert {"Phi7_15/K", "Phi7_15/K/K"} <= names and len(built) >= 80
+        for pres in built:
+            assert pres._tail_rows == _reference_overlap_rows(pres), (pres.name, pres.p)
+
+    def test_pass_collects_each_side_once(self, monkeypatch):
+        """One pass makes one collector entry per shared side (n power tails,
+        n(n-1)/2 pair products) and one per overlap side: a pass that
+        collected a shared side again would make more."""
+        pres = load_presentation(PHI7_15, 5)
+        entries = []
+        collect = PcPresentation._collect_onto
+
+        def counted(self, a, letters, tails=None):
+            entries.append(1)
+            return collect(self, a, letters, tails)
+
+        monkeypatch.setattr(PcPresentation, "_collect_onto", counted)
+        rows = pcgroup._overlap_rows.__wrapped__(pres)
+        n = pres.ngens
+        assert len(entries) == n + n * (n - 1) // 2 + 2 * len(rows) == 85
 
     def test_each_pair_product_collected_once(self, monkeypatch):
         pres = load_presentation(PHI7_15, 5)
