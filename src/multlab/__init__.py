@@ -55,5 +55,5 @@ __all__ = [
     "rule_class_bound", "rule_extraspecial", "rule_green", "rule_jones",
     "rule_transgression_lower", "run_table24", "structure_report",
     "tensor", "verify_entry", "verify_theorem",
-    "snf",  # snf(matrix, p, k): the Smith form's p-adic valuations over Z_{p^k}
+    "snf",  # snf(rows, width, p, k): the p-adic Smith form over Z_{p^k} of {column: entry} rows
 ]

@@ -7,18 +7,20 @@ exact at any prime.  The operations here are the abelian half of the
 multiplier calculus: Smith normal form, tensor products, exterior squares,
 and the direct-product identity M(A x B) = M(A) + M(B) + A^ab (x) B^ab.
 
-Cokernels and ranks are read by `snf` over Z_{p^k} on sparse {column:
-entry} rows (`snf_sparse`, which reduces the rows it is given in place):
+Cokernels and ranks are read by `snf`, the one Smith-form entry point,
+over Z_{p^k} on sparse {column: entry} rows, which it reduces in place:
 one pass takes every unit pivot, keeping each pivot row free of the other
 pivots' columns, and the unit-free rows left finish by least-valuation
-pivoting.  It serves central tails, abelianizations, abelian subgroups,
-the oracle and the tensor construction's ranks.  The dense `_snf_local`
-and `_kernel_mod` import numpy themselves and serve only the H^2
-reference and the tests.  Every cokernel read here is a p-group plus free
-summands, read exactly while p^k exceeds its torsion: at k = n + 1 for a
-group of order p^n (tails, abelianizations, abelian subgroups, the
-oracle), at k = n for the H^2 reference, and at k = 1 for ranks, where
-the valuations 0 count the GF(p) rank."""
+pivoting.  Central tails, abelianizations, abelian subgroups, the oracle
+and the tensor construction's ranks hand it dict rows; a stored row (the
+tails', X's) is a tuple of (column, entry) pairs, which its reader copies
+into a fresh dict.  The dense `_snf_local` and `_kernel_mod` import numpy
+themselves and serve only the H^2 reference and the tests.  Every
+cokernel read here is a p-group plus free summands, read exactly while
+p^k exceeds its torsion: at k = n + 1 for a group of order p^n (tails,
+abelianizations, abelian subgroups, the oracle), at k = n for the H^2
+reference, and at k = 1 for ranks, where the valuations 0 count the
+GF(p) rank."""
 
 from __future__ import annotations
 
@@ -206,37 +208,35 @@ def _snf_local(a, p: int, k: int, track=None):
     return diag_vals, x
 
 
-def snf(matrix, p: int, k: int) -> list[int]:
-    """The Smith form of an integer matrix, read p-locally over Z_{p^k}.
+class InfiniteCokernel(ValueError):
+    """A cokernel that must be finite has a free column."""
+
+
+def snf(rows: list[dict[int, int]], width: int, p: int, k: int) -> list[int]:
+    """The Smith form of the integer matrix with {column: entry} rows over
+    columns 0..width-1, read p-locally over Z_{p^k}.
 
     Cokernel convention: returns one valuation per column, the diagonal's
     p-adic valuations (ascending) padded with k for columns without a
-    pivot.  Z^cols / rowspace, localized at p, is the sum of Z/p^v over the
-    valuations v < k, plus one summand of order at least p^k -- Z, or
+    pivot.  Z^width / rowspace, localized at p, is the sum of Z/p^v over
+    the valuations v < k, plus one summand of order at least p^k -- Z, or
     torsion too large to see -- for each valuation k.  So a cokernel whose
     torsion has exponent dividing p^n is read exactly at k = n + 1.
     Torsion prime to p has unit pivots and is invisible here.
-    """
-    m = p ** k
-    rows = [{j: w for j, v in enumerate(row) if (w := int(v) % m)} for row in matrix]
-    return snf_sparse(rows, len(matrix[0]), p, k) if rows else []
 
-
-def snf_sparse(rows: list[dict[int, int]], width: int, p: int, k: int) -> list[int]:
-    """`snf` of the matrix whose rows are given as {column: entry} dicts.
-
-    The rows are consumed: reduced in place, an entry mod p^k when first
-    touched.  One pass, shortest row first, takes every unit pivot; a row
-    left with a unit pivots on the unit whose column the fewest input rows
-    touch, and its row and column drop out with valuation 0.  No pivot row
-    holds another pivot's column: a new pivot on c is substituted out of
-    the pivot rows holding c (`holders` indexes them), so one pass over a
-    row's pivot columns reduces it.  A row left without a unit is zero mod
-    p and stays so; it waits, and is reduced against every pivot at the
-    end.  These rows finish by least valuation: the entry of valuation v
-    clears its column, its row and column drop out with valuation v, and
-    the rest stays a multiple of p^v, so the valuations ascend.  Python
-    ints are exact at any modulus.
+    The rows are consumed (a caller that keeps its rows hands over copies):
+    reduced in place, an entry mod p^k when first touched.  One pass,
+    shortest row first, takes every unit pivot; a row left with a unit
+    pivots on the unit whose column the fewest input rows touch, and its
+    row and column drop out with valuation 0.  No pivot row holds another
+    pivot's column: a new pivot on c is substituted out of the pivot rows
+    holding c (`holders` indexes them), so one pass over a row's pivot
+    columns reduces it.  A row left without a unit is zero mod p and stays
+    so; it waits, and is reduced against every pivot at the end.  These
+    rows finish by least valuation: the entry of valuation v clears its
+    column, its row and column drop out with valuation v, and the rest
+    stays a multiple of p^v, so the valuations ascend.  Python ints are
+    exact at any modulus.
     """
     m = p ** k
     touch = Counter(j for row in rows for j in row)
@@ -296,12 +296,12 @@ def snf_sparse(rows: list[dict[int, int]], width: int, p: int, k: int) -> list[i
     return [0] * len(pivots) + vals + [k] * (width - len(pivots) - len(vals))
 
 
-def snf_group(matrix, p: int, k: int) -> AbelianGroup:
-    """Cokernel of an integer matrix, of order dividing p^(k-1), as an
-    AbelianGroup."""
-    vals = snf(matrix, p, k)
-    if any(v >= k for v in vals):
-        raise ValueError("cokernel is infinite")
+def snf_group(rows: list[dict[int, int]], width: int, p: int, k: int) -> AbelianGroup:
+    """`snf`'s cokernel, of order dividing p^(k-1), as an AbelianGroup;
+    InfiniteCokernel if a column reads free."""
+    vals = snf(rows, width, p, k)
+    if free := vals.count(k):
+        raise InfiniteCokernel(f"cokernel is infinite: {free} of {width} columns free")
     return AbelianGroup.of(p, vals)
 
 

@@ -16,7 +16,7 @@ by sigma(v1 ^ v2) = v1 (x) f(v2) + binom(p,2) v2 (x) (v1,v2) + X.  So
 |M(G)| = |N| * |V ^ V| / |W|, the p-torsion count |ker(sigma-bar)| * |N|
 fixes the number of Z_{p^2} factors, and everything reduces to GF(p) ranks
 in dimension dim(V) * dim(W), taken with the package's one eliminator
-(`abelian.snf`) at k = 1 on int lists; no kernel is formed.
+(`abelian.snf`) at k = 1 on {column: entry} rows; no kernel is formed.
 
 The construction reads only the lower central series, whose length gives
 the class and whose second term is G', and the stated relations: V's basis
@@ -34,6 +34,7 @@ from .pcgroup import (
     InconsistentPresentation,
     NormalWord,
     PcPresentation,
+    Row,
     Subgroup,
     _stated,
     abelianization,
@@ -51,9 +52,9 @@ class BePreconditionError(ValueError):
         super().__init__(f"{reason}" + (f": {detail}" if detail else ""))
 
 
-def _rank(rows: list[list[int]], p: int) -> int:
+def _rank(rows: list[dict[int, int]], width: int, p: int) -> int:
     """GF(p) rank: the number of unit diagonal entries at k = 1."""
-    return snf(rows, p, 1).count(0)
+    return snf(rows, width, p, 1).count(0)
 
 
 # -- construction data ---------------------------------------------------------
@@ -65,14 +66,14 @@ class BeData(Record):
 
     def __init__(self, p: int, dim_v: int, dim_w: int, reps: list[NormalWord],
                  pairing: list[list[list[int]]], power_map: list[list[int]],
-                 x_rows: list[list[int]], x_rank: int, derived: Subgroup):
+                 x_rows: list[Row], x_rank: int, derived: Subgroup):
         self.p = p
         self.dim_v = dim_v
         self.dim_w = dim_w
         self.reps = reps              # the surviving generators: the V-basis
         self.pairing = pairing        # pairing[i][j] = (v_i, v_j) in W coordinates
         self.power_map = power_map    # power_map[i] = f(v_i) in W coordinates
-        self.x_rows = x_rows          # rows spanning X inside V (x) W
+        self.x_rows = x_rows          # rows spanning X inside V (x) W, as (column, entry) pairs
         self.x_rank = x_rank          # dim X
         self.derived = derived
 
@@ -95,7 +96,8 @@ class BeData(Record):
         return [a * b % self.p for a in v for b in fv]
 
     def in_x(self, vec: list[int]) -> bool:
-        return _rank(self.x_rows + [list(vec)], self.p) == self.x_rank
+        rows = [dict(row) for row in self.x_rows] + [{j: int(v) for j, v in enumerate(vec) if v}]
+        return _rank(rows, self.tensor_dim(), self.p) == self.x_rank
 
 
 class BeExtensionData(Record):
@@ -157,15 +159,16 @@ def build_be_data(pres: PcPresentation) -> BeData:
 
     # X's rows for the basis, read off the pairing P and f: e_a (x) P[b][c] + e_b (x) P[c][a]
     # + e_c (x) P[a][b] for a < b < c, e_a (x) f(e_a), and (e_a + e_b) (x) (f(e_a) + f(e_b))
-    P, f, basis, zero = pairing, power_map, range(dim_v), [0] * dim_w
-    row = lambda blocks: [c % p for i in basis for c in blocks.get(i, zero)]  # {i: block i}
+    P, f, basis = pairing, power_map, range(dim_v)
+    row = lambda blocks: tuple((i * dim_w + t, c % p) for i, block in blocks.items()  # i ascending
+                               for t, c in enumerate(block) if c % p)
     x_rows = (  # class 2 makes dim V >= 2
         [row({a: P[b][c], b: P[c][a], c: P[a][b]}) for a, b, c in combinations(basis, 3)]
         + [row({a: f[a]}) for a in basis]
         + [row(dict.fromkeys((a, b), [x + y for x, y in zip(f[a], f[b])]))
            for a, b in combinations(basis, 2)])
-    return BeData(p, dim_v, dim_w, [pres.gen(i) for i in survivors], pairing,
-                  power_map, x_rows, _rank(x_rows, p), derived)
+    return BeData(p, dim_v, dim_w, [pres.gen(i) for i in survivors], pairing, power_map,
+                  x_rows, _rank([dict(r) for r in x_rows], dim_v * dim_w, p), derived)
 
 
 def extension_data(data: BeData) -> BeExtensionData:
@@ -180,14 +183,14 @@ def extension_data(data: BeData) -> BeExtensionData:
     pairs = list(combinations(range(data.dim_v), 2))
     # sigma(e_i ^ e_j) = e_i (x) f(e_j) + X, block i of V (x) W after rho's
     # columns; the binom(p,2) e_j (x) (e_i, e_j) term vanishes at odd p
-    rho = [data.pairing[i][j] for i, j in pairs]
-    if _rank(rho, p) != dim_w:
+    rho = [{c: v for c, v in enumerate(data.pairing[i][j]) if v} for i, j in pairs]
+    rows = [{**r, **{dim_w * (i + 1) + c: v for c, v in enumerate(data.power_map[j]) if v}}
+            for r, (i, j) in zip(rho, pairs)]  # copied before `snf` consumes rho
+    rows += [{dim_w + c: v for c, v in x} for x in data.x_rows]
+    if _rank(rho, dim_w, p) != dim_w:
         raise InconsistentPresentation(
             "Blackburn-Evens: commutators do not span the derived subgroup")
-    rows = [r + [0] * (dim_w * i) + data.power_map[j] + [0] * (dim_w * (data.dim_v - i - 1))
-            for r, (i, j) in zip(rho, pairs)]
-    rows += [[0] * dim_w + x for x in data.x_rows]
-    rank_sigma = _rank(rows, p) - dim_w - data.x_rank
+    rank_sigma = _rank(rows, dim_w + data.tensor_dim(), p) - dim_w - data.x_rank
     dim_ker_rho = len(pairs) - dim_w
     return BeExtensionData(
         dim_n=data.tensor_dim() - data.x_rank,
@@ -206,7 +209,8 @@ def multiplier_via_be(pres: PcPresentation) -> MultiplierResult:
     a = mu - nu
     b = mu - 2 * a
     if a < 0 or b < 0:
-        raise RuntimeError(f"impossible multiplier shape: mu={mu}, nu={nu}")
+        raise InconsistentPresentation(
+            f"Blackburn-Evens: impossible multiplier shape: mu={mu}, nu={nu}")
     invs = AbelianGroup.of(pres.p, [2] * a + [1] * b)
     trace = (
         f"blackburn_evens: dimV={data.dim_v}, dimW={data.dim_w}, "

@@ -65,7 +65,7 @@ z], plus the translated edge into z if it is off the tree.  The row of e is
 if it is off the tree, and -1 on e.  `cycle_relations` builds these rows
 for any such actions; the oracle gives it the quotient's.
 
-Cokernel.  exp M(G) divides |G| = p^n, so `abelian.snf_sparse` reads the
+Cokernel.  exp M(G) divides |G| = p^n, so `abelian.snf` reads the
 cokernel over Z_{p^(n+1)} in the rows' own dicts, which it consumes.  Each
 unit pivot is substituted out of the earlier pivot rows, so every row is
 reduced in one pass over the pivot columns it holds, and the unit-free
@@ -112,8 +112,7 @@ report.
 
 from __future__ import annotations
 
-from .abelian import (AbelianGroup, _kernel_mod, _snf_local, prime_power, snf, snf_sparse,
-                      valuation)
+from .abelian import AbelianGroup, _kernel_mod, _snf_local, prime_power, snf, valuation
 from .cayley import CayleyTable, greedy_generators, walk
 from .record import Frozen, Record
 from .results import METHOD_ORACLE, MultiplierResult
@@ -307,7 +306,7 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
     rel = np.zeros((tcount + ns, tcount), dtype=np.int64)
     rel[range(tcount), range(tcount)] = p ** (k - a)
     rel[tcount:] = coords.T
-    invs = AbelianGroup.of(p, snf(rel, p, k))
+    invs = AbelianGroup.of(p, snf([dict(enumerate(r)) for r in rel.tolist()], tcount, p, k))
     return H2Result(m, invs, stats)
 
 
@@ -487,7 +486,7 @@ def multiplier_from_actions(right, left, p: int) -> MultiplierResult:
             for c, v in base.items():
                 row[c] = row.get(c, 0) - f * v
             rows.append({c: v for c, v in row.items() if v})
-    vals = snf_sparse(rows, ncycles, p, k)
+    vals = snf(rows, ncycles, p, k)
     free = vals.count(k)
     if free != len(right):
         raise OracleInconsistency(f"oracle: free rank {free} != {len(right)} generators")

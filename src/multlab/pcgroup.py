@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import prod
-from operator import sub
 
 from .abelian import AbelianGroup, snf, snf_group, valuation
 from .cayley import CayleyTable
@@ -39,6 +38,7 @@ from .results import METHOD_TAILS, MultiplierResult
 
 Word = tuple[tuple[int, int], ...]       # ((gen index, exponent), ...)
 NormalWord = tuple[int, ...]             # exponent vector, 0 <= a_i < r_i
+Row = tuple[tuple[int, int], ...]        # ((column, nonzero entry), ...), columns ascending
 
 _COLLECT_GUARD = 50_000_000
 
@@ -317,24 +317,25 @@ def overlaps(pres: PcPresentation):
         yield "power-cycle", (i,), onto(gen[i], wv[i]), then(wv[i], one[i])
 
 
-def check_consistency(pres: PcPresentation) -> tuple[tuple[int, ...], ...]:
+def check_consistency(pres: PcPresentation) -> tuple[Row, ...]:
     """Run the full overlap family; raise InconsistentPresentation naming the
     first overlap that fails.  Returns the tail relations lhs - rhs, one row
-    per overlap, that central tails reads M(G) from.  The rows are memoized
-    per presentation, so an equal presentation built again collects nothing;
-    a failing overlap raises on every build, since nothing is cached then."""
+    of nonzero (column, entry) pairs per overlap, that central tails reads
+    M(G) from.  The rows are memoized per presentation, so an equal
+    presentation built again collects nothing; a failing overlap raises on
+    every build, since nothing is cached then."""
     return _overlap_rows(pres)
 
 
 @lru_cache(maxsize=None)
-def _overlap_rows(pres: PcPresentation) -> tuple[tuple[int, ...], ...]:
+def _overlap_rows(pres: PcPresentation) -> tuple[Row, ...]:
     rows = []
     for kind, idxs, (lhs, ls), (rhs, rs) in overlaps(pres):
         if lhs != rhs:
             gens = ", ".join(pres.names[t] for t in idxs)
             raise InconsistentPresentation(
                 f"inconsistent presentation: {kind} overlap on ({gens}): {lhs} != {rhs}")
-        rows.append(tuple(map(sub, ls, rs)))
+        rows.append(tuple((c, d) for c, (a, b) in enumerate(zip(ls, rs)) if (d := a - b)))
     return tuple(rows)
 
 
@@ -348,9 +349,9 @@ def multiplier_via_tails(pres: PcPresentation) -> MultiplierResult:
     where valuation n + 1 marks a free column.  The free rank must be d,
     since R/(R cap F') has finite index in Z^d.  The relations are those
     the presentation's certification left, so no word is collected here."""
-    rows = pres._tail_rows
+    rows, n = pres._tail_rows, pres.ngens
     k = pres.order_exponent + 1
-    vals = snf(rows, pres.p, k)
+    vals = snf([dict(row) for row in rows], n + n * (n - 1) // 2, pres.p, k)
     free = vals.count(k)
     if free != pres.ngens:
         raise InconsistentPresentation(
@@ -495,18 +496,17 @@ class Subgroup:
         u_k^{rel_k} = prod_j u_j^{c_kj} that sifting the igs powers gives."""
         if not self.is_abelian():
             raise ValueError("subgroup is not abelian")
-        pres, p = self.pres, self.pres.p
-        leads = list(self.igs)
+        pres, column = self.pres, {l: k for k, l in enumerate(self.igs)}
         rows = []
         for k, (l, u) in enumerate(self.igs.items()):
             rel = pres.orders[l] // u[l]
             exps = self.sift(pres.pow_el(u, rel))
             if exps is None:
                 raise InconsistentPresentation(f"{u}^{rel} lies outside its own subgroup")
-            row = [-exps.get(m, 0) for m in leads]
-            row[k] += rel
+            row = {column[m]: -e for m, e in exps.items()}
+            row[k] = row.get(k, 0) + rel
             rows.append(row)
-        return snf_group(rows, p, self.order_exponent + 1)
+        return snf_group(rows, len(rows), pres.p, self.order_exponent + 1)
 
     def __eq__(self, other):
         if not isinstance(other, Subgroup):
@@ -737,20 +737,13 @@ def abelianization(pres: PcPresentation) -> AbelianGroup:
 
 
 def abelian_quotient_invariants(pres: PcPresentation, extra) -> AbelianGroup:
-    """Invariants of G/(G' <extra>) -- the abelianization with extra images killed."""
-    n = pres.ngens
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = pres.orders[i]
-        for k, e in pres.powers[i]:
-            row[k] -= e
-        rows.append(row)
-    for j, i, tail in pres.comms:
-        rows.append(list(_stated(pres, tail)))
-    for x in extra:
-        rows.append(list(x))
-    return snf_group(rows, pres.p, pres.order_exponent + 1)
+    """Invariants of G/(G' <extra>) -- the abelianization with extra images
+    killed -- read off the stated power and commutator relations."""
+    rows = [{i: r, **{k: -e for k, e in w}}
+            for i, (r, w) in enumerate(zip(pres.orders, pres.powers))]
+    rows += [dict(tail) for _, _, tail in pres.comms]
+    rows += [{j: e for j, e in enumerate(x) if e} for x in extra]
+    return snf_group(rows, pres.ngens, pres.p, pres.order_exponent + 1)
 
 
 # -- structure report ----------------------------------------------------------

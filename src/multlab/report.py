@@ -14,6 +14,7 @@ import json
 import time
 from importlib import resources
 
+from .abelian import InfiniteCokernel
 from .bounds import ReplayAssertionError, replay_script
 from .compute import Computer, CrossMethodDisagreement, compute_t
 from .entries import Catalog, CatalogEntry, CatalogError
@@ -63,6 +64,8 @@ class Report(Record):
 
 def load_script(name: str) -> str:
     path = resources.files("multlab") / "scripts" / name
+    if not path.is_file():
+        raise CatalogError(f"no bundled script {name!r}")
     return path.read_text()
 
 
@@ -89,7 +92,7 @@ def _expect_failures(entry: CatalogEntry, p: int, t: int,
 # Errors that mean a method, an internal identity or a size cap broke on one
 # entry: they become that entry's FAIL record, and the rest of a suite still runs.
 RECORDED_FAILURES = (CrossMethodDisagreement, OracleInconsistency, SizeCapError,
-                     CollectionError, InconsistentPresentation, CatalogError)
+                     CollectionError, InconsistentPresentation, InfiniteCokernel, CatalogError)
 
 
 def verify_entry(computer: Computer, entry_id: str, p: int, method: str = "auto") -> Report:

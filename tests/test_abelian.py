@@ -1,7 +1,9 @@
 """Invariant-factor arithmetic, checked against independent oracles:
 minor-gcd invariants for the p-local SNF, direct solution counting for
-tensors, and row-space counting for the modular eliminator at k = 1."""
+tensors, row-space counting for the modular eliminator at k = 1, and the
+dense eliminator on every row set the suites hand `snf`."""
 
+import sys
 from itertools import combinations
 from math import gcd, prod
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from multlab import abelian, oracle
 from multlab.abelian import (
     AbelianGroup,
+    InfiniteCokernel,
     _kernel_mod,
     _snf_local,
     direct_sum,
@@ -21,12 +24,12 @@ from multlab.abelian import (
     prime_power,
     snf,
     snf_group,
-    snf_sparse,
     tensor,
     valuation,
 )
 from multlab.oracle import cycle_relations, multiplier_via_oracle
-from multlab.pcgroup import abelianization, cayley_table
+from multlab.pcgroup import abelianization, cayley_table, multiplier_via_tails
+from multlab.report import verify_theorem
 
 PRIMES = [2, 3, 5, 7, 11, 13, 101]
 
@@ -65,6 +68,12 @@ def int64_limit(p):
     return k
 
 
+def snf_of(matrix, p, k):
+    """`snf` on a dense integer matrix, its rows handed over as {column: entry} dicts."""
+    return snf([{j: v for j, v in enumerate(row) if v} for row in matrix],
+               len(matrix[0]) if matrix else 0, p, k)
+
+
 def local_valuations(invariants, p, k):
     """What `snf` at (p, k) should read off integer invariant factors."""
     return [min(valuation(abs(d), p), k) if d else k for d in invariants]
@@ -75,24 +84,24 @@ class TestSnf:
     invariant d reads as min(v_p(d), k), and d = 0 as k."""
 
     def test_zero_matrix(self):
-        assert snf([[0, 0], [0, 0]], 3, 4) == [4, 4]
+        assert snf_of([[0, 0], [0, 0]], 3, 4) == [4, 4]
 
     def test_diag_2_3(self):
-        assert snf([[2, 0], [0, 3]], 2, 3) == [0, 1]
-        assert snf([[2, 0], [0, 3]], 3, 3) == [0, 1]
+        assert snf_of([[2, 0], [0, 3]], 2, 3) == [0, 1]
+        assert snf_of([[2, 0], [0, 3]], 3, 3) == [0, 1]
 
     def test_known_rectangular(self):
-        assert snf([[2, 4], [6, 8]], 2, 5) == [1, 2]
+        assert snf_of([[2, 4], [6, 8]], 2, 5) == [1, 2]
 
     def test_empty(self):
-        assert snf([], 5, 2) == []
+        assert snf_of([], 5, 2) == []
 
     def test_prime_to_p_torsion_is_invisible(self):
-        assert snf([[5, 0], [0, 9]], 3, 3) == [0, 2]
+        assert snf_of([[5, 0], [0, 9]], 3, 3) == [0, 2]
 
     def test_torsion_at_k_reads_as_free(self):
         # Z/9 + Z/27 and Z/9 + Z read alike at k = 3
-        assert snf([[27, 0], [0, 9]], 3, 3) == snf([[9, 0]], 3, 3) == [2, 3]
+        assert snf_of([[27, 0], [0, 9]], 3, 3) == snf_of([[9, 0]], 3, 3) == [2, 3]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
     @pytest.mark.parametrize("side", ["small", "int64", "object"])
@@ -104,7 +113,7 @@ class TestSnf:
         entry = st.integers(-p ** (k + 1), p ** (k + 1)) | st.integers(-9, 9)
         rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                                   min_size=1, max_size=4))
-        assert snf(rows, p, k) == local_valuations(minor_gcd_invariants(rows), p, k)
+        assert snf_of(rows, p, k) == local_valuations(minor_gcd_invariants(rows), p, k)
 
     def test_object_dtype_keeps_products_exact(self):
         # residues near m = p^k with determinant p^5: in int64 the products
@@ -112,12 +121,12 @@ class TestSnf:
         p = 13
         k = int64_limit(p) + 1
         m = p ** k
-        assert snf([[m - 1, m - 2], [m - 3, m - 6 - p ** 5]], p, k) == [0, 5]
+        assert snf_of([[m - 1, m - 2], [m - 3, m - 6 - p ** 5]], p, k) == [0, 5]
 
     def test_snf_group_rejects_free_columns(self):
-        with pytest.raises(ValueError, match="infinite"):
-            snf_group([[3, 0]], 3, 2)
-        assert snf_group([[9, 3], [0, 3]], 3, 4) == AbelianGroup.from_orders([3, 9])
+        with pytest.raises(InfiniteCokernel, match="infinite: 1 of 2 columns free"):
+            snf_group([{0: 3}], 2, 3, 2)
+        assert snf_group([{0: 9, 1: 3}, {1: 3}], 2, 3, 4) == AbelianGroup.from_orders([3, 9])
 
 
 def brute_rank_mod_p(a, p):
@@ -339,7 +348,7 @@ def permuted(rows, width, rng):
 
 
 class TestSparseFront:
-    """`snf_sparse` consumes its rows, keeps each unit pivot's row free of
+    """`snf` consumes its rows, keeps each unit pivot's row free of
     the other pivots' columns, reduces each row by one pass over its pivot
     columns and finishes the unit-free rows by least valuation; the
     valuations must be those of `_snf_local` on the whole matrix, whatever
@@ -355,20 +364,20 @@ class TestSparseFront:
 
     @pytest.mark.parametrize("p, k", [(2, 3), (3, 2), (5, 2)])
     def test_unreduced_and_negative_entries(self, p, k):
-        # the rows go to `snf_sparse` as they are, without `snf`'s reduction:
-        # multiples of p^k in any sign, negative units and non-units
+        # the rows go to `snf` as they are, unreduced: multiples of p^k in
+        # any sign, negative units and non-units
         m = p ** k
         rows = [{0: m, 1: -1, 2: 3 * m + p}, {0: -m - 1, 2: -p, 3: 2 * m},
                 {1: p - m, 3: -5 * m}, {2: -2 * m, 3: p * p - m}]
         want = self.dense_valuations(rows, 4, p, k)
-        assert snf_sparse([dict(row) for row in rows], 4, p, k) == want
-        assert snf([[row.get(j, 0) for j in range(4)] for row in rows], p, k) == want
+        assert snf([dict(row) for row in rows], 4, p, k) == want
+        assert snf_of([[row.get(j, 0) for j in range(4)] for row in rows], p, k) == want
 
     def test_row_that_is_zero_mod_p_to_the_k(self):
         # untouched multiples of 27 are zero mod 27 and must be dropped before
         # the finish, which would read 81 as a pivot of valuation 4
-        assert snf_sparse([{0: 81, 2: -54}], 3, 3, 3) == [3, 3, 3]
-        assert snf_sparse([{0: 27, 2: -54}, {1: 9, 2: 81}], 3, 3, 3) == [2, 3, 3]
+        assert snf([{0: 81, 2: -54}], 3, 3, 3) == [3, 3, 3]
+        assert snf([{0: 27, 2: -54}, {1: 9, 2: 81}], 3, 3, 3) == [2, 3, 3]
 
     def test_update_cancelling_at_a_column_the_row_lacks(self):
         # mod 4: reducing row 1 by row 0's pivot on column 0 adds -2 * 2 = 0
@@ -378,7 +387,7 @@ class TestSparseFront:
         rows = [{0: 1, 1: 2}, {0: 2, 4: 1}, {5: 1, 2: 2}, {2: 1, 3: 2}]
         want = self.dense_valuations(rows, 6, 2, 2)
         assert want == [0, 0, 0, 0, 2, 2]
-        assert snf_sparse(rows, 6, 2, 2) == want
+        assert snf(rows, 6, 2, 2) == want
 
     @pytest.mark.parametrize("n", [2, 40])
     def test_long_pivot_chain(self, n):
@@ -391,7 +400,7 @@ class TestSparseFront:
                 + [{0: 1, n: 1, n + 1: 1}])
         want = self.dense_valuations(rows, n + 2, 3, 4)
         assert want == [0] * (n + 1) + [2]
-        assert snf_sparse(rows, n + 2, 3, 4) == want
+        assert snf(rows, n + 2, 3, 4) == want
 
     @pytest.mark.parametrize("p", [2, 3, 5, 13])
     @pytest.mark.parametrize("side", ["int64", "object"])
@@ -404,7 +413,7 @@ class TestSparseFront:
             rows = random_sparse_rows(rng, p, k)
             reduced = np.array([[v % p ** k for v in row] for row in rows], dtype=object)
             want, _ = _snf_local(reduced, p, k)
-            assert snf(rows, p, k) == want + [k] * (len(rows[0]) - len(want))
+            assert snf_of(rows, p, k) == want + [k] * (len(rows[0]) - len(want))
 
     @pytest.mark.parametrize("p", [2, 3, 5, 13])
     @pytest.mark.parametrize("side", ["int64", "object"])
@@ -415,9 +424,9 @@ class TestSparseFront:
             dense = random_sparse_rows(rng, p, k)
             width = len(dense[0])
             rows = [{j: v for j, v in enumerate(row) if v} for row in dense]
-            want = snf_sparse([dict(row) for row in rows], width, p, k)  # it consumes rows
+            want = snf([dict(row) for row in rows], width, p, k)  # it consumes rows
             for _ in range(3):
-                assert snf_sparse(permuted(rows, width, rng), width, p, k) == want
+                assert snf(permuted(rows, width, rng), width, p, k) == want
 
     @pytest.mark.parametrize("eid", ["T6_xiv", "T6_xx"])
     def test_oracle_rows_do_not_depend_on_their_order(self, catalog, eid):
@@ -425,17 +434,17 @@ class TestSparseFront:
         width, blocks = cycle_relations(*table.actions(table.generating_set()))
         rows = [row for block in blocks for row in block]
         k = valuation(table.n, 2) + 1
-        want = snf_sparse([dict(row) for row in rows], width, 2, k)  # it consumes rows
+        want = snf([dict(row) for row in rows], width, 2, k)  # it consumes rows
         assert want.count(k) == len(table.generating_set())
         rng = np.random.default_rng(len(rows))
         for _ in range(3):
-            assert snf_sparse(permuted(rows, width, rng), width, 2, k) == want
+            assert snf(permuted(rows, width, rng), width, 2, k) == want
 
     def test_unit_free_rows_reach_the_valuation_finish(self):
         # rows 0 and 1 pivot on units; row 2 is zero mod 3 and waits
         # (determinant 9); the pivots leave it at 9 e_2
-        assert snf([[1, 2, 0], [0, 1, 1], [3, 6, 9]], 3, 4) == [0, 0, 2]
-        assert snf_sparse([{0: 1, 1: 2}, {1: 1, 2: 1}, {0: 3, 1: 6, 2: 9}], 3, 3, 4) == [0, 0, 2]
+        assert snf_of([[1, 2, 0], [0, 1, 1], [3, 6, 9]], 3, 4) == [0, 0, 2]
+        assert snf([{0: 1, 1: 2}, {1: 1, 2: 1}, {0: 3, 1: 6, 2: 9}], 3, 3, 4) == [0, 0, 2]
 
     def test_finish_pivots_on_least_valuation_through_fill_in(self):
         # the unit row pivots on column 3; rows 1 and 2 finish.  3 at (1, 0)
@@ -445,7 +454,7 @@ class TestSparseFront:
         matrix = [[0, 2, 0, 1], [3, 9, 0, 0], [9, 0, 81, 0]]
         want, _ = _snf_local(np.array(matrix, dtype=object), 3, 6)
         assert want == [0, 1, 3]
-        assert snf(matrix, 3, 6) == [0, 1, 3, 6]
+        assert snf_of(matrix, 3, 6) == [0, 1, 3, 6]
 
     def test_waiting_row_is_reduced_against_later_pivots(self):
         # row 1 loses its units to row 0's pivot and waits as 3 e_2; row 2
@@ -455,16 +464,15 @@ class TestSparseFront:
         dense = np.array([[row.get(j, 0) for j in range(5)] for row in rows], dtype=object)
         want, _ = _snf_local(dense, 3, 4)
         assert want == [0, 0, 2]
-        assert snf_sparse(rows, 5, 3, 4) == [0, 0, 2, 4, 4]
+        assert snf(rows, 5, 3, 4) == [0, 0, 2, 4, 4]
 
     def test_no_dense_eliminator_on_the_snf_path(self, catalog, monkeypatch, clear_memos):
-        # tails read through `snf`, the abelianization through `snf_group`,
-        # and the oracle through `snf_sparse`, with `_snf_local` forbidden
+        # tails, the abelianization and the oracle all read through `snf`,
+        # with `_snf_local` forbidden
         pres = catalog.instantiate("T6_xiv", 2)
-        k = pres.order_exponent + 1
 
         def run():
-            return (snf(pres._tail_rows, 2, k), abelianization(pres),
+            return (multiplier_via_tails(pres).invariants, abelianization(pres),
                     multiplier_via_oracle(pres).invariants)
 
         want = run()
@@ -476,3 +484,33 @@ class TestSparseFront:
         monkeypatch.setattr(abelian, "_snf_local", forbidden)
         monkeypatch.setattr(oracle, "_snf_local", forbidden)
         assert run() == want
+
+
+class TestSuiteTraffic:
+    """Every row set the suites hand `snf` -- tails, G^ab, abelian
+    subgroups, Blackburn-Evens ranks and the oracle's relations -- reads the
+    valuations `_snf_local` gives on the same rows made dense."""
+
+    def test_snf_agrees_with_the_dense_eliminator(self, monkeypatch, clear_memos):
+        real, calls = snf, []
+
+        def recorded(rows, width, p, k):
+            calls.append([[dict(row) for row in rows], width, p, k])  # snf consumes rows
+            calls[-1].append(real(rows, width, p, k))
+            return calls[-1][-1]
+
+        patched = set()
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("multlab") and getattr(mod, "snf", None) is real:
+                monkeypatch.setattr(mod, "snf", recorded)
+                patched.add(name.removeprefix("multlab."))
+        assert {"abelian", "pcgroup", "blackburn_evens", "oracle"} <= patched
+        clear_memos()  # else G^ab and the series come from memos
+        reports = [r for p, part in ((2, "two"), (3, "odd"), (5, "odd"))
+                   for r in verify_theorem(p, part)]
+        traces = [line for r in reports for line in r.trace]
+        assert any(line.startswith("oracle: N=") for line in traces)
+        assert any(line.startswith("blackburn_evens:") for line in traces)
+        for rows, width, p, k, got in calls:
+            assert got == TestSparseFront.dense_valuations(rows, width, p, k), (width, p, k)
+        assert len(calls) >= 100

@@ -3,6 +3,7 @@ pairing and power map against collection, the spanning-set soundness of X1
 and X2, the rank count of extension_data against a kernel, and what the
 construction reads of the group (the lower central series only)."""
 
+import copy
 import itertools
 import sys
 
@@ -27,6 +28,7 @@ from multlab.pcgroup import (
     InconsistentPresentation,
     _central_quotient_map,
     direct_product,
+    multiplier_via_tails,
 )
 from multlab.results import METHOD_BE
 
@@ -125,6 +127,11 @@ def _odd_instances():
 ODD_INSTANCES, BE_INSTANCES = _odd_instances()
 
 
+def as_pairs(vec):
+    """A dense vector as the (column, entry) pairs of a stored row."""
+    return tuple((j, int(v)) for j, v in enumerate(vec) if v)
+
+
 def assert_matches_collection(data):
     """The pairing and f, read from the stated relations, equal the collected
     [r_a, r_b] and r_a^p of the basis `data.reps`."""
@@ -164,11 +171,27 @@ class TestXRows:
         `jacobi_element` and `power_element` give over the identity basis."""
         data = build_be_data(catalog.instantiate(eid, p))
         eye = [[int(i == j) for j in range(data.dim_v)] for i in range(data.dim_v)]
-        assert data.x_rows == (
+        assert data.x_rows == [as_pairs(x) for x in (
             [data.jacobi_element(u, v, w) for u, v, w in itertools.combinations(eye, 3)]
             + [data.power_element(v) for v in eye]
             + [data.power_element([a + b for a, b in zip(u, v)])
-               for u, v in itertools.combinations(eye, 2)])
+               for u, v in itertools.combinations(eye, 2)])]
+
+
+class TestStoredRows:
+    """The stored rows -- the tail relations and X's -- survive their readers,
+    which hand `snf` fresh dicts of them for it to consume."""
+
+    @pytest.mark.parametrize("eid,p", [i for i in BE_INSTANCES if i.values[1] in (3, 5)])
+    def test_rows_survive_their_readers(self, catalog, eid, p):
+        pres = catalog.instantiate(eid, p)
+        data = build_be_data(pres)
+        stored = copy.deepcopy((pres._tail_rows, data.x_rows))
+        e0 = [1] + [0] * (data.dim_v - 1)
+        runs = [(multiplier_via_tails(pres), extension_data(data),
+                 data.in_x(data.power_element(e0))) for _ in range(2)]
+        assert runs[0] == runs[1] and runs[0][2]
+        assert (pres._tail_rows, data.x_rows) == stored
 
 
 class TestDerivedLeadEntryP:
@@ -250,11 +273,12 @@ class TestExtension:
             power_map = rng.integers(0, p, size=(dim_w, dim_v)) * rng.integers(0, 2)
             data = BeData(p, dim_v, dim_w, [], pairing.tolist(), power_map.T.tolist(), [], 0, None)
             eye = np.eye(dim_v, dtype=np.int64)
-            data.x_rows = (
+            x_dense = (
                 [data.jacobi_element(u, v, w) for u, v, w in itertools.combinations(eye, 3)]
                 + [data.power_element(v) for v in eye]
                 + [data.power_element((u + v) % p) for u, v in itertools.combinations(eye, 2)])
-            data.x_rank = len(_snf_local(data.x_rows, p, 1)[0])
+            data.x_rows = [as_pairs(x) for x in x_dense]
+            data.x_rank = len(_snf_local(x_dense, p, 1)[0])
 
             pairs = list(itertools.combinations(range(dim_v), 2))
             rho = np.array([pairing[i, j] for i, j in pairs], dtype=np.int64).T
@@ -266,7 +290,7 @@ class TestExtension:
             sigma = np.array([np.outer(eye[i], power_map[:, j]).reshape(-1)
                               for i, j in pairs], dtype=np.int64).T
             image = (sigma @ ker % p).T
-            rank_sigma = len(_snf_local(np.vstack([data.x_rows, image]), p, 1)[0])
+            rank_sigma = len(_snf_local(np.vstack([x_dense, image]), p, 1)[0])
             rank_sigma -= data.x_rank
             ext = extension_data(data)
             assert (ext.dim_n, ext.dim_ker_rho, ext.dim_ker_sigma_bar) == (

@@ -440,7 +440,8 @@ class TestReports:
 
     def test_tails_free_rank_mismatch_is_a_fail_record(self, catalog, computer, monkeypatch):
         real_snf = pcgroup.snf
-        monkeypatch.setattr(pcgroup, "snf", lambda rows, p, k: real_snf(rows, p, k) + [k])
+        monkeypatch.setattr(pcgroup, "snf",
+                            lambda rows, width, p, k: real_snf(rows, width, p, k) + [k])
         rep = verify_entry(computer, "T6_xii", 5)
         assert (rep.status, rep.t) == ("FAIL", None)
         assert rep.trace == [
@@ -457,6 +458,34 @@ class TestReports:
         assert (rep.status, rep.t) == ("FAIL", None)
         assert rep.trace == [
             "CrossMethodDisagreement: ESp_p3: blackburn_evens gives [] but tails gives [3,3]"]
+
+    def test_impossible_be_shape_is_a_fail_record(self, computer, monkeypatch):
+        # ker(sigma-bar) larger than ker(rho) would need -1 factors Z_{p^2}
+        import multlab.blackburn_evens as be_mod
+        monkeypatch.setattr(be_mod, "extension_data",
+                            lambda data: be_mod.BeExtensionData(2, 0, 1))
+        rep = verify_entry(computer, "ESp_p3", 3)
+        assert (rep.status, rep.t) == ("FAIL", None)
+        assert rep.trace == ["InconsistentPresentation: Blackburn-Evens: "
+                             "impossible multiplier shape: mu=2, nu=3"]
+
+    def test_free_column_in_the_abelianization_is_a_fail_record(self, computer, monkeypatch,
+                                                                 clear_memos):
+        # one column past G^ab's three generators, which no relation touches
+        real = pcgroup.snf_group
+        monkeypatch.setattr(pcgroup, "snf_group",
+                            lambda rows, width, p, k: real(rows, width + 1, p, k))
+        clear_memos()  # else G^ab comes from the memo
+        rep = verify_entry(computer, "ESp_p3", 3)
+        assert (rep.status, rep.n, rep.t) == ("FAIL", 3, None)
+        assert rep.trace == ["InfiniteCokernel: cokernel is infinite: 1 of 4 columns free"]
+
+    def test_missing_squeeze_script_is_a_fail_record(self):
+        entry = parse_entry("name T6_xii\ngen a p\ngen b p\nsqueeze nope.script\n")
+        reports = verify_theorem(3, "odd", catalog=Catalog({"T6_xii": entry}),
+                                 entry_ids=("T6_xii",))
+        assert [(r.group, r.n, r.status, r.t) for r in reports] == [("T6_xii", 2, "FAIL", None)]
+        assert reports[0].trace == ["CatalogError: no bundled script 'nope.script'"]
 
     def test_exhausted_oracle_cap_is_a_fail_record(self, catalog, computer):
         # T6_xi at p = 3 has order 3^5 = 243, above the oracle cap
@@ -498,7 +527,7 @@ class TestCli:
     def test_replay_missing_script(self, capsys):
         from multlab.cli import main
         assert main(["replay", "--script", "nope"]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err == "error: no bundled script 'nope'\n"
 
     @pytest.mark.parametrize("script,p", [("phi7_15_squeeze.script", 2),
                                           ("d8_wrong_upper.script", 3)])

@@ -15,7 +15,7 @@ import pytest
 from conftest import catalog_instances
 
 from multlab import oracle
-from multlab.abelian import AbelianGroup, _snf_local, exterior_square, snf_sparse, valuation
+from multlab.abelian import AbelianGroup, _snf_local, exterior_square, snf, valuation
 from multlab.cayley import CayleyTable, greedy_generators
 from multlab.compute import Computer
 from multlab.dsl import load_presentation
@@ -506,7 +506,7 @@ def full_graph_multiplier(right, left, p):
     the rows s.c_e - c_e of every cycle of Gamma itself, with no quotient."""
     k = valuation(len(right[0]), p) + 1
     ncycles, blocks = cycle_relations(right, left)
-    vals = snf_sparse([row for block in blocks for row in block], ncycles, p, k)
+    vals = snf([row for block in blocks for row in block], ncycles, p, k)
     return AbelianGroup.of(p, [v for v in vals if v < k]), vals.count(k)
 
 

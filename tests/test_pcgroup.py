@@ -700,7 +700,8 @@ class TestOneLowerSeries:
 
 def _reference_overlap_rows(pres):
     """The overlap family with every side evaluated from unit words as it
-    is bracketed, nothing shared between overlaps."""
+    is bracketed, nothing shared between overlaps; each row lhs - rhs as
+    its nonzero (column, entry) pairs."""
     n = pres.ngens
     width = n + n * (n - 1) // 2
 
@@ -720,7 +721,7 @@ def _reference_overlap_rows(pres):
 
     def row(lhs, rhs):
         assert lhs[0] == rhs[0]
-        return tuple(a - b for a, b in zip(lhs[1], rhs[1]))
+        return tuple((c, a - b) for c, (a, b) in enumerate(zip(lhs[1], rhs[1])) if a != b)
 
     rows = []
     for k in range(n):
