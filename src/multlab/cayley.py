@@ -1,7 +1,8 @@
 """Walks along permutation actions, and Cayley tables as tuples of int tuples:
 the presentation-free view of a group.  The report's oracle picks its
-generators with `greedy_generators` and walks their actions with `walk`;
-the tables serve the H^2 reference and the tests."""
+generators with `greedy_generators`, whose last walk spans the group, and
+reads left multiplication along that walk's tree with `left_by`; the tables
+serve the H^2 reference and the tests."""
 
 from __future__ import annotations
 
@@ -33,21 +34,32 @@ def walk(actions) -> tuple[list[int], dict[int, int], dict[int, int]]:
     return order, parent, letter
 
 
-def greedy_generators(actions) -> list:
-    """The actions, in order, that a walk over the earlier picks misses.
+def left_by(c: int, actions, tree) -> list[int]:
+    """c x for every point x: x's path in `tree`, a walk of the right
+    multiplications `actions` that reached every point, followed from c."""
+    order, parent, letter = tree
+    cx = [c] * len(order)
+    for x, y in parent.items():  # in the order reached, so cx[y] is set
+        cx[x] = actions[letter[x]][cx[y]]
+    return cx
+
+
+def greedy_generators(actions) -> tuple[list, tuple]:
+    """The actions, in order, that a walk over the earlier picks misses,
+    and the walk over all the picks.
 
     Action a is picked when its image of 0, a[0], lies outside the points
     the picks so far reach; the picks stop once they reach all of them.
     For right multiplications, a[0] is the element that acts.
     """
-    picks, reached = [], {0}
+    picks, tree = [], ([0], {}, {})  # the walk over no picks
     for a in actions:
-        if a[0] not in reached:
+        if a[0] and a[0] not in tree[1]:  # parent's keys: the reached points but 0
             picks.append(a)
-            reached = set(walk(picks)[0])
-            if len(reached) == len(a):
+            tree = walk(picks)
+            if len(tree[0]) == len(a):
                 break
-    return picks
+    return picks, tree
 
 
 def _light_associative(t: Table) -> bool:
@@ -61,7 +73,7 @@ def _light_associative(t: Table) -> bool:
     walk over the earlier ones does not reach, so at most log2(N) of them
     are taken for a group.
     """
-    gens = [col[0] for col in greedy_generators(zip(*t))]
+    gens = [col[0] for col in greedy_generators(zip(*t))[0]]
     return all(t[row[s]] == itemgetter(*t[s])(row) for s in gens for row in t)
 
 
@@ -125,10 +137,9 @@ class CayleyTable(Frozen):
         t = self.table
         return CayleyTable([[perm[t[a][b]] for b in inv] for a in inv])
 
-    def actions(self, gens: list[int]) -> tuple[list[list[int]], list[tuple[int, ...]]]:
-        """Right and left multiplication by each of `gens`: its column and its row."""
-        t = self.table
-        return [[row[s] for row in t] for s in gens], [t[s] for s in gens]
+    def actions(self, gens: list[int]) -> list[list[int]]:
+        """Right multiplication by each of `gens`: its column."""
+        return [[row[s] for row in self.table] for s in gens]
 
     def derived_subgroup(self) -> set[int]:
         """G', the subgroup the commutators generate."""
@@ -136,7 +147,7 @@ class CayleyTable(Frozen):
         inv = [row.index(0) for row in t]  # inv[x] is the y with xy = 1
         comms = {t[t[inv[x]][inv[y]]][xy]  # [x, y] = x^-1 y^-1 x y
                  for x, row in enumerate(t) for y, xy in enumerate(row)}
-        return set(walk(self.actions(sorted(comms))[0])[0])
+        return set(walk(self.actions(sorted(comms)))[0])
 
     def power_map(self, e: int) -> list[int]:
         """x^e for every element x, as an index list (e >= 1)."""

@@ -1,10 +1,11 @@
 """Ground-truth Schur multipliers by Hopf's formula, from the actions of a
 generating set on the elements.
 
-The oracle works from right and left multiplication by a generating set S,
-N |S| entries on each side, which `multiplier_via_oracle` reads off a
-presentation and `multiplier_from_table` off a Cayley table's columns and
-rows.  Take the free group F on S and G = F/R.  Hopf's formula gives
+The oracle works from right multiplication by elements that generate G, N
+entries each: the pc generators' on a presentation (`multiplier_via_oracle`)
+or a Cayley table's columns (`multiplier_from_table`).  S is the greedy
+picks among them, and left multiplication is read along the picks' walk
+(`cayley.left_by`).  With F free on S and G = F/R, Hopf's formula gives
 M(G) = (R cap [F,F]) / [F,R], and R/[F,R] = M(G) + Z^|S|: its torsion is
 M(G), and R/(R cap [F,F]) is a subgroup of finite index in F/[F,F] = Z^|S|.
 R is the fundamental group of the Cayley graph Gamma(G, S), so R/[R,R] is
@@ -12,24 +13,25 @@ H_1(Gamma) with G acting by left translation, and R/[F,R] is its module of
 G-coinvariants (Gruenberg, Cohomological Topics in Group Theory, LNM 143,
 1970; Brown, Cohomology of Groups, II.5).
 
-Certificate.  The actions are checked, not trusted: each must be a
-permutation of the N points, each left action must commute with each right
-one, and the walks along either side must reach all N points.  Then the
-right actions generate a transitive group H whose centralizer holds the
-transitive left ones, so both are regular, H has order N, the right walk's
-graph is the Cayley graph of H over S, and each left action is left
-multiplication by its image of the identity.  A failure is an
-`OracleInconsistency`, and so are the two holonomy checks below.  On a
-presentation, S is taken greedily among the pc generators: g_l joins when
-the walk over the earlier picks misses it.
+Certificate.  The actions are checked, not trusted: every input action
+must be a permutation of the N points; the picks' walk must reach them
+all; each pick's left action, read along that walk's tree, must be a
+permutation and commute with each input action; and the left walk must
+reach all N points.  Then the picks generate a transitive group H whose
+centralizer holds the transitive left ones, so both are regular, H has
+order N, the right walk's graph is the Cayley graph of H over S, and each
+left action, and each input action, is multiplication by its image of the
+identity.  Right reach and commuting imply the left walk's reach, so that
+check guards the derivation.  A failure is an `OracleInconsistency`, and
+so are the two holonomy checks below.
 
 Quotient.  The point c is central exactly when s c = c s for every s in S,
-and z x is read by following x's right-walk tree path from z instead of
-from the identity.  Z = <z>, for the first central z of largest order q,
-acts freely on Gamma and commutes with G, so Gamma -> Gamma/Z is a
-covering with G acting on both.  Its fundamental groups are R and R' =
-the preimage of Z in F, and the 5-term sequence of 1 -> R -> R' -> Z -> 1
-(Brown, VII.6), with H_2(R') = H_2(Z) = 0, gives
+and z x is read along the right walk's tree like the left actions.
+Z = <z>, for the first central z of largest order q, acts freely on Gamma
+and commutes with G, so Gamma -> Gamma/Z is a covering with G acting on
+both.  Its fundamental groups are R and R' = the preimage of Z in F, and
+the 5-term sequence of 1 -> R -> R' -> Z -> 1 (Brown, VII.6), with
+H_2(R') = H_2(Z) = 0, gives
 
     0 -> H_1(Gamma)_Z -> H_1(Gamma/Z) -> Z -> 0,
 
@@ -63,7 +65,8 @@ non-tree edges among the translates of the tree path 1 -> z: path_s[parent
 z], plus the translated edge into z if it is off the tree.  The row of e is
 +1 on path_s[y] less path_s[z], -1 on path_s[z] less path_s[y], +1 on s e
 if it is off the tree, and -1 on e.  `cycle_relations` builds these rows
-for any such actions; the oracle gives it the quotient's.
+from any such right actions, along its own walk; the oracle gives it the
+quotient's.
 
 Cokernel.  exp M(G) divides |G| = p^n, so `abelian.snf` reads the
 cokernel over Z_{p^(n+1)} in the rows' own dicts, which it consumes.  Each
@@ -113,7 +116,7 @@ report.
 from __future__ import annotations
 
 from .abelian import AbelianGroup, _kernel_mod, _snf_local, prime_power, snf, valuation
-from .cayley import CayleyTable, greedy_generators, walk
+from .cayley import CayleyTable, greedy_generators, left_by, walk
 from .record import Frozen, Record
 from .results import METHOD_ORACLE, MultiplierResult
 
@@ -208,7 +211,7 @@ def h2_trivial_coeffs(table: CayleyTable, m: int, *,
     t = np.asarray(table.table, dtype=np.int64)
 
     # BFS factorization z = parent[z] * gens[letter[z]], z after 1 in the order reached
-    order, parent, letter = walk(table.actions(gens)[0])
+    order, parent, letter = walk(table.actions(gens))
     if len(order) != n:
         raise RuntimeError("generating set failed to reach the whole group")
 
@@ -349,26 +352,27 @@ def _invariants_from_order_counts(counts: dict[int, int], p: int) -> AbelianGrou
     return AbelianGroup.of(p, out)
 
 
-def cycle_relations(right, left) -> tuple[int, list[list[dict[int, int]]]]:
+def cycle_relations(right) -> tuple[int, list[list[dict[int, int]]]]:
     """The relation rows of H_1(Gamma)_G for Gamma = Gamma(G, S), from the
-    right and left multiplications by each s in S.
+    right multiplications by each s in S; s x is read along the walk.
 
     Returns the number of non-tree edges, which index the cycle basis, and
     for each s in S the block of rows s.c_e - c_e over every cycle c_e,
     as {non-tree edge: signed count} dicts, keys ascending (zeros dropped).
     """
     n, ns = len(right[0]), len(right)
-    order, parent, letter = walk(right)
+    tree = order, parent, letter = walk(right)
     if len(order) != n:
         raise OracleInconsistency(f"oracle: the right walk reaches {len(order)} of {n} points")
-    tree = set(zip(parent.values(), letter.values()))
-    edges = [(y, i) for y in range(n) for i in range(ns) if (y, i) not in tree]
+    tree_edges = set(zip(parent.values(), letter.values()))
+    edges = [(y, i) for y in range(n) for i in range(ns) if (y, i) not in tree_edges]
     col = [[-1] * ns for _ in range(n)]  # col[y][i]: the edge y -> y s_i, -1 on the tree
     for c, (y, i) in enumerate(edges):
         col[y][i] = c
 
     blocks = []
-    for s_left in left:  # s_left[x] = s x
+    for a in right:
+        s_left = left_by(a[0], right, tree)  # s_left[x] = s x
         # path[z]: the non-tree edges among the translates by s of the edges
         # of the tree path 1 -> z, as a bit set (translation is injective)
         path = [0] * n
@@ -405,10 +409,10 @@ def _orbit_length(perm) -> int:
     return n
 
 
-def central_quotient(right, left, zx):
-    """The actions of S on Gamma / <z> for z x = zx[x], with z central, and
-    the holonomy in Z/q of each non-tree edge of the quotient, in the order
-    of `cycle_relations`' columns; q is the order of z.
+def central_quotient(right, zx):
+    """The right actions of S on Gamma / <z> for z x = zx[x], with z
+    central, and the holonomy in Z/q of each non-tree edge of the quotient,
+    in the order of `cycle_relations`' columns; q is the order of z.
 
     The cosets are labelled in order of their least element, so the
     identity's is 0; pos[x] = j for x = z^j times its coset's least element.
@@ -421,7 +425,7 @@ def central_quotient(right, left, zx):
             coset[y], pos[y], y, j = len(reps), j, zx[y], j + 1
         if j:
             reps.append(x)
-    qright, qleft = ([[coset[a[x]] for x in reps] for a in acts] for acts in (right, left))
+    qright = [[coset[a[x]] for x in reps] for a in right]
     _, parent, letter = walk(qright)
     lift = [0] * len(reps)  # lift[c]: the end of the tree path 0 -> c lifted from 0
     for c in parent:
@@ -429,48 +433,46 @@ def central_quotient(right, left, zx):
     tree = set(zip(parent.values(), letter.values()))
     hol = [(pos[a[lift[c]]] - pos[lift[qa[c]]]) % q for c in range(len(reps))
            for i, (a, qa) in enumerate(zip(right, qright)) if (c, i) not in tree]
-    return q, qright, qleft, hol
+    return q, qright, hol
 
 
-def multiplier_from_actions(right, left, p: int) -> MultiplierResult:
+def multiplier_from_actions(actions, p: int) -> MultiplierResult:
     """M(G) as the torsion of the G-coinvariants of H_1 of the Cayley graph,
-    from right[i][x] = x s_i and left[i][x] = s_i x for a generating set S,
-    read on the quotient graph by a central cyclic subgroup (module docstring)."""
-    m = len(right[0]) if right else 1
+    from actions[i][x] = x g_i for g_i that generate G, over S, the greedy
+    picks among them, read on the quotient by a central cyclic subgroup."""
+    m = len(actions[0]) if actions else 1
     k = valuation(m, p) + 1  # exp M(G) divides m = p^(k-1)
     if m != p ** (k - 1):
         raise ValueError(f"the order {m} is not a power of p = {p}")
-    # the certificate (module docstring), all of it on G's own actions
+    # the certificate (module docstring); the walks read every entry of the
+    # inputs, so those are checked first, and the right walk is the picks' last
     full = list(range(m))
-    if any(sorted(a) != full for a in (*right, *left)):
+    if any(sorted(a) != full for a in actions):
         raise OracleInconsistency("oracle: an action is not a permutation of the elements")
-    if any([s[y] for y in r] != [r[y] for y in s] for s in left for r in right):
+    right, tree = greedy_generators(actions)
+    if len(tree[0]) != m:
+        raise OracleInconsistency(f"oracle: the right walk reaches {len(tree[0])} of {m} points")
+    left = [left_by(a[0], right, tree) for a in right]
+    if any(sorted(a) != full for a in left):
+        raise OracleInconsistency("oracle: an action is not a permutation of the elements")
+    if any([s[y] for y in r] != [r[y] for y in s] for s in left for r in actions):
         raise OracleInconsistency("oracle: a left action does not commute with a right one")
     if len(reached := walk(left)[0]) != m:
         raise OracleInconsistency(f"oracle: the left walk reaches {len(reached)} of {m} points")
-    order, parent, letter = walk(right)
-    if len(order) != m:
-        raise OracleInconsistency(f"oracle: the right walk reaches {len(order)} of {m} points")
     if m == 1:
         return MultiplierResult(p, AbelianGroup.trivial(), METHOD_ORACLE,
                                 trace=("oracle: trivial group",))
 
-    def left_by(c):  # c x, along x's tree path from c instead of from 0
-        cx = [c] * m
-        for x in order[1:]:
-            cx[x] = right[letter[x]][cx[parent[x]]]
-        return cx
-
     # z: the first central element of largest order, at N steps per central element
-    zx = max((left_by(c) for c in full if all(a[c] == b[c] for a, b in zip(left, right))),
-             key=_orbit_length)
-    q, qright, qleft, hol = central_quotient(right, left, zx)
+    zx = max((left_by(c, right, tree) for c in full
+              if all(a[c] == b[c] for a, b in zip(left, right))), key=_orbit_length)
+    q, qright, hol = central_quotient(right, zx)
     e0 = next((e for e, h in enumerate(hol) if h % p), None)
     if e0 is None:
         raise OracleInconsistency("oracle: no non-tree edge has unit holonomy")
     inv = pow(hol[e0], -1, q)
     ratio = [h * inv % q for h in hol]  # k_e, and k_e0 = 1
-    ncycles, blocks = cycle_relations(qright, qleft)
+    ncycles, blocks = cycle_relations(qright)
     rows = []
     for block in blocks:
         for row in block:  # into the coordinates of L: e0's is the holonomy sum over q
@@ -497,17 +499,15 @@ def multiplier_from_actions(right, left, p: int) -> MultiplierResult:
 
 
 def multiplier_from_table(table: CayleyTable, p: int) -> MultiplierResult:
-    """`multiplier_from_actions` on the columns and rows of a minimal generating set."""
-    return multiplier_from_actions(*table.actions(table.generating_set()), p)
+    """`multiplier_from_actions` on the columns of a minimal generating set."""
+    return multiplier_from_actions(table.actions(table.generating_set()), p)
 
 
 def multiplier_via_oracle(pres) -> MultiplierResult:
-    """M(G) from the element actions of a presentation, up to DEFAULT_ORACLE_CAP.
-    S is taken greedily among the pc generators."""
-    from .pcgroup import SizeCapError, left_actions, right_actions
+    """M(G) from the pc generators' right actions on the elements of a
+    presentation, up to DEFAULT_ORACLE_CAP."""
+    from .pcgroup import SizeCapError, right_actions
 
     if (n := pres.group_order()) > DEFAULT_ORACLE_CAP:
         raise SizeCapError(f"group order {n} exceeds the oracle cap {DEFAULT_ORACLE_CAP}")
-    right = right_actions(pres)
-    picks = greedy_generators(right)
-    return multiplier_from_actions(picks, left_actions(pres, right, [a[0] for a in picks]), pres.p)
+    return multiplier_from_actions(right_actions(pres), pres.p)

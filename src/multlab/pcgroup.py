@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import prod
 
 from .abelian import AbelianGroup, snf, snf_group, valuation
-from .cayley import CayleyTable
+from .cayley import CayleyTable, left_by, walk
 from .record import Frozen, Record
 from .results import METHOD_TAILS, MultiplierResult
 
@@ -797,27 +797,12 @@ def right_actions(pres: PcPresentation) -> list[list[int]]:
     return [[index[pres.mul_gen(w, l)] for w in words] for l in range(pres.ngens)]
 
 
-def left_actions(pres: PcPresentation, right: list[list[int]], elems) -> list[tuple[int, ...]]:
-    """Left multiplication x -> s x by each s of `elems`, from the right
-    actions, in N |elems| steps and no collection.
-
-    In the lexicographic order, word j is its predecessor (the last nonzero
-    exponent, at l, lowered by one) times g_l, already normal, so
-    s w_j = (s w_{j - strides[l]}) g_l.  Its l is the least with
-    strides[l] | j, since the exponents after l are zero and the one at l
-    is not.
-    """
-    strides = [prod(pres.orders[l + 1:]) for l in range(pres.ngens)]
-    cols = [list(elems)]  # cols[j][i] = elems[i] w_j
-    for j in range(1, pres.group_order()):
-        l = next(l for l, m in enumerate(strides) if j % m == 0)
-        cols.append([right[l][c] for c in cols[j - strides[l]]])
-    return list(zip(*cols))
-
-
 def cayley_table(pres: PcPresentation) -> CayleyTable:
-    """The N x N table: row s is the left action of s."""
-    return CayleyTable(left_actions(pres, right_actions(pres), range(pres.group_order())))
+    """The N x N table: row s is the left action of s, read along the walk
+    of the right actions."""
+    right = right_actions(pres)
+    tree = walk(right)
+    return CayleyTable([left_by(s, right, tree) for s in range(pres.group_order())])
 
 
 def iso_witness_check(src: PcPresentation, dst: PcPresentation,

@@ -431,7 +431,7 @@ class TestSparseFront:
     @pytest.mark.parametrize("eid", ["T6_xiv", "T6_xx"])
     def test_oracle_rows_do_not_depend_on_their_order(self, catalog, eid):
         table = cayley_table(catalog.instantiate(eid, 2))
-        width, blocks = cycle_relations(*table.actions(table.generating_set()))
+        width, blocks = cycle_relations(table.actions(table.generating_set()))
         rows = [row for block in blocks for row in block]
         k = valuation(table.n, 2) + 1
         want = snf([dict(row) for row in rows], width, 2, k)  # it consumes rows

@@ -58,3 +58,4 @@ def test_snf_span_sees_the_oracle_and_tails():
     metrics, trace = _traced_run("T6_xxi", 2)
     assert [line.split(":")[0] for line in trace] == ["oracle", "tails", "auto"]
     assert metrics["abelian.snf.calls"] == 2
+    assert metrics["oracle.multiplier_via_oracle.calls"] == 1

@@ -16,7 +16,7 @@ from conftest import catalog_instances
 
 from multlab import oracle
 from multlab.abelian import AbelianGroup, _snf_local, exterior_square, snf, valuation
-from multlab.cayley import CayleyTable, greedy_generators
+from multlab.cayley import CayleyTable, greedy_generators, left_by, walk
 from multlab.compute import Computer
 from multlab.dsl import load_presentation
 from multlab.oracle import (
@@ -31,7 +31,7 @@ from multlab.oracle import (
     multiplier_from_table,
     multiplier_via_oracle,
 )
-from multlab.pcgroup import (SizeCapError, abelianization, cayley_table, center, left_actions,
+from multlab.pcgroup import (SizeCapError, abelianization, cayley_table, center,
                              multiplier_via_tails, right_actions)
 from multlab.report import run_table24, verify_entry, verify_theorem
 
@@ -353,8 +353,8 @@ class TestHopfAgainstH2:
         subgroup H, of rank 1 + (d - 1)[G:H] > d."""
         real = oracle.cycle_relations
 
-        def short(right, left):
-            ncycles, blocks = real(right, left)
+        def short(right):
+            ncycles, blocks = real(right)
             return ncycles, blocks[1:]
 
         monkeypatch.setattr(oracle, "cycle_relations", short)
@@ -412,7 +412,7 @@ class TestCycleRows:
             perm = [0] + list(rng.permutation(np.arange(1, table.n)))
             for tab in (table, table.relabel(perm)):
                 gens = tab.generating_set()
-                ncycles, blocks = cycle_relations(*tab.actions(gens))
+                ncycles, blocks = cycle_relations(tab.actions(gens))
                 want = naive_cycle_rows(tab, gens)
                 assert ncycles == want[0], eid
                 assert [[list(row.items()) for row in block] for block in blocks] == \
@@ -421,35 +421,39 @@ class TestCycleRows:
         assert checked == tables
 
 
-def presentation_actions(pres):
-    """The oracle's inputs from a presentation: the greedy picks' right and
-    left actions."""
-    right = right_actions(pres)
-    picks = greedy_generators(right)
-    return picks, left_actions(pres, right, [a[0] for a in picks])
+def repeat_an_entry(actions):
+    """The first pc generator's action, a pick, sends 1 where it sends 0."""
+    return [actions[0][:1] * 2 + actions[0][2:]] + actions[1:]
 
 
-def repeat_an_entry(right, left):
-    return right, [left[0][:1] * 2 + left[0][2:]] + left[1:]
+def an_entry_out_of_range(actions):
+    """The first action sends its last point to N, past the last point."""
+    return [actions[0][:-1] + [len(actions[0])]] + actions[1:]
 
 
-def swap_two_entries(right, left):
-    s = list(left[0])
-    s[1], s[2] = s[2], s[1]
-    return right, [s] + left[1:]
+def swap_two_entries(actions):
+    """Two entries swapped in the fourth pc generator's action, the one that
+    the greedy pass does not pick on T6_xx."""
+    a = list(actions[3])
+    a[1], a[2] = a[2], a[1]
+    return actions[:3] + [a] + actions[4:]
 
 
-def drop_a_generator(right, left):
-    return right[1:], left[1:]
+def drop_a_pick(actions):
+    return actions[1:]
 
 
-def drop_a_right_action(right, left):
-    return right[1:], left
+def transitive_not_regular(actions):
+    """a = (0 1) and b = (0 2)(1 3) reach all four points, but the left
+    action of b read along their walk sends 0 and 1 both to 2."""
+    return [[1, 0, 2, 3], [2, 3, 0, 1]]
 
 
-FAULTS = [(repeat_an_entry, "not a permutation"), (swap_two_entries, "does not commute"),
-          (drop_a_generator, "left walk reaches 32 of 64 points"),
-          (drop_a_right_action, "right walk reaches 32 of 64 points")]
+FAULTS = [(repeat_an_entry, "T6_xiv", "not a permutation"),
+          (an_entry_out_of_range, "T6_xiv", "not a permutation"),
+          (swap_two_entries, "T6_xx", "does not commute"),
+          (drop_a_pick, "T6_xiv", "right walk reaches 32 of 64 points"),
+          (transitive_not_regular, "T6_xiv", "not a permutation")]
 
 
 class TestActions:
@@ -460,34 +464,52 @@ class TestActions:
         checked = 0
         for eid, p, pres in instances(catalog, 1, DEFAULT_ORACLE_CAP):
             table = cayley_table(pres)
-            picks, left = presentation_actions(pres)
-            assert len(picks) == len(table.generating_set()), (eid, p)
-            got = multiplier_from_actions(picks, left, p)
+            actions = right_actions(pres)
+            assert len(greedy_generators(actions)[0]) == len(table.generating_set()), (eid, p)
+            got = multiplier_from_actions(actions, p)
             assert got.trace == multiplier_from_table(table, p).trace, (eid, p)
             assert got.invariants == multiplier_via_tails(pres).invariants, (eid, p)
             checked += 1
         assert checked == 42
 
     def test_table_rows_are_the_left_actions(self, catalog):
-        pres = catalog.instantiate("T6_xiv", 2)
-        right = right_actions(pres)
-        table = cayley_table(pres).table
-        assert [[row[a[0]] for row in table] for a in right] == right
-        assert list(left_actions(pres, right, [5, 17])) == [table[5], table[17]]
+        """Each row of the table, read along the walk of the right actions,
+        is left multiplication by collection, and the columns of the pc
+        generators are `right_actions`."""
+        checked = 0
+        for eid, p, pres in instances(catalog, 1, 64, (2, 3)):
+            words = list(pres.elements())
+            index = {w: k for k, w in enumerate(words)}
+            table = cayley_table(pres).table
+            assert table == tuple(tuple(index[pres.mul(s, x)] for x in words)
+                                  for s in words), (eid, p)
+            gens = [index[pres.gen(l)] for l in range(pres.ngens)]
+            assert [[row[g] for row in table] for g in gens] == right_actions(pres), (eid, p)
+            checked += 1
+        assert checked == 24
 
-    @pytest.mark.parametrize("fault,message", FAULTS, ids=[f.__name__ for f, _ in FAULTS])
-    def test_a_broken_certificate_is_a_fail_record(self, catalog, monkeypatch, fault, message):
-        pres = catalog.instantiate("T6_xiv", 2)
+    @pytest.mark.parametrize("fault,eid,message", FAULTS, ids=[f.__name__ for f, _, _ in FAULTS])
+    def test_a_broken_certificate_is_a_fail_record(self, catalog, monkeypatch, fault, eid,
+                                                   message):
+        pres = catalog.instantiate(eid, 2)
         with pytest.raises(OracleInconsistency, match=message):
-            multiplier_from_actions(*fault(*presentation_actions(pres)), 2)
+            multiplier_from_actions(fault(right_actions(pres)), 2)
 
         real = oracle.multiplier_from_actions
         monkeypatch.setattr(oracle, "multiplier_from_actions",
-                            lambda right, left, p: real(*fault(right, left), p))
-        report = verify_entry(Computer(catalog), "T6_xiv", 2)
+                            lambda actions, p: real(fault(actions), p))
+        report = verify_entry(Computer(catalog), eid, 2)
         assert report.status == "FAIL"
         assert report.trace[0].startswith("OracleInconsistency: oracle: ")
         assert message in report.trace[0]
+
+    def test_the_left_walk_check_catches_a_broken_derivation(self, catalog, monkeypatch):
+        """Right reach and commuting imply the left walk's reach, so no input
+        trips that check first; a derivation that reads every left action as
+        the identity does."""
+        monkeypatch.setattr(oracle, "left_by", lambda c, actions, tree: list(range(64)))
+        with pytest.raises(OracleInconsistency, match="left walk reaches 1 of 64 points"):
+            multiplier_via_oracle(catalog.instantiate("T6_xiv", 2))
 
     def test_the_report_path_builds_no_table(self, monkeypatch, clear_memos):
         def forbidden(self):
@@ -501,11 +523,11 @@ class TestActions:
             [(r.group, r.trace) for r in reports if r.status not in ("PASS", "DISABLED")]
 
 
-def full_graph_multiplier(right, left, p):
+def full_graph_multiplier(right, p):
     """M(G) and the free rank by Hopf's formula on the whole Cayley graph:
     the rows s.c_e - c_e of every cycle of Gamma itself, with no quotient."""
     k = valuation(len(right[0]), p) + 1
-    ncycles, blocks = cycle_relations(right, left)
+    ncycles, blocks = cycle_relations(right)
     vals = snf([row for block in blocks for row in block], ncycles, p, k)
     return AbelianGroup.of(p, [v for v in vals if v < k]), vals.count(k)
 
@@ -515,16 +537,19 @@ def quotient_order(result):
 
 
 def non_central_z(real):
-    """z: the first generator that is not central."""
-    return lambda right, left, zx: real(right, left,
-                                        next(s for s, r in zip(left, right) if s != r))
+    """z: the first pick that is not central."""
+    def quotient(right, zx):
+        tree = walk(right)
+        lefts = (left_by(a[0], right, tree) for a in right)
+        return real(right, next(sx for sx, a in zip(lefts, right) if sx != a))
+    return quotient
 
 
 def holonomy_in_2z(real):
     """The holonomies read in 2Z/q, so that at p = 2 none is a unit."""
-    def quotient(right, left, zx):
-        q, qright, qleft, hol = real(right, left, zx)
-        return q, qright, qleft, [2 * h % q for h in hol]
+    def quotient(right, zx):
+        q, qright, hol = real(right, zx)
+        return q, qright, [2 * h % q for h in hol]
     return quotient
 
 
@@ -540,10 +565,11 @@ class TestCentralQuotient:
         largest order of its generators)."""
         checked = 0
         for eid, p, pres in instances(catalog, 1, DEFAULT_ORACLE_CAP):
-            right, left = presentation_actions(pres)
-            got = multiplier_from_actions(right, left, p)
+            actions = right_actions(pres)
+            got = multiplier_from_actions(actions, p)
             want = multiplier_via_tails(pres).invariants
-            assert full_graph_multiplier(right, left, p) == (got.invariants, len(right)), (eid, p)
+            picks, _ = greedy_generators(actions)
+            assert full_graph_multiplier(picks, p) == (got.invariants, len(picks)), (eid, p)
             assert got.invariants == want, (eid, p)
             zs = center(pres).igs.values()
             assert quotient_order(got) == max(map(pres.element_order, zs)), (eid, p)
@@ -557,7 +583,7 @@ class TestCentralQuotient:
         for eid, p, pres in instances(catalog, DEFAULT_ORACLE_CAP + 1, 1300):
             if not any(tail for _, _, tail in pres.comms):
                 continue  # abelian
-            got = multiplier_from_actions(*presentation_actions(pres), p)
+            got = multiplier_from_actions(right_actions(pres), p)
             assert got.invariants == multiplier_via_tails(pres).invariants, (eid, p)
             zs = center(pres).igs.values()
             assert quotient_order(got) == max(map(pres.element_order, zs)), (eid, p)
