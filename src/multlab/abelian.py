@@ -14,13 +14,11 @@ pivots' columns, and the unit-free rows left finish by least-valuation
 pivoting.  Central tails, abelianizations, abelian subgroups, the oracle
 and the tensor construction's ranks hand it dict rows; a stored row (the
 tails', X's) is a tuple of (column, entry) pairs, which its reader copies
-into a fresh dict.  The dense `_snf_local` and `_kernel_mod` import numpy
-themselves and serve only the H^2 reference and the tests.  Every
-cokernel read here is a p-group plus free summands, read exactly while
-p^k exceeds its torsion: at k = n + 1 for a group of order p^n (tails,
-abelianizations, abelian subgroups, the oracle), at k = n for the H^2
-reference, and at k = 1 for ranks, where the valuations 0 count the
-GF(p) rank."""
+into a fresh dict.  Every cokernel read here is a p-group plus free
+summands, read exactly while p^k exceeds its torsion: at k = n + 1 for a
+group of order p^n (tails, abelianizations, abelian subgroups, the
+oracle), and at k = 1 for ranks, where the valuations 0 count the GF(p)
+rank."""
 
 from __future__ import annotations
 
@@ -143,71 +141,6 @@ def _one_prime(*primes: int | None) -> int | None:
 # -- Smith normal form: the one eliminator --------------------------------
 
 
-def _snf_local(a, p: int, k: int, track=None):
-    """Diagonalize over Z_{p^k} by min-valuation pivoting.
-
-    Returns (diagonal valuations, V^T @ track) where the column change of
-    basis satisfies A_new = U A V for some invertible U; neither U nor V is
-    materialized.  A column operation on A is a row operation on V^T, so
-    only V^T @ track is carried along (None: nothing is).  With the
-    global-minimum pivot, one sweep of row operations clears the pivot's
-    column and one sweep of column operations its row, exactly (all
-    quotients divide out), so no Euclid iteration is needed, and the
-    valuations come out ascending.  Entries stay below m = p^k, so every
-    product is below m^2: int64 while m^2 < 2^63, Python ints (object
-    dtype) past that, so the result is exact at every modulus.
-    """
-    import numpy as np
-    m = p ** k
-    dtype = np.int64 if m * m < 2 ** 63 else object
-    a = np.asarray(a, dtype=dtype) % m
-    rows, cols = a.shape
-    x = None if track is None else np.asarray(track, dtype=dtype) % m
-    diag_vals: list[int] = []
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        sub = a[t:, t:]
-        # least p-adic valuation, searching unit entries first
-        pi = pj = -1
-        pv = k
-        for v in range(k):
-            mask = (sub % (p ** (v + 1))) != 0
-            if mask.any():
-                idx = int(np.argmax(mask))
-                pi, pj = divmod(idx, cols - t)
-                pi += t
-                pj += t
-                pv = v
-                break
-        if pi < 0:
-            break
-        if pi != t:
-            a[[t, pi]] = a[[pi, t]]
-        if pj != t:
-            a[:, [t, pj]] = a[:, [pj, t]]
-            if x is not None:
-                x[[t, pj]] = x[[pj, t]]
-        e = int(a[t, t])
-        unit = e // (p ** pv)
-        if unit != 1:
-            a[t] = (a[t] * pow(unit, -1, m)) % m
-        nzr = t + 1 + np.nonzero(a[t + 1:, t])[0]
-        if nzr.size:
-            q = (a[nzr, t] // (p ** pv)) % m
-            a[nzr, t:] = (a[nzr, t:] - q[:, None] * a[t, t:]) % m
-        # column t is now zero outside row t, so the column operations that
-        # clear row t change nothing else; only V^T @ track records them
-        cols_idx = t + 1 + np.nonzero(a[t, t + 1:])[0]
-        if x is not None and cols_idx.size:
-            q = (a[t, cols_idx] // (p ** pv)) % m
-            x[cols_idx] = (x[cols_idx] - q[:, None] * x[t]) % m
-        a[t, t + 1:] = 0
-        diag_vals.append(pv)
-        t += 1
-    return diag_vals, x
-
-
 class InfiniteCokernel(ValueError):
     """A cokernel that must be finite has a free column."""
 
@@ -303,20 +236,6 @@ def snf_group(rows: list[dict[int, int]], width: int, p: int, k: int) -> Abelian
     if free := vals.count(k):
         raise InfiniteCokernel(f"cokernel is infinite: {free} of {width} columns free")
     return AbelianGroup.of(p, vals)
-
-
-def _kernel_mod(rows, width: int, p: int, k: int):
-    """Generators (columns) of the solutions of rows @ u = 0 over Z_{p^k}.
-
-    With U rows V = diag(p^{a_j}), u = V w solves it exactly when each
-    p^{a_j} w_j vanishes, i.e. w_j is a multiple of p^{k-a_j}; coordinates
-    past the last pivot are free (a_j = k), and a unit pivot admits only 0.
-    """
-    import numpy as np
-    diag_vals, v_t = _snf_local(rows, p, k, np.eye(width, dtype=np.int64))
-    a = np.array(diag_vals + [k] * (width - len(diag_vals)), dtype=v_t.dtype)
-    keep = a > 0
-    return (v_t[keep] * p ** (k - a[keep, None]) % p ** k).T
 
 
 # -- tensor / exterior / direct-product calculus ----------------------------

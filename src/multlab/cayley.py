@@ -2,7 +2,8 @@
 the presentation-free view of a group.  The report's oracle picks its
 generators with `greedy_generators`, whose last walk spans the group, and
 reads left multiplication along that walk's tree with `left_by`; the tables
-serve the H^2 reference and the tests."""
+serve the table adapters in `oracle.py` (`multiplier_from_table`,
+`abelianization_from_table`, `h2_trivial_coeffs`) and the tests."""
 
 from __future__ import annotations
 

@@ -77,61 +77,27 @@ rest is finished by least-valuation pivoting.  Summands of valuation
 and their number must be |S| (else `OracleInconsistency`), since
 L_{G/Z} = H_1(Gamma)_G = M(G) + Z^|S|.
 
-`h2_trivial_coeffs` and `abelianization_from_table` are the earlier oracle.
-Nothing in the report calls them; they stay as the independent reference
-the tests compare M(G) with, and because `bench/tracer.py` times them by
-name.  The H^2 path (`h2_trivial_coeffs`, `_mod`, `_restrict`) is dense
-numpy and imports it inside itself, so the report never loads it.  The
-reference rests on this:
-H^2(G, Z_m) for m = |G| splits as Ext(G^ab, Z_m) + Hom(M(G), Z_m), and
-both summands collapse to G^ab and M(G) because their exponents divide
-|G|, so M(G) is the multiset difference of the H^2 and G^ab invariants.
-H^2 is solved over Z_m from the cocycle identity
-
-    f(x,y) + f(xy,z) = f(y,z) + f(x,yz)
-
-written with z = s in S, so that every unknown f(x, z) with z outside S
-is eliminated along the BFS factorization z = y*s and the cocycle space is
-parametrized by the (N-1)*|S| values f(x, s); the identity for arbitrary z
-then follows by induction on word length.  A gauge removes N-1-|S| of
-those values: adding dg, with g built along the tree by
-g(ys) = g(y) + g(s) + f(y, s), sets f(y, s) = 0 on every tree edge with
-y != 1, leaving (N-1)(|S|-1) + |S| unknowns; the coboundaries that keep
-the gauge are spanned by the |S| residual coboundaries dg_j,
-g_j(s_i) = [i = j].  The full cocycle module is the gauged module plus
-one free Z_m summand per dropped edge, so the reported pivots,
-width - #{a_i = 0}, do not depend on the gauge.
-
-The constraints are met block by block: G holds generators of the
-solution module of every block so far, a block B costs the product
-resid = B G mod m, and if some rows are nonzero G becomes G C, C
-generating the kernel of those rows.  One SNF at the end,
-U G^T V = diag(p^{a_i}), gives the cocycle module as the sum of the
-Z/p^{k-a_i} and the coordinates (V^T d)_i / p^{a_i} of a coboundary d; a
-closing pass checks every block against the final G.  Its phi table holds
-N^2 * width entries, O(|G|^3), which is why it no longer serves the
-report.
+`h2_trivial_coeffs` reads H^2(G, Z_m), m = p^k, off G^ab and M(G) by the
+universal coefficient theorem (Brown, Cohomology of Groups, III.1):
+H^2(G, Z_m) = Ext(G^ab, Z_m) + Hom(M(G), Z_m), and each of Ext(Z/p^e, Z_m)
+and Hom(Z/p^e, Z_m) is Z/p^min(e, k).  Nothing in the report calls it or
+`abelianization_from_table`, which reads G^ab from a table's element
+orders; `bench/tracer.py` times both by name.
 """
 
 from __future__ import annotations
 
-from .abelian import AbelianGroup, _kernel_mod, _snf_local, prime_power, snf, valuation
+from .abelian import AbelianGroup, prime_power, snf, valuation
 from .cayley import CayleyTable, greedy_generators, left_by, walk
 from .record import Frozen, Record
 from .results import METHOD_ORACLE, MultiplierResult
 
 DEFAULT_ORACLE_CAP = 128
-DEFAULT_MEMORY_BUDGET = 1 << 30
-
-
-class MemoryBudgetError(MemoryError):
-    pass
 
 
 class OracleInconsistency(RuntimeError):
     """A cornerstone identity broke: the actions fail their certificate, the
-    coinvariants' free rank is not |S|, or the H^2 reference's cocycle
-    checks failed."""
+    coinvariants' free rank is not |S|, or a holonomy check failed."""
 
 
 class EliminationStats(Record):
@@ -144,7 +110,8 @@ class EliminationStats(Record):
 
 
 class H2Result(Frozen):
-    """H^2 with its modulus; the elimination's stats are not compared."""
+    """H^2 with its modulus; the stats, zero since no elimination runs,
+    are not compared."""
 
     _fields = ("modulus", "invariants", "stats")
     _compared = ("modulus", "invariants")
@@ -160,161 +127,22 @@ class H2Result(Frozen):
         return self.invariants.order_exponent(p)
 
 
-def _mod(x, m: int):
-    """x mod m for a float64 array of integers with |x| + m < 2^53.
-
-    x / m is then within half an ulp of no integer it does not equal, so
-    its floor is exact; ten times faster than float64 %.
-    """
-    import numpy as np
-    return x - m * np.floor(x / m)
-
-
-def _residue(block, gens, m: int):
-    # block entries are at most 2N in size and gens entries below m, so every
-    # sum is below 2N * m * width < 2^53: exact in BLAS
-    return _mod(block @ gens, m)
-
-
-def _restrict(gens, block, p: int, k: int):
-    """Generators of {u in span(gens) : block @ u = 0}, from those of span(gens).
-
-    A member gens @ x is annihilated exactly when x solves the residue
-    block @ gens, so gens times that kernel's generators spans the meet.
-    Only the nonzero rows of the residue constrain x; with none, the block
-    is implied and gens stands.
-    """
-    import numpy as np
-    m = p ** k
-    resid = _residue(block, gens, m)
-    dirty = resid.any(axis=1)
-    if not dirty.any():
-        return gens
-    c = _kernel_mod(resid[dirty].astype(np.int64), gens.shape[1], p, k)
-    gens = _mod(gens @ c, m)
-    return gens[:, gens.any(axis=0)]
-
-
-def h2_trivial_coeffs(table: CayleyTable, m: int, *,
-                      memory_budget: int = DEFAULT_MEMORY_BUDGET) -> H2Result:
-    """Invariant factors of H^2(G, Z_m) for the group of a Cayley table.
-    A dense reference that needs numpy, which it imports itself."""
-    import numpy as np
+def h2_trivial_coeffs(table: CayleyTable, m: int) -> H2Result:
+    """Invariant factors of H^2(G, Z_m), m = p^k, for the p-group of a
+    Cayley table: Z/p^min(e, k) for each exponent e of G^ab and of M(G)."""
     p, k = prime_power(m)
-    n = table.n
-    stats = EliminationStats()
-    if n == 1:
-        return H2Result(m, AbelianGroup.trivial(), stats)
-
-    gens = table.generating_set()
-    ns = len(gens)
-    t = np.asarray(table.table, dtype=np.int64)
-
-    # BFS factorization z = parent[z] * gens[letter[z]], z after 1 in the order reached
-    order, parent, letter = walk(table.actions(gens))
-    if len(order) != n:
-        raise RuntimeError("generating set failed to reach the whole group")
-
-    # gauge: f(y, s) = 0 on every tree edge y*s with y != 1.  col[x, si] is
-    # the unknown index of f(x, gens[si]), and -1 where f is fixed at zero
-    # (x = 1 or a tree edge); the free (x, si) are also the blocks below.
-    free = np.ones((n, ns), dtype=bool)
-    free[0] = False
-    free[list(parent.values()), list(letter.values())] = False
-    width = int(free.sum())
-    col = np.full((n, ns), -1, dtype=np.int64)
-    col[free] = np.arange(width)
-
-    entry = np.dtype(np.int32)
-    need = n * n * width * entry.itemsize + (width + n) * width * 8
-    if need > memory_budget:
-        raise MemoryBudgetError(
-            f"estimated {need >> 20} MiB exceeds the budget of {memory_budget >> 20} MiB")
-
-    # DP table: phi[x, z] = coefficient vector of f(x, z) on the unknowns
-    phi = np.zeros((n, n, width), dtype=entry)
-    for si, s in enumerate(gens):
-        rows = np.nonzero(free[:, si])[0]
-        phi[rows, s, col[rows, si]] = 1
-    for z in parent:
-        y, si = parent[z], letter[z]
-        if y == 0:
-            continue
-        # f(x, y s) = f(x, y) + f(xy, s) - f(y, s), and f(y, s) = 0 here
-        phi[:, z, :] = phi[:, y, :]
-        c = col[t[:, y], si]
-        rows = np.nonzero(c >= 0)[0]
-        phi[rows, z, c[rows]] += 1
-
-    def make_block(y: int, si: int) -> np.ndarray:
-        # integer coefficients, unreduced: each phi entry counts at most one
-        # step per letter of a factorization, so it is below N in size
-        z = int(t[y, gens[si]])
-        block = phi[1:, y, :].astype(np.float64)
-        if z != 0:
-            block -= phi[1:, z, :]
-        c = col[t[1:, y], si]
-        rows = np.nonzero(c >= 0)[0]
-        block[rows, c[rows]] += 1
-        block[:, col[y, si]] -= 1
-        return block
-
-    all_blocks = [(y, si) for si in range(ns) for y in range(1, n) if free[y, si]]
-
-    kern = np.eye(width)  # generators of the solutions of every block so far
-    for y, si in all_blocks:
-        block = make_block(y, si)
-        stats.equations += block.shape[0]
-        stats.verified += block.shape[0]
-        kern = _restrict(kern, block, p, k)
-
-    # closing pass: every block must annihilate the final kernel.  Each block
-    # was met with the kernel of the blocks before it, and the kernel only
-    # shrinks, so a dirty block is a broken identity.
-    for y, si in all_blocks:
-        block = make_block(y, si)
-        stats.verified += block.shape[0]
-        if _residue(block, kern, m).any():
-            raise OracleInconsistency(
-                f"cocycle block ({y}, {si}) escapes the final kernel")
-
-    # residual coboundaries dg_j, g_j additive along the tree with
-    # g_j(s_i) = [i = j]: g_j(x) counts the letters s_j of x's tree word.
-    # They span the coboundaries that respect the gauge, so they must vanish
-    # off the unknowns (on the x = 1 row they do by definition).
-    g = np.zeros((n, ns), dtype=np.int64)
-    for z in parent:
-        y, si = parent[z], letter[z]
-        g[z] = g[y]
-        g[z, si] += 1
-    dg = g[:, None, :] + g[gens][None, :, :] - g[t[:, gens]]  # dg[x, si, j]
-    if dg[~free].any():
-        raise OracleInconsistency("a residual coboundary is nonzero on a tree edge")
-    d_cols = dg[free] % m
-
-    # U kern^T V = diag(p^{a_i}): span(kern) is V^{-T} (sum of p^{a_i} e_i),
-    # so a coboundary d has coordinates (V^T d)_i / p^{a_i}
-    diag, wv = _snf_local(kern.T, p, k, d_cols)
-    stats.pivots = width - diag.count(0)
-    tcount = len(diag)
-    a = np.array(diag, dtype=np.int64)
-    scale = p ** a[:, None]
-    if wv[tcount:].any() or (wv[:tcount] % scale).any():
-        raise OracleInconsistency("coboundary escaped the cocycle kernel")
-    coords = wv[:tcount] // scale
-
-    # H^2 = kernel / coboundaries: relation rows p^{k-a_i} g_i = 0, then one
-    # row per coboundary; valuation k marks a Z_{p^k} summand (its order
-    # relation p^k g = 0 vanishes mod m)
-    rel = np.zeros((tcount + ns, tcount), dtype=np.int64)
-    rel[range(tcount), range(tcount)] = p ** (k - a)
-    rel[tcount:] = coords.T
-    invs = AbelianGroup.of(p, snf([dict(enumerate(r)) for r in rel.tolist()], tcount, p, k))
-    return H2Result(m, invs, stats)
+    if table.n % p:
+        return H2Result(m, AbelianGroup.trivial())
+    exps = (abelianization_from_table(table, p).exponents
+            + multiplier_from_table(table, p).invariants.exponents)
+    return H2Result(m, AbelianGroup.of(p, [min(e, k) for e in exps]))
 
 
 def abelianization_from_table(table: CayleyTable, p: int) -> AbelianGroup:
-    """G^ab invariants straight from the table (independent of presentations)."""
+    """G^ab invariants straight from the table (independent of presentations).
+    The order must be a power of p, else the power walk below never ends."""
+    if (n := table.n) != p ** valuation(n, p):
+        raise ValueError(f"the order {n} is not a power of p = {p}")
     dsub = table.derived_subgroup()
     powers = table.power_map(p)
     # coset order profile: least j with x^{p^j} in G'

@@ -7,7 +7,9 @@ interpreter (the tracer patches modules in place) and checks that every
 per-layer metric BENCHMARK.json declares is emitted, that the tracer's
 count of methods run (it reads the first element of what `applicable`
 returns) matches the methods the computation reports, and that its
-`abelian.snf` span sees every Smith form a method takes.
+`abelian.snf` span sees every Smith form a method takes.  The report never
+calls `h2_trivial_coeffs`, so one traced run calls it directly: the names
+the tracer binds for the H^2 layer, and the stats its hook reads, stay.
 """
 
 import ast
@@ -29,21 +31,48 @@ print(json.dumps([tracer.layer_metrics(spans, originals), res.trace]))
 """
 
 
-def _traced_run(entry_id="ESp_p3", p=3):
+TRACED_H2 = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import multlab, tracer
+spans = tracer.Tracer()
+originals = tracer.install(spans)
+table = multlab.cayley_table(multlab.Catalog.bundled().instantiate(sys.argv[3], int(sys.argv[4])))
+res = multlab.oracle.h2_trivial_coeffs(table, 8)
+print(json.dumps([tracer.layer_metrics(spans, originals), res.invariants.render()]))
+"""
+
+
+def _traced_run(entry_id="ESp_p3", p=3, script=TRACED_RUN):
     out = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(ROOT / "src"), str(ROOT / "bench"),
+        [sys.executable, "-c", script, str(ROOT / "src"), str(ROOT / "bench"),
          entry_id, str(p)],
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout)
 
 
-def test_tracer_emits_every_declared_layer():
-    emitted = set(_traced_run()[0])
+def _declared_from_tracer():
     declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     # bench/run.py derives these from report timings, not from the tracer
     derived = {n for n in declared if n.startswith("report.entry.") or n == "trace.overhead_s"}
-    assert derived and declared - derived <= emitted, sorted(declared - derived - emitted)
+    assert derived
+    return declared - derived
+
+
+def test_tracer_emits_every_declared_layer():
+    emitted = set(_traced_run()[0])
+    declared = _declared_from_tracer()
+    assert declared <= emitted, sorted(declared - emitted)
+
+
+def test_tracer_times_the_h2_layer():
+    metrics, h2 = _traced_run("D8", 2, TRACED_H2)  # H^2(D8, Z_8)
+    assert h2 == "[2,2,2]"
+    assert metrics["oracle.h2_trivial_coeffs.calls"] == 1
+    assert metrics["oracle.equations"] == 0
+    declared = _declared_from_tracer()
+    assert declared <= set(metrics), sorted(declared - set(metrics))
 
 
 def test_tracer_counts_the_methods_auto_runs():
