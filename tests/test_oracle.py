@@ -7,6 +7,7 @@ coefficient theorem, frozen values and two references that share no code
 with the oracle: an enumeration of every cochain of a tiny group, and a
 dense eliminator of every cocycle identity."""
 
+import functools
 import itertools
 import re
 
@@ -225,6 +226,14 @@ def h2_dense_full_triples(table, m, p):
     return log_solutions(triple_rows(table), p, k) - log_cob
 
 
+@functools.cache
+def dense_logs(text, p):
+    """log_p |H^2(G, Z/p^j)| by the dense eliminator for j = 0, ..., log_p N."""
+    table = cayley_table(load_presentation(text, p))
+    return [0] + [h2_dense_full_triples(table, p ** j, p)
+                  for j in range(1, valuation(table.n, p) + 1)]
+
+
 DENSE_GROUPS = [(Z22, 2), (D8, 2), (Q8, 2), ("gen a 4\ngen b 2", 2), ("gen a 3\ngen b 3", 3),
                 (ES_P3, 3)]
 
@@ -233,9 +242,37 @@ class TestDenseCrossCheck:
     @pytest.mark.parametrize("text,p", DENSE_GROUPS)
     def test_streamed_equals_dense(self, text, p):
         table = cayley_table(load_presentation(text, p))
-        for m in (table.n, p):  # at m = p every summand of G^ab and M(G) is cut to Z/p
-            fast = h2_trivial_coeffs(table, m)
-            assert fast.invariants.order_exponent(p) == h2_dense_full_triples(table, m, p), m
+        logs = dense_logs(text, p)
+        for j in (len(logs) - 1, 1):  # at m = p every summand of G^ab and M(G) is cut to Z/p
+            fast = h2_trivial_coeffs(table, p ** j)
+            assert fast.invariants.order_exponent(p) == logs[j], j
+
+    @pytest.mark.parametrize("text,p", DENSE_GROUPS)
+    def test_dense_counts_fix_the_invariants(self, text, p):
+        """log_p |H^2(G, Z/p^j)| sums min(e, j) over the exponents e of H^2(G,
+        Z_N), so its rise from j - 1 to j counts the summands of order at
+        least p^j: the dense counts at every j fix the invariants, not just
+        the order."""
+        table = cayley_table(load_presentation(text, p))
+        k = valuation(table.n, p)
+        logs = dense_logs(text, p)
+        at_least = [logs[j] - logs[j - 1] for j in range(1, k + 1)] + [0]
+        exps = [j + 1 for j in range(k) for _ in range(at_least[j] - at_least[j + 1])]
+        assert h2_trivial_coeffs(table, table.n).invariants == AbelianGroup.of(p, exps)
+
+
+class TestH2AgainstPresentation:
+    @pytest.mark.parametrize("eid,p", [("D8", 2), ("T6_xiv", 2), ("T6_xii", 3)])
+    def test_table_equals_presentation_routes(self, catalog, eid, p):
+        """H^2(G, Z/p^j) from the table equals Ext(G^ab) + Hom(M(G)) with G^ab
+        from the relators and M(G) from tails, neither of which reads the
+        table; j runs one past log_p N, so both cut and uncut summands show."""
+        pres = catalog.instantiate(eid, p)
+        table = cayley_table(pres)
+        exps = abelianization(pres).exponents + multiplier_via_tails(pres).invariants.exponents
+        for j in range(1, valuation(table.n, p) + 2):
+            want = AbelianGroup.of(p, [min(e, j) for e in exps])
+            assert h2_trivial_coeffs(table, p ** j).invariants == want, j
 
 
 class TestMultiplier:
