@@ -362,13 +362,13 @@ class ReplayResult(Record):
 
 
 def _resolve_subgroup(pres: PcPresentation, spec: str) -> Subgroup:
-    st = structure_report(pres)
+    """The subgroup `spec` names; only the series specs build the structure report."""
     if spec == "center":
-        return st.center
+        return structure_report(pres).center
     if spec == "derived":
-        return st.derived
+        return structure_report(pres).derived
     if spec.startswith("gamma"):
-        series, idx = st.lower_central, spec[5:]
+        series, idx = structure_report(pres).lower_central, spec[5:]
         if not (idx.isdecimal() and 1 <= int(idx) <= len(series)):
             raise LedgerError(f"{spec!r} is not one of gamma1 ... gamma{len(series)}")
         return series[int(idx) - 1]

@@ -56,10 +56,9 @@ def _parse_scalar(token: str, p: int, line_no: int) -> int:
     if token == "cp3":
         return sign * ((p * (p - 1) * (p - 2) // 6) % p)
     if token.startswith("p^"):
-        try:
-            return sign * p ** int(token[2:])
-        except ValueError:
-            raise DslError(f"bad exponent {token!r}", line_no) from None
+        if not token[2:].isdecimal():  # p^-1 would be the fraction 1/p
+            raise DslError(f"bad exponent {token!r}", line_no)
+        return sign * p ** int(token[2:])
     try:
         return sign * int(token)
     except ValueError:
@@ -195,9 +194,7 @@ def build_presentation(statements, p: int, name: str | None = None) -> PcPresent
         if j <= i:
             raise DslError(
                 f"comm {high} {low}: first generator must have the higher index", line_no)
-        tail = normalize(_parse_word(word_text, gen_index, p, line_no), line_no)
-        if tail:
-            tails.append((j, i, tail))
+        tails.append((j, i, normalize(_parse_word(word_text, gen_index, p, line_no), line_no)))
     try:
         return PcPresentation(
             p=p,

@@ -64,7 +64,9 @@ class PcPresentation(Frozen):
 
     `name` is a label only: presentations with equal relations compare and
     hash equal whatever their names, so the memos below serve them both.
-    The hash is computed once, here, since every memo looks it up."""
+    Every relation is checked, but only commutators with nonempty tails are
+    kept, so `not comms` means G is abelian.  The hash is computed once,
+    here, since every memo looks it up."""
 
     _fields = ("p", "names", "orders", "powers", "comms", "name")
     _compared = ("p", "names", "orders", "powers", "comms")
@@ -93,6 +95,7 @@ class PcPresentation(Frozen):
                 raise ValueError(f"duplicate commutator relation ({j}, {i})")
             seen.add((j, i))
             self._check_tail(tail, i, f"commutator [{self.names[j]},{self.names[i]}]")
+        self._set(comms=tuple(c for c in self.comms if c[2]))
         self._set(_comm_map={(j, i): tail for j, i, tail in self.comms},
                   _hash=hash(self._key()))
         self._set(_tail_rows=check_consistency(self))  # its memo reads _hash
@@ -109,6 +112,8 @@ class PcPresentation(Frozen):
                 raise ValueError(f"{what}: tail not in normal form")
             if k == prev and prev != lhs_min:
                 raise ValueError(f"{what}: repeated generator in tail")
+            if not isinstance(e, int):
+                raise ValueError(f"{what}: exponent {e!r} is not an integer")
             if not 0 < e < self.orders[k]:
                 raise ValueError(f"{what}: exponent {e} out of range for {self.names[k]}")
             prev = k
@@ -533,26 +538,6 @@ def _stated(pres: PcPresentation, tail: Word) -> NormalWord:
     return tuple(dict(tail).get(k, 0) for k in range(pres.ngens))
 
 
-def _descending_series(pres: PcPresentation, p_power: bool) -> list[Subgroup]:
-    """S_1 = G, S_{k+1} = [S_k, G] (times S_k^p when `p_power`), down to and
-    including the trivial term: the lower central series, or the lower
-    exponent-p central series whose last nontrivial term is central and
-    elementary abelian.  [G, G] is the normal closure of the stated tails
-    of [g_j, g_i], so the first step collects no commutator."""
-    gens = [pres.gen(i) for i in range(pres.ngens)]
-    series = [Subgroup.whole(pres)]
-    words = [_stated(pres, tail) for _, _, tail in pres.comms]
-    while series[-1].order_exponent:
-        if p_power:
-            words += [pres.pow_el(u, pres.p) for u in series[-1].igs.values()]
-        nxt = Subgroup.generate(pres, [x for x in words if x != pres.identity], normal=True)
-        if nxt.order_exponent == series[-1].order_exponent:
-            raise InconsistentPresentation("descending central series stalled")
-        series.append(nxt)
-        words = [pres.comm_el(u, g) for u in nxt.igs.values() for g in gens]
-    return series
-
-
 def _lift(u: NormalWord, survivors: list[int], n: int) -> NormalWord:
     """Normal word of G whose image in a quotient with surviving generators
     `survivors` is u."""
@@ -564,26 +549,32 @@ def _lift(u: NormalWord, survivors: list[int], n: int) -> NormalWord:
 
 @lru_cache(maxsize=None)
 def center(pres: PcPresentation) -> Subgroup:
-    """Z(G) by linear algebra down the lower exponent-p central series
-    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 8).
+    """Z(G) by linear algebra down the lower central series (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, ch. 8).
 
-    With N that series' last nontrivial term, Y/N = Z(G/N) comes from the
-    quotient by recursion.  N is central, so x -> ([x, g_i])_i is a
-    homomorphism from Y into the GF(p)-space N^d whose kernel is Z(G).  One
-    GF(p) echelon of the images of Y's igs carries each row's element: with
-    a pivot row r, the image of v, u v^(p-f) has the image row - f r, so a
-    row that reduces to zero names an element of the kernel.  Those, the
-    p-th powers of Y's igs, and N (which holds [Y, Y], so Y/Y^pN is
-    elementary) generate the kernel, of index p^rank, rank the number of
-    pivots.  Cost grows with the number of generators; G is never
-    enumerated.  Z(G) is built once per presentation, and the one Subgroup
-    is shared by every caller, so none may change it.
+    N = <u^(|u|/p) : u in the igs of gamma_c>, gamma_c the series' last
+    nontrivial term.  gamma_c is central, so N is central, hence normal; N
+    is generated by elements of order p in an abelian group, so it is
+    elementary abelian; and gamma_c != 1, so N != 1.  The recursion and the
+    echelon use nothing more.  Y/N = Z(G/N) comes from the quotient by
+    recursion, and x -> ([x, g_i])_i is a homomorphism from Y into the
+    GF(p)-space N^d whose kernel is Z(G).  One GF(p) echelon of the images
+    of Y's igs carries each row's element: with a pivot row r, the image of
+    v, u v^(p-f) has the image row - f r, so a row that reduces to zero
+    names an element of the kernel.  Those, the p-th powers of Y's igs, and
+    N (which holds [Y, Y], so Y/Y^pN is elementary) generate the kernel, of
+    index p^rank, rank the number of pivots.  Cost grows with the number of
+    generators; G is never enumerated.  Z(G) is built once per
+    presentation, and the one Subgroup is shared by every caller, so none
+    may change it.
     """
     p = pres.p
-    if not any(tail for _, _, tail in pres.comms):
+    if not pres.comms:
         return Subgroup.whole(pres)
     gens = [pres.gen(i) for i in range(pres.ngens)]
-    n_sub = _descending_series(pres, p_power=True)[-2]
+    gamma_c = lower_central_series(pres)[-2]
+    n_sub = Subgroup.generate(
+        pres, [pres.pow_el(u, pres.element_order(u) // p) for u in gamma_c.igs.values()])
     quotient, survivors = _central_quotient_map(pres, n_sub)
     lifts = [_lift(u, survivors, pres.ngens) for u in center(quotient).igs.values()]
     y = Subgroup.generate(pres, lifts + list(n_sub.igs.values()))
@@ -607,7 +598,7 @@ def center(pres: PcPresentation) -> Subgroup:
         else:
             inv = pow(row[c], -1, p)
             pivots.append((c, [a * inv % p for a in row], pres.pow_el(u, inv)))
-    z = Subgroup.generate(pres, [x for x in kernel if x != pres.identity])
+    z = Subgroup.generate(pres, kernel)
     rank = len(pivots)
     if z.order_exponent != y.order_exponent - rank:
         raise InconsistentPresentation(
@@ -617,8 +608,20 @@ def center(pres: PcPresentation) -> Subgroup:
 
 @lru_cache(maxsize=None)
 def lower_central_series(pres: PcPresentation) -> list[Subgroup]:
-    """gamma_1 = G >= gamma_2 >= ... >= 1, built once per presentation."""
-    return _descending_series(pres, p_power=False)
+    """gamma_1 = G >= ... >= gamma_{c+1} = 1, gamma_{k+1} = [gamma_k, G],
+    built once per presentation; `center()` reads its central gamma_c.
+    [G, G] is the normal closure of the stated tails of [g_j, g_i], so the
+    first step collects no commutator."""
+    gens = [pres.gen(i) for i in range(pres.ngens)]
+    series = [Subgroup.whole(pres)]
+    words = [_stated(pres, tail) for _, _, tail in pres.comms]
+    while series[-1].order_exponent:
+        nxt = Subgroup.generate(pres, words, normal=True)
+        if nxt.order_exponent == series[-1].order_exponent:
+            raise InconsistentPresentation("lower central series stalled")
+        series.append(nxt)
+        words = [pres.comm_el(u, g) for u in nxt.igs.values() for g in gens]
+    return series
 
 
 def upper_central_series(pres: PcPresentation) -> list[Subgroup]:
@@ -644,52 +647,33 @@ def upper_central_series(pres: PcPresentation) -> list[Subgroup]:
     return series
 
 
-def reduce_mod_central(K: Subgroup, x: NormalWord) -> NormalWord:
-    """The representative of xK whose entry at each lead l of K's igs is
-    below that lead's entry p^v; over the generators that survive in G/K it
-    is the normal word of xK there."""
-    pres = K.pres
-    for l, u in K.igs.items():
-        q = x[l] // u[l]
-        if q:
-            x = pres.ldiv(pres.pow_el(u, q), x)
-    return x
-
-
 def _central_quotient_map(pres: PcPresentation, K: Subgroup) -> tuple[PcPresentation, list[int]]:
     """Quotient presentation of G/K for central K, plus surviving-index map."""
     if K.pres != pres:
         raise ValueError("subgroup belongs to a different presentation")
     if not K.is_central():
         raise ValueError("subgroup is not central")
-    p = pres.p
-    lead_pow = {l: u[l] for l, u in K.igs.items()}
-    new_orders = []
-    survivors = []
-    for i, r in enumerate(pres.orders):
-        nr = lead_pow.get(i, r)
-        if nr > 1:
-            survivors.append(i)
-            new_orders.append(nr)
+    # g_i's order in G/K: the lead entry p^v of K's igs at i, else r_i
+    order = [K.igs[i][i] if i in K.igs else r for i, r in enumerate(pres.orders)]
+    survivors = [i for i, r in enumerate(order) if r > 1]
     pos = {i: t for t, i in enumerate(survivors)}
 
     def project(x: NormalWord) -> Word:
-        x = reduce_mod_central(K, x)
+        """The normal word of xK in G/K: x reduced below each lead of K."""
+        for l, u in K.igs.items():
+            if q := x[l] // u[l]:
+                x = pres.ldiv(pres.pow_el(u, q), x)
         return tuple((pos[i], x[i]) for i in survivors if x[i])
 
-    new_powers = []
-    for t, i in enumerate(survivors):
-        y = pres.pow_el(pres.gen(i), new_orders[t])
-        new_powers.append(project(y))
     new_comms = []  # the stated tails, projected, in (j, i) order
     for j, i, tail in sorted(pres.comms):
-        if j in pos and i in pos and (w := project(_stated(pres, tail))):
-            new_comms.append((pos[j], pos[i], w))
+        if j in pos and i in pos:
+            new_comms.append((pos[j], pos[i], project(_stated(pres, tail))))
     q = PcPresentation(
-        p=p,
+        p=pres.p,
         names=tuple(pres.names[i] for i in survivors),
-        orders=tuple(new_orders),
-        powers=tuple(new_powers),
+        orders=tuple(order[i] for i in survivors),
+        powers=tuple(project(pres.pow_el(pres.gen(i), order[i])) for i in survivors),
         comms=tuple(new_comms),
         name=f"{pres.name}/K" if pres.name else None,
     )

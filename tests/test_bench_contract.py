@@ -10,6 +10,9 @@ returns) matches the methods the computation reports, and that its
 `abelian.snf` span sees every Smith form a method takes.  The report never
 calls `h2_trivial_coeffs`, so one traced run calls it directly: the names
 the tracer binds for the H^2 layer, and the stats its hook reads, stay.
+A traced `verify_entry` of `T6_xi` at p = 5 checks that the structure spans
+bench/check_trace.py expects on `odd5` fire; they fire only through that
+entry's squeeze replay.
 """
 
 import ast
@@ -40,6 +43,18 @@ originals = tracer.install(spans)
 table = multlab.cayley_table(multlab.Catalog.bundled().instantiate(sys.argv[3], int(sys.argv[4])))
 res = multlab.oracle.h2_trivial_coeffs(table, 8)
 print(json.dumps([tracer.layer_metrics(spans, originals), res.invariants.render()]))
+"""
+
+
+TRACED_VERIFY = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import multlab, tracer
+spans = tracer.Tracer()
+originals = tracer.install(spans)
+report = multlab.verify_entry(multlab.Computer(multlab.Catalog.bundled()),
+                              sys.argv[3], int(sys.argv[4]))
+print(json.dumps([tracer.layer_metrics(spans, originals), report.status]))
 """
 
 
@@ -88,3 +103,13 @@ def test_snf_span_sees_the_oracle_and_tails():
     assert [line.split(":")[0] for line in trace] == ["oracle", "tails", "auto"]
     assert metrics["abelian.snf.calls"] == 2
     assert metrics["oracle.multiplier_via_oracle.calls"] == 1
+
+
+def test_replay_fires_the_structure_spans():
+    # T6_xi's squeeze script takes Z = center: the structure entries that
+    # bench/check_trace.py expects to fire on odd5
+    metrics, status = _traced_run("T6_xi", 5, TRACED_VERIFY)
+    assert status == "PASS"
+    for name in ("pcgroup.center.calls", "pcgroup.center.s", "pcgroup.structure_report.s",
+                 "pcgroup.lower_central_series.calls", "bounds.replay_script.calls"):
+        assert metrics[name] > 0, name

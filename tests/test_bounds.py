@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from multlab import bounds
 from multlab.abelian import AbelianGroup
 from multlab.bounds import (
     KIND_CAPABLE,
@@ -382,6 +383,18 @@ class TestReplay:
         assert _resolve_subgroup(pres, "gamma3") == Subgroup.trivial(pres)
         with pytest.raises(ReplayAssertionError, match="step 2 .*: K is trivial"):
             replay_script("use ESp_p3\napply jones K=gamma3", 3, computer)
+
+    def test_generator_spec_builds_no_structure_report(self, computer, monkeypatch):
+        pres = computer.catalog.instantiate("ESp_p3", 3)
+
+        def refuse(_):
+            raise AssertionError("structure_report called")
+
+        monkeypatch.setattr(bounds, "structure_report", refuse)
+        got = _resolve_subgroup(pres, "gens:a1,a2")
+        assert got == Subgroup.generate(pres, [pres.gen(1), pres.gen(2)])
+        with pytest.raises(AssertionError, match="structure_report called"):
+            _resolve_subgroup(pres, "center")
 
     def test_assumed_facts_are_read_off_the_ledger(self):
         led = Ledger()

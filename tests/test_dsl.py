@@ -59,6 +59,16 @@ class TestParsing:
             load_presentation(text, 3)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("gen a p^-1", "line 1: bad exponent 'p^-1'"),
+        ("gen a p\ngen b p\ncomm b a = b^p^-1", "line 3: bad exponent 'p^-1'"),
+        ("gen a p\ngen b p\npow a = b^-p^-2", "line 3: bad exponent 'p^-2'"),
+    ], ids=["order", "comm-word", "pow-word-negated"])
+    def test_negative_power_of_p_is_a_bad_exponent(self, text, message):
+        with pytest.raises(DslError) as exc:
+            load_presentation(text, 3)
+        assert str(exc.value) == message
+
 
 class TestInstantiation:
     def test_parametric_orders(self):

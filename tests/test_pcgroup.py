@@ -140,6 +140,38 @@ class TestConsistency:
         check_consistency(pres)
         assert pres.group_order() == 1
 
+    def test_tail_exponent_must_be_an_integer(self):
+        for e in (0.5, 1.0):
+            with pytest.raises(ValueError, match=rf"exponent {e} is not an integer"):
+                PcPresentation(3, ("a", "b"), (3, 3), ((), ()), ((1, 0, ((1, e),)),))
+
+
+class TestStatedTrivialCommutator:
+    """[b, a] = 1 stated is the same presentation as [b, a] left out."""
+
+    STATED = PcPresentation(2, ("a", "b"), (2, 2), ((), ()), ((1, 0, ()),))
+    OMITTED = PcPresentation(2, ("a", "b"), (2, 2), ((), ()), ())
+
+    def test_dropped_when_built(self):
+        assert self.STATED.comms == ()
+        assert self.STATED == self.OMITTED and hash(self.STATED) == hash(self.OMITTED)
+        assert center(self.STATED) == Subgroup.whole(self.STATED)
+
+    def test_the_abelian_method_applies(self, computer):
+        methods, _ = computer.applicable(self.STATED, None)
+        assert "abelian" in methods
+        res = computer.compute(self.STATED, method="abelian")
+        assert res.invariants.render() == "[2]"
+        auto = computer.compute(self.STATED)
+        assert auto.invariants == res.invariants
+        assert f"auto: methods {methods} agree" in auto.trace
+
+    def test_still_validated(self):
+        with pytest.raises(ValueError, match=r"bad commutator index pair \(0, 1\)"):
+            PcPresentation(2, ("a", "b"), (2, 2), ((), ()), ((0, 1, ()),))
+        with pytest.raises(ValueError, match=r"duplicate commutator relation \(1, 0\)"):
+            PcPresentation(2, ("a", "b"), (2, 2), ((), ()), ((1, 0, ()), (1, 0, ())))
+
 
 class TestTails:
     """Central tails against every other method and the catalog's
@@ -681,21 +713,28 @@ class TestOneLowerSeries:
         if not pres.comms:
             assert center(pres) == Subgroup.whole(pres)
 
-    def test_auto_builds_each_series_once(self, catalog, computer, monkeypatch):
+    def test_auto_builds_each_series_once(self, catalog, computer, monkeypatch, clear_memos):
+        # each step down the series is one normal closure, and nothing else
+        # takes one, so a series built once per presentation takes one
+        # closure per nontrivial term after G; the structure report after
+        # the `auto` run reads the same series for its centre's N
         pres = catalog.instantiate("T6_ii", 5)
-        lower_central_series.cache_clear()
-        builds = Counter()
-        descend = pcgroup._descending_series
+        clear_memos()
+        closures = Counter()
+        generate = Subgroup.generate.__func__
 
-        def counted(q, p_power):
-            builds[q, p_power] += 1
-            return descend(q, p_power)
+        def counted(cls, q, gens, normal=False):
+            if normal:
+                closures[q] += 1
+            return generate(cls, q, gens, normal)
 
-        monkeypatch.setattr(pcgroup, "_descending_series", counted)
+        monkeypatch.setattr(Subgroup, "generate", classmethod(counted))
         res = computer.compute("T6_ii", 5)
+        structure_report(pres)
+        monkeypatch.undo()
         assert "blackburn_evens" in [line.split(":")[0] for line in res.trace]
-        lower = {q: n for (q, p_power), n in builds.items() if not p_power}
-        assert pres in lower and set(lower.values()) == {1}
+        assert closures[pres] == len(lower_central_series(pres)) - 1 > 0
+        assert all(n == len(lower_central_series(q)) - 1 for q, n in closures.items())
 
 
 def _reference_overlap_rows(pres):
