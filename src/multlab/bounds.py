@@ -4,9 +4,10 @@ Facts record what is known about |M(G)| for a named group: exact orders,
 upper/lower bounds (as exponents of p), exact structures, and capability
 witnesses.  Provenance is always one of Computed(method), Rule(name,
 premises), or Assumed(citation); rules refuse to run without their premises
-rather than assuming anything silently.  Strict inequalities are promoted
-to the next p-power, which is what makes "p^3 < |M|" machine-usable as
-">= p^4".
+rather than assuming anything silently.  A rule that reads |M(G/N)| runs all
+its refusals before it builds G/N and asks its premise function for that
+fact.  Strict inequalities are promoted to the next p-power, which is what
+makes "p^3 < |M|" machine-usable as ">= p^4".
 
 Replay scripts are small text programs (use / assume / apply / compute /
 expect) that re-derive bound chains step by step and assert the declared
@@ -16,9 +17,12 @@ reads their lines; only `assume` takes a citation.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from functools import partial
+
 from .abelian import AbelianGroup, exterior_square, tensor
 from .compute import Computer
-from .dsl import DslError, parse_order, read_line
+from .dsl import DslError, ascii_digits, parse_order, read_line
 from .pcgroup import (
     PcPresentation,
     Subgroup,
@@ -29,7 +33,6 @@ from .pcgroup import (
     structure_report,
 )
 from .record import Frozen, Record
-from .results import MultiplierResult
 
 KIND_EXACT = "exact-order"
 KIND_UPPER = "upper-bound"
@@ -38,6 +41,8 @@ KIND_STRUCTURE = "exact-structure"
 KIND_CAPABLE = "capability"
 
 _KINDS = (KIND_EXACT, KIND_UPPER, KIND_LOWER, KIND_STRUCTURE, KIND_CAPABLE)
+# a quotient rule's source of its fact on |M(G/N)|, called with G/N
+Premise = Callable[[PcPresentation], "Fact | None"]
 
 
 class LedgerError(ValueError):
@@ -203,13 +208,16 @@ def rule_green(ledger: Ledger, subject: str, p: int, n: int) -> Fact:
                       provenance=Provenance.computed("green-bound"))
 
 
-def _order_premise(premise: Fact | None, wanted: str, allowed=(KIND_EXACT, KIND_UPPER)):
-    if premise is None:
+def _quotient_premise(premise: Premise, pres: PcPresentation, N: Subgroup, wanted: str,
+                      allowed=(KIND_EXACT, KIND_UPPER)) -> Fact:
+    """The fact `premise` gives for G/N, built here once the rule's refusals have passed."""
+    fact = premise(central_quotient(pres, N))
+    if fact is None:
         raise MissingPremiseError(f"need a fact for {wanted}")
-    if premise.kind not in allowed:
+    if fact.kind not in allowed:
         raise MissingPremiseError(
-            f"premise for {wanted} must be one of {allowed}, got {premise.kind}")
-    return premise.exponent
+            f"premise for {wanted} must be one of {allowed}, got {fact.kind}")
+    return fact
 
 
 def _derived_meet_exponent(pres: PcPresentation, K: Subgroup) -> int:
@@ -220,32 +228,34 @@ def _derived_meet_exponent(pres: PcPresentation, K: Subgroup) -> int:
 
 
 def rule_jones(ledger: Ledger, subject: str, pres: PcPresentation, K: Subgroup,
-               premise: Fact | None) -> Fact:
-    """|M(G)| <= |M(G/K)| |M(K)| |(G/K)^ab (x) K| / |G' cap K| for central K > 1."""
+               premise: Premise) -> Fact:
+    """|M(G)| <= |M(G/K)| |M(K)| |(G/K)^ab (x) K| / |G' cap K| for central K > 1.
+    |M(G/K)| is asked of `premise` once K has passed."""
     if not K.order_exponent:
         raise LedgerError("K is trivial")
     if not K.is_central():
         raise LedgerError("K is not central")
     p = pres.p
-    e_mq = _order_premise(premise, "|M(G/K)|")
+    prem = _quotient_premise(premise, pres, K, "|M(G/K)|")
     k_inv = K.abelian_invariants()
     e_mk = exterior_square(k_inv).order_exponent(p)
     a_ab = abelian_quotient_invariants(pres, list(K.igs.values()))
     e_t = tensor(a_ab, k_inv).order_exponent(p)
     e_cap = _derived_meet_exponent(pres, K)
-    exp = e_mq + e_mk + e_t - e_cap
+    exp = prem.exponent + e_mk + e_t - e_cap
     if exp < 0:
         raise LedgerError("divisibility bound went negative; premises inconsistent")
     return ledger.add(
         subject, KIND_UPPER, p, exponent=exp,
         provenance=Provenance.rule(
-            f"jones[|M(A)|=p^{e_mq},|M(K)|=p^{e_mk},|A^ab(x)K|=p^{e_t},|G'^K|=p^{e_cap}]",
-            (premise.fact_id,)))
+            f"jones[|M(A)|=p^{prem.exponent},|M(K)|=p^{e_mk},|A^ab(x)K|=p^{e_t},|G'^K|=p^{e_cap}]",
+            (prem.fact_id,)))
 
 
 def rule_class_bound(ledger: Ledger, subject: str, pres: PcPresentation,
-                     premise: Fact | None) -> Fact:
-    """|gamma_c| |M(G)| <= |M(G/gamma_c)| |(G/Z_{c-1})^ab (x) gamma_c| at class c >= 2."""
+                     premise: Premise) -> Fact:
+    """|gamma_c| |M(G)| <= |M(G/gamma_c)| |(G/Z_{c-1})^ab (x) gamma_c| at class c >= 2.
+    |M(G/gamma_c)| is asked of `premise` once the class has passed."""
     st = structure_report(pres)
     c = st.nilpotency_class
     if c < 2:
@@ -253,17 +263,17 @@ def rule_class_bound(ledger: Ledger, subject: str, pres: PcPresentation,
     p = pres.p
     gamma_c = st.lower_central[c - 1]
     z_prev = st.upper_central[c - 1]
-    e_mq = _order_premise(premise, "|M(G/gamma_c)|")
+    prem = _quotient_premise(premise, pres, gamma_c, "|M(G/gamma_c)|")
     g_inv = gamma_c.abelian_invariants()
     q_ab = abelian_quotient_invariants(pres, list(z_prev.igs.values()))
     e_t = tensor(q_ab, g_inv).order_exponent(p)
-    exp = e_mq + e_t - gamma_c.order_exponent
+    exp = prem.exponent + e_t - gamma_c.order_exponent
     if exp < 0:
         raise LedgerError("class bound went negative; premises inconsistent")
     return ledger.add(subject, KIND_UPPER, p, exponent=exp,
                       provenance=Provenance.rule(
                           f"class_bound[c={c},|gamma_c|=p^{gamma_c.order_exponent}]",
-                          (premise.fact_id,)))
+                          (prem.fact_id,)))
 
 
 def rule_extraspecial(ledger: Ledger, subject: str, pres: PcPresentation) -> Fact:
@@ -303,11 +313,12 @@ def rule_extraspecial(ledger: Ledger, subject: str, pres: PcPresentation) -> Fac
 
 
 def rule_transgression_lower(ledger: Ledger, subject: str, pres: PcPresentation,
-                             Z: Subgroup, capability: Fact | None,
-                             premise: Fact | None) -> Fact:
+                             Z: Subgroup, premise: Premise) -> Fact:
     """For capable G and central Z > 1: |M(G)| > |M(G/Z)| / |G' cap Z|, promoted
-    to the next p-power, via the inflation-transgression five-term sequence."""
-    if capability is None or capability.kind != KIND_CAPABLE:
+    to the next p-power, via the inflation-transgression five-term sequence.
+    Capability is read off the ledger; |M(G/Z)| is asked of `premise` last."""
+    capability = ledger.capability(subject)
+    if capability is None:
         raise MissingPremiseError(
             "refusing to assume the transgression connecting map is nontrivial "
             "without a capability fact")
@@ -316,13 +327,13 @@ def rule_transgression_lower(ledger: Ledger, subject: str, pres: PcPresentation,
     if not Z.is_central():
         raise LedgerError("Z is not central")
     p = pres.p
-    e_mq = _order_premise(premise, "|M(G/Z)|", allowed=(KIND_EXACT, KIND_LOWER))
+    prem = _quotient_premise(premise, pres, Z, "|M(G/Z)|", allowed=(KIND_EXACT, KIND_LOWER))
     e_cap = _derived_meet_exponent(pres, Z)
-    exp = e_mq - e_cap + 1
+    exp = prem.exponent - e_cap + 1
     return ledger.add(subject, KIND_LOWER, p, exponent=exp,
                       provenance=Provenance.rule(
-                          f"transgression[|M(G/Z)|=p^{e_mq},|G'^Z|=p^{e_cap}]",
-                          (capability.fact_id, premise.fact_id)))
+                          f"transgression[|M(G/Z)|=p^{prem.exponent},|G'^Z|=p^{e_cap}]",
+                          (capability.fact_id, prem.fact_id)))
 
 
 def squeeze_exact(ledger: Ledger, subject: str, p: int) -> Fact | None:
@@ -369,7 +380,7 @@ def _resolve_subgroup(pres: PcPresentation, spec: str) -> Subgroup:
         return structure_report(pres).derived
     if spec.startswith("gamma"):
         series, idx = structure_report(pres).lower_central, spec[5:]
-        if not (idx.isdecimal() and 1 <= int(idx) <= len(series)):
+        if not (ascii_digits(idx) and 1 <= int(idx) <= len(series)):
             raise LedgerError(f"{spec!r} is not one of gamma1 ... gamma{len(series)}")
         return series[int(idx) - 1]
     if spec.startswith("gens:"):
@@ -394,6 +405,8 @@ RULE_KEYS = {"green": (), "extraspecial": (), "class_bound": (), "jones": ("K",)
 # the fact each `assume <kind>` adds; all but capable take an order
 ASSUME_KINDS = {"capable": KIND_CAPABLE, "upper": KIND_UPPER, "lower": KIND_LOWER,
                 "exact": KIND_EXACT}
+# the ledger query each `expect <kind>` reads
+EXPECT_QUERIES = {"upper": Ledger.best_upper, "lower": Ledger.best_lower, "exact": Ledger.exact}
 # the tokens `use <group>`, `compute` and `expect <kind> <order>` take, exactly
 VERB_ARGS = {"use": ("group",), "compute": (), "expect": ("kind", "order")}
 
@@ -405,18 +418,17 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
     pres: PcPresentation | None = None
     trace: list[str] = []
 
-    def add_result(fact_subject: str, result: MultiplierResult) -> Fact:
-        """An exact-order fact from a multiplier computation."""
+    def exact_fact(fact_subject: str, target: str | PcPresentation) -> Fact:
+        """An exact-order fact on `fact_subject` from M(target) at p.  A quotient
+        (a presentation) reuses an earlier rule's fact; a `compute` step's entry
+        id is always computed, and the ledger cross-checks it with any exact order."""
+        if not isinstance(target, str) and (known := ledger.exact(fact_subject)):
+            return known
+        result = computer.compute(target, p)
         fact = ledger.add(fact_subject, KIND_EXACT, p, exponent=result.order_exponent,
                           provenance=Provenance.computed(result.method))
         trace.append(fact.describe())
         return fact
-
-    def premise_for(quot_subject: str, quot_pres: PcPresentation) -> Fact:
-        existing = ledger.exact(quot_subject)
-        if existing is not None:
-            return existing
-        return add_result(quot_subject, computer.compute(quot_pres))
 
     for step_no, raw in enumerate(script.splitlines(), start=1):
         try:
@@ -466,46 +478,32 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
                     raise LedgerError(
                         f"{rule} takes {' '.join(RULE_KEYS[rule]) or 'no arguments'}, "
                         f"got {' '.join(keys) or 'none'}")
-                args = dict(kv.split("=", 1) for kv in parts[2:])
+                # the one argument names the quotient's fact; class_bound's is G/gamma_c
+                spec = next((kv.split("=", 1)[1] for kv in parts[2:]), "gamma_c")
+                premise = partial(exact_fact, f"{subject}/{spec}")
                 if rule == "green":
                     fact = rule_green(ledger, subject, p, pres.order_exponent)
                 elif rule == "extraspecial":
                     fact = rule_extraspecial(ledger, subject, pres)
-                elif rule == "jones":
-                    K = _resolve_central(pres, args["K"], "K")
-                    quot = central_quotient(pres, K)
-                    prem = premise_for(f"{subject}/{args['K']}", quot)
-                    fact = rule_jones(ledger, subject, pres, K, prem)
                 elif rule == "class_bound":
-                    st = structure_report(pres)
-                    gamma_c = st.lower_central[st.nilpotency_class - 1]
-                    quot = central_quotient(pres, gamma_c)
-                    prem = premise_for(f"{subject}/gamma_c", quot)
-                    fact = rule_class_bound(ledger, subject, pres, prem)
-                elif rule == "transgression":
-                    Z = _resolve_central(pres, args["Z"], "Z")
-                    quot = central_quotient(pres, Z)
-                    prem = premise_for(f"{subject}/{args['Z']}", quot)
+                    fact = rule_class_bound(ledger, subject, pres, premise)
+                elif rule == "jones":
+                    fact = rule_jones(ledger, subject, pres, _resolve_central(pres, spec, "K"),
+                                      premise)
+                else:
                     fact = rule_transgression_lower(
-                        ledger, subject, pres, Z, ledger.capability(subject), prem)
+                        ledger, subject, pres, _resolve_central(pres, spec, "Z"), premise)
                 trace.append(fact.describe())
             elif verb == "compute":
-                add_result(subject, computer.compute(subject, p))
+                exact_fact(subject, subject)
             elif verb == "expect":
                 kind_tok, value = parts[1], parse_order(parts[2])
-                if kind_tok == "upper":
-                    best = ledger.best_upper(subject)
-                    found = best.exponent if best else None
-                elif kind_tok == "lower":
-                    best = ledger.best_lower(subject)
-                    found = best.exponent if best else None
-                elif kind_tok == "exact":
-                    if squeeze_exact(ledger, subject, p) is not None:
-                        trace.append(ledger.facts[-1].describe())
-                    exact = ledger.exact(subject)
-                    found = exact.exponent if exact else None
-                else:
+                if kind_tok not in EXPECT_QUERIES:
                     raise LedgerError(f"unknown expectation {kind_tok!r}")
+                if kind_tok == "exact" and (fact := squeeze_exact(ledger, subject, p)):
+                    trace.append(fact.describe())
+                best = EXPECT_QUERIES[kind_tok](ledger, subject)
+                found = best.exponent if best else None
                 if found != value:
                     raise ReplayAssertionError(
                         step_no, line,

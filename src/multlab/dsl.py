@@ -37,8 +37,15 @@ def least_nonresidue(p: int) -> int:
     return min(x for x in range(2, p) if x not in residues)
 
 
+def ascii_digits(token: str) -> bool:
+    """Whether `token` is a nonempty run of ASCII digits, the one way the texts
+    write an integer (`int` would also read `+3`, `2_7`, ` 3` and `３`)."""
+    return token.isascii() and token.isdecimal()
+
+
 def _parse_scalar(token: str, p: int, line_no: int) -> int:
-    """Parse INT | p | p^INT | nu | cp3, with an optional leading minus.
+    """Parse INT | p | p^INT | nu | cp3, with an optional leading minus;
+    INT is ASCII digits.
 
     `nu` is the least quadratic non-residue mod p.  `cp3` is binom(p,3) mod p,
     the weight-3 power-correction exponent: 1 at p = 3 and 0 for p >= 5, which
@@ -56,13 +63,12 @@ def _parse_scalar(token: str, p: int, line_no: int) -> int:
     if token == "cp3":
         return sign * ((p * (p - 1) * (p - 2) // 6) % p)
     if token.startswith("p^"):
-        if not token[2:].isdecimal():  # p^-1 would be the fraction 1/p
+        if not ascii_digits(token[2:]):  # p^-1 would be the fraction 1/p
             raise DslError(f"bad exponent {token!r}", line_no)
         return sign * p ** int(token[2:])
-    try:
-        return sign * int(token)
-    except ValueError:
-        raise DslError(f"bad number {token!r}", line_no) from None
+    if not ascii_digits(token):
+        raise DslError(f"bad number {token!r}", line_no)
+    return sign * int(token)
 
 
 def parse_order(token: str) -> int:
@@ -70,7 +76,7 @@ def parse_order(token: str) -> int:
     token = token.strip()
     if token == "1":
         return 0
-    if token.startswith("p^") and token[2:].isdigit():
+    if token.startswith("p^") and ascii_digits(token[2:]):
         return int(token[2:])
     raise DslError(f"order values are written 1 or p^E, got {token!r}")
 
@@ -154,7 +160,7 @@ def build_presentation(statements, p: int, name: str | None = None) -> PcPresent
         defined.add(key)
     if prime is not None and prime[0] != "p":
         token, line_no = prime
-        if not token.isdigit():
+        if not ascii_digits(token):
             raise DslError(f"bad prime {token!r}", line_no)
         if int(token) != p:
             raise DslError(f"presentation is fixed at prime {token}, not {p}", line_no)

@@ -21,8 +21,8 @@ from __future__ import annotations
 from importlib import resources
 
 from .abelian import AbelianGroup, valuation
-from .dsl import (DslError, _parse_scalar, build_presentation, load_presentation,
-                  parse_order, read_line)
+from .dsl import (DslError, _parse_scalar, ascii_digits, build_presentation,
+                  load_presentation, parse_order, read_line)
 from .pcgroup import PcPresentation, direct_product, is_prime
 from .record import Frozen
 
@@ -149,10 +149,9 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
                 elif kind == "order":
                     value = parse_order(value)
                 else:
-                    try:
-                        value = int(value)
-                    except ValueError:
-                        raise CatalogError(f"expect t needs an integer, got {value!r}") from None
+                    if not ascii_digits(value.removeprefix("-")):
+                        raise CatalogError(f"expect t needs an integer, got {value!r}")
+                    value = int(value)
                 expects.append(Expect(kind, value, citation or ""))
             elif kw == "squeeze":
                 squeeze = args[0]
@@ -220,7 +219,10 @@ class Catalog:
             entry = self[entry.alias_of]
         return entry
 
-    def instantiate(self, entry_id: str, p: int) -> PcPresentation:
+    def instantiate(self, entry_id: str, p: int,
+                    _products: tuple[str, ...] = ()) -> PcPresentation:
+        """The presentation of `entry_id` at p.  `_products` holds the product
+        recipes being built around this call, so one that reaches itself is refused."""
         key = (entry_id, p)
         if key in self._cache:
             return self._cache[key]
@@ -232,7 +234,10 @@ class Catalog:
         if target.is_disabled:
             raise CatalogError(f"{entry_id} aliases disabled {target.entry_id}")
         if target.is_product:
-            pres = direct_product(*[self.instantiate(fid, p) for fid in target.factors],
+            if target.entry_id in _products:
+                raise CatalogError(f"product cycle at {target.entry_id}")
+            outer = _products + (target.entry_id,)
+            pres = direct_product(*[self.instantiate(fid, p, outer) for fid in target.factors],
                                   name=entry_id)
         else:
             try:

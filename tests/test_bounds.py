@@ -89,14 +89,14 @@ class TestRules:
         led = Ledger()
         prem = led.add("G/Z", KIND_EXACT, 3, exponent=1,
                        provenance=Provenance.computed("abelian"))
-        fact = rule_jones(led, "G", pres, st.center, prem)
+        fact = rule_jones(led, "G", pres, st.center, lambda q: prem)
         assert fact.exponent == 2
 
     def test_jones_missing_premise(self):
         pres = load_presentation(ES_P3, 3)
         st = structure_report(pres)
         with pytest.raises(MissingPremiseError, match="M\\(G/K\\)"):
-            rule_jones(Ledger(), "G", pres, st.center, None)
+            rule_jones(Ledger(), "G", pres, st.center, lambda q: None)
 
     def test_jones_on_whole_abelian_group(self):
         # K = G abelian reproduces exterior-square exactness
@@ -104,7 +104,7 @@ class TestRules:
         led = Ledger()
         prem = led.add("G/G", KIND_EXACT, 3, exponent=0,
                        provenance=Provenance.computed("abelian"))
-        fact = rule_jones(led, "G", pres, Subgroup.whole(pres), prem)
+        fact = rule_jones(led, "G", pres, Subgroup.whole(pres), lambda q: prem)
         assert fact.exponent == 1  # |M(Z_p x Z_{p^2})| = p
 
     def test_jones_rejects_trivial_k(self):
@@ -114,21 +114,21 @@ class TestRules:
         prem = led.add("G/1", KIND_EXACT, 3, exponent=2,
                        provenance=Provenance.computed("tails"))
         with pytest.raises(LedgerError, match="K is trivial"):
-            rule_jones(led, "G", pres, Subgroup.trivial(pres), prem)
+            rule_jones(led, "G", pres, Subgroup.trivial(pres), lambda q: prem)
 
     def test_class_bound_es(self, computer):
         pres = load_presentation(ES_P3, 3)
         led = Ledger()
         prem = led.add("Q", KIND_EXACT, 3, exponent=1,
                        provenance=Provenance.computed("abelian"))
-        assert rule_class_bound(led, "G", pres, prem).exponent == 2
+        assert rule_class_bound(led, "G", pres, lambda q: prem).exponent == 2
 
     def test_class_bound_needs_class_2(self):
         pres = load_presentation("gen a p\ngen b p", 3)
         with pytest.raises(LedgerError, match="class"):
             rule_class_bound(Ledger(), "G", pres,
-                             Ledger().add("Q", KIND_EXACT, 3, exponent=0,
-                                          provenance=Provenance.assumed("c")))
+                             lambda q: Ledger().add("Q", KIND_EXACT, 3, exponent=0,
+                                                    provenance=Provenance.assumed("c")))
 
     def test_class_bound_phi3_14(self, computer):
         # premise |M(G/gamma_3)| computed by the oracle at order 27
@@ -140,7 +140,7 @@ class TestRules:
         res = computer.compute(quot)
         prem = led.add("Q", KIND_EXACT, 3, exponent=res.order_exponent,
                        provenance=Provenance.computed(res.method))
-        fact = rule_class_bound(led, "G", pres, prem)
+        fact = rule_class_bound(led, "G", pres, lambda q: prem)
         assert fact.exponent == 3  # true but not tight (exact is p^2)
 
     def test_extraspecial_cases(self):
@@ -170,7 +170,7 @@ class TestRules:
         prem = led.add("Q", KIND_EXACT, 3, exponent=4,
                        provenance=Provenance.computed("kunneth"))
         with pytest.raises(MissingPremiseError, match="capab"):
-            rule_transgression_lower(led, "G", pres, st.center, None, prem)
+            rule_transgression_lower(led, "G", pres, st.center, lambda q: prem)
 
     def test_transgression_es_with_assumed_capability(self):
         pres = load_presentation(ES_P3, 3)
@@ -179,18 +179,19 @@ class TestRules:
         cap = led.add("G", KIND_CAPABLE, 3, provenance=Provenance.assumed("cap"))
         prem = led.add("Q", KIND_EXACT, 3, exponent=1,
                        provenance=Provenance.computed("abelian"))
-        fact = rule_transgression_lower(led, "G", pres, st.center, cap, prem)
+        fact = rule_transgression_lower(led, "G", pres, st.center, lambda q: prem)
         assert fact.exponent == 1  # valid lower bound below the exact p^2
+        assert fact.provenance.premises == (cap.fact_id, prem.fact_id)
 
     def test_transgression_rejects_trivial_z(self):
         # Z = 1 would claim |M(G)| > |M(G)|: p^3 for ESp_p3, whose M is p^2
         pres = load_presentation(ES_P3, 3)
         led = Ledger()
-        cap = led.add("G", KIND_CAPABLE, 3, provenance=Provenance.assumed("cap"))
+        led.add("G", KIND_CAPABLE, 3, provenance=Provenance.assumed("cap"))
         prem = led.add("G/1", KIND_EXACT, 3, exponent=2,
                        provenance=Provenance.computed("tails"))
         with pytest.raises(LedgerError, match="Z is trivial"):
-            rule_transgression_lower(led, "G", pres, Subgroup.trivial(pres), cap, prem)
+            rule_transgression_lower(led, "G", pres, Subgroup.trivial(pres), lambda q: prem)
 
 
 class TestReplay:
@@ -280,6 +281,7 @@ class TestReplay:
         ("apply jones K=gammaX", "'gammaX' is not one of gamma1 ... gamma3"),
         ("apply jones K=gamma0", "'gamma0' is not one of gamma1 ... gamma3"),
         ("apply jones K=gamma4", "'gamma4' is not one of gamma1 ... gamma3"),
+        ("apply jones K=gamma\uff13", "'gamma\uff13' is not one of gamma1 ... gamma3"),
         ("apply jones K=gamma1", "gamma1 is not central"),
         ("apply transgression Z=gamma1", "gamma1 is not central"),
         ("apply jones K=gamma3", "K is trivial"),
@@ -293,24 +295,79 @@ class TestReplay:
         assert str(exc.value).startswith(f"step {len(before) + 2} ({last!r}): ")
         assert message in str(exc.value)
 
-    @pytest.mark.parametrize("line, key", [
-        ("apply jones K=gamma3", "K"),
-        ('assume capable "x"\napply transgression Z=gamma3', "Z"),
-    ])
+    @pytest.mark.parametrize("script, message", [
+        ("use T6_viii\napply jones K=gamma3", "K is trivial"),
+        ('use T6_viii\nassume capable "x"\napply transgression Z=gamma3', "Z is trivial"),
+        ("use Zp2\napply class_bound", "nilpotency class is 1, rule needs >= 2"),
+        ("use Phi7_15\napply transgression Z=center", "without a capability fact"),
+    ], ids=["jones-trivial", "transgression-trivial", "class_bound-class-1",
+            "transgression-not-capable"])
     def test_trivial_subgroup_is_refused_before_any_quotient(self, computer, monkeypatch,
-                                                              line, key):
-        # the quotient by a trivial K is the whole group: refusing K must
-        # come before its multiplier is computed
+                                                              script, message):
+        # the quotient by a trivial K is the whole group, and a class-1 group's
+        # gamma_c is the whole group: every refusal of a rule must come before
+        # the multiplier of its quotient is computed
         computed = []
 
-        def compute(pres):
-            computed.append(pres)
+        def compute(*args, **kwargs):
+            computed.append(args)
             raise AssertionError("computed a quotient's multiplier")
 
         monkeypatch.setattr(computer, "compute", compute)
-        with pytest.raises(ReplayAssertionError, match=f"{key} is trivial"):
-            replay_script(f"use T6_viii\n{line}", 3, computer)
+        with pytest.raises(ReplayAssertionError, match=message):
+            replay_script(script, 3, computer)
         assert computed == []
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_squeeze_computes_one_quotient(self, catalog, monkeypatch, p):
+        # T6_xi's report replays its squeeze script: beside the entry's own
+        # computation, the replay computes M(G/Z(G)) once and nothing else
+        computer = Computer(catalog)
+        quotients, real = [], computer.compute
+
+        def compute(target, *args, **kwargs):
+            if not isinstance(target, str):
+                quotients.append(target)
+            return real(target, *args, **kwargs)
+
+        monkeypatch.setattr(computer, "compute", compute)
+        report = verify_entry(computer, "T6_xi", p)
+        assert report.status == "PASS"
+        pres = catalog.instantiate("Phi7_15", p)
+        [quot] = quotients
+        assert quot.order_exponent == \
+            pres.order_exponent - structure_report(pres).center.order_exponent
+        assert [line for line in report.trace if "Phi7_15/" in line] == \
+            ["F1 Phi7_15/center: exact-order p^4 [computed(blackburn_evens)]"]
+
+    def test_capability_of_another_subject_justifies_nothing(self):
+        pres = load_presentation(ES_P3, 3)
+        led = Ledger()
+        led.add("H", KIND_CAPABLE, 3, provenance=Provenance.assumed("cap"))
+
+        def premise(quot):
+            raise AssertionError("asked for the premise")
+
+        with pytest.raises(MissingPremiseError, match="capability"):
+            rule_transgression_lower(led, "G", pres, structure_report(pres).center, premise)
+        assert led.best_lower("G") is None
+
+    def test_compute_step_computes_over_an_exact_fact(self, computer, monkeypatch):
+        # a compute step records its fact even when the ledger holds an exact
+        # order, so the ledger's conflict check cross-checks the two
+        computed, real = [], computer.compute
+
+        def compute(*args):
+            computed.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(computer, "compute", compute)
+        script = 'use ESp_p3\nassume exact p^3 "x"\ncompute'
+        with pytest.raises(ReplayAssertionError) as exc:
+            replay_script(script, 3, computer)
+        assert str(exc.value) == \
+            "step 3 ('compute'): ESp_p3: conflicting exact orders [3, 2]"
+        assert computed == [("ESp_p3", 3)]
 
     @pytest.mark.parametrize("line, message", [
         ("apply green K=nonsense", "green takes no arguments, got K"),

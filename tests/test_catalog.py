@@ -103,6 +103,20 @@ class TestCatalogIntegrity:
         with pytest.raises(CatalogError, match="two factors"):
             parse_entry("name P\nproduct Zp")
 
+    @pytest.mark.parametrize("texts, entry_id", [
+        ({"A": "name A\nproduct A A"}, "A"),
+        ({"A": "name A\nproduct B Zp", "B": "name B\nalias A"}, "A"),
+        ({"A": "name A\nproduct B Zp", "B": "name B\nalias A"}, "B"),
+    ], ids=["direct", "through-alias", "from-alias"])
+    def test_product_cycle_is_a_fail_record(self, catalog, texts, entry_id):
+        # a product recipe that reaches itself would recurse without end
+        entries = {eid: parse_entry(text) for eid, text in texts.items()}
+        cyclic = Catalog({**entries, "Zp": catalog["Zp"]})
+        with pytest.raises(CatalogError, match="product cycle at A"):
+            cyclic.instantiate(entry_id, 3)
+        report = verify_entry(Computer(cyclic), entry_id, 3)
+        assert (report.status, report.trace) == ("FAIL", ["CatalogError: product cycle at A"])
+
     def test_constraint_violations(self, catalog):
         with pytest.raises(ConstraintError):
             catalog.instantiate("ESp_p3", 2)
@@ -147,6 +161,9 @@ class TestLoadGroupDsl:
     @pytest.mark.parametrize("line, message", [
         ('expect mulitplier [p] "typo"', "line 3: unknown expect kind 'mulitplier'"),
         ('expect t seven "s"', "line 3: expect t needs an integer, got 'seven'"),
+        ('expect t +6 "s"', "line 3: expect t needs an integer, got '+6'"),
+        ('expect t \uff16 "s"', "line 3: expect t needs an integer, got '\uff16'"),
+        ('expect order p^\u00b2 "s"', "line 3: order values are written 1 or p^E, got 'p^\u00b2'"),
         ('expect multiplier 13 "s"', "line 3: expect multiplier needs [...], got '13'"),
         ('expect multiplier [p,,p] "s"', "line 3: expect multiplier [p,,p]: bad number ''"),
         ('expect multiplier [p^x] "s"', "line 3: expect multiplier [p^x]: bad exponent 'p^x'"),

@@ -2,8 +2,8 @@
 
 import pytest
 
-from multlab.bounds import replay_script
-from multlab.dsl import DslError, least_nonresidue, load_presentation
+from multlab.bounds import ReplayAssertionError, replay_script
+from multlab.dsl import DslError, least_nonresidue, load_presentation, parse_order
 from multlab.entries import Catalog, parse_entry
 
 
@@ -68,6 +68,32 @@ class TestParsing:
         with pytest.raises(DslError) as exc:
             load_presentation(text, 3)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("gen a --3", "line 1: bad number '-3'"),
+        ("gen a +3", "line 1: bad number '+3'"),
+        ("gen a 2_7", "line 1: bad number '2_7'"),
+        ("gen a \uff13", "line 1: bad number '\uff13'"),
+        ("gen a p\ngen b p\ncomm b a = b^--1", "line 3: bad number '-1'"),
+        ("gen a p\ngen b p\npow a = b^p^\u00b2", "line 3: bad exponent 'p^\u00b2'"),
+        ("prime \uff13\ngen a p", "line 1: bad prime '\uff13'"),
+    ], ids=["double-minus", "plus", "underscore", "fullwidth", "comm-double-minus",
+            "superscript-exponent", "fullwidth-prime"])
+    def test_numbers_are_ascii_digits(self, text, message):
+        # int() reads all of these; the DSL writes a number one way
+        with pytest.raises(DslError) as exc:
+            load_presentation(text, 3)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("token", ["p^\u00b2", "p^\uff13", "p^+3", "p^3_0"])
+    def test_order_exponent_is_ascii_digits(self, computer, token):
+        with pytest.raises(DslError, match="order values are written 1 or p\\^E"):
+            parse_order(token)
+        line = f"expect upper {token}"
+        with pytest.raises(ReplayAssertionError) as exc:
+            replay_script(f"use ESp_p3\n{line}", 3, computer)
+        assert str(exc.value) == \
+            f"step 2 ({line!r}): order values are written 1 or p^E, got {token!r}"
 
 
 class TestInstantiation:

@@ -645,9 +645,9 @@ def _central_rule_bounds(pres, K):
     prem = upper.add("G/K", KIND_EXACT, p, exponent=50, provenance=Provenance.assumed("premise"))
     lower = Ledger()
     lprem = lower.add("G/K", KIND_EXACT, p, exponent=50, provenance=Provenance.assumed("premise"))
-    cap = lower.add("G", KIND_CAPABLE, p, provenance=Provenance.assumed("capable"))
-    return (rule_jones(upper, "G", pres, K, prem).exponent,
-            rule_transgression_lower(lower, "G", pres, K, cap, lprem).exponent)
+    lower.add("G", KIND_CAPABLE, p, provenance=Provenance.assumed("capable"))
+    return (rule_jones(upper, "G", pres, K, lambda q: prem).exponent,
+            rule_transgression_lower(lower, "G", pres, K, lambda q: lprem).exponent)
 
 
 class TestStructureLayerWithoutEnumeration:
