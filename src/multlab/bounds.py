@@ -1,13 +1,13 @@
 """A fact ledger for multiplier orders, with derivation rules and replays.
 
 Facts record what is known about |M(G)| for a named group: exact orders,
-upper/lower bounds (as exponents of p), exact structures, and capability
-witnesses.  Provenance is always one of Computed(method), Rule(name,
-premises), or Assumed(citation); rules refuse to run without their premises
-rather than assuming anything silently.  A rule that reads |M(G/N)| runs all
-its refusals before it builds G/N and asks its premise function for that
-fact.  Strict inequalities are promoted to the next p-power, which is what
-makes "p^3 < |M|" machine-usable as ">= p^4".
+upper and lower bounds (all as exponents of p), and capability witnesses.
+Provenance is always one of Computed(method), Rule(name, premises), or
+Assumed(citation); rules refuse to run without their premises rather than
+assuming anything silently.  A rule that reads |M(G/N)| alone refuses its
+subgroup, and runs all its refusals before it builds G/N and asks its
+premise function for that fact.  Strict inequalities are promoted to the
+next p-power, which is what makes "p^3 < |M|" machine-usable as ">= p^4".
 
 Replay scripts are small text programs (use / assume / apply / compute /
 expect) that re-derive bound chains step by step and assert the declared
@@ -20,9 +20,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import partial
 
-from .abelian import AbelianGroup, exterior_square, tensor
+from .abelian import exterior_square, tensor
 from .compute import Computer
 from .dsl import DslError, ascii_digits, parse_order, read_line
+from .entries import CatalogError
 from .pcgroup import (
     PcPresentation,
     Subgroup,
@@ -37,10 +38,9 @@ from .record import Frozen, Record
 KIND_EXACT = "exact-order"
 KIND_UPPER = "upper-bound"
 KIND_LOWER = "lower-bound"
-KIND_STRUCTURE = "exact-structure"
 KIND_CAPABLE = "capability"
 
-_KINDS = (KIND_EXACT, KIND_UPPER, KIND_LOWER, KIND_STRUCTURE, KIND_CAPABLE)
+_KINDS = (KIND_EXACT, KIND_UPPER, KIND_LOWER, KIND_CAPABLE)
 # a quotient rule's source of its fact on |M(G/N)|, called with G/N
 Premise = Callable[[PcPresentation], "Fact | None"]
 
@@ -85,21 +85,19 @@ _COMPUTED = Provenance("computed")
 
 
 class Fact(Frozen):
-    _fields = ("fact_id", "subject", "kind", "p", "exponent", "structure", "provenance")
+    _fields = ("fact_id", "subject", "kind", "p", "exponent", "provenance")
 
     def __init__(self, fact_id: int, subject: str, kind: str, p: int,
                  exponent: int | None = None,      # order facts: value is p^exponent
-                 structure: AbelianGroup | None = None,
                  provenance: Provenance = _COMPUTED):
         if kind not in _KINDS:
             raise LedgerError(f"unknown fact kind {kind!r}")
         if kind in (KIND_EXACT, KIND_UPPER, KIND_LOWER) and exponent is None:
             raise LedgerError(f"{kind} facts carry an exponent")
-        if kind in (KIND_EXACT, KIND_STRUCTURE) and provenance.tag == "rule" \
-                and not provenance.premises:
+        if kind == KIND_EXACT and provenance.tag == "rule" and not provenance.premises:
             raise LedgerError("rule-derived facts must list premises")
         self._set(fact_id=fact_id, subject=subject, kind=kind, p=p, exponent=exponent,
-                  structure=structure, provenance=provenance)
+                  provenance=provenance)
 
     def describe(self) -> str:
         prov = self.provenance
@@ -109,12 +107,7 @@ class Fact(Frozen):
             src = f"rule {prov.detail} <- {list(prov.premises)}"
         else:
             src = f"computed({prov.detail})"
-        if self.kind == KIND_CAPABLE:
-            val = "capable"
-        elif self.kind == KIND_STRUCTURE:
-            val = self.structure.render()
-        else:
-            val = f"p^{self.exponent}"
+        val = "capable" if self.kind == KIND_CAPABLE else f"p^{self.exponent}"
         return f"F{self.fact_id} {self.subject}: {self.kind} {val} [{src}]"
 
 
@@ -125,10 +118,9 @@ class Ledger:
         self.facts: list[Fact] = []
 
     def add(self, subject: str, kind: str, p: int, *, exponent: int | None = None,
-            structure: AbelianGroup | None = None,
             provenance: Provenance) -> Fact:
-        fact = Fact(len(self.facts), subject, kind, p,
-                    exponent=exponent, structure=structure, provenance=provenance)
+        fact = Fact(len(self.facts), subject, kind, p, exponent=exponent,
+                    provenance=provenance)
         for pid in provenance.premises:
             if not 0 <= pid < len(self.facts):
                 raise LedgerError(f"premise F{pid} does not exist")
@@ -143,8 +135,6 @@ class Ledger:
         uppers = [f.exponent for f in subject_facts if f.kind == KIND_UPPER]
         lowers = [f.exponent for f in subject_facts if f.kind == KIND_LOWER]
         exacts = [f.exponent for f in subject_facts if f.kind == KIND_EXACT]
-        exacts += [f.structure.order_exponent(f.p) for f in subject_facts
-                   if f.kind == KIND_STRUCTURE]
         lo = max(lowers, default=0)
         hi = min(uppers, default=None)
         if hi is not None and lo > hi:
@@ -278,11 +268,12 @@ def rule_class_bound(ledger: Ledger, subject: str, pres: PcPresentation,
 
 def rule_extraspecial(ledger: Ledger, subject: str, pres: PcPresentation) -> Fact:
     """Exact |M| for verified extraspecial groups: p^{2n^2-n-1} for order
-    p^{2n+1}, n >= 2, and the four classical n = 1 structures, told apart
-    from the presentation: at odd p, (xy)^p = x^p y^p (class 2, |G'| = p),
-    so G has exponent p iff every pc generator does; at p = 2, G is D8 iff
-    x, y or xy is an involution, for x, y the generators that survive in
-    G/Z(G)."""
+    p^{2n+1}, n >= 2.  At n = 1 it records the exact order of the classical
+    case the presentation tells apart: p^2 at odd p and exponent p (M = Z_p^2),
+    p at p = 2 for D8 (M = Z_2), and 1 for Q8 or odd exponent p^2.  At odd p,
+    (xy)^p = x^p y^p (class 2, |G'| = p), so G has exponent p iff every pc
+    generator does; at p = 2, G is D8 iff x, y or xy is an involution, for
+    x, y the generators that survive in G/Z(G)."""
     st = structure_report(pres)
     p = pres.p
     if not (st.derived.order_exponent == 1 and st.center.order_exponent == 1
@@ -294,22 +285,18 @@ def rule_extraspecial(ledger: Ledger, subject: str, pres: PcPresentation) -> Fac
     n = (pres.order_exponent - 1) // 2
     if n >= 2:
         exp = 2 * n * n - n - 1
-        return ledger.add(subject, KIND_EXACT, p, exponent=exp,
-                          provenance=Provenance.computed(f"extraspecial-formula[n={n}]"))
-    if p == 2:
+    elif p == 2:
         z = st.center.igs
         x, y = (pres.gen(i) for i in range(pres.ngens) if i not in z or z[i][i] > 1)
         dihedral = pres.identity in (pres.pow_el(x, 2), pres.pow_el(y, 2),
                                      pres.pow_el(pres.mul(x, y), 2))
-        structure = AbelianGroup.cyclic(2) if dihedral else AbelianGroup.trivial()
+        exp = 1 if dihedral else 0
     else:
         exponent_p = all(pres.pow_el(pres.gen(i), p) == pres.identity
                          for i in range(pres.ngens))
-        structure = AbelianGroup.elementary(p, 2) if exponent_p else AbelianGroup.trivial()
-    ledger.add(subject, KIND_STRUCTURE, p, structure=structure,
-               provenance=Provenance.computed("extraspecial-formula[n=1]"))
-    return ledger.add(subject, KIND_EXACT, p, exponent=structure.order_exponent(p),
-                      provenance=Provenance.computed("extraspecial-formula[n=1]"))
+        exp = 2 if exponent_p else 0
+    return ledger.add(subject, KIND_EXACT, p, exponent=exp,
+                      provenance=Provenance.computed(f"extraspecial-formula[n={n}]"))
 
 
 def rule_transgression_lower(ledger: Ledger, subject: str, pres: PcPresentation,
@@ -387,16 +374,6 @@ def _resolve_subgroup(pres: PcPresentation, spec: str) -> Subgroup:
         names = spec[5:].split(",")
         return Subgroup.generate(pres, [pres.gen(pres.gen_index(n)) for n in names])
     raise LedgerError(f"unknown subgroup spec {spec!r}")
-
-
-def _resolve_central(pres: PcPresentation, spec: str, key: str) -> Subgroup:
-    """Argument `key`'s subgroup, refused if trivial or not central before any quotient."""
-    sub = _resolve_subgroup(pres, spec)
-    if not sub.order_exponent:
-        raise LedgerError(f"{key} is trivial")
-    if not sub.is_central():
-        raise LedgerError(f"{spec} is not central")
-    return sub
 
 
 # the key=value arguments each `apply` rule takes, all of them required
@@ -488,11 +465,11 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
                 elif rule == "class_bound":
                     fact = rule_class_bound(ledger, subject, pres, premise)
                 elif rule == "jones":
-                    fact = rule_jones(ledger, subject, pres, _resolve_central(pres, spec, "K"),
+                    fact = rule_jones(ledger, subject, pres, _resolve_subgroup(pres, spec),
                                       premise)
                 else:
                     fact = rule_transgression_lower(
-                        ledger, subject, pres, _resolve_central(pres, spec, "Z"), premise)
+                        ledger, subject, pres, _resolve_subgroup(pres, spec), premise)
                 trace.append(fact.describe())
             elif verb == "compute":
                 exact_fact(subject, subject)
@@ -514,8 +491,10 @@ def replay_script(script: str, p: int, computer: Computer) -> ReplayResult:
                 raise LedgerError(f"unknown verb {verb!r}")
         except ReplayAssertionError:
             raise
-        except (LedgerError, DslError, KeyError, IndexError) as exc:
-            raise ReplayAssertionError(step_no, line, str(exc)) from exc
+        except (LedgerError, DslError, CatalogError, KeyError, IndexError) as exc:
+            # a KeyError's str() is the repr of its message
+            message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
+            raise ReplayAssertionError(step_no, line, message) from exc
     if subject is None:
         raise LedgerError("empty script")
     return ReplayResult(subject, ledger, trace)

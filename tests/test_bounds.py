@@ -277,23 +277,55 @@ class TestReplay:
             replay_script(f"use ESp_p3\n{line}", 3, computer)
 
     @pytest.mark.parametrize("line, message", [
-        ("apply jones derived", "key=value"),
+        ("apply jones derived", "rule arguments take the form key=value"),
         ("apply jones K=gammaX", "'gammaX' is not one of gamma1 ... gamma3"),
         ("apply jones K=gamma0", "'gamma0' is not one of gamma1 ... gamma3"),
         ("apply jones K=gamma4", "'gamma4' is not one of gamma1 ... gamma3"),
         ("apply jones K=gamma\uff13", "'gamma\uff13' is not one of gamma1 ... gamma3"),
-        ("apply jones K=gamma1", "gamma1 is not central"),
-        ("apply transgression Z=gamma1", "gamma1 is not central"),
+        ("apply jones K=gamma1", "K is not central"),
+        ('assume capable "x"\napply transgression Z=gamma1', "Z is not central"),
+        ("apply transgression Z=gamma1",
+         "refusing to assume the transgression connecting map is nontrivial "
+         "without a capability fact"),
         ("apply jones K=gamma3", "K is trivial"),
         ('assume capable "x"\napply transgression Z=gamma3', "Z is trivial"),
+        ("apply jones K=gens:zz", "no generator named 'zz'"),
+        ("apply jones K=gens:", "no generator named ''"),
     ])
     def test_bad_rule_argument_names_its_step(self, computer, line, message):
-        # T6_viii has class 2: gamma1 ... gamma3 = 1; a line may follow others
+        # T6_viii has class 2: gamma1 ... gamma3 = 1; a line may follow others.
+        # The replay resolves the spec, the rule alone refuses it, and the
+        # step's line goes in front of the rule's own message
         *before, last = line.split("\n")
         with pytest.raises(ReplayAssertionError) as exc:
             replay_script(f"use T6_viii\n{line}", 3, computer)
-        assert str(exc.value).startswith(f"step {len(before) + 2} ({last!r}): ")
-        assert message in str(exc.value)
+        assert str(exc.value) == f"step {len(before) + 2} ({last!r}): {message}"
+
+    @pytest.mark.parametrize("script, p, message", [
+        ("use Nope", 3, "no catalog entry named 'Nope'"),
+        ("use D8", 3, "D8 requires p = 2, got 3"),
+        ("use T6_xix", 2, "T6_xix is disabled: "),
+    ])
+    def test_use_names_its_step_for_a_catalog_error(self, computer, script, p, message):
+        with pytest.raises(ReplayAssertionError) as exc:
+            replay_script(f"# a comment\n{script}\ncompute", p, computer)
+        assert str(exc.value).startswith(f"step 2 ({script!r}): {message}")
+
+    def test_a_subgroup_is_checked_central_by_the_rule_and_the_quotient(self, computer,
+                                                                        monkeypatch):
+        # the rule refuses a non-central K and `central_quotient` guards its
+        # argument; the replay adds no third check of its own
+        pres = computer.catalog.instantiate("T6_viii", 3)
+        derived = structure_report(pres).derived
+        checked, real = [], Subgroup.is_central
+
+        def is_central(sub):
+            checked.append(sub)
+            return real(sub)
+
+        monkeypatch.setattr(Subgroup, "is_central", is_central)
+        replay_script("use T6_viii\napply jones K=derived", 3, computer)
+        assert sum(sub == derived for sub in checked) == 2
 
     @pytest.mark.parametrize("script, message", [
         ("use T6_viii\napply jones K=gamma3", "K is trivial"),

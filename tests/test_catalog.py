@@ -546,13 +546,14 @@ class TestCli:
         assert main(["replay", "--script", "nope"]) == 1
         assert capsys.readouterr().err == "error: no bundled script 'nope'\n"
 
-    @pytest.mark.parametrize("script,p", [("phi7_15_squeeze.script", 2),
-                                          ("d8_wrong_upper.script", 3)])
-    def test_replay_at_disallowed_prime(self, capsys, script, p):
+    @pytest.mark.parametrize("script,p,message", [
+        ("phi7_15_squeeze.script", 2,
+         "step 5 ('use Phi7_15'): Phi7_15 requires an odd prime, got 2"),
+        ("d8_wrong_upper.script", 3, "step 3 ('use D8'): D8 requires p = 2, got 3")])
+    def test_replay_at_disallowed_prime(self, capsys, script, p, message):
         from multlab.cli import main
         assert main(["replay", "--script", script, "--p", str(p)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "requires" in err
+        assert capsys.readouterr().err == f"REPLAY FAILED: {message}\n"
 
     def test_replay_unreachable_group(self, capsys, tmp_path):
         # order 625 is above the oracle cap and no other method applies

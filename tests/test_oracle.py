@@ -10,6 +10,7 @@ dense eliminator of every cocycle identity."""
 import functools
 import itertools
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -326,15 +327,6 @@ class TestMultiplier:
 
 
 class TestHopfAgainstTails:
-    @pytest.mark.parametrize("p,groups", [(2, 21), (3, 15), (5, 4)])
-    def test_every_catalog_group_under_the_cap(self, catalog, p, groups):
-        checked = []
-        for eid, _, pres in instances(catalog, 1, DEFAULT_ORACLE_CAP, (p,)):
-            got = multiplier_from_table(cayley_table(pres), p).invariants
-            assert got == multiplier_via_tails(pres).invariants, eid
-            checked.append(eid)
-        assert len(checked) == groups, checked
-
     def test_above_the_cap_agrees_with_tails(self, catalog):
         # T6_xi at p = 3: N = 243, 1,461 relation rows, above the report's cap
         pres = catalog.instantiate("T6_xi", 3)
@@ -461,9 +453,10 @@ FAULTS = [(repeat_an_entry, "T6_xiv", "not a permutation"),
 class TestActions:
     def test_every_small_catalog_instance(self, catalog):
         """From the presentation's actions, the oracle equals the table
-        adapter and tails, with as many greedy picks as the table's minimal
-        generating set, so the row count does not grow."""
-        checked = 0
+        adapter (its trace, invariants included) and tails on every catalog
+        instance the cap admits, with as many greedy picks as the table's
+        minimal generating set, so the row count does not grow."""
+        checked = Counter()
         for eid, p, pres in instances(catalog, 1, DEFAULT_ORACLE_CAP):
             table = cayley_table(pres)
             actions = right_actions(pres)
@@ -471,8 +464,8 @@ class TestActions:
             got = multiplier_from_actions(actions, p)
             assert got.trace == multiplier_from_table(table, p).trace, (eid, p)
             assert got.invariants == multiplier_via_tails(pres).invariants, (eid, p)
-            checked += 1
-        assert checked == 42
+            checked[p] += 1
+        assert checked == {2: 21, 3: 15, 5: 4, 7: 2}
 
     def test_table_rows_are_the_left_actions(self, catalog):
         """Each row of the table, read along the walk of the right actions,

@@ -37,7 +37,7 @@ IMMUTABLE = [
      ("constraint", "two"), None),
     (Provenance, dict(tag="rule", detail="squeeze", premises=(1, 2), citation=None),
      ("premises", (1, 3)), None),
-    (Fact, dict(fact_id=1, subject="G", kind=KIND_EXACT, p=3, exponent=2, structure=None,
+    (Fact, dict(fact_id=1, subject="G", kind=KIND_EXACT, p=3, exponent=2,
                 provenance=Provenance("computed", "tails")),
      ("exponent", 3), None),
     (H2Result, dict(modulus=9, invariants=C3, stats=EliminationStats(1, 2, 3)),
