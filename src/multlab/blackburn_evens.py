@@ -145,8 +145,7 @@ def build_be_data(pres: PcPresentation) -> BeData:
     at (b, a) for survivors b > a, and f(g_a) = g_a^p is linear."""
     p = pres.p
     derived = be_preconditions(pres)
-    survivors = [i for i in range(pres.ngens)
-                 if i not in derived.igs or derived.igs[i][i] != 1]
+    survivors = list(derived.survivors())
     dim_v = len(survivors)
     dim_w = derived.order_exponent
 

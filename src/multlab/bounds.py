@@ -286,8 +286,7 @@ def rule_extraspecial(ledger: Ledger, subject: str, pres: PcPresentation) -> Fac
     if n >= 2:
         exp = 2 * n * n - n - 1
     elif p == 2:
-        z = st.center.igs
-        x, y = (pres.gen(i) for i in range(pres.ngens) if i not in z or z[i][i] > 1)
+        x, y = (pres.gen(i) for i in st.center.survivors())
         dihedral = pres.identity in (pres.pow_el(x, 2), pres.pow_el(y, 2),
                                      pres.pow_el(pres.mul(x, y), 2))
         exp = 1 if dihedral else 0

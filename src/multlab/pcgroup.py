@@ -16,13 +16,15 @@ That one pass carries a free central tail on every relation, and the tail
 relations it leaves are what central tails reads M(G) from.  It collects
 each shared side, a pair product g_j g_i or a power tail w_i, once and
 stores its word, letters and tails; an overlap copies those tails and
-collects the other operand's letters onto a copy of the left word.  Its
-rows are memoized, so it runs once per distinct presentation per process.
+collects the other operand's letters onto a copy of the left word.  The
+rows are memoized by `check_consistency`, so it runs once per distinct
+presentation per process.
 A presentation is immutable by construction: its fields are set once, in
 `__init__`, and its hash is computed there, once, from every field but its
 `name`.  So its other facts are memoized too: the lower central series,
 the centre, G^ab and the structure report are each computed once, and each
-lookup costs one stored hash.
+lookup costs one stored hash.  Every quotient reads its generators from
+`Subgroup.survivors`.
 """
 
 from __future__ import annotations
@@ -322,6 +324,7 @@ def overlaps(pres: PcPresentation):
         yield "power-cycle", (i,), onto(gen[i], wv[i]), then(wv[i], one[i])
 
 
+@lru_cache(maxsize=None)
 def check_consistency(pres: PcPresentation) -> tuple[Row, ...]:
     """Run the full overlap family; raise InconsistentPresentation naming the
     first overlap that fails.  Returns the tail relations lhs - rhs, one row
@@ -329,11 +332,6 @@ def check_consistency(pres: PcPresentation) -> tuple[Row, ...]:
     M(G) from.  The rows are memoized per presentation, so an equal
     presentation built again collects nothing; a failing overlap raises on
     every build, since nothing is cached then."""
-    return _overlap_rows(pres)
-
-
-@lru_cache(maxsize=None)
-def _overlap_rows(pres: PcPresentation) -> tuple[Row, ...]:
     rows = []
     for kind, idxs, (lhs, ls), (rhs, rs) in overlaps(pres):
         if lhs != rhs:
@@ -467,6 +465,14 @@ class Subgroup:
     def contains(self, x: NormalWord) -> bool:
         return self.sift(x) is not None
 
+    def survivors(self) -> dict[int, int]:
+        """{i: relative order of g_i in G/K} for the generators that survive
+        modulo this subgroup K: K's lead entry p^v where K's igs leads at i,
+        else r_i.  g_i survives unless that order is 1."""
+        orders = {i: self.igs[i][i] if i in self.igs else r
+                  for i, r in enumerate(self.pres.orders)}
+        return {i: r for i, r in orders.items() if r != 1}
+
     def elements(self):
         pres = self.pres
         gens = list(self.igs.items())
@@ -538,13 +544,12 @@ def _stated(pres: PcPresentation, tail: Word) -> NormalWord:
     return tuple(dict(tail).get(k, 0) for k in range(pres.ngens))
 
 
-def _lift(u: NormalWord, survivors: list[int], n: int) -> NormalWord:
-    """Normal word of G whose image in a quotient with surviving generators
-    `survivors` is u."""
-    w = [0] * n
-    for t, e in enumerate(u):
-        w[survivors[t]] = e
-    return tuple(w)
+def _preimage(pres: PcPresentation, sub: Subgroup, indices: list[int], K: Subgroup) -> Subgroup:
+    """The preimage in G of a subgroup `sub` of G/K, generator t of G/K
+    being the image of g_(indices[t])."""
+    at = {i: t for t, i in enumerate(indices)}
+    lifts = [tuple(u[at[i]] if i in at else 0 for i in range(pres.ngens)) for u in sub.igs.values()]
+    return Subgroup.generate(pres, lifts + list(K.igs.values()))
 
 
 @lru_cache(maxsize=None)
@@ -576,8 +581,7 @@ def center(pres: PcPresentation) -> Subgroup:
     n_sub = Subgroup.generate(
         pres, [pres.pow_el(u, pres.element_order(u) // p) for u in gamma_c.igs.values()])
     quotient, survivors = _central_quotient_map(pres, n_sub)
-    lifts = [_lift(u, survivors, pres.ngens) for u in center(quotient).igs.values()]
-    y = Subgroup.generate(pres, lifts + list(n_sub.igs.values()))
+    y = _preimage(pres, center(quotient), survivors, n_sub)
     ys = list(y.igs.values())
     kernel = [pres.pow_el(u, p) for u in ys] + list(n_sub.igs.values())
     pivots = []  # (column, row scaled to 1 there, the element of Y it is the image of)
@@ -627,23 +631,18 @@ def lower_central_series(pres: PcPresentation) -> list[Subgroup]:
 def upper_central_series(pres: PcPresentation) -> list[Subgroup]:
     """1 = Z_0 <= Z_1 <= ... terminating at Z_c = G."""
     series = [Subgroup.trivial(pres)]
-    quotient = pres
+    quotient = pres  # G/Z_k
     indices = list(range(pres.ngens))  # ambient index of each quotient generator
-    while True:
+    while series[-1].order_exponent < pres.order_exponent:
         zq = center(quotient)
         if series[-1].order_exponent + zq.order_exponent > pres.order_exponent:
             raise InconsistentPresentation("upper central series overflow")
-        lifts = [_lift(u, indices, pres.ngens) for u in zq.igs.values()]
-        z_next = Subgroup.generate(pres, lifts + list(series[-1].igs.values()))
-        if z_next.order_exponent == series[-1].order_exponent:
-            if z_next.order_exponent != pres.order_exponent:
-                raise InconsistentPresentation("upper central series stalled")
-            break
-        series.append(z_next)
-        if z_next.order_exponent == pres.order_exponent:
-            break
-        quotient, qindices = _central_quotient_map(quotient, zq)
-        indices = [indices[t] for t in qindices]
+        series.append(_preimage(pres, zq, indices, series[-1]))
+        if series[-1].order_exponent == series[-2].order_exponent:
+            raise InconsistentPresentation("upper central series stalled")
+        if zq.order_exponent < quotient.order_exponent:  # else Z_(k+1) = G
+            quotient, qindices = _central_quotient_map(quotient, zq)
+            indices = [indices[t] for t in qindices]
     return series
 
 
@@ -653,9 +652,8 @@ def _central_quotient_map(pres: PcPresentation, K: Subgroup) -> tuple[PcPresenta
         raise ValueError("subgroup belongs to a different presentation")
     if not K.is_central():
         raise ValueError("subgroup is not central")
-    # g_i's order in G/K: the lead entry p^v of K's igs at i, else r_i
-    order = [K.igs[i][i] if i in K.igs else r for i, r in enumerate(pres.orders)]
-    survivors = [i for i, r in enumerate(order) if r > 1]
+    order = K.survivors()
+    survivors = list(order)
     pos = {i: t for t, i in enumerate(survivors)}
 
     def project(x: NormalWord) -> Word:
@@ -672,8 +670,8 @@ def _central_quotient_map(pres: PcPresentation, K: Subgroup) -> tuple[PcPresenta
     q = PcPresentation(
         p=pres.p,
         names=tuple(pres.names[i] for i in survivors),
-        orders=tuple(order[i] for i in survivors),
-        powers=tuple(project(pres.pow_el(pres.gen(i), order[i])) for i in survivors),
+        orders=tuple(order.values()),
+        powers=tuple(project(pres.pow_el(pres.gen(i), r)) for i, r in order.items()),
         comms=tuple(new_comms),
         name=f"{pres.name}/K" if pres.name else None,
     )
@@ -734,14 +732,10 @@ def abelian_quotient_invariants(pres: PcPresentation, extra) -> AbelianGroup:
 
 
 class StructureReport(Record):
-    _fields = ("pres", "order_exponent", "nilpotency_class", "derived", "center",
-               "lower_central", "upper_central")
+    _fields = ("nilpotency_class", "derived", "center", "lower_central", "upper_central")
 
-    def __init__(self, pres: PcPresentation, order_exponent: int, nilpotency_class: int,
-                 derived: Subgroup, center: Subgroup, lower_central: list[Subgroup],
-                 upper_central: list[Subgroup]):
-        self.pres = pres
-        self.order_exponent = order_exponent
+    def __init__(self, nilpotency_class: int, derived: Subgroup, center: Subgroup,
+                 lower_central: list[Subgroup], upper_central: list[Subgroup]):
         self.nilpotency_class = nilpotency_class
         self.derived = derived
         self.center = center
@@ -758,13 +752,10 @@ def structure_report(pres: PcPresentation) -> StructureReport:
     if c != len(upper) - 1:
         raise InconsistentPresentation(
             f"series disagree on nilpotency class: {c} vs {len(upper) - 1}")
-    trivial = Subgroup.trivial(pres)
     return StructureReport(
-        pres=pres,
-        order_exponent=pres.order_exponent,
         nilpotency_class=c,
-        derived=lower[1] if c else trivial,
-        center=upper[1] if c else trivial,
+        derived=derived_subgroup(pres),
+        center=center(pres),
         lower_central=lower,
         upper_central=upper,
     )
