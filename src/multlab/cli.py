@@ -87,7 +87,9 @@ def _dispatch(args) -> int:
         reports = verify_theorem(args.p, args.part, catalog=catalog, entry_ids=subset)
         print(emit_report(reports, args.format))
         bad = [r for r in reports if not r.ok]
-        print(f"\n{len(reports) - len(bad)}/{len(reports)} entries verified"
+        disabled = sum(r.status == "DISABLED" for r in reports)
+        print(f"\n{len(reports) - len(bad) - disabled}/{len(reports)} entries verified"
+              + (f", {disabled} disabled" if disabled else "")
               + (f"; failures: {[r.group for r in bad]}" if bad else ""))
         return 1 if bad else 0
 

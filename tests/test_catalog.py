@@ -534,6 +534,19 @@ class TestCli:
         assert main(["replay", "--script", "es_p3_class_bound.script", "--p", "3"]) == 0
         assert "OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv,summary", [
+        (["--p", "2", "--part", "two"], "11/12 entries verified, 1 disabled"),
+        (["--p", "2", "--part", "two", "--entries", "T6_xiii,T6_xix"],
+         "1/2 entries verified, 1 disabled"),
+        (["--p", "2", "--part", "two", "--entries", "T6_xiii,T6_xiv"], "2/2 entries verified"),
+        (["--p", "3", "--part", "odd", "--entries", "T6_ii"], "1/1 entries verified"),
+    ])
+    def test_verify_theorem_summary_counts_disabled_apart(self, capsys, argv, summary):
+        # a DISABLED entry did not run: it is not verified, and the exit status stays 0
+        from multlab.cli import main
+        assert main(["verify-theorem", *argv]) == 0
+        assert capsys.readouterr().out.rstrip("\n").splitlines()[-1] == summary
+
     def test_verify_theorem_unknown_entries(self, capsys):
         from multlab.cli import main
         assert main(["verify-theorem", "--p", "3", "--part", "odd",
