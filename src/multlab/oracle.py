@@ -237,7 +237,7 @@ def _orbit_length(perm) -> int:
     return n
 
 
-def central_quotient(right, zx):
+def quotient_actions(right, zx):
     """The right actions of S on Gamma / <z> for z x = zx[x], with z
     central, and the holonomy in Z/q of each non-tree edge of the quotient,
     in the order of `cycle_relations`' columns; q is the order of z.
@@ -294,7 +294,7 @@ def multiplier_from_actions(actions, p: int) -> MultiplierResult:
     # z: the first central element of largest order, at N steps per central element
     zx = max((left_by(c, right, tree) for c in full
               if all(a[c] == b[c] for a, b in zip(left, right))), key=_orbit_length)
-    q, qright, hol = central_quotient(right, zx)
+    q, qright, hol = quotient_actions(right, zx)
     e0 = next((e for e, h in enumerate(hol) if h % p), None)
     if e0 is None:
         raise OracleInconsistency("oracle: no non-tree edge has unit holonomy")

@@ -588,7 +588,7 @@ class TestCentralQuotient:
     @pytest.mark.parametrize("fault,message", QUOTIENT_FAULTS,
                              ids=[f.__name__ for f, _ in QUOTIENT_FAULTS])
     def test_a_broken_quotient_is_a_fail_record(self, catalog, monkeypatch, fault, message):
-        monkeypatch.setattr(oracle, "central_quotient", fault(oracle.central_quotient))
+        monkeypatch.setattr(oracle, "quotient_actions", fault(oracle.quotient_actions))
         with pytest.raises(OracleInconsistency, match=message):
             multiplier_via_oracle(catalog.instantiate("T6_xiv", 2))
         report = verify_entry(Computer(catalog), "T6_xiv", 2)
