@@ -384,6 +384,45 @@ class TestCentralQuotient:
             central_quotient(pres, derived_subgroup(pres))
 
 
+def _survivors_by_membership(pres, K):
+    """{i: p^v} for p^v > 1 the least power with g_i^(p^v) in <K, g_(i+1),
+    ..., g_n>: the relative order of g_i in G/K, read by membership alone."""
+    out = {}
+    for i in range(pres.ngens):
+        below = Subgroup.generate(
+            pres, list(K.igs.values()) + [pres.gen(k) for k in range(i + 1, pres.ngens)])
+        order = 1
+        while not below.contains(pres.pow_el(pres.gen(i), order)):
+            order *= pres.p
+        if order > 1:
+            out[i] = order
+    return out
+
+
+class TestSurvivors:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_against_membership(self, catalog, p):
+        """Every lower central term, G' and Z(G) of every catalog instance;
+        for a central K, the quotient is built on the same survivors.  The
+        lower series and G' read no survivors, so they come before Z(G)."""
+        checked = central = 0
+        for eid, _, pres in catalog_instances((p,), catalog):
+            for K in lower_central_series(pres) + [derived_subgroup(pres), None]:
+                K = K or center(pres)  # Z(G) is built on survivors, so it comes last
+                survivors = K.survivors()
+                assert survivors == _survivors_by_membership(pres, K), (eid, K)
+                checked += 1
+                if K.is_central():
+                    q, indices = pcgroup._central_quotient_map(pres, K)
+                    assert (indices, list(q.orders)) == \
+                        (list(survivors), list(survivors.values())), (eid, K)
+                    central += 1
+            st = structure_report(pres)
+            assert st.center is center(pres), eid
+            assert st.derived is derived_subgroup(pres), eid
+        assert (checked, central) == {2: (107, 80), 3: (160, 117), 5: (160, 117)}[p]
+
+
 class TestDirectProduct:
     def test_orders_add(self):
         es = load_presentation(ES_P3, 3)
