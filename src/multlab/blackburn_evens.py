@@ -138,11 +138,11 @@ def be_preconditions(pres: PcPresentation) -> Subgroup:
 def build_be_data(pres: PcPresentation) -> BeData:
     """Pairing, power map and X for a presentation that meets `be_preconditions`.
 
-    Generator i survives in V = G/G' unless it leads the igs of G' with lead
-    entry 1; with G/G' elementary, each survivor spans one dimension, and the
-    survivors are the basis of V.  G' is central and elementary, so the
-    pairing is alternating and bilinear, with the stated tail of [g_b, g_a]
-    at (b, a) for survivors b > a, and f(g_a) = g_a^p is linear."""
+    The generators that survive modulo G' (`Subgroup.survivors`) are the
+    basis of V = G/G': with G/G' elementary, each spans one dimension.  G'
+    is central and elementary, so the pairing is alternating and bilinear,
+    with the stated tail of [g_b, g_a] at (b, a) for survivors b > a, and
+    f(g_a) = g_a^p is linear."""
     p = pres.p
     derived = be_preconditions(pres)
     survivors = list(derived.survivors())

@@ -652,8 +652,7 @@ def _central_quotient_map(pres: PcPresentation, K: Subgroup) -> tuple[PcPresenta
         raise ValueError("subgroup belongs to a different presentation")
     if not K.is_central():
         raise ValueError("subgroup is not central")
-    order = K.survivors()
-    survivors = list(order)
+    survivors = K.survivors()
     pos = {i: t for t, i in enumerate(survivors)}
 
     def project(x: NormalWord) -> Word:
@@ -670,14 +669,14 @@ def _central_quotient_map(pres: PcPresentation, K: Subgroup) -> tuple[PcPresenta
     q = PcPresentation(
         p=pres.p,
         names=tuple(pres.names[i] for i in survivors),
-        orders=tuple(order.values()),
-        powers=tuple(project(pres.pow_el(pres.gen(i), r)) for i, r in order.items()),
+        orders=tuple(survivors.values()),
+        powers=tuple(project(pres.pow_el(pres.gen(i), r)) for i, r in survivors.items()),
         comms=tuple(new_comms),
         name=f"{pres.name}/K" if pres.name else None,
     )
     if q.order_exponent != pres.order_exponent - K.order_exponent:
         raise InconsistentPresentation("central quotient has wrong order")
-    return q, survivors
+    return q, list(survivors)
 
 
 def central_quotient(pres: PcPresentation, K: Subgroup) -> PcPresentation:
