@@ -22,7 +22,11 @@ centralizer holds the transitive left ones, so both are regular, H has
 order N, the right walk's graph is the Cayley graph of H over S, and each
 left action, and each input action, is multiplication by its image of the
 identity.  Right reach and commuting imply the left walk's reach, so that
-check guards the derivation.  A failure is an `OracleInconsistency`, and
+check guards the derivation.  On a presentation, `multiplier_via_oracle`
+takes the last step: N = p^n, and both sides of each stated relation,
+walked from point 0, meet.  So H is a quotient of the presented group, of
+order at most p^n = N, and is that group; neither the collector nor
+`check_consistency` is trusted.  A failure is an `OracleInconsistency`, and
 so are the two holonomy checks below.
 
 Quotient.  The point c is central exactly when s c = c s for every s in S,
@@ -88,7 +92,7 @@ orders; `bench/tracer.py` times both by name.
 from __future__ import annotations
 
 from .abelian import AbelianGroup, prime_power, snf, valuation
-from .cayley import CayleyTable, greedy_generators, left_by, walk
+from .cayley import CayleyTable, follow, greedy_generators, left_by, walk
 from .record import Frozen, Record
 from .results import METHOD_ORACLE, MultiplierResult
 
@@ -332,10 +336,21 @@ def multiplier_from_table(table: CayleyTable, p: int) -> MultiplierResult:
 
 
 def multiplier_via_oracle(pres) -> MultiplierResult:
-    """M(G) from the pc generators' right actions on the elements of a
-    presentation, up to DEFAULT_ORACLE_CAP."""
+    """M(G) from the pc generators' right actions on a presentation's
+    elements, up to DEFAULT_ORACLE_CAP, certified by its stated relations."""
     from .pcgroup import SizeCapError, right_actions
 
     if (n := pres.group_order()) > DEFAULT_ORACLE_CAP:
         raise SizeCapError(f"group order {n} exceeds the oracle cap {DEFAULT_ORACLE_CAP}")
-    return multiplier_from_actions(right_actions(pres), pres.p)
+    right = right_actions(pres)
+    if [len(a) for a in right] != [n] * pres.ngens:
+        raise OracleInconsistency(f"oracle: the actions are not {n} points per pc generator")
+    result = multiplier_from_actions(right, pres.p)
+    names, gens = pres.names, range(pres.ngens)
+    sides = [(f"{names[i]}^{r}", ((i, r),), w) for i, r, w in zip(gens, pres.orders, pres.powers)]
+    sides += [(f"[{names[j]}, {names[i]}]", ((j, 1), (i, 1)),
+               ((i, 1), (j, 1), *pres.comm_tail(j, i))) for j in gens for i in range(j)]
+    for rel, lhs, rhs in sides:  # the certificate's last step: each side from the identity
+        if follow(right, lhs) != follow(right, rhs):
+            raise OracleInconsistency(f"oracle: the actions break the stated relation {rel}")
+    return result

@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import prod
 
 from .abelian import AbelianGroup, snf, snf_group, valuation
-from .cayley import CayleyTable, left_by, walk
+from .cayley import CayleyTable, follow, left_by, walk
 from .record import Frozen, Record
 from .results import METHOD_TAILS, MultiplierResult
 
@@ -473,25 +473,6 @@ class Subgroup:
                   for i, r in enumerate(self.pres.orders)}
         return {i: r for i, r in orders.items() if r != 1}
 
-    def elements(self):
-        pres = self.pres
-        gens = list(self.igs.items())
-        rel = [pres.orders[l] // u[l] for l, u in gens]
-
-        # triangular products u_1^{e_1} ... u_m^{e_m} enumerate each element once
-        def rec(k, acc):
-            if k == len(gens):
-                yield acc
-                return
-            _, u = gens[k]
-            cur = acc
-            for e in range(rel[k]):
-                yield from rec(k + 1, cur)
-                if e + 1 < rel[k]:
-                    cur = pres.mul(cur, u)
-
-        return rec(0, pres.identity)
-
     def is_central(self) -> bool:
         pres = self.pres
         return all(pres.commutes(u, pres.gen(i))
@@ -576,7 +557,6 @@ def center(pres: PcPresentation) -> Subgroup:
     p = pres.p
     if not pres.comms:
         return Subgroup.whole(pres)
-    gens = [pres.gen(i) for i in range(pres.ngens)]
     gamma_c = lower_central_series(pres)[-2]
     n_sub = Subgroup.generate(
         pres, [pres.pow_el(u, pres.element_order(u) // p) for u in gamma_c.igs.values()])
@@ -587,8 +567,11 @@ def center(pres: PcPresentation) -> Subgroup:
     pivots = []  # (column, row scaled to 1 there, the element of Y it is the image of)
     for u in ys:
         row = []
-        for g in gens:
-            exps = n_sub.sift(pres.comm_el(u, g))
+        j = _lead(u)  # for u = g_j, [u, g_i] is the stated tail (j > i) or its inverse (j < i)
+        for i in range(pres.ngens):
+            w = _stated(pres, pres.comm_tail(max(i, j), min(i, j)))
+            c = pres.comm_el(u, pres.gen(i)) if u != pres.gen(j) else w if j > i else pres.inv(w)
+            exps = n_sub.sift(c)
             if exps is None:
                 raise InconsistentPresentation("[Z(G/N), G] is not inside N")
             row.extend(exps.get(l, 0) for l in n_sub.igs)
@@ -765,10 +748,30 @@ def structure_report(pres: PcPresentation) -> StructureReport:
 
 def right_actions(pres: PcPresentation) -> list[list[int]]:
     """right[l][x] = x g_l for every pc generator g_l, on the indices of the
-    elements in the lexicographic order of `elements`."""
-    words = list(pres.elements())
-    index = {w: k for k, w in enumerate(words)}
-    return [[index[pres.mul_gen(w, l)] for w in words] for l in range(pres.ngens)]
+    elements in the lexicographic order of `elements`, a unit at l adding
+    stride_l = prod_(k > l) r_k.  The rows are walked from the stated
+    relations as pc collection rewrites x g_l (Holt, Eick and O'Brien,
+    Handbook of CGT, ch. 8), l descending and x ascending, m being x's last
+    nonzero position: x + stride_l if m < l, or m = l below exponent
+    r_l - 1; at that exponent, w_l walked from x with g_l cleared; and for
+    m > l, x = x' g_m gives (x' g_l) g_m [g_m, g_l].  Nothing is collected."""
+    orders, n = pres.orders, pres.ngens
+    stride = [prod(orders[k + 1:]) for k in range(n)]
+    last = [-1]  # last[x]: x's last nonzero position, -1 at the identity
+    for k, r in enumerate(orders):
+        last = [m for y in last for m in [y] + [k] * (r - 1)]
+    right: list = [None] * n
+    for l in reversed(range(n)):
+        s, top = stride[l], (orders[l] - 1) * stride[l]
+        row = right[l] = []
+        for x, m in enumerate(last):
+            if m < l or m == l and x % (top + s) < top:
+                row.append(x + s)
+            elif m == l:
+                row.append(follow(right, pres.powers[l], x - top))
+            else:
+                row.append(follow(right, pres.comm_tail(m, l), right[m][row[x - stride[m]]]))
+    return right
 
 
 def cayley_table(pres: PcPresentation) -> CayleyTable:

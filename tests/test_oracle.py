@@ -1,7 +1,9 @@
 """The oracle: Hopf's formula from a Cayley table against tails on every
-catalog group the cap admits, its free-rank identity, the certificate on
-its actions, its quotient by a central cyclic subgroup against the full
-graph and tails, and a report path that builds no Cayley table; and for
+catalog group the cap admits, its free-rank identity, the actions walked
+from the stated relations against collection, the certificate on the
+actions and on the relations they must satisfy, its quotient by a central
+cyclic subgroup against the full graph and tails, and a report path that
+builds no Cayley table and collects nothing in the oracle; and for
 H^2, which `h2_trivial_coeffs` reads off G^ab and M(G) by the universal
 coefficient theorem, frozen values and two references that share no code
 with the oracle: an enumeration of every cochain of a tiny group, and a
@@ -16,11 +18,12 @@ import numpy as np
 import pytest
 from conftest import catalog_instances
 
-from multlab import oracle
+from multlab import oracle, pcgroup
 from multlab.abelian import AbelianGroup, exterior_square, snf, valuation
 from multlab.cayley import CayleyTable, greedy_generators, left_by, walk
 from multlab.compute import Computer
 from multlab.dsl import load_presentation
+from multlab.entries import Catalog, parse_entry
 from multlab.oracle import (
     DEFAULT_ORACLE_CAP,
     OracleInconsistency,
@@ -31,8 +34,8 @@ from multlab.oracle import (
     multiplier_from_table,
     multiplier_via_oracle,
 )
-from multlab.pcgroup import (SizeCapError, abelianization, cayley_table, center,
-                             multiplier_via_tails, right_actions)
+from multlab.pcgroup import (PcPresentation, SizeCapError, abelianization, cayley_table,
+                             center, multiplier_via_tails, right_actions)
 from multlab.report import run_table24, verify_entry, verify_theorem
 
 Z2 = "gen a 2"
@@ -450,7 +453,79 @@ FAULTS = [(repeat_an_entry, "T6_xiv", "not a permutation"),
           (transitive_not_regular, "T6_xiv", "not a permutation")]
 
 
+def collected_actions(pres):
+    """The reference for `right_actions`: every element collected by every
+    pc generator."""
+    words = list(pres.elements())
+    index = {w: k for k, w in enumerate(words)}
+    return [[index[pres.mul_gen(w, l)] for w in words] for l in range(pres.ngens)]
+
+
+def another_groups_actions(catalog, monkeypatch):
+    """Z_3^3's actions offered for ESp_p3: a regular group of order 27 that
+    passes every other check but breaks the stated [a1, a] = a2."""
+    real, z3 = pcgroup.right_actions, load_presentation("gen a p\ngen b p\ngen c p", 3)
+    monkeypatch.setattr(pcgroup, "right_actions", lambda pres: real(z3))
+    return catalog
+
+
+def a_quotients_actions(catalog, monkeypatch):
+    """The actions of ESp_p3/Z = Z_3^2 on its 9 points, a2 acting trivially:
+    they satisfy every stated relation, so only N = p^n tells them apart."""
+    real, z3 = pcgroup.right_actions, load_presentation("gen a p\ngen a1 p", 3)
+    monkeypatch.setattr(pcgroup, "right_actions", lambda pres: real(z3) + [list(range(9))])
+    return catalog
+
+
+def a_changed_tail(catalog, monkeypatch):
+    """ESp_p3 with [a1, a] = a1 in place of a2, built with `check_consistency`
+    bypassed, so the walk follows relations no group of order 27 satisfies."""
+    monkeypatch.setattr(pcgroup, "check_consistency", lambda pres: ())
+    return Catalog({"ESp_p3": parse_entry(
+        "name ESp_p3\nconstraint odd\ngen a p\ngen a1 p\ngen a2 p\ncomm a1 a = a1")})
+
+
+RELATION_FAULTS = [(another_groups_actions, "break the stated relation [a1, a]"),
+                   (a_quotients_actions, "not 27 points per pc generator"),
+                   (a_changed_tail, "does not commute")]
+
+
 class TestActions:
+    def test_the_walk_equals_collection(self, catalog):
+        """`right_actions` walks the stated relations and equals the collected
+        actions; the bound 7^4 keeps this quick, and with 20,000 in its place
+        all 105 catalog instances up to that order agree."""
+        checked = Counter()
+        for eid, p, pres in instances(catalog, 1, 7 ** 4):
+            assert right_actions(pres) == collected_actions(pres), (eid, p)
+            checked[p] += 1
+        assert checked == {2: 21, 3: 30, 5: 15, 7: 15}
+
+    @pytest.mark.parametrize("fault,message", RELATION_FAULTS,
+                             ids=[f.__name__ for f, _ in RELATION_FAULTS])
+    def test_actions_not_of_the_presented_group_are_a_fail_record(self, catalog, monkeypatch,
+                                                                  fault, message):
+        """The certificate makes the actions a regular group H of order N;
+        N = p^n and the stated relations at its identity make H the
+        presented group."""
+        catalog = fault(catalog, monkeypatch)
+        with pytest.raises(OracleInconsistency, match=re.escape(message)):
+            multiplier_via_oracle(catalog.instantiate("ESp_p3", 3))
+        report = verify_entry(Computer(catalog), "ESp_p3", 3, method="oracle")
+        assert report.status == "FAIL"
+        assert report.trace[0].startswith("OracleInconsistency: oracle: ")
+        assert message in report.trace[0]
+
+    def test_the_oracle_collects_nothing(self, catalog, monkeypatch):
+        """Neither the actions nor their certificate collect a word."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle collected a word")
+
+        pres = catalog.instantiate("T6_xiv", 2)
+        want = multiplier_via_tails(pres).invariants
+        monkeypatch.setattr(PcPresentation, "_collect_onto", forbidden)
+        assert multiplier_via_oracle(pres).invariants == want
+
     def test_every_small_catalog_instance(self, catalog):
         """From the presentation's actions, the oracle equals the table
         adapter (its trace, invariants included) and tails on every catalog
