@@ -557,6 +557,7 @@ def center(pres: PcPresentation) -> Subgroup:
     p = pres.p
     if not pres.comms:
         return Subgroup.whole(pres)
+    gens = [pres.gen(i) for i in range(pres.ngens)]
     gamma_c = lower_central_series(pres)[-2]
     n_sub = Subgroup.generate(
         pres, [pres.pow_el(u, pres.element_order(u) // p) for u in gamma_c.igs.values()])
@@ -567,11 +568,8 @@ def center(pres: PcPresentation) -> Subgroup:
     pivots = []  # (column, row scaled to 1 there, the element of Y it is the image of)
     for u in ys:
         row = []
-        j = _lead(u)  # for u = g_j, [u, g_i] is the stated tail (j > i) or its inverse (j < i)
-        for i in range(pres.ngens):
-            w = _stated(pres, pres.comm_tail(max(i, j), min(i, j)))
-            c = pres.comm_el(u, pres.gen(i)) if u != pres.gen(j) else w if j > i else pres.inv(w)
-            exps = n_sub.sift(c)
+        for g in gens:
+            exps = n_sub.sift(pres.comm_el(u, g))
             if exps is None:
                 raise InconsistentPresentation("[Z(G/N), G] is not inside N")
             row.extend(exps.get(l, 0) for l in n_sub.igs)

@@ -663,10 +663,10 @@ class TestCenterAgainstEnumeration:
         assert all(_same(a, b) for a, b in zip(upper, reference))
 
     @pytest.mark.parametrize("p", [3, 5])
-    def test_a_row_with_a_stated_and_an_inverted_tail(self, p):
-        """b's row reads [b, a] = z as stated and [b, c] = [c, b]^-1 = z^-1
-        inverted, so the centre is <ac, z>; a row that took [b, c] as z
-        would put a c^-1 there instead (no catalog entry tells them apart)."""
+    def test_commutators_of_both_signs(self, p):
+        """[b, a] = z and [b, c] = [c, b]^-1 = z^-1, so ac commutes with b
+        and the centre is <ac, z>; a sign slip in [b, c] would put a c^-1
+        there instead (no catalog entry tells them apart)."""
         pres = load_presentation("gen a p\ngen b p\ngen c p\ngen z p\n"
                                  "comm b a = z\ncomm c b = z", p)
         z = center(pres)
