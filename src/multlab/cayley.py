@@ -16,22 +16,18 @@ from .record import Frozen
 Table = tuple[tuple[int, ...], ...]
 
 
-def walk(actions, tree=None) -> tuple[list[int], dict[int, int], dict[int, int]]:
+def walk(actions) -> tuple[list[int], dict[int, int], dict[int, int]]:
     """A breadth-first walk from point 0 along permutations of 0..N-1.
 
     `order` is the reached set in the order reached, 0 first: for right
     multiplication by elements of a finite group, with the identity at 0,
     the subgroup they generate.  For each z reached after 0,
-    z = actions[letter[z]][parent[z]]; these are the edges of a spanning
-    tree, and parent's keys are the rest of `order`, in order.  A `tree`
-    walked over all the actions but the last is extended in place: its
-    points take the last action's edges, new points every action's.
+    z = actions[letter[z]][parent[z]]; these are the edges of a BFS tree,
+    and parent's keys are the rest of `order`, in order.
     """
-    order, parent, letter = tree or ([0], {}, {})
-    every = list(enumerate(actions))
-    old, last = (len(order), every[-1:]) if tree else (0, every)
-    for k, y in enumerate(order):  # the queue: order grows while it is read
-        for i, a in last if k < old else every:
+    order, parent, letter = [0], {}, {}
+    for y in order:  # the queue: order grows while it is read
+        for i, a in enumerate(actions):
             z = a[y]
             if z and z not in parent:
                 parent[z], letter[z] = y, i
@@ -69,7 +65,7 @@ def greedy_generators(actions) -> tuple[list, tuple]:
     for a in actions:
         if a[0] and a[0] not in tree[1]:  # parent's keys: the reached points but 0
             picks.append(a)
-            tree = walk(picks, tree)  # each pick extends the one walk
+            tree = walk(picks)
             if len(tree[0]) == len(a):
                 break
     return picks, tree
