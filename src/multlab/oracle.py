@@ -23,9 +23,10 @@ order N, the right walk's graph is the Cayley graph of H over S, and each
 left action, and each input action, is multiplication by its image of the
 identity.  Right reach and commuting imply the left walk's reach, so that
 check guards the derivation.  On a presentation, `multiplier_via_oracle`
-takes the last step: N = p^n, and both sides of each stated relation,
-walked from point 0, meet.  So H is a quotient of the presented group, of
-order at most p^n = N, and is that group; neither the collector nor
+takes the last step: N = r_1 ... r_n, the product of the relative
+orders, and both sides of each stated relation, walked from point 0, meet.
+So H is a quotient of the presented group, of order at most
+r_1 ... r_n = N, and is that group; neither the collector nor
 `check_consistency` is trusted.  A failure is an `OracleInconsistency`, and
 so are the two holonomy checks below.
 
