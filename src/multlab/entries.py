@@ -186,6 +186,10 @@ def parse_entry(text: str, fallback_name: str | None = None) -> CatalogEntry:
 
 class Catalog:
     def __init__(self, entries: dict[str, CatalogEntry]):
+        for eid, entry in entries.items():  # each name an entry refers to must be an entry
+            for ref in (*entry.factors, entry.alias_of):
+                if ref is not None and ref not in entries:
+                    raise CatalogError(f"{eid}: no catalog entry named {ref!r}")
         self.entries = entries
         self._cache: dict[tuple[str, int], PcPresentation] = {}
 

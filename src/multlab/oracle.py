@@ -70,8 +70,8 @@ non-tree edges among the translates of the tree path 1 -> z: path_s[parent
 z], plus the translated edge into z if it is off the tree.  The row of e is
 +1 on path_s[y] less path_s[z], -1 on path_s[z] less path_s[y], +1 on s e
 if it is off the tree, and -1 on e.  `cycle_relations` builds these rows
-from any such right actions, along its own walk; the oracle gives it the
-quotient's.
+from any such right actions and their walk; the oracle gives it the
+quotient's, walked once by `quotient_actions`.
 
 Cokernel.  exp M(G) divides |G| = p^n, so `abelian.snf` reads the
 cokernel over Z_{p^(n+1)} in the rows' own dicts, which it consumes.  Each
@@ -185,16 +185,16 @@ def _invariants_from_order_counts(counts: dict[int, int], p: int) -> AbelianGrou
     return AbelianGroup.of(p, out)
 
 
-def cycle_relations(right) -> tuple[int, list[list[dict[int, int]]]]:
+def cycle_relations(right, tree) -> tuple[int, list[list[dict[int, int]]]]:
     """The relation rows of H_1(Gamma)_G for Gamma = Gamma(G, S), from the
-    right multiplications by each s in S; s x is read along the walk.
+    right multiplications by each s in S and their walk `tree`, along which s x is read.
 
     Returns the number of non-tree edges, which index the cycle basis, and
     for each s in S the block of rows s.c_e - c_e over every cycle c_e,
     as {non-tree edge: signed count} dicts, keys ascending (zeros dropped).
     """
     n, ns = len(right[0]), len(right)
-    tree = order, parent, letter = walk(right)
+    order, parent, letter = tree
     if len(order) != n:
         raise OracleInconsistency(f"oracle: the right walk reaches {len(order)} of {n} points")
     tree_edges = set(zip(parent.values(), letter.values()))
@@ -243,8 +243,8 @@ def _orbit_length(perm) -> int:
 
 
 def quotient_actions(right, zx):
-    """The right actions of S on Gamma / <z> for z x = zx[x], with z
-    central, and the holonomy in Z/q of each non-tree edge of the quotient,
+    """The right actions of S on Gamma / <z> for z x = zx[x], with z central,
+    their walk, and the holonomy in Z/q of each non-tree edge of the quotient,
     in the order of `cycle_relations`' columns; q is the order of z.
 
     The cosets are labelled in order of their least element, so the
@@ -259,14 +259,14 @@ def quotient_actions(right, zx):
         if j:
             reps.append(x)
     qright = [[coset[a[x]] for x in reps] for a in right]
-    _, parent, letter = walk(qright)
+    qtree = _, parent, letter = walk(qright)
     lift = [0] * len(reps)  # lift[c]: the end of the tree path 0 -> c lifted from 0
     for c in parent:
         lift[c] = right[letter[c]][lift[parent[c]]]
     tree = set(zip(parent.values(), letter.values()))
     hol = [(pos[a[lift[c]]] - pos[lift[qa[c]]]) % q for c in range(len(reps))
            for i, (a, qa) in enumerate(zip(right, qright)) if (c, i) not in tree]
-    return q, qright, hol
+    return q, qright, qtree, hol
 
 
 def multiplier_from_actions(actions, p: int) -> MultiplierResult:
@@ -299,13 +299,13 @@ def multiplier_from_actions(actions, p: int) -> MultiplierResult:
     # z: the first central element of largest order, at N steps per central element
     zx = max((left_by(c, right, tree) for c in full
               if all(a[c] == b[c] for a, b in zip(left, right))), key=_orbit_length)
-    q, qright, hol = quotient_actions(right, zx)
+    q, qright, qtree, hol = quotient_actions(right, zx)
     e0 = next((e for e, h in enumerate(hol) if h % p), None)
     if e0 is None:
         raise OracleInconsistency("oracle: no non-tree edge has unit holonomy")
     inv = pow(hol[e0], -1, q)
     ratio = [h * inv % q for h in hol]  # k_e, and k_e0 = 1
-    ncycles, blocks = cycle_relations(qright)
+    ncycles, blocks = cycle_relations(qright, qtree)
     rows = []
     for block in blocks:
         for row in block:  # into the coordinates of L: e0's is the holonomy sum over q

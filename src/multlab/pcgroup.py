@@ -19,6 +19,13 @@ stores its word, letters and tails; an overlap copies those tails and
 collects the other operand's letters onto a copy of the left word.  The
 rows are memoized by `check_consistency`, so it runs once per distinct
 presentation per process.
+Two kinds of overlap are settled by the stated relations and collect
+nothing, each giving the row ().  A triple (k, j, i) none of whose pairs
+has a stated tail: either bracketing of g_k g_j g_i only swaps adjacent
+letters, each inverted pair once, and no exponent reaches its relative
+order, so both sides are g_i g_j g_k carrying t_kj + t_ki + t_ji.  A
+power-cycle whose w_i is empty: both sides are g_i carrying t_i alone.
+`comm_el`, `commutes` and the normal closure skip `supports_commute` pairs.
 A presentation is immutable by construction: its fields are set once, in
 `__init__`, and its hash is computed there, once, from every field but its
 `name`.  So its other facts are memoized too: the lower central series,
@@ -98,7 +105,10 @@ class PcPresentation(Frozen):
             seen.add((j, i))
             self._check_tail(tail, i, f"commutator [{self.names[j]},{self.names[i]}]")
         self._set(comms=tuple(c for c in self.comms if c[2]))
-        self._set(_comm_map={(j, i): tail for j, i, tail in self.comms},
+        clash = [0] * n  # clash[a]: bit b set when [g_a, g_b] has a stated tail
+        for j, i, _ in self.comms:
+            clash[j], clash[i] = clash[j] | 1 << i, clash[i] | 1 << j
+        self._set(_comm_map={(j, i): tail for j, i, tail in self.comms}, _clash=clash,
                   _hash=hash(self._key()))
         self._set(_tail_rows=check_consistency(self))  # its memo reads _hash
 
@@ -257,8 +267,16 @@ class PcPresentation(Frozen):
             k >>= 1
         return acc
 
+    def supports_commute(self, u: NormalWord, v: NormalWord) -> bool:
+        """True when no generator of u's support has a stated tail with one of v's,
+        so that u and v commute."""
+        mask = sum(1 << b for b, y in enumerate(v) if y)
+        return not any(x and self._clash[a] & mask for a, x in enumerate(u))
+
     def comm_el(self, u: NormalWord, v: NormalWord) -> NormalWord:
-        """[u, v] = u^-1 v^-1 u v = (vu)^-1 (uv)."""
+        """[u, v] = u^-1 v^-1 u v = (vu)^-1 (uv); 1, uncollected, if `supports_commute`."""
+        if self.supports_commute(u, v):
+            return self.identity
         return self.ldiv(self.mul(v, u), self.mul(u, v))
 
     def element_order(self, u: NormalWord) -> int:
@@ -273,7 +291,8 @@ class PcPresentation(Frozen):
         return itertools.product(*[range(r) for r in self.orders])
 
     def commutes(self, u: NormalWord, v: NormalWord) -> bool:
-        return self.mul(u, v) == self.mul(v, u)
+        """uv == vu; True, uncollected, if `supports_commute`."""
+        return self.supports_commute(u, v) or self.mul(u, v) == self.mul(v, u)
 
 
 # -- consistency -------------------------------------------------------------
@@ -288,12 +307,16 @@ def overlaps(pres: PcPresentation):
     the collector.  Each shared side, a power tail or a pair product g_j g_i
     (j > i), is collected once and stored with its letters; a side copies
     its shared operand's tails (the other operand, a letter, has none) and
-    collects onto a copy of the left word, so no overlap changes another's."""
+    collects onto a copy of the left word, so no overlap changes another's.
+    An overlap the stated relations settle (module docstring) is not
+    collected: it yields the side (None, ()) both ways, so its row is ()."""
     n = pres.ngens
     width = n + n * (n - 1) // 2
     collect = pres._collect_onto
     gen = [pres.gen(i) for i in range(n)]
     one = [((i, 1),) for i in range(n)]
+    settled = ((None, ()),) * 2  # the two sides of an overlap the relations settle
+    quiet = pres.supports_commute
 
     def stored(u, letters, tails):  # u * letters with the letters of its word
         w = collect(list(u), letters, tails)
@@ -313,7 +336,9 @@ def overlaps(pres: PcPresentation):
     for k in range(n):
         for j in range(k):
             for i in range(j):
-                yield "triple", (k, j, i), then(pair[k, j], one[i]), onto(gen[k], pair[j, i])
+                yield ("triple", (k, j, i), *(
+                    settled if quiet(gen[j], gen[i]) and quiet(gen[k], pair[j, i][0])
+                    else (then(pair[k, j], one[i]), onto(gen[k], pair[j, i]))))
     for j in range(n):
         for i in range(j):
             yield ("power-left", (j, i), then(wv[j], one[i]),  # rhs g_j^(r_j - 1) (g_j g_i)
@@ -321,7 +346,8 @@ def overlaps(pres: PcPresentation):
             yield ("power-right", (j, i), onto(gen[j], wv[i]),
                    then(pair[j, i], ((i, pres.orders[i] - 1),)))
     for i in range(n):
-        yield "power-cycle", (i,), onto(gen[i], wv[i]), then(wv[i], one[i])
+        yield ("power-cycle", (i,), *(
+            (onto(gen[i], wv[i]), then(wv[i], one[i])) if pres.powers[i] else settled))
 
 
 @lru_cache(maxsize=None)
@@ -441,9 +467,9 @@ class Subgroup:
             for u in igs.values():
                 if u is not x:
                     queue.append(pres.comm_el(x, u))
-            if normal:
-                for i in range(pres.ngens):
-                    queue.append(pres.ldiv(pres.gen(i), pres.mul_gen(x, i)))  # x^g_i
+            if normal:  # x^g_i, but for g_i that x commutes with by the stated relations
+                queue += [pres.ldiv(pres.gen(i), pres.mul_gen(x, i)) for i in range(pres.ngens)
+                          if not pres.supports_commute(x, pres.gen(i))]
         return cls(pres, igs)
 
     # structure

@@ -87,8 +87,8 @@ class TestCatalogIntegrity:
         assert checked >= 4
 
     def test_bundled_references_name_bundled_entries(self, catalog):
-        # a user-built catalog may name a missing factor (a FAIL record, see
-        # test_bad_factor_reference_is_a_fail_record); the bundled one never does
+        # a catalog naming a missing entry is refused when built (see
+        # test_unknown_reference_is_refused_at_load); the bundled one builds
         ids = set(catalog.ids())
         products = aliases = 0
         for eid in catalog.ids():
@@ -98,6 +98,14 @@ class TestCatalogIntegrity:
             products += entry.is_product
             aliases += entry.alias_of is not None
         assert products >= 4 and aliases >= 6
+
+    @pytest.mark.parametrize("text", ["name P\nproduct Zp Zq", "name P\nalias Zq"],
+                             ids=["factor", "alias"])
+    def test_unknown_reference_is_refused_at_load(self, catalog, text):
+        # Zq names no entry: the catalog is not built, and the error names
+        # P, the entry that refers to it, before any prime is chosen
+        with pytest.raises(CatalogError, match=r"^P: no catalog entry named 'Zq'$"):
+            Catalog({"Zp": catalog["Zp"], "P": parse_entry(text)})
 
     def test_one_factor_product_rejected(self):
         with pytest.raises(CatalogError, match="two factors"):
@@ -440,14 +448,6 @@ class TestReports:
                                  entry_ids=("T6_xii",))
         assert [(r.group, r.status, r.t) for r in reports] == [("T6_xii", "FAIL", None)]
         assert reports[0].trace == [f"CatalogError: expect multiplier {value}: {problem}"]
-
-    def test_bad_factor_reference_is_a_fail_record(self, catalog):
-        # the product names a factor the catalog lacks: that entry fails
-        product = parse_entry("name P\nproduct Zp Zq\n")
-        small = Catalog({"Zp": catalog["Zp"], "P": product})
-        rep = verify_entry(Computer(small), "P", 2)
-        assert (rep.group, rep.n, rep.status, rep.t) == ("P", 0, "FAIL", None)
-        assert rep.trace == ["CatalogError: no catalog entry named 'Zq'"]
 
     def test_prime_outside_the_entry_constraint_is_an_error(self, catalog, computer):
         with pytest.raises(ConstraintError, match="T6_i requires an odd prime, got 2"):

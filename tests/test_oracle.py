@@ -350,8 +350,8 @@ class TestHopfAgainstTails:
         subgroup H, of rank 1 + (d - 1)[G:H] > d."""
         real = oracle.cycle_relations
 
-        def short(right):
-            ncycles, blocks = real(right)
+        def short(right, tree):
+            ncycles, blocks = real(right, tree)
             return ncycles, blocks[1:]
 
         monkeypatch.setattr(oracle, "cycle_relations", short)
@@ -409,7 +409,8 @@ class TestCycleRows:
             perm = [0] + list(rng.permutation(np.arange(1, table.n)))
             for tab in (table, table.relabel(perm)):
                 gens = tab.generating_set()
-                ncycles, blocks = cycle_relations(tab.actions(gens))
+                actions = tab.actions(gens)
+                ncycles, blocks = cycle_relations(actions, walk(actions))
                 want = naive_cycle_rows(tab, gens)
                 assert ncycles == want[0], eid
                 assert [[list(row.items()) for row in block] for block in blocks] == \
@@ -597,7 +598,7 @@ def full_graph_multiplier(right, p):
     """M(G) and the free rank by Hopf's formula on the whole Cayley graph:
     the rows s.c_e - c_e of every cycle of Gamma itself, with no quotient."""
     k = valuation(len(right[0]), p) + 1
-    ncycles, blocks = cycle_relations(right)
+    ncycles, blocks = cycle_relations(right, walk(right))
     vals = snf([row for block in blocks for row in block], ncycles, p, k)
     return AbelianGroup.of(p, [v for v in vals if v < k]), vals.count(k)
 
@@ -618,8 +619,8 @@ def non_central_z(real):
 def holonomy_in_2z(real):
     """The holonomies read in 2Z/q, so that at p = 2 none is a unit."""
     def quotient(right, zx):
-        q, qright, hol = real(right, zx)
-        return q, qright, [2 * h % q for h in hol]
+        q, qright, qtree, hol = real(right, zx)
+        return q, qright, qtree, [2 * h % q for h in hol]
     return quotient
 
 

@@ -880,11 +880,17 @@ class TestOverlapPass:
         for pres in built:
             assert pres._tail_rows == _reference_overlap_rows(pres), (pres.name, pres.p)
 
-    def test_pass_collects_each_side_once(self, monkeypatch):
+    @pytest.mark.parametrize("eid,p,evaluated,want", [("Phi7_15", 5, 27, 69),
+                                                       ("T6_i", 3, 62, 160)])
+    def test_pass_collects_each_side_once(self, catalog, monkeypatch, eid, p, evaluated,
+                                          want):
         """One pass makes one collector entry per shared side (n power tails,
-        n(n-1)/2 pair products) and one per overlap side: a pass that
-        collected a shared side again would make more."""
-        pres = load_presentation(PHI7_15, 5)
+        n(n-1)/2 pair products) and one per side of an evaluated overlap: a
+        pass that collected a shared side again would make more.  The
+        overlaps the stated relations settle (side (None, ())) collect
+        nothing: 8 of Phi7_15's 35, and 58 of T6_i's 120."""
+        pres = catalog.instantiate(eid, p)
+        assert sum(lhs[0] is not None for _, _, lhs, _ in pcgroup.overlaps(pres)) == evaluated
         entries = []
         collect = PcPresentation._collect_onto
 
@@ -893,9 +899,9 @@ class TestOverlapPass:
             return collect(self, a, letters, tails)
 
         monkeypatch.setattr(PcPresentation, "_collect_onto", counted)
-        rows = pcgroup.check_consistency.__wrapped__(pres)
+        pcgroup.check_consistency.__wrapped__(pres)
         n = pres.ngens
-        assert len(entries) == n + n * (n - 1) // 2 + 2 * len(rows) == 85
+        assert len(entries) == n + n * (n - 1) // 2 + 2 * evaluated == want
 
     def test_each_pair_product_collected_once(self, monkeypatch):
         pres = load_presentation(PHI7_15, 5)
@@ -911,6 +917,36 @@ class TestOverlapPass:
         for j in range(pres.ngens):
             for i in range(j):
                 assert entries[pres.gen(j), ((i, 1),)] == 1, (j, i)
+
+
+class TestSupportsCommute:
+    """`comm_el` and `commutes` collect nothing when the stated relations
+    make u and v commute; their values are still the collected ones."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_shortcut_equals_collection(self, p):
+        rng = random.Random(p)
+        checked, shortcuts = 0, Counter()
+        for eid, _, pres in catalog_instances((p,)):
+            n = pres.ngens
+
+            def sample():  # random exponents on a random support
+                support = set(rng.sample(range(n), rng.randint(1, n)))
+                return tuple(rng.randrange(1, r) if i in support else 0
+                             for i, r in enumerate(pres.orders))
+
+            pairs = [(pres.gen(a), pres.gen(b)) for a in range(n) for b in range(n)]
+            pairs += [(sample(), sample()) for _ in range(10)]
+            for u, v in pairs:
+                uv, vu = pres.mul(u, v), pres.mul(v, u)
+                assert pres.comm_el(u, v) == pres.ldiv(vu, uv), (eid, u, v)
+                assert pres.commutes(u, v) == (uv == vu), (eid, u, v)
+                shortcuts[pres.supports_commute(u, v), uv == vu] += 1
+            checked += 1
+        assert checked >= 20
+        # pairs the relations settle, commuting pairs they do not, and
+        # pairs that do not commute all occur
+        assert shortcuts[True, True] and shortcuts[False, True] and shortcuts[False, False]
 
 
 class TestMemoizedFacts:
