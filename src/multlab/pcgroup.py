@@ -19,12 +19,19 @@ stores its word, letters and tails; an overlap copies those tails and
 collects the other operand's letters onto a copy of the left word.  The
 rows are memoized by `check_consistency`, so it runs once per distinct
 presentation per process.
-Two kinds of overlap are settled by the stated relations and collect
-nothing, each giving the row ().  A triple (k, j, i) none of whose pairs
-has a stated tail: either bracketing of g_k g_j g_i only swaps adjacent
-letters, each inverted pair once, and no exponent reaches its relative
-order, so both sides are g_i g_j g_k carrying t_kj + t_ki + t_ji.  A
-power-cycle whose w_i is empty: both sides are g_i carrying t_i alone.
+Three kinds of overlap are settled by the stated relations and collect
+nothing; each is read off the `_clash` bits and the power tails.  A triple
+(k, j, i) none of whose pairs has a stated tail: either bracketing of
+g_k g_j g_i only swaps adjacent letters, each inverted pair once, and no
+exponent reaches its relative order, so both sides are g_i g_j g_k
+carrying t_kj + t_ki + t_ji, and the row is ().  A power-cycle whose w_i
+is empty: both sides are g_i carrying t_i alone, and the row is ().  A
+power-left or power-right (j, i) whose pair has no stated tail and whose
+powered generator g_m (m = j left, m = i right) has w_m empty: the power
+gives t_m and nothing else, while the other bracketing swaps each of the
+r_m letters g_m past the other letter once, so g_j^{r_j} g_i = g_i t_j
+against g_i t_j t_ji^{r_j}, and g_j g_i^{r_i} = g_j t_i against
+g_j t_i t_ji^{r_i}.  Its row is -r_m at t_ji.
 `comm_el`, `commutes` and the normal closure skip `supports_commute` pairs.
 A presentation is immutable by construction: its fields are set once, in
 `__init__`, and its hash is computed there, once, from every field but its
@@ -309,14 +316,17 @@ def overlaps(pres: PcPresentation):
     its shared operand's tails (the other operand, a letter, has none) and
     collects onto a copy of the left word, so no overlap changes another's.
     An overlap the stated relations settle (module docstring) is not
-    collected: it yields the side (None, ()) both ways, so its row is ()."""
+    collected: a triple or power-cycle yields the side (None, ()) both ways,
+    so its row is (); a quiet power-left or power-right (j, i) with w_m
+    empty yields (None, t_m) and (None, t_m + r_m t_ji), so its row is -r_m
+    at t_ji."""
     n = pres.ngens
     width = n + n * (n - 1) // 2
     collect = pres._collect_onto
     gen = [pres.gen(i) for i in range(n)]
     one = [((i, 1),) for i in range(n)]
     settled = ((None, ()),) * 2  # the two sides of an overlap the relations settle
-    quiet = pres.supports_commute
+    clash, powers, orders = pres._clash, pres.powers, pres.orders
 
     def stored(u, letters, tails):  # u * letters with the letters of its word
         w = collect(list(u), letters, tails)
@@ -330,24 +340,34 @@ def overlaps(pres: PcPresentation):
         tails = x[2].copy()
         return collect(list(u), x[1], tails), tails
 
-    wv = [stored(pres.identity, pres.powers[i], [int(k == i) for k in range(width)])
+    wv = [stored(pres.identity, powers[i], [int(k == i) for k in range(width)])
           for i in range(n)]
     pair = {(j, i): stored(gen[j], one[i], [0] * width) for j in range(n) for i in range(j)}
+
+    def closed(m, j, i):  # a quiet (j, i) with w_m empty: t_m, and t_m + r_m t_ji
+        rhs = wv[m][2].copy()
+        rhs[n + j * (j - 1) // 2 + i] += orders[m]
+        return (None, wv[m][2]), (None, rhs)
+
     for k in range(n):
         for j in range(k):
             for i in range(j):
                 yield ("triple", (k, j, i), *(
-                    settled if quiet(gen[j], gen[i]) and quiet(gen[k], pair[j, i][0])
+                    settled if not (clash[j] >> i | clash[k] >> i | clash[k] >> j) & 1
                     else (then(pair[k, j], one[i]), onto(gen[k], pair[j, i]))))
     for j in range(n):
         for i in range(j):
-            yield ("power-left", (j, i), then(wv[j], one[i]),  # rhs g_j^(r_j - 1) (g_j g_i)
-                   onto([(pres.orders[j] - 1) * x for x in gen[j]], pair[j, i]))
-            yield ("power-right", (j, i), onto(gen[j], wv[i]),
-                   then(pair[j, i], ((i, pres.orders[i] - 1),)))
+            quiet = not clash[j] >> i & 1
+            yield ("power-left", (j, i), *(
+                closed(j, j, i) if quiet and not powers[j]
+                else (then(wv[j], one[i]),  # rhs g_j^(r_j - 1) (g_j g_i)
+                      onto([(orders[j] - 1) * x for x in gen[j]], pair[j, i]))))
+            yield ("power-right", (j, i), *(
+                closed(i, j, i) if quiet and not powers[i]
+                else (onto(gen[j], wv[i]), then(pair[j, i], ((i, orders[i] - 1),)))))
     for i in range(n):
         yield ("power-cycle", (i,), *(
-            (onto(gen[i], wv[i]), then(wv[i], one[i])) if pres.powers[i] else settled))
+            (onto(gen[i], wv[i]), then(wv[i], one[i])) if powers[i] else settled))
 
 
 @lru_cache(maxsize=None)

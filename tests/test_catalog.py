@@ -524,6 +524,20 @@ class TestCli:
         assert main(["check", "--group", "T6_xiv", "--p", "2"]) == 0
         assert "order 2^6" in capsys.readouterr().out
 
+    def test_python_m_runs_the_cli(self):
+        """`python -m multlab` from a checkout reaches `cli.main`."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "multlab", "check", "--group", "T6_xiv", "--p", "2"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "T6_xiv at p=2: consistent, order 2^6\n"
+
     def test_verify_theorem_bad_prime(self, capsys):
         from multlab.cli import main
         assert main(["verify-theorem", "--p", "4", "--part", "odd"]) == 1

@@ -852,7 +852,7 @@ def _reference_overlap_rows(pres):
 class TestOverlapPass:
     """The overlap pass collects each g_j g_i once and shares it."""
 
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_rows_equal_the_unshared_reference(self, p):
         checked = 0
         for eid, _, pres in catalog_instances((p,)):
@@ -880,15 +880,16 @@ class TestOverlapPass:
         for pres in built:
             assert pres._tail_rows == _reference_overlap_rows(pres), (pres.name, pres.p)
 
-    @pytest.mark.parametrize("eid,p,evaluated,want", [("Phi7_15", 5, 27, 69),
-                                                       ("T6_i", 3, 62, 160)])
+    @pytest.mark.parametrize("eid,p,evaluated,want", [("Phi7_15", 5, 13, 41),
+                                                       ("T6_i", 3, 8, 52)])
     def test_pass_collects_each_side_once(self, catalog, monkeypatch, eid, p, evaluated,
                                           want):
         """One pass makes one collector entry per shared side (n power tails,
         n(n-1)/2 pair products) and one per side of an evaluated overlap: a
         pass that collected a shared side again would make more.  The
-        overlaps the stated relations settle (side (None, ())) collect
-        nothing: 8 of Phi7_15's 35, and 58 of T6_i's 120."""
+        overlaps the stated relations settle (side (None, ())) and the
+        closed-form power overlaps (word None, tails t_m and t_m + r_m t_ji)
+        collect nothing: 22 of Phi7_15's 35, and 112 of T6_i's 120."""
         pres = catalog.instantiate(eid, p)
         assert sum(lhs[0] is not None for _, _, lhs, _ in pcgroup.overlaps(pres)) == evaluated
         entries = []
